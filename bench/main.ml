@@ -1,25 +1,19 @@
 (* Benchmark harness.
 
-   Running `dune exec bench/main.exe` does two things:
+   Running `dune exec bench/main.exe` runs one Bechamel micro-benchmark
+   per paper artifact (Tables 1-6, Figure 2) plus ablation benches for
+   the design choices called out in DESIGN.md (fault collapsing on/off,
+   state encodings, bit-parallel vs naive fault simulation). The paper's
+   tables themselves are printed by bin/reproduce; the end-to-end
+   workload benchmark lives in e2ebench/.
 
-   1. REPRODUCTION - prints every table and figure of the paper
-      (same output as bin/reproduce) so the numbers and the shape of the
-      results can be compared against the published ones; and
-
-   2. PERFORMANCE - runs one Bechamel micro-benchmark per paper artifact
-      (Tables 1-6, Figure 2) plus ablation benches for the design choices
-      called out in DESIGN.md (fault collapsing on/off, state encodings,
-      bit-parallel vs naive fault simulation).
-
-   Options: the Driver options (--tier, --k, --k2, --seed, --quiet) plus
-   --no-perf / --no-repro to skip a phase, --quota-ms N to bound the
-   per-bench measurement budget, and --json FILE to append a
-   machine-readable record of every estimate (see BENCH_*.json at the
-   repository root for the recorded trajectory). *)
+   Options: --quota-ms N to bound the per-bench measurement budget, and
+   --json FILE to append a machine-readable record of every estimate
+   (see BENCH_*.json at the repository root for the recorded
+   trajectory). *)
 
 open Bechamel
 open Toolkit
-module Driver = Ndetect_harness.Driver
 module Analysis = Ndetect_core.Analysis
 module Detection_table = Ndetect_core.Detection_table
 module Worst_case = Ndetect_core.Worst_case
@@ -276,7 +270,7 @@ let bench_kernel_inter_many =
 let make_cache_dir net table seed_store =
   let dir = Filename.temp_file "ndetect-bench-cache" "" in
   Sys.remove dir;
-  Ndetect_harness.Checkpoint.mkdir_recursive dir;
+  Ndetect_harness.Fs.mkdir_recursive dir;
   (* Seed the entry so the warm bench hits regardless of ordering. *)
   seed_store ~dir ~key:(Table_cache.key net) table;
   dir
@@ -533,8 +527,7 @@ let write_json ~path content =
   close_out oc;
   Printf.printf "[wrote %s]\n%!" path
 
-let bench_usage =
-  "bench extras: [--no-perf] [--no-repro] [--json FILE] [--quota-ms N]"
+let bench_usage = "usage: main [--json FILE] [--quota-ms N]"
 
 let bad_usage message =
   prerr_endline message;
@@ -542,48 +535,22 @@ let bad_usage message =
   exit 2
 
 let () =
-  let args = List.tl (Array.to_list Sys.argv) in
-  (* Strip the bench-only flags before handing the rest to the driver
-     parser; its usage errors are reprinted with the extras appended so
-     every accepted flag is discoverable from a bad invocation. *)
-  let rec strip (json, quota_ms, no_perf, no_repro, rest) = function
-    | [] -> (json, quota_ms, no_perf, no_repro, List.rev rest)
-    | "--no-perf" :: tl -> strip (json, quota_ms, true, no_repro, rest) tl
-    | "--no-repro" :: tl -> strip (json, quota_ms, no_perf, true, rest) tl
+  let rec parse (json, quota_ms) = function
+    | [] -> (json, quota_ms)
     | [ "--json" ] -> bad_usage "--json requires a value"
-    | "--json" :: file :: tl ->
-      strip (Some file, quota_ms, no_perf, no_repro, rest) tl
+    | "--json" :: file :: tl -> parse (Some file, quota_ms) tl
     | [ "--quota-ms" ] -> bad_usage "--quota-ms requires a value"
     | "--quota-ms" :: v :: tl -> (
       match int_of_string_opt v with
-      | Some q when q > 0 ->
-        strip (json, Some q, no_perf, no_repro, rest) tl
+      | Some q when q > 0 -> parse (json, q) tl
       | Some _ | None ->
         bad_usage
           (Printf.sprintf "--quota-ms expects a positive integer, got %S" v))
-    | a :: tl -> strip (json, quota_ms, no_perf, no_repro, a :: rest) tl
+    | a :: _ -> bad_usage (Printf.sprintf "unknown argument %S" a)
   in
-  let json, quota_ms, no_perf, no_repro, driver_args =
-    strip (None, None, false, false, []) args
-  in
-  let quota_ms = Option.value quota_ms ~default:500 in
-  let options =
-    match Driver.parse_args_result driver_args with
-    | Ok options -> options
-    | Error message -> bad_usage message
-  in
-  if not no_repro then begin
-    print_endline "=== Reproduction: paper tables and figures ===";
-    print_newline ();
-    Driver.run_all (Driver.create options)
-  end;
-  if not no_perf then begin
-    print_endline
-      "=== Performance: one bench per table/figure + ablations ===";
-    print_newline ();
-    let results = run_perf ~quota_ms () in
-    print_perf results;
-    Option.iter
-      (fun path -> write_json ~path (perf_json ~quota_ms results))
-      json
-  end
+  let json, quota_ms = parse (None, 500) (List.tl (Array.to_list Sys.argv)) in
+  print_endline "=== Performance: one bench per table/figure + ablations ===";
+  print_newline ();
+  let results = run_perf ~quota_ms () in
+  print_perf results;
+  Option.iter (fun path -> write_json ~path (perf_json ~quota_ms results)) json

@@ -587,46 +587,20 @@ let transition_cmd =
 
 (* tables *)
 
-let tables_run tier k k2 seed only quiet =
-  let tier =
-    match String.lowercase_ascii tier with
-    | "small" -> Registry.Small
-    | "medium" -> Registry.Medium
-    | "large" -> Registry.Large
-    | other ->
-      prerr_endline ("unknown tier " ^ other);
-      exit 2
-  in
-  Driver.run_all
-    (Driver.create (Driver.Options.make ~tier ~k ~k2 ~seed ~only ~quiet ()))
-
+(* `ndetect tables` is bin/reproduce: the arguments after [tables] go to
+   [Driver.main] verbatim (see the dispatch at the bottom), so the flag
+   grammar, validation and exit codes cannot diverge. Cmdliner would
+   not do: it reads a one-letter name such as [k] as [-k], and then
+   prefix-matches [--k] to [--k2]. This entry lists the subcommand in
+   --help and accepts the flags after a [--]. *)
 let tables_cmd =
-  let tier =
-    Arg.(
-      value & opt string "medium"
-      & info [ "tier" ] ~docv:"TIER" ~doc:"small, medium or large.")
+  let args =
+    Arg.(value & pos_all string [] & info [] ~docv:"FLAG" ~doc:"As reproduce.")
   in
-  let k =
-    Arg.(
-      value & opt int 1000 & info [ "k"; "sets" ] ~docv:"K" ~doc:"Sets for Table 5.")
-  in
-  let k2 =
-    Arg.(
-      value & opt int 200 & info [ "k2" ] ~docv:"K" ~doc:"Sets for Table 6.")
-  in
-  let only =
-    Arg.(
-      value & opt string "all"
-      & info [ "only" ] ~docv:"WHAT"
-          ~doc:"One of table1..table6, figure2, or all.")
-  in
-  let quiet =
-    Arg.(value & flag & info [ "quiet" ] ~doc:"Suppress timing lines.")
-  in
-  let doc = "Reproduce the paper's tables and figures." in
+  let doc = "Reproduce the paper's tables and figures (reproduce's flags)." in
   Cmd.v
     (Cmd.info "tables" ~doc)
-    Term.(const tables_run $ tier $ k $ k2 $ seed_arg $ only $ quiet)
+    Term.(const (fun args -> Stdlib.exit (Driver.main args)) $ args)
 
 (* check *)
 
@@ -1414,4 +1388,7 @@ let main_cmd =
       equiv_cmd; scoap_cmd; campaign_cmd; worker_cmd; serve_cmd; client_cmd;
     ]
 
-let () = exit (Cmd.eval main_cmd)
+let () =
+  match List.tl (Array.to_list Sys.argv) with
+  | "tables" :: args -> exit (Driver.main args)
+  | _ -> exit (Cmd.eval main_cmd)

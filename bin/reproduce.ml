@@ -13,28 +13,9 @@
    Exit codes: 0 on a clean run, 2 on a usage error, 3 when the run
    completed but one or more supervised per-circuit units timed out or
    crashed (their rows render as "(timed out)" / "(crashed: ...)"),
-   4 when SIGTERM cut the run short (finished units are already
-   checkpointed; rerun with --resume). *)
-
-module Driver = Ndetect_harness.Driver
-module Supervise = Ndetect_util.Supervise
+   4 when SIGTERM cut the run short (finished circuits are already
+   checkpointed; rerun with --resume). `ndetect tables` is the same
+   command. *)
 
 let () =
-  match Driver.parse_args_result (List.tl (Array.to_list Sys.argv)) with
-  | Error message ->
-    prerr_endline message;
-    exit 2
-  | Ok options -> (
-    match Driver.create options with
-    | exception Failure message ->
-      prerr_endline message;
-      exit 2
-    | driver ->
-      (* On SIGTERM the in-flight supervised unit unwinds at its next
-         poll point and every remaining unit returns Skipped; finished
-         units were checkpointed atomically as they completed, so there
-         is nothing else to flush. *)
-      Supervise.install_sigterm ();
-      Driver.run_all driver;
-      if Supervise.terminating () then exit Supervise.sigterm_exit_code;
-      if Driver.failures driver <> [] then exit 3)
+  exit (Ndetect_harness.Driver.main (List.tl (Array.to_list Sys.argv)))

@@ -8,6 +8,7 @@ type worst_summary = {
   count_at_least : (int * int * float) list;
   max_finite_nmin : int option;
   unbounded_count : int;
+  hard_histogram : (int * int) list;
 }
 
 let worst_thresholds_below = [ 1; 2; 3; 4; 5; 10 ]
@@ -40,6 +41,7 @@ let summary_of_worst ~name worst =
     max_finite_nmin = Worst_case.max_finite_nmin worst;
     unbounded_count =
       Worst_case.count_at_least worst Worst_case.unbounded;
+    hard_histogram = Worst_case.histogram worst ~min_value:11;
   }
 
 (* The same summary computed from a bare nmin distribution (the form a
@@ -75,6 +77,7 @@ let summary_of_nmin ~name ~target_faults nmin =
           else match acc with None -> Some v | Some m -> Some (max m v))
         None nmin;
     unbounded_count = count_at_least Worst_case.unbounded;
+    hard_histogram = Worst_case.histogram_of_nmin nmin ~min_value:11;
   }
 
 let analyze ?(cancel = Ndetect_util.Cancel.none) ?build ~name net =

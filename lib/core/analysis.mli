@@ -16,6 +16,9 @@ type worst_summary = {
           nmin >= n0. *)
   max_finite_nmin : int option;
   unbounded_count : int;  (** Faults no n can guarantee. *)
+  hard_histogram : (int * int) list;
+      (** Sorted [(nmin, count)] pairs over the faults with a finite
+          nmin >= 11: the data of Figure 2 for this circuit. *)
 }
 
 val worst_thresholds_below : int list

@@ -147,4 +147,8 @@ let combined_summary ~name results =
         Analysis.worst_thresholds_at_least;
     max_finite_nmin = max_finite;
     unbounded_count = count_at_least Worst_case.unbounded;
+    hard_histogram =
+      Worst_case.histogram_of_nmin
+        (Array.concat (List.map Worst_case.distribution worsts))
+        ~min_value:11;
   }

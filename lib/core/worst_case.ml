@@ -198,15 +198,17 @@ let max_finite_nmin t =
       else match acc with None -> Some v | Some m -> Some (max m v))
     None t.nmin
 
-let histogram t ~min_value =
+let histogram_of_nmin nmin ~min_value =
   let counts = Hashtbl.create 64 in
   Array.iter
     (fun v ->
       if v <> unbounded && v >= min_value then
         Hashtbl.replace counts v
           (1 + Option.value (Hashtbl.find_opt counts v) ~default:0))
-    t.nmin;
+    nmin;
   Hashtbl.fold (fun value count acc -> (value, count) :: acc) counts []
   |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+
+let histogram t ~min_value = histogram_of_nmin t.nmin ~min_value
 
 let distribution t = Array.copy t.nmin

@@ -63,5 +63,9 @@ val histogram : t -> min_value:int -> (int * int) list
     [nmin] is at least [min_value] — the data behind the paper's
     Figure 2. *)
 
+val histogram_of_nmin : int array -> min_value:int -> (int * int) list
+(** {!histogram} of a bare nmin distribution (e.g. one merged from
+    {!compute_slice} blocks). *)
+
 val distribution : t -> int array
 (** All [nmin(g_j)] values, indexed by [g_j]. *)

@@ -6,36 +6,13 @@ type stamp = {
   k2 : int;
 }
 
-let version = 1
+let version = 2
 let magic = "ndetect-checkpoint"
 
 type t = { root : string; stamp : stamp }
 
-let rec mkdir_recursive dir =
-  let parent = Filename.dirname dir in
-  if parent <> dir && not (Sys.file_exists parent) then
-    mkdir_recursive parent;
-  (* No file_exists-then-mkdir race: just create and swallow EEXIST. *)
-  match Unix.mkdir dir 0o755 with
-  | () -> ()
-  | exception Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-
-let write_atomic ~path content =
-  let dir = Filename.dirname path in
-  let tmp = Filename.temp_file ~temp_dir:dir ".atomic-" ".tmp" in
-  let ok = ref false in
-  Fun.protect
-    ~finally:(fun () -> if not !ok then Sys.remove tmp)
-    (fun () ->
-      let oc = open_out_bin tmp in
-      Fun.protect
-        ~finally:(fun () -> close_out_noerr oc)
-        (fun () -> output_string oc content);
-      Sys.rename tmp path;
-      ok := true)
-
 let create ~dir ~stamp =
-  mkdir_recursive dir;
+  Fs.mkdir_recursive dir;
   if not (Sys.is_directory dir) then
     failwith (Printf.sprintf "checkpoint path %s is not a directory" dir);
   { root = dir; stamp }
@@ -54,7 +31,7 @@ let path_of t key =
   in
   Filename.concat t.root (sanitized ^ ".ckpt")
 
-let store t ~key payload =
+let store t ~key (payload : Api.Response.t) =
   (* Injection site for the checkpoint I/O path, so ENOSPC/EACCES-style
      faults can be driven through the supervised retry policy
      end to end (see Supervise.parse_injection_spec). *)
@@ -62,9 +39,9 @@ let store t ~key payload =
   let content =
     Marshal.to_string ((magic, t.stamp, key), payload) []
   in
-  write_atomic ~path:(path_of t key) content
+  Fs.write_atomic ~path:(path_of t key) content
 
-let load (type a) t ~key : a option =
+let load t ~key =
   let path = path_of t key in
   if not (Sys.file_exists path) then None
   else
@@ -75,8 +52,9 @@ let load (type a) t ~key : a option =
     | content -> (
       match Marshal.from_string content 0 with
       | exception _ -> None
-      | ((m, stamp, k), payload : (string * stamp * string) * a) ->
+      | ((m, stamp, k), payload : (string * stamp * string) * Api.Response.t)
+        ->
         if m = magic && stamp = t.stamp && k = key then Some payload
         else None)
 
-let mem t ~key = Option.is_some (load t ~key : Obj.t option)
+let mem t ~key = Option.is_some (load t ~key)

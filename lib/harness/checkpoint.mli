@@ -1,18 +1,18 @@
-(** Crash-safe persistence of partial reproduction results.
+(** Crash-safe persistence of the reproduction's per-circuit results.
 
     A checkpoint is a directory of independent entries, one file per
-    completed unit of work (a per-circuit summary, a finished table
-    row, a rendered section). Every entry is stamped with the format
-    {!version} and the run parameters it depends on; {!load} silently
-    ignores entries whose stamp does not match the current run, so a
-    checkpoint directory can never leak results across incompatible
-    configurations. Writes go to a temporary file in the same directory
-    followed by an atomic rename, so a kill at any instant leaves either
-    the previous entry or the new one — never a torn file.
+    circuit: the failure-free {!Api.Response.t} of its request, keyed by
+    circuit and section list (see the driver). Every entry is stamped
+    with the format {!version} and the run parameters it depends on;
+    {!load} silently ignores entries whose stamp does not match the
+    current run, so a checkpoint directory can never leak results across
+    incompatible configurations. Writes go through {!Fs.write_atomic},
+    so a kill at any instant leaves either the previous entry or the new
+    one — never a torn file.
 
-    Payloads are marshalled plain data (no closures); the [key] is the
-    type contract: each key prefix maps to exactly one payload type
-    (see the driver). Bumping {!version} invalidates all old entries. *)
+    There is one payload type, so an entry is never read back at a type
+    other than the one it was written at; a layout change bumps
+    {!version}, which invalidates every older entry. *)
 
 type stamp = {
   version : int;
@@ -23,7 +23,7 @@ type stamp = {
 }
 
 val version : int
-(** Current checkpoint format version. *)
+(** Current checkpoint format version (2: one response per circuit). *)
 
 type t
 
@@ -33,28 +33,14 @@ val create : dir:string -> stamp:stamp -> t
 
 val dir : t -> string
 
-val store : t -> key:string -> 'a -> unit
-(** Persist an entry atomically. The payload must be marshal-safe plain
-    data. Passes the ["checkpoint:store"] injection site
-    ({!Ndetect_util.Supervise.inject}) before writing, so checkpoint
-    I/O faults can be simulated and retried end to end. *)
+val store : t -> key:string -> Api.Response.t -> unit
+(** Persist an entry atomically. Passes the ["checkpoint:store"]
+    injection site ({!Ndetect_util.Supervise.inject}) before writing, so
+    checkpoint I/O faults can be simulated and retried end to end. *)
 
-val load : t -> key:string -> 'a option
+val load : t -> key:string -> Api.Response.t option
 (** Read an entry back; [None] when absent, unreadable, or stamped by a
-    different version or run configuration. The caller must ask for the
-    same type it stored under this key. *)
+    different version or run configuration. *)
 
 val mem : t -> key:string -> bool
 (** Whether a loadable, stamp-matching entry exists. *)
-
-(** {2 Shared filesystem helpers} *)
-
-val mkdir_recursive : string -> unit
-(** [mkdir -p]: creates missing ancestors; concurrent creation of the
-    same directory is not an error (EEXIST is swallowed rather than
-    racing a [file_exists] check). *)
-
-val write_atomic : path:string -> string -> unit
-(** Write file contents via temp-file-plus-rename in the target's
-    directory; the channel is closed (and the temp file removed) on
-    error paths. *)

@@ -1,8 +1,6 @@
 module Analysis = Ndetect_core.Analysis
 module Detection_table = Ndetect_core.Detection_table
-module Worst_case = Ndetect_core.Worst_case
 module Procedure1 = Ndetect_core.Procedure1
-module Average_case = Ndetect_core.Average_case
 module Registry = Ndetect_suite.Registry
 module Example = Ndetect_suite.Example
 module Paper_tables = Ndetect_report.Paper_tables
@@ -174,9 +172,7 @@ let value_flags =
   ]
 
 (* The flag grammar is written with [failwith] (every arm wants to abort
-   with a message); [parse_args_result] catches that at the boundary and
-   is the primary entry point — the raising [parse_args] is a thin
-   compatibility layer on top. *)
+   with a message); [parse_args_result] catches that at the boundary. *)
 let parse_args_exn args =
   let int_value flag v =
     match int_of_string_opt v with
@@ -359,22 +355,12 @@ let parse_args_result args =
   | opts -> Ok opts
   | exception Failure message -> Error message
 
-let parse_args args =
-  match parse_args_result args with
-  | Ok opts -> opts
-  | Error message -> failwith message
-
-(* Per-circuit execution state. [Summarized] means only the worst-case
-   summary was recovered from a checkpoint; the full analysis is
-   recomputed on demand if a later table needs it. *)
-type status =
-  | Full of Analysis.t
-  | Summarized of Analysis.worst_summary
-  | Failed of Supervise.failure
-
 type t = {
   options : options;
-  statuses : (string, status) Hashtbl.t;
+  request : Api.Request.t option;
+      (* Every suite circuit's request, label and source aside; [None]
+         when the selected sections need no suite circuit. *)
+  responses : (string, Api.Response.t) Hashtbl.t;  (* by circuit *)
   checkpoint : Checkpoint.t option;
   mutable failures : (string * Supervise.failure) list;  (* newest first *)
   mutable example : Analysis.t option;
@@ -387,6 +373,24 @@ let tier_name = function
   | Registry.Small -> "small"
   | Registry.Medium -> "medium"
   | Registry.Large -> "large"
+
+(* Figure 2 reads the worst-case summaries Table 2 does; Tables 1 and 4
+   are the Figure 1 example and need no suite circuit. *)
+let request_of_options options =
+  match options.only with
+  | "table1" | "table4" -> None
+  | only -> (
+    let only = if only = "figure2" then "table2" else only in
+    match
+      Options.to_request { options with only }
+        ~source:(Api.Request.Suite "") ~label:""
+    with
+    | Error message -> failwith message
+    | Ok { Api.Request.universe = Api.Request.Sampled _; _ } ->
+      failwith
+        "--samples: the paper's tables are exact counts; sampled estimates \
+         are rendered by ndetect analyze / average"
+    | Ok req -> Some req)
 
 let create options =
   (* Backend selection before any analysis touches a Bitvec: the flag
@@ -413,6 +417,7 @@ let create options =
     match Supervise.parse_injection_spec spec with
     | Ok plan -> Supervise.set_injection plan
     | Error message -> failwith (Printf.sprintf "--inject: %s" message)));
+  let request = request_of_options options in
   let checkpoint =
     Option.map
       (fun dir ->
@@ -431,7 +436,7 @@ let create options =
      the (possibly hours-long) run when the first table is written. *)
   Option.iter
     (fun dir ->
-      Checkpoint.mkdir_recursive dir;
+      Fs.mkdir_recursive dir;
       if not (Sys.is_directory dir) then
         failwith (Printf.sprintf "csv path %s is not a directory" dir))
     options.csv_dir;
@@ -447,7 +452,8 @@ let create options =
   in
   {
     options;
-    statuses = Hashtbl.create 64;
+    request;
+    responses = Hashtbl.create 64;
     checkpoint;
     failures = [];
     example = None;
@@ -466,15 +472,6 @@ let finish t =
   Option.iter Telemetry.Memory.detach t.memory_sink;
   t.memory_sink <- None
 
-let timed t label f =
-  if t.options.quiet then f ()
-  else begin
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    Printf.printf "[%s: %.2fs]\n%!" label (Unix.gettimeofday () -. t0);
-    r
-  end
-
 (* Checkpoint plumbing. Entries are only read back under --resume; a
    plain --checkpoint run starts from scratch but still persists. *)
 let load_ck t key =
@@ -485,97 +482,66 @@ let load_ck t key =
 let store_ck t key payload =
   Option.iter (fun ck -> Checkpoint.store ck ~key payload) t.checkpoint
 
-(* One supervised unit of work: deadline from --timeout-per-circuit,
-   deterministic injection at [site], bounded retry for I/O errors, and
-   the failure recorded for the final exit status. *)
-let supervised t ~label ~site f =
-  let before = if t.options.metrics then Telemetry.counters () else [] in
-  let result =
-    Supervise.run ?deadline:t.options.timeout_per_circuit ~retries:2
-      (fun cancel ->
-        (* The span lives inside the supervised attempt so a crash or
-           timeout unwinds through it and the failure is annotated with
-           the open span stack. *)
-        Telemetry.with_span label
-          ~args:[ ("site", site) ]
-          (fun () ->
-            Supervise.inject ~cancel site;
-            f cancel))
-  in
-  if t.options.metrics then
-    t.unit_metrics <-
-      (label, Telemetry.delta ~before ~after:(Telemetry.counters ()))
-      :: t.unit_metrics;
-  (match result with
-  | Error failure -> t.failures <- (label, failure) :: t.failures
-  | Ok _ -> ());
-  result
+(* A circuit's one [Api.run] of the run, kept for every table that reads
+   it. A failure-free response is checkpointed under the circuit and its
+   section list, so a resumed run renders it without recomputation and
+   retries only the circuits that failed. *)
+let response t entry =
+  Option.map
+    (fun template ->
+      let name = entry.Registry.name in
+      match Hashtbl.find_opt t.responses name with
+      | Some r -> r
+      | None ->
+        let req =
+          { template with Api.Request.label = name; source = Api.Request.Suite name }
+        in
+        let key =
+          name ^ "-"
+          ^ String.concat "+"
+              (List.map Api.Request.section_name req.Api.Request.sections)
+        in
+        let r =
+          match load_ck t key with
+          | Some r -> r
+          | None ->
+            let t0 = Unix.gettimeofday () in
+            (* A suite source always loads, and create validated the
+               backend and strategy names. *)
+            let r =
+              match Api.run req with
+              | Ok r -> r
+              | Error message -> failwith (name ^ ": " ^ message)
+            in
+            if not t.options.quiet then
+              Printf.printf "[%s: %.2fs]\n%!" name (Unix.gettimeofday () -. t0);
+            if t.options.metrics then
+              t.unit_metrics <- (name, r.Api.Response.counters) :: t.unit_metrics;
+            t.failures <- List.rev_append r.Api.Response.failures t.failures;
+            if r.Api.Response.failures = [] then store_ck t key r;
+            r
+        in
+        Hashtbl.replace t.responses name r;
+        r)
+    t.request
 
-(* With --table-cache, detection tables are looked up in (and persisted
-   to) the cache directory instead of being rebuilt by fault simulation
-   on every run; the cache key covers the netlist and the default build
-   parameters, so stale entries are impossible by construction. *)
-let table_builder t = Api.table_builder ~cache_dir:t.options.table_cache
+let responses t = List.filter_map (response t) (Registry.of_tier t.options.tier)
 
-let compute_analysis t entry =
-  let name = entry.Registry.name in
-  match
-    supervised t ~label:("analyze " ^ name) ~site:("analyze:" ^ name)
-      (fun cancel ->
-        timed t
-          (Printf.sprintf "analyze %s" name)
-          (fun () ->
-            Analysis.analyze ?build:(table_builder t) ~cancel ~name
-              (Registry.circuit entry)))
-  with
-  | Ok a ->
-    store_ck t ("summary-" ^ name) a.Analysis.summary;
-    Hashtbl.replace t.statuses name (Full a);
-    Ok a
-  | Error failure ->
-    Hashtbl.replace t.statuses name (Failed failure);
-    Error failure
+let section r s = List.assoc_opt s r.Api.Response.sections
 
-let status_of t entry =
-  let name = entry.Registry.name in
-  match Hashtbl.find_opt t.statuses name with
-  | Some s -> s
-  | None -> (
-    match load_ck t ("summary-" ^ name) with
-    | Some (summary : Analysis.worst_summary) ->
-      let s = Summarized summary in
-      Hashtbl.replace t.statuses name s;
-      s
-    | None -> (
-      match compute_analysis t entry with
-      | Ok a -> Full a
-      | Error failure -> Failed failure))
-
-let summary_result t entry =
-  match status_of t entry with
-  | Full a -> Ok a.Analysis.summary
-  | Summarized s -> Ok s
-  | Failed f -> Error f
-
-let analysis_result t entry =
-  match status_of t entry with
-  | Full a -> Ok a
-  | Failed f -> Error f
-  | Summarized _ -> compute_analysis t entry
-
-let analysis_of t entry =
-  match analysis_result t entry with
-  | Ok a -> a
-  | Error failure ->
-    failwith (entry.Registry.name ^ ": " ^ Supervise.describe failure)
+let worst_of r =
+  match section r Api.Request.Worst with
+  | Some (Api.Response.Worst_rows entries) -> entries
+  | Some _ | None -> []
 
 let example_analysis t =
   match t.example with
   | Some a -> a
   | None ->
     let a =
-      Analysis.analyze ?build:(table_builder t) ~name:"example"
-        (Example.circuit ())
+      Analysis.analyze
+        ?build:(Api.table_builder ~cache_dir:t.options.table_cache)
+        ~name:"example" (Example.circuit ())
     in
     t.example <- Some a;
     a
@@ -590,93 +556,56 @@ let run_table1 t =
   | None -> "example bridge g0 not found (unexpected)\n"
   | Some gj -> Paper_tables.table1 a ~gj
 
-let summary_entries t =
-  Registry.of_tier t.options.tier
-  |> List.map (fun e ->
-         match summary_result t e with
-         | Ok s -> Paper_tables.Row s
-         | Error failure ->
-           Paper_tables.Failed_row
-             {
-               circuit = e.Registry.name;
-               reason = Supervise.describe failure;
-             })
+let worst_entries t = List.concat_map worst_of (responses t)
+let run_table2 t = Paper_tables.table2_entries (worst_entries t)
+let run_table3 t = Paper_tables.table3_entries (worst_entries t)
+let table2_csv t = Paper_tables.table2_csv_entries (worst_entries t)
+let table3_csv t = Paper_tables.table3_csv_entries (worst_entries t)
 
-let run_table2 t = Paper_tables.table2_entries (summary_entries t)
-let run_table3 t = Paper_tables.table3_entries (summary_entries t)
-let table2_csv t = Paper_tables.table2_csv_entries (summary_entries t)
-let table3_csv t = Paper_tables.table3_csv_entries (summary_entries t)
-
-(* nmin > 10 (hard_faults ~nmax:10) is exactly the Table 3 threshold
-   nmin >= 11, so the count can be read off a summary — which keeps
-   resumed runs from reanalyzing circuits just to pick Figure 2's
-   subject or to skip hard-fault-free circuits in Tables 5/6. *)
-let hard_count_of_summary (s : Analysis.worst_summary) =
+(* Faults with nmin >= 11, unbounded ones included: the Table 3 column
+   that picks Figure 2's subject. *)
+let hard_count (s : Analysis.worst_summary) =
   match List.find_opt (fun (n0, _, _) -> n0 = 11) s.Analysis.count_at_least with
   | Some (_, count, _) -> count
   | None -> 0
 
-let hardest_entry t =
+(* Figure 2 plots dvram when the tier has it (the paper's subject), else
+   the first analyzed circuit with the most nmin >= 11 faults, cut at 100
+   when any of them reaches it. *)
+let figure2 t =
   let entries = Registry.of_tier t.options.tier in
-  match
-    List.find_opt (fun e -> String.equal e.Registry.name "dvram") entries
-  with
-  | Some e -> Some e
-  | None ->
-    List.fold_left
-      (fun acc e ->
-        match summary_result t e with
-        | Error _ -> acc
-        | Ok s -> (
-          let hard = hard_count_of_summary s in
-          match acc with
-          | Some (_, best) when best >= hard -> acc
-          | Some _ | None -> Some (e, hard)))
-      None entries
-    |> Option.map fst
+  let row e = Option.bind (response t e) (fun r -> List.nth_opt (worst_of r) 0) in
+  let hardest =
+    match
+      List.find_opt (fun e -> String.equal e.Registry.name "dvram") entries
+    with
+    | Some e -> row e
+    | None ->
+      List.fold_left
+        (fun acc e ->
+          match (row e, acc) with
+          | Some (Paper_tables.Row s), Some (Paper_tables.Row best)
+            when hard_count best >= hard_count s ->
+            acc
+          | (Some (Paper_tables.Row _) as candidate), _ -> candidate
+          | _ -> acc)
+        None entries
+  in
+  match hardest with
+  | None -> ("(no circuits in tier)\n", None)
+  | Some (Paper_tables.Failed_row { circuit; reason }) ->
+    (Printf.sprintf "circuit: %s (%s)\n" circuit reason, None)
+  | Some (Paper_tables.Row s) ->
+    let hist = s.Analysis.hard_histogram in
+    let min_value =
+      if List.exists (fun (v, _) -> v >= 100) hist then 100 else 11
+    in
+    let hist = List.filter (fun (v, _) -> v >= min_value) hist in
+    ( Printf.sprintf "circuit: %s\n%s" s.Analysis.circuit
+        (Paper_tables.figure2_of_histogram hist ~min_value),
+      Some ("figure2.csv", Paper_tables.figure2_csv_of_histogram hist) )
 
-type figure2_data = {
-  fig_circuit : string;
-  fig_min_value : int;
-  fig_histogram : (int * int) list;
-}
-
-let figure2_data t =
-  match load_ck t "figure2" with
-  | Some (d : figure2_data) -> Some (Ok d)
-  | None -> (
-    match hardest_entry t with
-    | None -> None
-    | Some e -> (
-      match analysis_result t e with
-      | Error failure -> Some (Error (e.Registry.name, failure))
-      | Ok a ->
-        let has_100 =
-          Array.exists
-            (fun v -> v >= 100 && v <> Worst_case.unbounded)
-            (Worst_case.distribution a.Analysis.worst)
-        in
-        let min_value = if has_100 then 100 else 11 in
-        let d =
-          {
-            fig_circuit = e.Registry.name;
-            fig_min_value = min_value;
-            fig_histogram =
-              Worst_case.histogram a.Analysis.worst ~min_value;
-          }
-        in
-        store_ck t "figure2" d;
-        Some (Ok d)))
-
-let run_figure2 t =
-  match figure2_data t with
-  | None -> "(no circuits in tier)\n"
-  | Some (Error (circuit, failure)) ->
-    Printf.sprintf "circuit: %s (%s)\n" circuit (Supervise.describe failure)
-  | Some (Ok d) ->
-    Printf.sprintf "circuit: %s\n%s" d.fig_circuit
-      (Paper_tables.figure2_of_histogram d.fig_histogram
-         ~min_value:d.fig_min_value)
+let run_figure2 t = fst (figure2 t)
 
 let run_table4 t =
   let a = example_analysis t in
@@ -705,145 +634,70 @@ let run_table4 t =
   in
   Paper_tables.table4 outcome ^ g6_line
 
-(* Tables 5 and 6: one supervised Procedure-1 unit per circuit, each
-   checkpointed as its finished row ([None] records "no hard faults, not
-   listed" so resume skips the analysis entirely). *)
-type 'row item =
-  | Item_row of 'row
-  | Item_failed of string * Supervise.failure  (* circuit, reason *)
-
-let per_circuit_rows t ~key_prefix ~label_prefix ~compute_row =
-  Registry.of_tier t.options.tier
-  |> List.filter_map (fun e ->
-         let name = e.Registry.name in
-         let key = key_prefix ^ "-" ^ name in
-         match load_ck t key with
-         | Some (cached : _ option) ->
-           Option.map (fun row -> Item_row row) cached
-         | None -> (
-           match summary_result t e with
-           | Error failure -> Some (Item_failed (name, failure))
-           | Ok s when hard_count_of_summary s = 0 ->
-             store_ck t key None;
-             None
-           | Ok _ -> (
-             match analysis_result t e with
-             | Error failure -> Some (Item_failed (name, failure))
-             | Ok a -> (
-               let hard = Analysis.hard_faults a ~nmax:10 in
-               match
-                 supervised t
-                   ~label:(label_prefix ^ " " ^ name)
-                   ~site:(key_prefix ^ ":" ^ name)
-                   (fun cancel -> compute_row ~cancel ~name ~a ~hard)
-               with
-               | Ok row ->
-                 store_ck t key (Some row);
-                 Some (Item_row row)
-               | Error failure -> Some (Item_failed (name, failure))))))
-
-let split_items items =
-  let rows =
-    List.filter_map (function Item_row r -> Some r | _ -> None) items
+(* Tables 5 and 6 gather one section across the tier. [Some []] (no hard
+   faults) is not listed; an uncomputed section becomes a
+   [(circuit: reason)] footer naming the unit that failed — the
+   circuit's analysis, else the section's own Procedure-1 unit
+   ([unit_label], as [Api.run] labels it). *)
+let average_section t ~unit_label ~rows_of ~render ~csv =
+  let rows, failed =
+    List.fold_right
+      (fun r (rows, failed) ->
+        match rows_of r with
+        | Some more -> (more @ rows, failed)
+        | None -> (
+          let name = r.Api.Response.label in
+          let failure prefix =
+            List.assoc_opt (prefix ^ " " ^ name) r.Api.Response.failures
+          in
+          match (failure "analyze", failure unit_label) with
+          | Some f, _ | None, Some f -> (rows, (name, f) :: failed)
+          | None, None -> (rows, failed)))
+      (responses t) ([], [])
   in
-  let failed =
-    List.filter_map
-      (function Item_failed (c, f) -> Some (c, f) | _ -> None)
-      items
+  let footer =
+    String.concat ""
+      (List.map
+         (fun (circuit, failure) ->
+           Printf.sprintf "(%s: %s)\n" circuit (Supervise.describe failure))
+         failed)
   in
-  (rows, failed)
+  match rows with
+  | [] -> ("(no circuits with nmin >= 11 faults)\n" ^ footer, None)
+  | rows -> (render ~nmax:10 rows ^ footer, Some (csv rows))
 
-let failed_footer failed =
-  String.concat ""
-    (List.map
-       (fun (circuit, failure) ->
-         Printf.sprintf "(%s: %s)\n" circuit (Supervise.describe failure))
-       failed)
+let table5 t =
+  average_section t ~unit_label:"procedure1"
+    ~rows_of:(fun r ->
+      match section r Api.Request.Average with
+      | Some (Api.Response.Average_rows { rows; _ }) -> rows
+      | Some _ | None -> None)
+    ~render:Paper_tables.table5
+    ~csv:(fun rows -> ("table5.csv", Paper_tables.table5_csv rows))
 
-let table5_items t =
-  per_circuit_rows t ~key_prefix:"table5" ~label_prefix:"procedure1"
-    ~compute_row:(fun ~cancel ~name ~a ~hard ->
-      let config =
-        {
-          Procedure1.seed = t.options.seed;
-          set_count = t.options.k;
-          nmax = 10;
-          mode = Procedure1.Definition1;
-        }
-      in
-      let outcome =
-        timed t
-          (Printf.sprintf "procedure1 %s" name)
-          (fun () ->
-            Procedure1.run ~cancel ?domains:t.options.domains
-              ~report_faults:hard a.Analysis.table config)
-      in
-      {
-        Paper_tables.circuit = name;
-        hard_faults = Array.length hard;
-        row = Average_case.summarize outcome ~n:10;
-      })
+let table6 t =
+  average_section t ~unit_label:"procedure1-def2"
+    ~rows_of:(fun r ->
+      match section r Api.Request.Average_def2 with
+      | Some (Api.Response.Def2_rows { rows; _ }) -> rows
+      | Some _ | None -> None)
+    ~render:Paper_tables.table6
+    ~csv:(fun rows -> ("table6.csv", Paper_tables.table6_csv rows))
 
-let run_table5 t =
-  let rows, failed = split_items (table5_items t) in
-  (match rows with
-  | [] -> "(no circuits with nmin >= 11 faults)\n"
-  | rows -> Paper_tables.table5 ~nmax:10 rows)
-  ^ failed_footer failed
-
-let table6_items t =
-  per_circuit_rows t ~key_prefix:"table6" ~label_prefix:"procedure1-def2"
-    ~compute_row:(fun ~cancel ~name ~a ~hard ->
-      let run mode label =
-        timed t
-          (Printf.sprintf "procedure1 %s (%s)" name label)
-          (fun () ->
-            Procedure1.run ~cancel ?domains:t.options.domains
-              ~report_faults:hard a.Analysis.table
-              {
-                Procedure1.seed = t.options.seed;
-                set_count = t.options.k2;
-                nmax = 10;
-                mode;
-              })
-      in
-      let def1 = run Procedure1.Definition1 "def1" in
-      let def2 = run Procedure1.Definition2 "def2" in
-      ( name,
-        Array.length hard,
-        Average_case.summarize def1 ~n:10,
-        Average_case.summarize def2 ~n:10 ))
-
-let run_table6 t =
-  let rows, failed = split_items (table6_items t) in
-  (match rows with
-  | [] -> "(no circuits with nmin >= 11 faults)\n"
-  | rows -> Paper_tables.table6 ~nmax:10 rows)
-  ^ failed_footer failed
+let run_table5 t = fst (table5 t)
+let run_table6 t = fst (table6 t)
 
 let write_csv t ~name content =
   match t.options.csv_dir with
   | None -> ()
   | Some dir ->
-    Checkpoint.mkdir_recursive dir;
+    Fs.mkdir_recursive dir;
     let path = Filename.concat dir name in
-    Checkpoint.write_atomic ~path content;
+    Fs.write_atomic ~path content;
     if not t.options.quiet then Printf.printf "[wrote %s]\n%!" path
 
-(* A finished section (text plus optional CSV) is persisted whole, but
-   only when the run is failure-free so far: a section containing
-   (crashed)/(timed out) rows must be rebuilt — and its circuits
-   retried — by the resumed run. *)
-let cached_section t ~key f =
-  match load_ck t key with
-  | Some (section : string * (string * string) option) -> section
-  | None ->
-    let section = f () in
-    if t.failures = [] then store_ck t key section;
-    section
-
-(* The --metrics report: per-supervised-unit counter deltas (only the
-   counters the unit moved), the process-wide totals, and — from the
+(* The --metrics report: per-circuit-request counter deltas (only the
+   counters the request moved), the process-wide totals, and — from the
    in-memory sink — the aggregated span profile. *)
 let print_metrics t =
   print_string "== Telemetry ==\n\n";
@@ -864,71 +718,30 @@ let print_metrics t =
   flush stdout
 
 let run_all t =
-  let wants what = t.options.only = "all" || t.options.only = what in
-  let emit title (text, csv) =
-    Printf.printf "== %s ==\n\n%s\n%!" title text;
-    Option.iter (fun (name, content) -> write_csv t ~name content) csv
+  let emit what title render =
+    if t.options.only = "all" || t.options.only = what then begin
+      let text, csv = render () in
+      Printf.printf "== %s ==\n\n%s\n%!" title text;
+      Option.iter (fun (name, content) -> write_csv t ~name content) csv
+    end
   in
-  if wants "table1" then
-    emit "Table 1 (worked example, Figure 1 circuit)"
-      (cached_section t ~key:"section-table1" (fun () ->
-           (run_table1 t, None)));
-  if wants "table4" then
-    emit "Table 4 (K = 10 random test sets for the example circuit)"
-      (cached_section t ~key:"section-table4" (fun () ->
-           (run_table4 t, None)));
-  if wants "table2" then
-    emit "Table 2 (worst-case percentages, small n)"
-      (cached_section t ~key:"section-table2" (fun () ->
-           (run_table2 t, Some ("table2.csv", table2_csv t))));
-  if wants "table3" then
-    emit "Table 3 (worst-case counts, large n)"
-      (cached_section t ~key:"section-table3" (fun () ->
-           (run_table3 t, Some ("table3.csv", table3_csv t))));
-  if wants "figure2" then
-    emit "Figure 2 (distribution of nmin for the hardest circuit)"
-      (cached_section t ~key:"section-figure2" (fun () ->
-           ( run_figure2 t,
-             match figure2_data t with
-             | Some (Ok d) ->
-               Some
-                 ( "figure2.csv",
-                   Paper_tables.figure2_csv_of_histogram d.fig_histogram )
-             | Some (Error _) | None -> None )));
-  if wants "table5" then
-    emit
-      (Printf.sprintf "Table 5 (average-case probabilities, K = %d)"
-         t.options.k)
-      (cached_section t ~key:"section-table5" (fun () ->
-           let rows, failed = split_items (table5_items t) in
-           let text =
-             (match rows with
-             | [] -> "(no circuits with nmin >= 11 faults)\n"
-             | rows -> Paper_tables.table5 ~nmax:10 rows)
-             ^ failed_footer failed
-           in
-           let csv =
-             if rows = [] then None
-             else Some ("table5.csv", Paper_tables.table5_csv rows)
-           in
-           (text, csv)));
-  if wants "table6" then
-    emit
-      (Printf.sprintf "Table 6 (Definition 1 vs Definition 2, K = %d)"
-         t.options.k2)
-      (cached_section t ~key:"section-table6" (fun () ->
-           let rows, failed = split_items (table6_items t) in
-           let text =
-             (match rows with
-             | [] -> "(no circuits with nmin >= 11 faults)\n"
-             | rows -> Paper_tables.table6 ~nmax:10 rows)
-             ^ failed_footer failed
-           in
-           let csv =
-             if rows = [] then None
-             else Some ("table6.csv", Paper_tables.table6_csv rows)
-           in
-           (text, csv)));
+  emit "table1" "Table 1 (worked example, Figure 1 circuit)" (fun () ->
+      (run_table1 t, None));
+  emit "table4" "Table 4 (K = 10 random test sets for the example circuit)"
+    (fun () -> (run_table4 t, None));
+  emit "table2" "Table 2 (worst-case percentages, small n)" (fun () ->
+      (run_table2 t, Some ("table2.csv", table2_csv t)));
+  emit "table3" "Table 3 (worst-case counts, large n)" (fun () ->
+      (run_table3 t, Some ("table3.csv", table3_csv t)));
+  emit "figure2" "Figure 2 (distribution of nmin for the hardest circuit)"
+    (fun () -> figure2 t);
+  emit "table5"
+    (Printf.sprintf "Table 5 (average-case probabilities, K = %d)" t.options.k)
+    (fun () -> table5 t);
+  emit "table6"
+    (Printf.sprintf "Table 6 (Definition 1 vs Definition 2, K = %d)"
+       t.options.k2)
+    (fun () -> table6 t);
   if t.options.metrics then print_metrics t;
   finish t;
   if failures t <> [] then begin
@@ -939,3 +752,24 @@ let run_all t =
       (failures t);
     flush stderr
   end
+
+let main args =
+  match parse_args_result args with
+  | Error message ->
+    prerr_endline message;
+    2
+  | Ok options -> (
+    match create options with
+    | exception Failure message ->
+      prerr_endline message;
+      2
+    | t ->
+      (* On SIGTERM the in-flight supervised unit unwinds at its next
+         poll point and every remaining unit returns Skipped; finished
+         circuits were checkpointed atomically as they completed, so
+         there is nothing else to flush. *)
+      Supervise.install_sigterm ();
+      run_all t;
+      if Supervise.terminating () then Supervise.sigterm_exit_code
+      else if failures t <> [] then 3
+      else 0)

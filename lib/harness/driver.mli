@@ -1,18 +1,27 @@
 (** The reproduction driver: regenerates every table and figure of the
-    paper on the embedded benchmark suite. Shared by [bin/reproduce] and
-    the benchmark harness.
+    paper on the embedded benchmark suite. [bin/reproduce] and
+    [ndetect tables] are its {!main}.
 
-    Every per-circuit computation runs as one supervised unit
-    ({!Ndetect_util.Supervise.run}): it gets its own cancellation
+    The per-circuit half is a loop of {!Api.run} requests. Each suite
+    circuit of the tier gets one request ({!Options.to_request}) whose
+    sections are the ones [only] selects: [all] runs Worst, Average and
+    Average_def2; [table2], [table3] and [figure2] run Worst; [table5]
+    runs Average and [table6] Average_def2. Each request runs at most
+    once per run, and Tables 2, 3, 5 and 6, Figure 2 and their CSVs are
+    renderings of the kept responses. Only Tables 1 and 4 (the Figure 1
+    example) call the analyses directly.
+
+    Supervision is {!Api.run}'s: every unit gets its own cancellation
     deadline from [--timeout-per-circuit], passes through the
     deterministic fault-injection sites [analyze:CIRCUIT],
-    [table5:CIRCUIT] and [table6:CIRCUIT], and on failure is recorded in
-    {!failures} while the tables render an explicit [(timed out)] /
-    [(crashed: ...)] row instead of aborting the run. With
-    [--checkpoint DIR] each finished unit is persisted
-    ({!Checkpoint.store}); [--resume] reads those entries back so an
-    interrupted run restarts where it left off and retries only the
-    failed or missing circuits. *)
+    [table5:CIRCUIT] and [table6:CIRCUIT], and on failure is recorded
+    in {!failures} while the tables render an explicit [(timed out)] /
+    [(crashed: ...)] row or footer instead of aborting the run. With
+    [--checkpoint DIR] each failure-free response is persisted
+    ({!Checkpoint.store}) under its circuit and section list;
+    [--resume] renders from those entries without recomputation and
+    retries only the circuits that failed or are missing. Without
+    [quiet], one timing line is printed per circuit request. *)
 
 module Registry = Ndetect_suite.Registry
 module Analysis = Ndetect_core.Analysis
@@ -187,43 +196,34 @@ val parse_args_result : string list -> (options, string) result
     offending flag (and includes the usage string) on malformed values,
     missing values, or unknown arguments. *)
 
-val parse_args : string list -> options
-  [@@ocaml.deprecated "use Driver.parse_args_result"]
-(** @deprecated {!parse_args_result}, raising [Failure] instead of
-    returning [Error]. Kept as a compatibility shim for out-of-tree
-    callers; everything in-tree parses through the result form. *)
-
 val usage : string
-(** The usage string appended to [parse_args] error messages. *)
+(** The usage string appended to [parse_args_result] error messages. *)
 
 type t
-(** A driver instance caching per-circuit results across tables. *)
+(** A driver instance keeping each circuit's response across tables. *)
 
 val create : options -> t
 (** Also installs the [inject] plan ({!Supervise.set_injection}) and
     opens the checkpoint directory, stamped with the options' seed,
-    tier, [k] and [k2]. *)
+    tier, [k] and [k2]. Raises [Failure] on options no run can honour
+    (e.g. [samples]: the paper's tables are exact counts). *)
 
 val failures : t -> (string * Supervise.failure) list
 (** Supervised units that failed so far, in execution order, labelled
-    ["analyze CIRCUIT"] / ["procedure1 CIRCUIT"] / .... Empty after a
-    fully clean run; [bin/reproduce] exits 3 when non-empty. *)
+    as {!Api.run} labels them (["analyze CIRCUIT"] /
+    ["procedure1 CIRCUIT"] / ["procedure1-def2 CIRCUIT"]). Empty after a
+    fully clean run; {!main} exits 3 when non-empty. *)
 
 val unit_metrics : t -> (string * (string * int) list) list
-(** With [metrics] set: per supervised unit (execution order), the
-    telemetry counters that unit moved ({!Ndetect_util.Telemetry.delta}
-    of the registry across the unit). Empty otherwise. *)
+(** With [metrics] set: per circuit request (execution order, labelled
+    by circuit), the telemetry counters it moved — the response's
+    {!Api.Response.counters}. Empty otherwise. *)
 
 val finish : t -> unit
 (** Detach the driver's telemetry sinks: flushes and closes the [trace]
     JSONL file (writing its final counters record) and releases the
     in-memory profile. Idempotent; [run_all] calls it. Only needed
     directly when using the per-table entry points below. *)
-
-val analysis_of : t -> Registry.entry -> Analysis.t
-(** Analyze a suite circuit (cached). Raises [Failure] if the circuit's
-    supervised analysis failed; prefer the table renderers, which
-    degrade to failure rows instead. *)
 
 val example_analysis : t -> Analysis.t
 (** The Figure 1 worked example (cached, not supervised). *)
@@ -244,5 +244,11 @@ val table3_csv : t -> string
 val run_all : t -> unit
 (** Print every selected artifact to stdout, with section headers;
     write CSVs when [csv_dir] is set; summarize failed units on stderr
-    last. Finished failure-free sections are checkpointed whole, so a
-    resumed run re-prints them without recomputation. *)
+    last. *)
+
+val main : string list -> int
+(** The whole command behind [bin/reproduce] and [ndetect tables]:
+    parse the arguments, {!create}, {!run_all}, and return the exit
+    code — 0 on a clean run, 2 on a usage error, 3 when some supervised
+    unit failed, {!Supervise.sigterm_exit_code} when SIGTERM cut the run
+    short (finished circuits are already checkpointed). *)

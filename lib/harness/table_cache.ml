@@ -146,7 +146,7 @@ let fnv_hex_of_le_words s =
 (* {2 Version 2 (marshalled snapshot) — legacy fallback} *)
 
 let store_v2 ~dir ~key table =
-  Checkpoint.mkdir_recursive dir;
+  Fs.mkdir_recursive dir;
   let payload = Marshal.to_string (Detection_table.snapshot table) [] in
   let buf = Buffer.create (String.length payload + 128) in
   Buffer.add_string buf magic;
@@ -155,7 +155,7 @@ let store_v2 ~dir ~key table =
        (Digest.to_hex (Digest.string payload))
        (String.length payload));
   Buffer.add_string buf payload;
-  Checkpoint.write_atomic ~path:(path ~dir ~key) (Buffer.contents buf)
+  Fs.write_atomic ~path:(path ~dir ~key) (Buffer.contents buf)
 
 let read_file path =
   let ic = open_in_bin path in
@@ -213,7 +213,7 @@ let validated_payload_v2 raw ~key =
 exception Bad_meta
 
 let store ~dir ~key table =
-  Checkpoint.mkdir_recursive dir;
+  Fs.mkdir_recursive dir;
   let universe = Detection_table.universe table in
   let wpr = max 1 (Bitvec.word_count universe) in
   let t_count = Detection_table.target_count table in
@@ -340,7 +340,7 @@ let store ~dir ~key table =
   Buffer.add_string out (String.make pad_len '\000');
   Buffer.add_string out meta;
   Buffer.add_string out word_bytes;
-  Checkpoint.write_atomic ~path:(path ~dir ~key) (Buffer.contents out)
+  Fs.write_atomic ~path:(path ~dir ~key) (Buffer.contents out)
 
 (* One private (copy-on-write) kind-int mapping covers the whole
    meta+words image; verification and decoding both read through it.

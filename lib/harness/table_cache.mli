@@ -18,8 +18,8 @@
     (marshalled snapshots) still load for one release and are rewritten
     as v3 by the next {!store}.
 
-    Files are written atomically (temp file + rename, like
-    {!Checkpoint}) and validated defensively on load — magic, ASCII
+    Files are written atomically (temp file + rename,
+    {!Fs.write_atomic}) and validated defensively on load — magic, ASCII
     header, MD5 over the meta section, FNV-1a plus a 62-bit payload
     range check over every data word {e as read from the file} (a
     mapped bigarray read cannot see a flipped bit 63; the file bytes

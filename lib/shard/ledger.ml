@@ -1,4 +1,4 @@
-module Checkpoint = Ndetect_harness.Checkpoint
+module Fs = Ndetect_harness.Fs
 module Telemetry = Ndetect_util.Telemetry
 
 (* Record format, shared by every payload-carrying file (see the .mli):
@@ -77,7 +77,7 @@ let read_record t ~name ~kind ~fp =
     payload
 
 let write_record t ~name ~kind ~fp payload =
-  Checkpoint.write_atomic ~path:(path t name) (encode ~kind ~fp payload)
+  Fs.write_atomic ~path:(path t name) (encode ~kind ~fp payload)
 
 (* Claims need BOTH atomic content (a reader must never see a torn
    claim) and exclusive creation (two claimants, one winner). Plain
@@ -180,7 +180,7 @@ let sealed_gens t =
     try Some (Marshal.from_string payload 0 : int) with _ -> None)
 
 let create ~dir c =
-  Checkpoint.mkdir_recursive dir;
+  Fs.mkdir_recursive dir;
   match read_campaign ~dir with
   | Error _ | Ok None ->
     (* Fresh directory, or a damaged campaign record (already healed
@@ -254,7 +254,7 @@ let claims t =
 let hb_name worker = "hb-" ^ worker
 
 let heartbeat t ~worker =
-  try Checkpoint.write_atomic ~path:(path t (hb_name worker)) "hb\n"
+  try Fs.write_atomic ~path:(path t (hb_name worker)) "hb\n"
   with Sys_error _ | Unix.Unix_error _ -> ()
 
 let heartbeat_age t ~worker = file_age (path t (hb_name worker))

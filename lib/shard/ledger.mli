@@ -32,7 +32,7 @@
     ["shard.ledger_corrupt"], deletes the damaged file (self-healing —
     a corrupt claim or result simply makes the unit claimable again)
     and reports the record absent. All writes are atomic
-    ({!Ndetect_harness.Checkpoint.write_atomic}), so a SIGKILL at any
+    ({!Ndetect_harness.Fs.write_atomic}), so a SIGKILL at any
     instant leaves whole records or none. *)
 
 type t

@@ -3,12 +3,14 @@
 
 module Driver = Ndetect_harness.Driver
 module Checkpoint = Ndetect_harness.Checkpoint
+module Fs = Ndetect_harness.Fs
+module Api = Ndetect_harness.Api
 module Registry = Ndetect_suite.Registry
 
 let with_temp_dir f =
   let dir = Filename.temp_file "ndetect-test" "" in
   Sys.remove dir;
-  Checkpoint.mkdir_recursive dir;
+  Fs.mkdir_recursive dir;
   Fun.protect
     ~finally:(fun () ->
       if Sys.file_exists dir then begin
@@ -90,14 +92,7 @@ let test_parse_args_result () =
   | Ok _ -> Alcotest.fail "expected Error"
   | Error m ->
     Alcotest.(check bool) "error names the flag" true
-      (Helpers.contains_substring m "--k expects an integer");
-    (* The deprecated raising shim reports the same message. *)
-    let shim_message =
-      match (Driver.parse_args [@alert "-deprecated"]) [ "--k"; "abc" ] with
-      | _ -> Alcotest.fail "expected parse failure"
-      | exception Failure shim -> shim
-    in
-    Alcotest.(check string) "parse_args raises same message" m shim_message)
+      (Helpers.contains_substring m "--k expects an integer"))
 
 (* Flag combinations that every individual parser accepts but that are
    wrong as a whole must be an [Error], not a run that silently does
@@ -212,36 +207,46 @@ let stamp : Checkpoint.stamp =
   { Checkpoint.version = Checkpoint.version; seed = 1; tier = "small";
     k = 20; k2 = 10 }
 
+(* Checkpoint entries are responses; a label tells them apart. *)
+let response label =
+  {
+    Api.Response.label;
+    sections = [ (Api.Request.Worst, Api.Response.Worst_rows []) ];
+    failures = [];
+    counters = [ ("sim.detection_sets", 1) ];
+  }
+
+let load_label ck ~key =
+  Option.map (fun r -> r.Api.Response.label) (Checkpoint.load ck ~key)
+
 let test_checkpoint_roundtrip () =
   with_temp_dir (fun dir ->
       let ck = Checkpoint.create ~dir ~stamp in
       Alcotest.(check bool) "absent" false (Checkpoint.mem ck ~key:"xs");
-      Checkpoint.store ck ~key:"xs" [ 1; 2; 3 ];
+      Checkpoint.store ck ~key:"xs" (response "a");
       Alcotest.(check bool) "present" true (Checkpoint.mem ck ~key:"xs");
-      Alcotest.(check (option (list int))) "roundtrip" (Some [ 1; 2; 3 ])
-        (Checkpoint.load ck ~key:"xs");
+      Alcotest.(check bool) "roundtrip" true
+        (Checkpoint.load ck ~key:"xs" = Some (response "a"));
       (* Overwrite is atomic-replace, last write wins. *)
-      Checkpoint.store ck ~key:"xs" [ 9 ];
-      Alcotest.(check (option (list int))) "overwritten" (Some [ 9 ])
-        (Checkpoint.load ck ~key:"xs"))
+      Checkpoint.store ck ~key:"xs" (response "b");
+      Alcotest.(check (option string)) "overwritten" (Some "b")
+        (load_label ck ~key:"xs"))
 
 let test_checkpoint_stamp_mismatch () =
   with_temp_dir (fun dir ->
       let ck = Checkpoint.create ~dir ~stamp in
-      Checkpoint.store ck ~key:"xs" [ 1 ];
+      Checkpoint.store ck ~key:"xs" (response "a");
       let other = Checkpoint.create ~dir ~stamp:{ stamp with seed = 2 } in
-      Alcotest.(check (option (list int)))
-        "different seed sees nothing" None
-        (Checkpoint.load other ~key:"xs");
+      Alcotest.(check (option string)) "different seed sees nothing" None
+        (load_label other ~key:"xs");
       let same = Checkpoint.create ~dir ~stamp in
-      Alcotest.(check (option (list int))) "same stamp still loads"
-        (Some [ 1 ])
-        (Checkpoint.load same ~key:"xs"))
+      Alcotest.(check (option string)) "same stamp still loads" (Some "a")
+        (load_label same ~key:"xs"))
 
 let test_checkpoint_corruption () =
   with_temp_dir (fun dir ->
       let ck = Checkpoint.create ~dir ~stamp in
-      Checkpoint.store ck ~key:"xs" [ 1 ];
+      Checkpoint.store ck ~key:"xs" (response "a");
       (* Clobber the entry on disk; load must degrade to None, not raise. *)
       Array.iter
         (fun entry ->
@@ -249,16 +254,16 @@ let test_checkpoint_corruption () =
           output_string oc "garbage";
           close_out oc)
         (Sys.readdir dir);
-      Alcotest.(check (option (list int))) "corrupt entry ignored" None
-        (Checkpoint.load ck ~key:"xs"))
+      Alcotest.(check (option string)) "corrupt entry ignored" None
+        (load_label ck ~key:"xs"))
 
 let test_write_atomic () =
   with_temp_dir (fun dir ->
       let path = Filename.concat dir "out.csv" in
-      Checkpoint.write_atomic ~path "a,b\n1,2\n";
+      Fs.write_atomic ~path "a,b\n1,2\n";
       Alcotest.(check string) "contents" "a,b\n1,2\n"
         (In_channel.with_open_bin path In_channel.input_all);
-      Checkpoint.write_atomic ~path "new\n";
+      Fs.write_atomic ~path "new\n";
       Alcotest.(check string) "replaced" "new\n"
         (In_channel.with_open_bin path In_channel.input_all);
       (* No stray temp files left behind. *)
@@ -451,7 +456,7 @@ let test_table_cache_version_mismatch () =
       ;
       Buffer.add_string buf payload;
       let path = Filename.concat dir (key ^ ".tbl") in
-      Checkpoint.write_atomic ~path (Buffer.contents buf);
+      Fs.write_atomic ~path (Buffer.contents buf);
       Alcotest.(check bool) "future version is a miss" true
         (Table_cache.load ~dir ~key net = None);
       Alcotest.(check bool) "future-version file is spared deletion" true
@@ -464,7 +469,7 @@ let test_table_cache_version_mismatch () =
         Bytes.set b 14 '1';
         Bytes.to_string b
       in
-      Checkpoint.write_atomic ~path v1;
+      Fs.write_atomic ~path v1;
       Alcotest.(check bool) "unreadable past version is a miss" true
         (Table_cache.load ~dir ~key net = None);
       Alcotest.(check bool) "unreadable past version reclaimed" false
@@ -785,6 +790,56 @@ let test_resume_skips_checkpointed_work () =
         (List.length (Driver.failures resumed));
       Driver.create small_options |> ignore)
 
+(* A checkpoint directory in an older layout — version-1 stamps, the old
+   per-summary/per-section keys, even a current key holding another
+   payload type — is ignored on --resume: every circuit is recomputed
+   (byte-identical) and re-stored; nothing is read at the wrong type. *)
+let test_resume_ignores_old_layout () =
+  with_temp_dir (fun dir ->
+      let clean = Driver.create small_options in
+      let expected =
+        (Driver.table2_csv clean, Driver.run_table5 clean, Driver.run_table6 clean)
+      in
+      let old_stamp = { stamp with Checkpoint.version = 1 } in
+      let write key payload =
+        let file = String.map (fun c -> if c = '+' then '_' else c) key in
+        Fs.write_atomic
+          ~path:(Filename.concat dir (file ^ ".ckpt"))
+          (Marshal.to_string (("ndetect-checkpoint", old_stamp, key), payload) [])
+      in
+      let names =
+        List.map (fun e -> e.Registry.name) (Registry.of_tier Registry.Small)
+      in
+      let current_key name = name ^ "-worst+average+average_def2" in
+      List.iter
+        (fun name ->
+          write ("summary-" ^ name) "not a summary";
+          write ("table5-" ^ name) (Some 42);
+          write (current_key name) "not a response")
+        names;
+      List.iter
+        (fun key -> write key ("stale text", None))
+        [ "section-table2"; "section-table5"; "figure2" ];
+      let resumed =
+        Driver.create
+          { small_options with
+            Driver.checkpoint_dir = Some dir;
+            resume = true }
+      in
+      Alcotest.(check bool) "recomputed output identical" true
+        (( Driver.table2_csv resumed,
+           Driver.run_table5 resumed,
+           Driver.run_table6 resumed )
+        = expected);
+      Alcotest.(check int) "no failures" 0
+        (List.length (Driver.failures resumed));
+      let ck = Checkpoint.create ~dir ~stamp in
+      List.iter
+        (fun name ->
+          Alcotest.(check bool) (name ^ " re-stored") true
+            (Checkpoint.mem ck ~key:(current_key name)))
+        names)
+
 let test_table1_content () =
   let driver = Driver.create small_options in
   let out = Driver.run_table1 driver in
@@ -818,12 +873,26 @@ let test_figure2_runs () =
   Alcotest.(check bool) "names a circuit" true
     (Helpers.contains_substring out "circuit:")
 
+(* Every table renders from the circuit's one response: Table 2 builds
+   each circuit's detection table once, and Tables 5/6 afterwards build
+   and simulate nothing. *)
 let test_caching () =
+  let module Telemetry = Ndetect_util.Telemetry in
+  let work () =
+    ( Telemetry.counter_value "table.builds",
+      Telemetry.counter_value "sim.detection_sets" )
+  in
   let driver = Driver.create small_options in
-  let entry = Option.get (Registry.find "lion") in
-  let a1 = Driver.analysis_of driver entry in
-  let a2 = Driver.analysis_of driver entry in
-  Alcotest.(check bool) "same analysis object" true (a1 == a2)
+  let before = work () in
+  ignore (Driver.run_table2 driver);
+  let after_t2 = work () in
+  Alcotest.(check int) "one table build per circuit"
+    (List.length (Registry.of_tier Registry.Small))
+    (fst after_t2 - fst before);
+  ignore (Driver.run_table5 driver);
+  ignore (Driver.run_table6 driver);
+  Alcotest.(check (pair int int)) "tables 5/6 reuse the responses" after_t2
+    (work ())
 
 let () =
   Alcotest.run "harness"
@@ -891,6 +960,8 @@ let () =
             test_kill_and_resume_equivalence_parallel;
           Alcotest.test_case "resume skips work" `Quick
             test_resume_skips_checkpointed_work;
+          Alcotest.test_case "resume ignores old checkpoint layout" `Quick
+            test_resume_ignores_old_layout;
         ] );
       ( "driver",
         [
