@@ -261,87 +261,53 @@ let bench_kernel_inter_many =
          ignore (Bitvec.inter_count_many probe targets)))
 
 (* Table cache: cold = fault-simulate and persist, warm = restore from
-   disk. Their ratio is the speedup --table-cache buys per circuit.
-   Two warm variants: the legacy v2 (Marshal) entry measures the same
-   path earlier baselines recorded; the v3 entry measures the zero-copy
-   mmap path ([load] never rewrites a valid entry, so each dir keeps its
-   seeded format across iterations). *)
+   disk through the zero-copy mmap path. Their ratio is the speedup
+   --table-cache buys per circuit. *)
 
-let make_cache_dir net table seed_store =
+let make_cache_dir net table =
   let dir = Filename.temp_file "ndetect-bench-cache" "" in
   Sys.remove dir;
   Ndetect_harness.Fs.mkdir_recursive dir;
   (* Seed the entry so the warm bench hits regardless of ordering. *)
-  seed_store ~dir ~key:(Table_cache.key net) table;
+  Table_cache.store ~dir ~key:(Table_cache.key net) table;
   dir
 
-let cache_dir_v2 =
-  lazy
-    (make_cache_dir (Lazy.force mc_net) (Lazy.force mc_table)
-       Table_cache.store_v2)
+let cache_dir = lazy (make_cache_dir (Lazy.force mc_net) (Lazy.force mc_table))
 
-let cache_dir_v3 =
-  lazy
-    (make_cache_dir (Lazy.force mc_net) (Lazy.force mc_table)
-       Table_cache.store)
-
-(* The mmap payoff scales with the words section, so the before/after
-   pair also runs on a large-universe circuit (log: universe 16384,
-   ~13 MB table) where detection-set words dominate the file — mc's
-   32-vector universe is all metadata. Both dirs seed from one shared
-   build. *)
+(* The mmap payoff scales with the words section, so the warm load
+   also runs on a large-universe circuit (log: universe 16384, ~13 MB
+   table) where detection-set words dominate the file — mc's 32-vector
+   universe is all metadata. The build sits inside the lazy so the
+   (large) table becomes garbage as soon as the directory is written —
+   a live multi-megabyte table would tax every GC in the whole suite. *)
 let log_net = lazy (circuit "log")
 
-(* One shared build seeds both dirs, inside the lazy so the (large)
-   table becomes garbage as soon as the directories are written — a
-   live multi-megabyte table would tax every GC in the whole suite. *)
-let log_caches =
+let log_cache_dir =
   lazy
     (let net = Lazy.force log_net in
-     let table = Detection_table.build net in
-     let v2 = make_cache_dir net table Table_cache.store_v2 in
-     let v3 = make_cache_dir net table Table_cache.store in
-     (v2, v3))
+     make_cache_dir net (Detection_table.build net))
 
 let bench_table_cache_cold =
   Test.make ~name:"table-cache-cold(mc)"
     (Staged.stage (fun () ->
-         let dir = Lazy.force cache_dir_v3 in
+         let dir = Lazy.force cache_dir in
          let net = Lazy.force mc_net in
          Table_cache.store ~dir ~key:(Table_cache.key net)
            (Detection_table.build net)))
 
-let bench_table_cache_warm =
-  Test.make ~name:"table-cache-warm(mc)"
-    (Staged.stage (fun () ->
-         let dir = Lazy.force cache_dir_v2 in
-         let net = Lazy.force mc_net in
-         match Table_cache.load ~dir ~key:(Table_cache.key net) net with
-         | Some _ -> ()
-         | None -> failwith "table-cache-warm: expected a hit"))
-
 let bench_table_cache_warm_mmap =
   Test.make ~name:"table-cache-warm-mmap(mc)"
     (Staged.stage (fun () ->
-         let dir = Lazy.force cache_dir_v3 in
+         let dir = Lazy.force cache_dir in
          let net = Lazy.force mc_net in
          match Table_cache.load ~dir ~key:(Table_cache.key net) net with
          | Some _ -> ()
          | None -> failwith "table-cache-warm-mmap: expected a hit"))
 
-let bench_table_cache_warm_v2_log =
-  Test.make ~name:"table-cache-warm-v2(log)"
-    (Staged.stage (fun () ->
-         let dir = fst (Lazy.force log_caches) in
-         let net = Lazy.force log_net in
-         match Table_cache.load ~dir ~key:(Table_cache.key net) net with
-         | Some _ -> ()
-         | None -> failwith "table-cache-warm-v2(log): expected a hit"))
-
 let bench_table_cache_warm_mmap_log =
   Test.make ~name:"table-cache-warm-mmap(log)"
     (Staged.stage (fun () ->
-         let dir = snd (Lazy.force log_caches) in
+         let dir = Lazy.force log_cache_dir in
          let net = Lazy.force log_net in
          match Table_cache.load ~dir ~key:(Table_cache.key net) net with
          | Some _ -> ()
@@ -384,9 +350,7 @@ let all_benches =
       bench_kernel_popcount;
       bench_kernel_inter_many;
       bench_table_cache_cold;
-      bench_table_cache_warm;
       bench_table_cache_warm_mmap;
-      bench_table_cache_warm_v2_log;
       bench_table_cache_warm_mmap_log;
     ]
 
@@ -407,9 +371,8 @@ let run_perf ~quota_ms () =
      bench must not absorb a multi-second lazy table build. Compact
      afterwards so the transient seeding garbage cannot tax the
      measured benches. *)
-  ignore (Sys.opaque_identity (Lazy.force cache_dir_v2));
-  ignore (Sys.opaque_identity (Lazy.force cache_dir_v3));
-  ignore (Sys.opaque_identity (Lazy.force log_caches));
+  ignore (Sys.opaque_identity (Lazy.force cache_dir));
+  ignore (Sys.opaque_identity (Lazy.force log_cache_dir));
   Gc.compact ();
   let raw_results = Benchmark.all cfg instances all_benches in
   let results =

@@ -282,84 +282,9 @@ let target_output_sets t ~fi =
 
 let output_count t = Array.length (Netlist.outputs t.net)
 
-(* Persistence: everything the fault simulation produced, as marshal-safe
-   plain data. The fault-free table ([good]) is deliberately excluded —
-   it is one exhaustive simulation, cheap next to the per-fault sweeps,
-   and recomputing it on restore keeps snapshots small and
-   version-stable. Bitvec sharing (identical sets = one physical copy)
-   survives marshalling, so a snapshot is no bigger than the live
-   table. *)
-type snapshot = {
-  snap_universe : int;
-  snap_targets : Stuck.t array;
-  snap_target_sets : Bitvec.t array;
-  snap_target_labels : string array;
-  snap_undetectable_targets : int;
-  snap_untargeted : untargeted_fault array;
-  snap_untargeted_sets : Bitvec.t array;
-  snap_untargeted_labels : string array;
-  snap_undetectable_untargeted : int;
-}
-
-let snapshot t =
-  {
-    snap_universe = t.universe;
-    snap_targets = t.targets;
-    snap_target_sets = t.target_sets;
-    snap_target_labels = target_labels t;
-    snap_undetectable_targets = t.undetectable_targets;
-    snap_untargeted = t.untargeted;
-    snap_untargeted_sets = t.untargeted_sets;
-    snap_untargeted_labels = untargeted_labels t;
-    snap_undetectable_untargeted = t.undetectable_untargeted;
-  }
-
-let restore net snap =
-  Telemetry.Counter.incr c_restores;
-  let good = Good.compute net in
-  if Good.universe good <> snap.snap_universe then
-    invalid_arg "Detection_table.restore: universe mismatch";
-  let check_sets sets =
-    Array.iter
-      (fun s ->
-        if Bitvec.length s <> snap.snap_universe then
-          invalid_arg "Detection_table.restore: set length mismatch")
-      sets
-  in
-  check_sets snap.snap_target_sets;
-  check_sets snap.snap_untargeted_sets;
-  if
-    Array.length snap.snap_targets <> Array.length snap.snap_target_sets
-    || Array.length snap.snap_targets <> Array.length snap.snap_target_labels
-    || Array.length snap.snap_untargeted
-       <> Array.length snap.snap_untargeted_sets
-    || Array.length snap.snap_untargeted
-       <> Array.length snap.snap_untargeted_labels
-  then invalid_arg "Detection_table.restore: inconsistent snapshot";
-  {
-    net;
-    universe = snap.snap_universe;
-    targets = snap.snap_targets;
-    target_sets = snap.snap_target_sets;
-    undetectable_targets = snap.snap_undetectable_targets;
-    untargeted = snap.snap_untargeted;
-    untargeted_sets = snap.snap_untargeted_sets;
-    undetectable_untargeted = snap.snap_undetectable_untargeted;
-    good;
-    inverted = Atomic.make None;
-    untargeted_inverted = Atomic.make None;
-    layout = Atomic.make None;
-    (* The snapshot carries the labels; adopt them instead of
-       reformatting. *)
-    target_labels = Atomic.make (Some snap.snap_target_labels);
-    untargeted_labels = Atomic.make (Some snap.snap_untargeted_labels);
-    memo_lock = Mutex.create ();
-    output_sets = Hashtbl.create 64;
-  }
-
-(* Snapshot-free restore: adopt detection sets (and, optionally, an
-   already-built blocked layout) produced by an external decoder — the
-   table cache's v3 mmap loader. Labels are derived lazily from the
+(* Restore: adopt detection sets (and, optionally, an already-built
+   blocked layout) produced by an external decoder — the table cache's
+   mmap loader. Labels are derived lazily from the
    netlist on first report use (they are pure functions of net + fault,
    so the binary format does not store them), and the layout, when
    preset, seeds the same atomic memo that [target_layout] would fill —

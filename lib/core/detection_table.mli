@@ -145,23 +145,6 @@ val corrupt_target_set : t -> fi:int -> vector:int -> unit
 
 (** {2 Persistence} *)
 
-type snapshot
-(** Everything the fault simulation produced (faults, detection sets,
-    labels, undetectable counts) as marshal-safe plain data — no
-    closures, no fault-free table. Produced by {!snapshot}, consumed by
-    {!restore}; the harness's table cache marshals these to disk. *)
-
-val snapshot : t -> snapshot
-
-val restore : Netlist.t -> snapshot -> t
-(** Rebuild a table from a snapshot: runs the (cheap, fault-free)
-    exhaustive good simulation for [net] and adopts the snapshot's
-    detection sets without any fault simulation. Lazy memos (inverted
-    indexes, blocked layout, per-output sets) start empty and rebuild on
-    demand. Raises [Invalid_argument] when the snapshot is inconsistent
-    with [net] (universe or array-shape mismatch) — callers treat that
-    as a cache miss. *)
-
 val restore_parts :
   Netlist.t ->
   universe:int ->
@@ -174,12 +157,16 @@ val restore_parts :
   ?layout:target_layout ->
   unit ->
   t
-(** Snapshot-free {!restore} for external decoders (the table cache's v3
-    mmap loader): adopts the given arrays directly — the detection sets
-    may be zero-copy {!Bitvec.of_view}s into a mapped file — and
-    recomputes labels and the fault-free table from [net]. When
+(** Rebuild a table from its parts, for external decoders (the table
+    cache's mmap loader), without any fault simulation: runs the
+    (cheap, fault-free) exhaustive good simulation for [net] and adopts
+    the given arrays directly — the detection sets may be zero-copy
+    {!Bitvec.of_view}s into a mapped file. Labels and lazy memos
+    (inverted indexes, per-output sets) rebuild on demand; when
     [layout] is given it seeds the {!target_layout} memo, so the
-    worst-case scan runs over the mapped rows without repacking. Same
-    validation and [Invalid_argument] contract as {!restore}, extended
-    to the layout's shape ([rep]/[row_n] lengths, row counts,
-    representative indices in range). *)
+    worst-case scan runs over the mapped rows without repacking. Raises
+    [Invalid_argument] when the parts are inconsistent with [net] or
+    each other (universe, set lengths, array shapes, negative counts)
+    or the layout's shape is off ([rep]/[row_n] lengths, row counts,
+    representative indices in range) — callers treat that as a cache
+    miss. *)

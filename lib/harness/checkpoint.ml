@@ -1,3 +1,5 @@
+module Record = Ndetect_util.Record
+
 type stamp = {
   version : int;
   seed : int;
@@ -7,7 +9,6 @@ type stamp = {
 }
 
 let version = 2
-let magic = "ndetect-checkpoint"
 
 type t = { root : string; stamp : stamp }
 
@@ -31,30 +32,29 @@ let path_of t key =
   in
   Filename.concat t.root (sanitized ^ ".ckpt")
 
+(* One {!Record} per entry: kind "checkpoint", keyed by the entry key,
+   its payload the marshalled (stamp, response). Marshal only ever sees
+   a payload whose digest has been checked. *)
+let kind = "checkpoint"
+
 let store t ~key (payload : Api.Response.t) =
   (* Injection site for the checkpoint I/O path, so ENOSPC/EACCES-style
      faults can be driven through the supervised retry policy
      end to end (see Supervise.parse_injection_spec). *)
   Ndetect_util.Supervise.inject "checkpoint:store";
-  let content =
-    Marshal.to_string ((magic, t.stamp, key), payload) []
-  in
-  Fs.write_atomic ~path:(path_of t key) content
+  Fs.write_atomic ~path:(path_of t key)
+    (Record.encode ~kind ~key (Marshal.to_string (t.stamp, payload) []))
 
 let load t ~key =
-  let path = path_of t key in
-  if not (Sys.file_exists path) then None
-  else
-    match
-      In_channel.with_open_bin path (fun ic -> In_channel.input_all ic)
-    with
-    | exception Sys_error _ -> None
-    | content -> (
-      match Marshal.from_string content 0 with
-      | exception _ -> None
-      | ((m, stamp, k), payload : (string * stamp * string) * Api.Response.t)
-        ->
-        if m = magic && stamp = t.stamp && k = key then Some payload
-        else None)
+  match In_channel.with_open_bin (path_of t key) In_channel.input_all with
+  | exception Sys_error _ -> None
+  | raw -> (
+    match Record.decode ~kind ~key raw with
+    | Error _ -> None
+    | Ok payload -> (
+      match (Marshal.from_string payload 0 : stamp * Api.Response.t) with
+      | stamp, response when stamp = t.stamp -> Some response
+      | _ -> None
+      | exception _ -> None))
 
 let mem t ~key = Option.is_some (load t ~key)

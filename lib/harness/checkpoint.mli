@@ -6,9 +6,12 @@
     with the format {!version} and the run parameters it depends on;
     {!load} silently ignores entries whose stamp does not match the
     current run, so a checkpoint directory can never leak results across
-    incompatible configurations. Writes go through {!Fs.write_atomic},
-    so a kill at any instant leaves either the previous entry or the new
-    one — never a torn file.
+    incompatible configurations. Each entry is one
+    {!Ndetect_util.Record} (kind [checkpoint], keyed by the entry key),
+    so a truncated or bit-flipped entry fails its digest before anything
+    is unmarshalled and loads as [None]. Writes go through
+    {!Fs.write_atomic}, so a kill at any instant leaves either the
+    previous entry or the new one — never a torn file.
 
     There is one payload type, so an entry is never read back at a type
     other than the one it was written at; a layout change bumps
@@ -39,8 +42,9 @@ val store : t -> key:string -> Api.Response.t -> unit
     checkpoint I/O faults can be simulated and retried end to end. *)
 
 val load : t -> key:string -> Api.Response.t option
-(** Read an entry back; [None] when absent, unreadable, or stamped by a
-    different version or run configuration. *)
+(** Read an entry back; [None] when absent, unreadable, damaged, or
+    stamped by a different version or run configuration. Never
+    raises. *)
 
 val mem : t -> key:string -> bool
 (** Whether a loadable, stamp-matching entry exists. *)

@@ -54,7 +54,7 @@ end
 
 (* Bounded content-addressed store of hot detection tables, keyed by
    {!Table_cache.key}. Entries are charged the bytes their backing
-   pins (the shared v3 mapping for cache loads, a heap estimate for
+   pins (the shared file mapping for cache loads, a heap estimate for
    fresh builds) and evicted least-recently-used past the budget — but
    never below one entry: evicting the table just handed out frees
    nothing, it is still referenced. *)

@@ -7,48 +7,38 @@ module Bridge = Ndetect_faults.Bridge
 module Wired = Ndetect_faults.Wired
 module Bitvec = Ndetect_util.Bitvec
 module Kernel = Ndetect_util.Kernel
+module Record = Ndetect_util.Record
 module Telemetry = Ndetect_util.Telemetry
 module A1 = Bigarray.Array1
 
-(* On-disk format, version 3 (one file per table, named [key ^ ".tbl"]):
+(* On-disk format: one {!Record} of kind "table" per table, keyed by
+   {!key} and named [key ^ ".tbl"]. Its payload is
 
-     magic
-     "3 <key> <fnv-hex meta> <meta_len> <words_off> <nwords> <fnv-hex>\n"
-     zero pad        (up to the first 8-byte boundary; < 8 bytes)
-     meta            (meta_len bytes of little-endian int64 fields,
-                      8-byte aligned, ending exactly at words_off)
-     words           (nwords * 8 bytes: raw detection-set words, LE)
+     meta            (little-endian int64 fields, see [store])
+     words           (raw detection-set words, LE)
 
    The meta section is plain integer records — fault descriptions, pool
-   indices, the blocked-layout row map (see [encode_meta]) — and the
-   words section is the flat word data of every distinct detection set
-   followed by the cache-blocked target layout, exactly the bytes the
-   kernels sweep. Because the pad sits {e before} the meta, everything
-   after the header is one 8-byte-aligned image: a warm load
-   [Unix.map_file]s it once, verifies both digests with single C passes
-   over the mapping, decodes the meta fields straight out of the map
-   (plain int reads, no copy, no [Int64] boxing), and adopts zero-copy
-   {!Bitvec.of_view} / {!Bitvec.Blocked.of_buffer} views over the words
-   region: no Marshal, no copies, no repacking.
+   indices, the blocked-layout row map — and the words section is the
+   flat word data of every distinct detection set followed by the
+   cache-blocked target layout, exactly the bytes the kernels sweep.
+   The record pads its header so the payload starts 8-byte aligned: a
+   warm load [Unix.map_file]s the payload once, verifies the record
+   digest with one C pass over the mapping ({!Kernel.verify_region},
+   which also rejects any word outside the 62-bit payload range — every
+   meta field is a non-negative int below 2^62 too), decodes the meta
+   fields straight out of the map (plain int reads, no copy, no [Int64]
+   boxing), and adopts zero-copy {!Bitvec.of_view} /
+   {!Bitvec.Blocked.of_buffer} views over the words: no Marshal, no
+   copies, no repacking.
 
-   Verification still rejects any damage: FNV-1a over the meta fields,
-   FNV-1a fused with a 62-bit payload range check over the words —
-   both run in C over the raw mapped memory, where bit 63 is visible
-   even though OCaml-side bigarray reads of the same buffer drop it
-   ([Val_long]) — plus a pad-is-zero check and an exact file-size
-   check. Any failure — truncation, bit flips in header, pad, meta or
-   words, key mismatch — degrades to a cache miss, bumps
-   ["table_cache.corrupt"], and deletes the damaged file (files from a
+   Any failure — truncation, bit flips anywhere, an older format, key
+   mismatch, inconsistent meta fields — degrades to a cache miss, bumps
+   ["table_cache.corrupt"], and deletes the damaged file. Files from a
    {e newer} format version are spared: a rolled-back binary must not
-   destroy a newer cache).
+   destroy a newer cache. *)
 
-   Version 2 files (magic + ASCII header + marshalled snapshot, MD5
-   over the whole payload) still load for one release; the next
-   {!store} rewrites the entry as v3. *)
-
-let magic = "ndetect-table\n"
-let version = 3
-let v2_version = 2
+let kind = "table"
+let version = Record.version
 
 let kind_tag = function
   | Gate.Input -> "i"
@@ -104,9 +94,9 @@ let path ~dir ~key = Filename.concat dir (key ^ ".tbl")
 (* Outcome accounting lives in the Telemetry registry; [hits]/[misses]
    stay as thin accessors for existing callers. "table_cache.corrupt"
    counts the misses where a cache file existed but failed validation
-   (truncation, corruption, version or key mismatch, bad snapshot);
-   "table.mmap_hits"/"table.mmap_bytes" count the v3 loads that adopted
-   a mapped cache image and how many bytes they mapped. *)
+   (truncation, corruption, version or key mismatch, bad meta);
+   "table.mmap_hits"/"table.mmap_bytes" count the loads that adopted a
+   mapped cache image and how many bytes they mapped. *)
 let c_hits = Telemetry.Counter.create "table_cache.hits"
 let c_misses = Telemetry.Counter.create "table_cache.misses"
 let c_corrupt = Telemetry.Counter.create "table_cache.corrupt"
@@ -115,80 +105,6 @@ let c_mmap_bytes = Telemetry.Counter.create "table.mmap_bytes"
 let c_mmap_reuse = Telemetry.Counter.create "table.mmap_reuse"
 let hits () = Telemetry.Counter.value c_hits
 let misses () = Telemetry.Counter.value c_misses
-
-(* Lane-split FNV-1a over 64-bit words — sensitive to every bit
-   including bit 63 (which OCaml-side bigarray reads cannot see), and
-   cheap enough to verify at memory bandwidth on warm loads: lane [k]
-   digests the words at indices congruent to [k] (mod 4), and the
-   region digest folds the four lane digests (as words, in lane order)
-   into a fifth FNV-1a chain. The lane split breaks the serial
-   xor-multiply dependency chain so the C reader
-   ({!Kernel.fnv1a_region} / {!Kernel.verify_region}) runs at memory
-   bandwidth instead of multiplier latency; this writer must compute
-   the same function, so changing either side is a format break. *)
-let fnv_init = 0xcbf29ce484222325L
-let fnv_prime = 0x100000001B3L
-let fnv_mix h w = Int64.mul (Int64.logxor h w) fnv_prime
-
-(* Digest of a string of little-endian 64-bit words (length a multiple
-   of 8), as "%016Lx" hex — the writer-side mirror of the C passes. *)
-let fnv_hex_of_le_words s =
-  let lanes = Array.make 4 fnv_init in
-  let n = String.length s / 8 in
-  for i = 0 to n - 1 do
-    let k = i land 3 in
-    lanes.(k) <- fnv_mix lanes.(k) (String.get_int64_le s (8 * i))
-  done;
-  let h = ref fnv_init in
-  Array.iter (fun l -> h := fnv_mix !h l) lanes;
-  Printf.sprintf "%016Lx" !h
-
-(* {2 Version 2 (marshalled snapshot) — legacy fallback} *)
-
-let store_v2 ~dir ~key table =
-  Fs.mkdir_recursive dir;
-  let payload = Marshal.to_string (Detection_table.snapshot table) [] in
-  let buf = Buffer.create (String.length payload + 128) in
-  Buffer.add_string buf magic;
-  Buffer.add_string buf
-    (Printf.sprintf "%d %s %s %d\n" v2_version key
-       (Digest.to_hex (Digest.string payload))
-       (String.length payload));
-  Buffer.add_string buf payload;
-  Fs.write_atomic ~path:(path ~dir ~key) (Buffer.contents buf)
-
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
-(* Parse and verify everything before touching Marshal. Exceptions
-   (missing file, malformed header fields, out-of-range lengths) are
-   all equivalent to [None] in the caller. *)
-let validated_payload_v2 raw ~key =
-  let mlen = String.length magic in
-  if String.length raw < mlen || String.sub raw 0 mlen <> magic then None
-  else
-    match String.index_from_opt raw mlen '\n' with
-    | None -> None
-    | Some nl -> (
-      let header = String.sub raw mlen (nl - mlen) in
-      match String.split_on_char ' ' header with
-      | [ v; file_key; digest_hex; len ] -> (
-        match (int_of_string_opt v, int_of_string_opt len) with
-        | Some file_version, Some payload_len
-          when file_version = v2_version && file_key = key
-               && payload_len >= 0
-               && String.length raw - (nl + 1) = payload_len ->
-          let payload = String.sub raw (nl + 1) payload_len in
-          if Digest.to_hex (Digest.string payload) = digest_hex then
-            Some payload
-          else None
-        | _ -> None)
-      | _ -> None)
-
-(* {2 Version 3 (flat words + mmap)} *)
 
 (* Meta section layout, all fields little-endian int64:
 
@@ -245,106 +161,72 @@ let store ~dir ~key table =
   in
   let pool = Array.of_list (List.rev !pool_rev) in
   let pool_count = Array.length pool in
-  let meta =
-    let buf =
-      Buffer.create (8 * (10 + (5 * t_count) + (6 * g_count) + (2 * rows)))
-    in
-    let add v = Buffer.add_int64_le buf (Int64.of_int v) in
-    add universe;
-    add wpr;
-    add t_count;
-    add g_count;
-    add pool_count;
-    add (Detection_table.undetectable_target_count table);
-    add (Detection_table.undetectable_untargeted_count table);
-    add rows;
-    add block_size;
-    add 0;
-    for i = 0 to t_count - 1 do
-      let f = Detection_table.target_fault table i in
-      (match f.Stuck.line with
-      | Line.Stem node ->
-        add 0;
-        add node;
-        add 0
-      | Line.Branch { gate; pin } ->
-        add 1;
-        add gate;
-        add pin);
-      add (Bool.to_int f.Stuck.value)
-    done;
-    Array.iter add tindex;
-    for j = 0 to g_count - 1 do
-      match Detection_table.untargeted_fault table j with
-      | Detection_table.Bridge_fault b ->
-        add 0;
-        add b.Bridge.victim;
-        add (Bool.to_int b.Bridge.victim_value);
-        add b.Bridge.aggressor;
-        add (Bool.to_int b.Bridge.aggressor_value)
-      | Detection_table.Wired_fault w ->
-        add 1;
-        add w.Wired.a;
-        add w.Wired.b;
-        add (match w.Wired.semantics with Wired.Wired_and -> 0 | Wired.Wired_or -> 1);
-        add 0
-    done;
-    Array.iter add uindex;
-    Array.iter add layout.Detection_table.rep;
-    Array.iter add layout.Detection_table.row_n;
-    Buffer.contents buf
-  in
   let nwords = (pool_count + rows) * wpr in
-  let word_bytes =
-    let buf = Buffer.create (8 * nwords) in
-    let emit w64 = Buffer.add_int64_le buf w64 in
-    Array.iter
-      (fun set ->
-        for w = 0 to wpr - 1 do
-          emit (Int64.of_int (Bitvec.unsafe_get_word set w))
-        done)
-      pool;
-    if rows > 0 then begin
-      let data = Bitvec.Blocked.raw layout.Detection_table.blocked in
-      for i = 0 to (rows * wpr) - 1 do
-        emit (Int64.of_int (A1.get data i))
-      done
-    end;
-    Buffer.contents buf
-  in
-  let fnv_hex = fnv_hex_of_le_words word_bytes in
-  let meta_len = String.length meta in
-  let meta_fnv_hex = fnv_hex_of_le_words meta in
-  (* The header quotes words_off, and words_off depends on the header's
-     length — iterate to the (monotone, hence reached) fixpoint. The
-     pad sits between header and meta, so meta and words form one
-     8-byte-aligned image. *)
-  let rec fit guess =
-    let header =
-      Printf.sprintf "%d %s %s %d %d %d %s\n" version key meta_fnv_hex
-        meta_len guess nwords fnv_hex
-    in
-    let header_end = String.length magic + String.length header in
-    let meta_off = (header_end + 7) land lnot 7 in
-    let words_off = meta_off + meta_len in
-    if words_off = guess then (header, meta_off - header_end) else fit words_off
-  in
-  let header, pad_len = fit 0 in
-  let out =
+  let buf =
     Buffer.create
-      (String.length magic + String.length header + pad_len + meta_len
-     + String.length word_bytes)
+      (8 * (10 + (5 * t_count) + (6 * g_count) + (2 * rows) + nwords))
   in
-  Buffer.add_string out magic;
-  Buffer.add_string out header;
-  Buffer.add_string out (String.make pad_len '\000');
-  Buffer.add_string out meta;
-  Buffer.add_string out word_bytes;
-  Fs.write_atomic ~path:(path ~dir ~key) (Buffer.contents out)
+  let add v = Buffer.add_int64_le buf (Int64.of_int v) in
+  add universe;
+  add wpr;
+  add t_count;
+  add g_count;
+  add pool_count;
+  add (Detection_table.undetectable_target_count table);
+  add (Detection_table.undetectable_untargeted_count table);
+  add rows;
+  add block_size;
+  add 0;
+  for i = 0 to t_count - 1 do
+    let f = Detection_table.target_fault table i in
+    (match f.Stuck.line with
+    | Line.Stem node ->
+      add 0;
+      add node;
+      add 0
+    | Line.Branch { gate; pin } ->
+      add 1;
+      add gate;
+      add pin);
+    add (Bool.to_int f.Stuck.value)
+  done;
+  Array.iter add tindex;
+  for j = 0 to g_count - 1 do
+    match Detection_table.untargeted_fault table j with
+    | Detection_table.Bridge_fault b ->
+      add 0;
+      add b.Bridge.victim;
+      add (Bool.to_int b.Bridge.victim_value);
+      add b.Bridge.aggressor;
+      add (Bool.to_int b.Bridge.aggressor_value)
+    | Detection_table.Wired_fault w ->
+      add 1;
+      add w.Wired.a;
+      add w.Wired.b;
+      add (match w.Wired.semantics with Wired.Wired_and -> 0 | Wired.Wired_or -> 1);
+      add 0
+  done;
+  Array.iter add uindex;
+  Array.iter add layout.Detection_table.rep;
+  Array.iter add layout.Detection_table.row_n;
+  Array.iter
+    (fun set ->
+      for w = 0 to wpr - 1 do
+        add (Bitvec.unsafe_get_word set w)
+      done)
+    pool;
+  if rows > 0 then begin
+    let data = Bitvec.Blocked.raw layout.Detection_table.blocked in
+    for i = 0 to (rows * wpr) - 1 do
+      add (A1.get data i)
+    done
+  end;
+  Fs.write_atomic ~path:(path ~dir ~key)
+    (Record.encode ~kind ~key (Buffer.contents buf))
 
 (* One private (copy-on-write) kind-int mapping covers the whole
-   meta+words image; verification and decoding both read through it.
-   The C digest passes see the raw 64-bit memory — including bit 63,
+   meta+words payload; verification and decoding both read through it.
+   The C digest pass sees the raw 64-bit memory — including bit 63,
    which OCaml-side reads of the same buffer drop ([Val_long]) — so no
    separate int64 view is needed. Private, so fault-injection writes to
    a restored table can never reach the cache file; the mapping
@@ -359,9 +241,8 @@ let map_image file ~off ~len =
         (Unix.map_file fd ~pos:(Int64.of_int off) Bigarray.int
            Bigarray.c_layout false [| len |]))
 
-(* A hit carries the bytes backing the restored table: the mapped image
-   size on the v3 path, the marshalled payload length on the v2
-   fallback — what a resident store charges against its budget. *)
+(* A hit carries the bytes backing the restored table, the mapped
+   payload size: what a resident store charges against its budget. *)
 type outcome =
   | Hit of Detection_table.t * int
   | Corrupt
@@ -372,14 +253,16 @@ type outcome =
    kind-int reads, no string copy, no [Int64] boxing. (A read drops
    bit 63, but the C digest already vouched for the full 64 bits of
    every field, and a legal store never writes one outside 0 .. 2^62.)
-   [meta_words] is the field count; words follow at that offset.
+   [words] is the payload length in words; the meta field count
+   follows from the fixed fields, and the detection-set words follow
+   the meta.
 
    Reads are unsafe (no per-field bounds check): the first ten fixed
-   fields are covered by the header's [meta_len >= 80] check, and
-   before any array is decoded the exact field count implied by the
-   fixed fields is checked against [meta_words], which bounds every
-   remaining read. *)
-let decode_v3 ~map ~meta_words ~nwords net =
+   fields are covered by the caller's [words >= 10] check, and before
+   any array is decoded the exact field count implied by the fixed
+   fields is checked against [words], which bounds every remaining
+   read. *)
+let decode ~map ~words net =
   let pos = ref 0 in
   let next_int () =
     let v : int = A1.unsafe_get map !pos in
@@ -402,10 +285,14 @@ let decode_v3 ~map ~meta_words ~nwords net =
   if block_size < 1 then raise Bad_meta;
   (* Exact field count before any array decode: bounds every unsafe
      read below. The per-count guards keep the sum from overflowing. *)
-  if t_count > meta_words || g_count > meta_words || rows > meta_words then
-    raise Bad_meta;
-  if meta_words <> 10 + (5 * t_count) + (6 * g_count) + (2 * rows) then
-    raise Bad_meta;
+  if
+    t_count > words || g_count > words || rows > words || pool_count > words
+  then raise Bad_meta;
+  let meta_words = 10 + (5 * t_count) + (6 * g_count) + (2 * rows) in
+  let nwords = words - meta_words in
+  (* [wpr >= 1]; dividing keeps the set count check overflow-free. *)
+  if nwords < 0 || nwords mod wpr <> 0 || nwords / wpr <> pool_count + rows
+  then raise Bad_meta;
   let targets =
     Array.init t_count (fun _ ->
         let tag = next_int () in
@@ -458,7 +345,6 @@ let decode_v3 ~map ~meta_words ~nwords net =
   in
   let row_n = Array.init rows (fun _ -> next_int ()) in
   if !pos <> meta_words then raise Bad_meta;
-  if nwords <> (pool_count + rows) * wpr then raise Bad_meta;
   let table =
     if nwords = 0 then
       Detection_table.restore_parts net ~universe ~targets ~target_sets:[||]
@@ -489,67 +375,23 @@ let decode_v3 ~map ~meta_words ~nwords net =
     end
   in
   Telemetry.Counter.incr c_mmap_hits;
-  Telemetry.Counter.add c_mmap_bytes (8 * (meta_words + nwords));
-  Hit (table, 8 * (meta_words + nwords))
-
-let attempt_v3 ic ~size ~file ~key net ~header_end fields =
-  match fields with
-  | [ file_key; meta_fnv_hex; meta_len; words_off; nwords; fnv_hex ] -> (
-    match
-      (int_of_string_opt meta_len, int_of_string_opt words_off,
-       int_of_string_opt nwords)
-    with
-    | Some meta_len, Some words_off, Some nwords
-      when file_key = key && meta_len >= 80 && meta_len land 7 = 0
-           && nwords >= 0
-           && words_off land 7 = 0
-           && words_off - meta_len >= header_end
-           && words_off - meta_len - header_end < 8
-           && size = words_off + (8 * nwords) -> (
-      let meta_off = words_off - meta_len in
-      let pad = really_input_string ic (meta_off - header_end) in
-      if String.exists (fun c -> c <> '\000') pad then Corrupt
-      else
-        let meta_words = meta_len / 8 in
-        let map = map_image file ~off:meta_off ~len:(meta_words + nwords) in
-        if
-          Printf.sprintf "%016Lx" (Kernel.fnv1a_region map ~off:0 meta_words)
-          <> meta_fnv_hex
-        then Corrupt
-        else
-          match Kernel.verify_region map ~off:meta_words nwords with
-          | None -> Corrupt
-          | Some h when Printf.sprintf "%016Lx" h <> fnv_hex -> Corrupt
-          | Some _ -> (
-            try decode_v3 ~map ~meta_words ~nwords net
-            with Bad_meta | Invalid_argument _ -> Corrupt))
-    | _ -> Corrupt)
-  | _ -> Corrupt
+  Telemetry.Counter.add c_mmap_bytes (8 * words);
+  Hit (table, 8 * words)
 
 let attempt file ~key net =
-  let ic = open_in_bin file in
-  Fun.protect ~finally:(fun () -> close_in_noerr ic) @@ fun () ->
-  let mlen = String.length magic in
-  let size = in_channel_length ic in
-  if size < mlen || really_input_string ic mlen <> magic then Corrupt
-  else
-    let header = input_line ic in
-    let header_end = mlen + String.length header + 1 in
-    match String.split_on_char ' ' header with
-    | v :: rest -> (
-      match int_of_string_opt v with
-      | Some n when n = version -> attempt_v3 ic ~size ~file ~key net ~header_end rest
-      | Some n when n = v2_version -> (
-        match validated_payload_v2 (read_file file) ~key with
-        | None -> Corrupt
-        | Some payload ->
-          let snap : Detection_table.snapshot =
-            Marshal.from_string payload 0
-          in
-          Hit (Detection_table.restore net snap, String.length payload))
-      | Some n when n > version -> Future
-      | _ -> Corrupt)
-    | [] -> Corrupt
+  match In_channel.with_open_bin file (Record.locate ~kind ~key) with
+  | Error Record.Future -> Future
+  | Error Record.Damaged -> Corrupt
+  | Ok { Record.off; len; digest } -> (
+    if len < 80 || len land 7 <> 0 then Corrupt
+    else
+      let words = len / 8 in
+      let map = map_image file ~off ~len:words in
+      match Kernel.verify_region map ~off:0 words with
+      | Some h when Int64.equal h digest -> (
+        try decode ~map ~words net
+        with Bad_meta | Invalid_argument _ -> Corrupt)
+      | Some _ | None -> Corrupt)
 
 let load_sized ~dir ~key net =
   let file = path ~dir ~key in
@@ -580,7 +422,7 @@ let load_sized ~dir ~key net =
 let load ~dir ~key net = Option.map fst (load_sized ~dir ~key net)
 
 (* Single-slot resident mapping: [table] used to re-open and re-map the
-   same v3 file on every warm lookup in one process (each Analysis of
+   same file on every warm lookup in one process (each Analysis of
    the same circuit paid a fresh map + checksum pass). The last adopted
    table is kept, keyed by (dir, key), and handed back physically shared
    on a repeat lookup — counted on "table.mmap_reuse", never on

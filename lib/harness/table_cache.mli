@@ -8,34 +8,35 @@
     warm run performs {e zero} fault simulations
     (see {!Ndetect_sim.Fault_sim.detection_sets_computed}).
 
-    The current format (version 3) stores the detection-set words flat
-    and 8-byte aligned, exactly as the intersection kernels sweep them;
-    a warm load checksums the file streaming, then [Unix.map_file]s the
-    words section and adopts zero-copy {!Ndetect_util.Bitvec} views
-    over the map — no Marshal, no copies, and the cache-blocked target
-    layout comes back pre-built (see the format comment in
-    [table_cache.ml] and [docs/internals.md]). Version 2 files
-    (marshalled snapshots) still load for one release and are rewritten
-    as v3 by the next {!store}.
+    Each file is one {!Ndetect_util.Record} of kind ["table"]: a
+    checksummed header, then a payload of integer meta fields followed
+    by the detection-set words, flat and 8-byte aligned, exactly as the
+    intersection kernels sweep them. A warm load [Unix.map_file]s the
+    whole meta+words payload once, verifies the record digest with one
+    C pass over the mapping, and adopts zero-copy
+    {!Ndetect_util.Bitvec} views over the map — no Marshal, no copies,
+    and the cache-blocked target layout comes back pre-built (see the
+    format comment in [table_cache.ml] and [docs/formats.md]).
 
     Files are written atomically (temp file + rename,
-    {!Fs.write_atomic}) and validated defensively on load — magic, ASCII
-    header, MD5 over the meta section, FNV-1a plus a 62-bit payload
-    range check over every data word {e as read from the file} (a
-    mapped bigarray read cannot see a flipped bit 63; the file bytes
-    can), pad-is-zero, exact file size. {e Any} failure — missing or
-    truncated file, a flipped bit anywhere, version bump, parameter or
-    netlist mismatch — silently degrades to a cache miss and a fresh
-    build, bumps the ["table_cache.corrupt"] counter, and deletes the
-    damaged file (entries written by a {e newer} format version are
-    left untouched). *)
+    {!Fs.write_atomic}) and validated defensively on load — the record
+    header (magic, version, key, exact size, zero pad), then FNV-1a
+    plus a 62-bit range check over every payload word {e as read from
+    the file} (a mapped bigarray read cannot see a flipped bit 63; the
+    C pass over the raw mapping can), then the consistency of the meta
+    fields. {e Any} failure — missing or truncated file, a flipped bit
+    anywhere, an older format, parameter or netlist mismatch — silently
+    degrades to a cache miss and a fresh build, bumps the
+    ["table_cache.corrupt"] counter, and deletes the damaged file
+    (entries written by a {e newer} format version are left
+    untouched). *)
 
 module Detection_table = Ndetect_core.Detection_table
 module Netlist = Ndetect_circuit.Netlist
 
 val version : int
-(** On-disk format version (3); bumping it invalidates every cached
-    table except the versions a release still reads (currently v2). *)
+(** On-disk format version, {!Ndetect_util.Record.version}; bumping it
+    invalidates every cached table. *)
 
 val key :
   ?keep_undetectable_targets:bool ->
@@ -68,27 +69,20 @@ val table :
     one table hot layer their own store over {!load_sized}. *)
 
 val store : dir:string -> key:string -> Detection_table.t -> unit
-(** Persist a table under [dir] (created if needed) in the current (v3)
-    format. Forces the table's {!Detection_table.target_layout} so warm
+(** Persist a table under [dir] (created if needed). Forces the table's {!Detection_table.target_layout} so warm
     loads adopt the blocked rows straight from the map. *)
-
-val store_v2 : dir:string -> key:string -> Detection_table.t -> unit
-(** Persist in the legacy marshalled-snapshot format — kept for the
-    version-coexistence tests and the cold/warm bench baselines while
-    v2 reading is still supported. *)
 
 val load : dir:string -> key:string -> Netlist.t -> Detection_table.t option
 (** Restore a cached table; [None] is a cache miss (absent, invalid, or
     stale in any way). The restored table is rebuilt over [net] with no
-    fault simulation; on the v3 path its detection sets are zero-copy
-    views into a private (copy-on-write) map of the cache file, and
+    fault simulation; its detection sets are zero-copy views into a
+    private (copy-on-write) map of the cache file, and
     ["table.mmap_hits"] / ["table.mmap_bytes"] count the adoption. *)
 
 val load_sized :
   dir:string -> key:string -> Netlist.t -> (Detection_table.t * int) option
 (** {!load}, also reporting the bytes backing the restored table: the
-    mapped image size (meta + words sections) on the v3 path, the
-    marshalled payload length on the v2 fallback. This is the figure a
+    mapped payload size (meta + words sections). This is the figure a
     resident store charges against its memory budget — what keeping the
     table hot actually pins. *)
 

@@ -1,17 +1,13 @@
 module Fs = Ndetect_harness.Fs
 module Telemetry = Ndetect_util.Telemetry
+module Record = Ndetect_util.Record
 
-(* Record format, shared by every payload-carrying file (see the .mli):
-
-     magic | "<version> <kind> <fingerprint> <md5-hex payload> <len>\n" | payload
-
-   identical in spirit to Table_cache v2: the header is plain ASCII,
-   parsed with string operations, and the payload reaches
-   [Marshal.from_string] only after its exact length and MD5 digest
+(* Every payload-carrying file is one {!Record}: the file's kind
+   ("units", "claim", "result", ...) is the record kind and the owning
+   unit's fingerprint is the record key, so the payload reaches
+   [Marshal.from_string] only after the header, exact length and digest
    have been verified. *)
 
-let magic = "ndetect-ledger\n"
-let version = 1
 let corrupt_counter = "shard.ledger_corrupt"
 let c_corrupt = Telemetry.Counter.create corrupt_counter
 
@@ -22,43 +18,7 @@ let campaign t = t.campaign
 let tables_dir t = Filename.concat t.dir "tables"
 let path t name = Filename.concat t.dir (name ^ ".rec")
 
-let encode ~kind ~fp payload =
-  let buf = Buffer.create (String.length payload + 128) in
-  Buffer.add_string buf magic;
-  Buffer.add_string buf
-    (Printf.sprintf "%d %s %s %s %d\n" version kind fp
-       (Digest.to_hex (Digest.string payload))
-       (String.length payload));
-  Buffer.add_string buf payload;
-  Buffer.contents buf
-
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
-let decode raw ~kind ~fp =
-  let mlen = String.length magic in
-  if String.length raw < mlen || String.sub raw 0 mlen <> magic then None
-  else
-    match String.index_from_opt raw mlen '\n' with
-    | None -> None
-    | Some nl -> (
-      let header = String.sub raw mlen (nl - mlen) in
-      match String.split_on_char ' ' header with
-      | [ v; file_kind; file_fp; digest_hex; len ] -> (
-        match (int_of_string_opt v, int_of_string_opt len) with
-        | Some file_version, Some payload_len
-          when file_version = version && file_kind = kind && file_fp = fp
-               && payload_len >= 0
-               && String.length raw - (nl + 1) = payload_len ->
-          let payload = String.sub raw (nl + 1) payload_len in
-          if Digest.to_hex (Digest.string payload) = digest_hex then
-            Some payload
-          else None
-        | _ -> None)
-      | _ -> None)
+let read_file file = In_channel.with_open_bin file In_channel.input_all
 
 (* A record that exists but fails validation is counted, deleted
    (self-healing: a damaged claim or result must not pin its unit
@@ -68,7 +28,11 @@ let read_record t ~name ~kind ~fp =
   let file = path t name in
   if not (Sys.file_exists file) then None
   else
-    let payload = try decode (read_file file) ~kind ~fp with _ -> None in
+    let payload =
+      match Record.decode ~kind ~key:fp (read_file file) with
+      | Ok payload -> Some payload
+      | Error _ | (exception Sys_error _) -> None
+    in
     (match payload with
     | Some _ -> ()
     | None ->
@@ -77,7 +41,7 @@ let read_record t ~name ~kind ~fp =
     payload
 
 let write_record t ~name ~kind ~fp payload =
-  Fs.write_atomic ~path:(path t name) (encode ~kind ~fp payload)
+  Fs.write_atomic ~path:(path t name) (Record.encode ~kind ~key:fp payload)
 
 (* Claims need BOTH atomic content (a reader must never see a torn
    claim) and exclusive creation (two claimants, one winner). Plain
@@ -87,7 +51,7 @@ let write_record t ~name ~kind ~fp payload =
    temp file is linked into place atomically, and a concurrent winner
    makes the link fail with EEXIST. *)
 let write_record_excl t ~name ~kind ~fp payload =
-  let content = encode ~kind ~fp payload in
+  let content = Record.encode ~kind ~key:fp payload in
   let tmp = Filename.temp_file ~temp_dir:t.dir ".excl-" ".tmp" in
   Fun.protect
     ~finally:(fun () -> try Sys.remove tmp with Sys_error _ -> ())
@@ -109,29 +73,17 @@ let read_campaign ~dir =
   let file = Filename.concat dir (campaign_name ^ ".rec") in
   if not (Sys.file_exists file) then Ok None
   else
-    (* The campaign fingerprint is inside the record itself, so validate
-       in two steps: parse with the fingerprint the header declares,
-       then check the payload agrees with it. *)
-    let raw = try Some (read_file file) with _ -> None in
+    (* The campaign fingerprint is the record key, so validate in two
+       steps: decode under the key the header declares, then check the
+       payload agrees with it. *)
     let parsed =
-      Option.bind raw (fun raw ->
-          let mlen = String.length magic in
-          if String.length raw < mlen then None
-          else
-            match String.index_from_opt raw mlen '\n' with
-            | None -> None
-            | Some nl -> (
-              let header = String.sub raw mlen (nl - mlen) in
-              match String.split_on_char ' ' header with
-              | [ _; _; fp; _; _ ] -> (
-                match decode raw ~kind:campaign_name ~fp with
-                | None -> None
-                | Some payload -> (
-                  match (Marshal.from_string payload 0 : Spec.campaign) with
-                  | c when campaign_fp_of c = fp -> Some c
-                  | _ -> None
-                  | exception _ -> None))
-              | _ -> None))
+      match Record.decode_keyed ~kind:campaign_name (read_file file) with
+      | Ok (fp, payload) -> (
+        match (Marshal.from_string payload 0 : Spec.campaign) with
+        | c when campaign_fp_of c = fp -> Some c
+        | _ -> None
+        | exception _ -> None)
+      | Error _ | (exception Sys_error _) -> None
     in
     match parsed with
     | Some c -> Ok (Some c)

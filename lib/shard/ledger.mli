@@ -23,11 +23,13 @@
     - [poison-<id>.rec] — quarantine: the unit crashed
       [max_unit_retries] attempts and must not be claimed again.
 
-    Every record (heartbeats aside, which carry no payload) uses the
-    checksummed format of {!Ndetect_harness.Table_cache}: magic, then an
-    ASCII header with format version, record kind, the owning unit's
-    {!Spec.fingerprint}, payload MD5 and length — all verified before
-    the payload is unmarshalled. A truncated or bit-flipped record is
+    Every record (heartbeats aside, which carry no payload) is one
+    {!Ndetect_util.Record}: its kind is the file's kind ([units],
+    [claim], [result], ...), its key the owning unit's
+    {!Spec.fingerprint} (the campaign's own fingerprint for
+    [campaign.rec], [units-*.rec] and [sealed.rec]), and magic,
+    version, key, length, pad and payload digest are all verified
+    before the payload is unmarshalled. A truncated or bit-flipped record is
     therefore never trusted: the reader counts it on
     ["shard.ledger_corrupt"], deletes the damaged file (self-healing —
     a corrupt claim or result simply makes the unit claimable again)

@@ -187,8 +187,5 @@ let () =
   in
   match select initial with Ok () -> () | Error _ -> ()
 
-external fnv1a_region : buf -> off:int -> int -> int64
-  = "ndetect_c_fnv1a_region"
-
 external verify_region : buf -> off:int -> int -> int64 option
   = "ndetect_c_verify_region"

@@ -126,28 +126,21 @@ val current_name : unit -> string
 val describe : unit -> string
 (** ["<name>: <description>"] of the current backend. *)
 
-(** {2 File-verification helpers}
+(** {2 File verification}
 
-    Not backend-dispatched: fixed C passes used by the table cache to
-    checksum a mapped cache file before trusting it. They take the same
+    Not backend-dispatched: a fixed C pass the table cache uses to
+    checksum a mapped cache file before trusting it. It takes the same
     kind-[int] {!buf} the loader adopts — the C side reads the raw
-    64-bit memory directly, so bit 63 is fully visible to these checks
+    64-bit memory directly, so bit 63 is fully visible to this check
     even though an OCaml-side read of the same buffer goes through
     [Val_long] and would silently drop it. Little-endian hosts only
     read files as written; big-endian hosts see mismatching digests and
     fall back to a cache miss (correct, just cold). *)
 
-val fnv1a_region : buf -> off:int -> int -> int64
-(** [fnv1a_region b ~off n] is the lane-split FNV-1a digest (offset
-    basis [0xcbf29ce484222325], prime [0x100000001b3]) of words
-    [off .. off+n-1] as unsigned 64-bit values: lane [k] of four
-    digests the words at indices congruent to [k] (mod 4), and the
-    result folds the lane digests, in order, into a fifth FNV-1a
-    chain. The split breaks the serial xor-multiply dependency chain,
-    so the pass runs at memory bandwidth instead of multiplier
-    latency. *)
-
 val verify_region : buf -> off:int -> int -> int64 option
-(** Fused single pass over words [off .. off+n-1]: the
-    {!fnv1a_region} digest when every word is a legal 62-bit payload
-    (bits 62–63 clear), [None] otherwise. *)
+(** Fused single pass over words [off .. off+n-1] as unsigned 64-bit
+    values: their lane-split FNV-1a digest ({!Record.digest} of the same
+    bytes) when every word is a legal 62-bit payload (bits 62–63 clear),
+    [None] otherwise. Four interleaved lanes break the serial
+    xor-multiply dependency chain, so the pass runs at memory bandwidth
+    instead of multiplier latency. *)

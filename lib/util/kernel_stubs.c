@@ -183,12 +183,12 @@ CAMLprim value ndetect_c_inter_counts_block(value vprobe, value vdata,
   return Val_unit;
 }
 
-/* File-verification helpers (not backend-dispatched; used by the
- * table-cache loader over a read-only mapping of a cache file). They
- * take the same kind-int bigarray the loader adopts: C reads the raw
- * 64-bit memory directly, so bit 63 is fully visible here even though
- * OCaml-side reads of the same buffer go through Val_long and would
- * silently drop it. Single linear passes at memory bandwidth — the
+/* File verification (not backend-dispatched; used by the table-cache
+ * loader over a read-only mapping of a cache file). It takes the same
+ * kind-int bigarray the loader adopts: C reads the raw 64-bit memory
+ * directly, so bit 63 is fully visible here even though OCaml-side
+ * reads of the same buffer go through Val_long and would silently drop
+ * it. A single linear pass at memory bandwidth — the
  * pure-OCaml equivalent boxes an Int64 per word and is ~50x slower on
  * multi-megabyte tables. */
 
@@ -200,8 +200,8 @@ CAMLprim value ndetect_c_inter_counts_block(value vprobe, value vdata,
  * order) into a fifth FNV-1a chain. Splitting the lanes breaks the
  * serial xor-multiply dependency chain — a single chain runs at the
  * multiplier's latency (~5 cycles/word), four interleaved chains run
- * at memory bandwidth. The OCaml writer in Table_cache computes the
- * same function; changing either side is a format break. */
+ * at memory bandwidth. The OCaml writer in Record computes the same
+ * function; changing either side is a format break. */
 static uint64_t ndetect_fnv1a_region(const uint64_t *a, intnat n,
                                      uint64_t *seen_out) {
   uint64_t h0 = NDETECT_FNV_BASIS, h1 = NDETECT_FNV_BASIS;
@@ -226,7 +226,7 @@ static uint64_t ndetect_fnv1a_region(const uint64_t *a, intnat n,
     default: h3 = (h3 ^ w) * NDETECT_FNV_PRIME; break;
     }
   }
-  if (seen_out) *seen_out = seen;
+  *seen_out = seen;
   {
     uint64_t h = NDETECT_FNV_BASIS;
     h = (h ^ h0) * NDETECT_FNV_PRIME;
@@ -235,13 +235,6 @@ static uint64_t ndetect_fnv1a_region(const uint64_t *a, intnat n,
     h = (h ^ h3) * NDETECT_FNV_PRIME;
     return h;
   }
-}
-
-/* Lane-split FNV-1a over words [off .. off+n-1] of the raw 64-bit
- * data. */
-CAMLprim value ndetect_c_fnv1a_region(value vb, value voff, value vn) {
-  const uint64_t *a = (const uint64_t *)Caml_ba_data_val(vb) + Long_val(voff);
-  return caml_copy_int64((int64_t)ndetect_fnv1a_region(a, Long_val(vn), 0));
 }
 
 /* Fused digest + 62-bit payload range check over the same region in one

@@ -255,6 +255,38 @@ let test_checkpoint_corruption () =
           close_out oc)
         (Sys.readdir dir);
       Alcotest.(check (option string)) "corrupt entry ignored" None
+        (load_label ck ~key:"xs");
+      (* Damage sweep: every truncation and every single-bit flip of a
+         real entry loads as None, never raises, never returns a
+         different response; the pristine bytes load again after. *)
+      Checkpoint.store ck ~key:"xs" (response "a");
+      let path = Filename.concat dir "xs.ckpt" in
+      let pristine = In_channel.with_open_bin path In_channel.input_all in
+      let len = String.length pristine in
+      let expect_none label raw =
+        Fs.write_atomic ~path raw;
+        match Checkpoint.load ck ~key:"xs" with
+        | None -> ()
+        | Some _ -> Alcotest.fail (label ^ ": damaged entry loaded")
+        | exception e ->
+          Alcotest.fail (label ^ ": raised " ^ Printexc.to_string e)
+      in
+      for cut = 0 to len - 1 do
+        expect_none (Printf.sprintf "truncated to %d/%d" cut len)
+          (String.sub pristine 0 cut)
+      done;
+      for pos = 0 to len - 1 do
+        for bit = 0 to 7 do
+          expect_none
+            (Printf.sprintf "bit %d flipped at byte %d/%d" bit pos len)
+            (String.mapi
+               (fun i c ->
+                 if i = pos then Char.chr (Char.code c lxor (1 lsl bit)) else c)
+               pristine)
+        done
+      done;
+      Fs.write_atomic ~path pristine;
+      Alcotest.(check (option string)) "pristine entry loads again" (Some "a")
         (load_label ck ~key:"xs"))
 
 let test_write_atomic () =
@@ -338,13 +370,13 @@ let test_table_cache_corruption () =
       Alcotest.(check bool) "garbage is a miss" true
         (Table_cache.load ~dir ~key net = None))
 
-(* Exhaustive damage sweep over the current (v3) format: truncations at
+(* Exhaustive damage sweep over the record format: truncations at
    structural boundaries and single-bit flips in every region — magic,
-   header fields (version, key, digests, lengths), the alignment pad,
-   the meta section, and the raw words (first, middle, last — the words
-   are covered by their own FNV digest and the 62-bit range check, the
-   meta by its digest) — must all degrade to a miss, never raise, never
-   return a wrong table. Each must bump the "table_cache.corrupt"
+   header fields (version, key, length, digest), the alignment pad, the
+   meta section, and the raw words (first, middle, last — meta and
+   words are covered by one FNV digest and the 62-bit range check) —
+   must all degrade to a miss, never raise, never return a wrong
+   table. Each must bump the "table_cache.corrupt"
    counter and delete the damaged file (corrupt entries can only miss
    again). *)
 let test_table_cache_damage_sweep () =
@@ -357,24 +389,28 @@ let test_table_cache_damage_sweep () =
       let pristine = In_channel.with_open_bin path In_channel.input_all in
       let len = String.length pristine in
       let header_end = String.index_from pristine 14 '\n' in
-      (* Region boundaries straight from the header:
-         "3 key meta_fnv meta_len words_off nwords fnv". The pad sits
-         between header and meta, so meta ends exactly at words_off. *)
-      let meta_len, words_off, nwords =
+      (* Region boundaries from the header "4 key len fnv" and the
+         meta's fixed fields: the pad runs to the next 8-byte boundary,
+         where the payload (meta, then words) starts. *)
+      let payload_len =
         match
           String.split_on_char ' '
             (String.sub pristine 14 (header_end - 14))
         with
-        | [ _v; _key; _meta_fnv; meta_len; words_off; nwords; _fnv ] ->
-          ( int_of_string meta_len,
-            int_of_string words_off,
-            int_of_string nwords )
-        | _ -> Alcotest.fail "unexpected v3 header shape"
+        | [ _v; _key; payload_len; _fnv ] -> int_of_string payload_len
+        | _ -> Alcotest.fail "unexpected record header shape"
       in
       let pad_start = header_end + 1 in
-      let meta_start = words_off - meta_len in
-      Alcotest.(check int) "file size = words_off + 8*nwords" len
-        (words_off + (8 * nwords));
+      let meta_start = (pad_start + 7) land lnot 7 in
+      let field i =
+        Int64.to_int (String.get_int64_le pristine (meta_start + (8 * i)))
+      in
+      let words_off =
+        meta_start + (8 * (10 + (5 * field 2) + (6 * field 3) + (2 * field 7)))
+      in
+      let nwords = (len - words_off) / 8 in
+      Alcotest.(check int) "file size = payload offset + length" len
+        (meta_start + payload_len);
       let write raw =
         let oc = open_out_bin path in
         output_string oc raw;
@@ -410,7 +446,8 @@ let test_table_cache_damage_sweep () =
         [ 0; 7; header_end - 3; meta_start; words_off - 1; words_off + 3;
           len - 8; len - 1 ];
       (* Single-bit flips, one per structural region: magic, version
-         digit, key, digests/lengths, meta fixed fields, meta arrays,
+         digit (to an older version: a newer one is spared, see the
+         version test), key, length/digest, meta fixed fields, meta arrays,
          alignment pad (must be zero), first / middle / last word —
          including the top bit of a word, which an OCaml bigarray read
          cannot even see (Val_long drops bit 63) but the C digest pass
@@ -422,12 +459,20 @@ let test_table_cache_damage_sweep () =
         Bytes.set b pos (Char.chr (Char.code (Bytes.get b pos) lxor 0x80));
         Bytes.to_string b
       in
+      let older_version =
+        let b = Bytes.of_string pristine in
+        Bytes.set b 14 (Char.chr (Char.code (Bytes.get b 14) lxor 4));
+        Bytes.to_string b
+      in
+      expect_corrupt_miss "version digit flipped to an older version"
+        older_version;
       List.iter
         (fun pos ->
           expect_corrupt_miss
             (Printf.sprintf "bit flip at byte %d/%d" pos len)
             (flip pristine pos))
-        ([ 0; 14; 16; header_end - 2; header_end - 1; meta_start;
+        ([ 0; 16; String.rindex_from pristine header_end ' ' - 1;
+           header_end - 2; header_end - 1; meta_start;
            meta_start + 40; words_off - 1; words_off;
            words_off + (8 * (nwords / 2)); len - 1 ]
         @ (if meta_start > pad_start then [ pad_start ] else []));
@@ -475,45 +520,65 @@ let test_table_cache_version_mismatch () =
       Alcotest.(check bool) "unreadable past version reclaimed" false
         (Sys.file_exists path))
 
-(* One release of coexistence: a v2 (marshalled snapshot) entry still
-   loads — identically, just without the mmap fast path — and the next
-   store rewrites it in the current format, after which loads go
-   through the map (table.mmap_hits / table.mmap_bytes advance). *)
-let test_table_cache_v2_coexistence () =
+(* Upgrade from the previous on-disk layout (version 3: a bespoke
+   header "3 key meta_fnv meta_len words_off nwords fnv", then the same
+   meta and words). Such a file, even one intact under its own digests,
+   is an unreadable past version: a corrupt miss, deleted. The next
+   [Table_cache.table] rebuilds the table and stores a record that
+   loads. *)
+let test_table_cache_upgrade () =
   with_temp_dir (fun dir ->
       let module Telemetry = Ndetect_util.Telemetry in
+      let module Record = Ndetect_util.Record in
       let net = Registry.circuit (Option.get (Registry.find "lion")) in
       let built = Detection_table.build net in
       let key = Table_cache.key net in
       let path = Filename.concat dir (key ^ ".tbl") in
-      let version_token () =
-        let raw = In_channel.with_open_bin path In_channel.input_all in
-        String.sub raw 14 (String.index_from raw 14 ' ' - 14)
-      in
-      Table_cache.store_v2 ~dir ~key built;
-      Alcotest.(check string) "written as v2" "2" (version_token ());
-      let mmap_before = Telemetry.counter_value "table.mmap_hits" in
-      (match Table_cache.load ~dir ~key net with
-      | None -> Alcotest.fail "v2 file must still load"
-      | Some restored ->
-        Alcotest.(check bool) "v2 restore identical" true
-          (tables_identical built restored));
-      Alcotest.(check int) "v2 load does not mmap" mmap_before
-        (Telemetry.counter_value "table.mmap_hits");
+      (* Re-frame a current payload in the version-3 layout. *)
       Table_cache.store ~dir ~key built;
-      Alcotest.(check string) "rewritten in the current format"
-        (string_of_int Table_cache.version)
-        (version_token ());
-      let bytes_before = Telemetry.counter_value "table.mmap_bytes" in
-      (match Table_cache.load ~dir ~key net with
-      | None -> Alcotest.fail "rewritten file must load"
+      let payload =
+        Result.get_ok
+          (Record.decode ~kind:"table" ~key
+             (In_channel.with_open_bin path In_channel.input_all))
+      in
+      let field i = Int64.to_int (String.get_int64_le payload (8 * i)) in
+      let meta_len = 8 * (10 + (5 * field 2) + (6 * field 3) + (2 * field 7)) in
+      let meta = String.sub payload 0 meta_len in
+      let words =
+        String.sub payload meta_len (String.length payload - meta_len)
+      in
+      let hex s = Printf.sprintf "%016Lx" (Record.digest s) in
+      let rec fit words_off =
+        let header =
+          Printf.sprintf "ndetect-table\n3 %s %s %d %d %d %s\n" key (hex meta)
+            meta_len words_off
+            (String.length words / 8)
+            (hex words)
+        in
+        let meta_off = (String.length header + 7) land lnot 7 in
+        if meta_off + meta_len = words_off then
+          header ^ String.make (meta_off - String.length header) '\000'
+        else fit (meta_off + meta_len)
+      in
+      Fs.write_atomic ~path (fit 0 ^ payload);
+      let corrupt_before = Telemetry.counter_value "table_cache.corrupt" in
+      Alcotest.(check bool) "version-3 file is a miss" true
+        (Table_cache.load ~dir ~key net = None);
+      Alcotest.(check int) "counted as corrupt" (corrupt_before + 1)
+        (Telemetry.counter_value "table_cache.corrupt");
+      Alcotest.(check bool) "version-3 file deleted" false
+        (Sys.file_exists path);
+      let sims_before = Fault_sim.detection_sets_computed () in
+      let rebuilt = Table_cache.table ~dir net in
+      Alcotest.(check bool) "rebuilt by fault simulation" true
+        (Fault_sim.detection_sets_computed () > sims_before);
+      Alcotest.(check bool) "rebuilt table identical" true
+        (tables_identical built rebuilt);
+      match Table_cache.load ~dir ~key net with
+      | None -> Alcotest.fail "the rebuilt entry must load"
       | Some restored ->
-        Alcotest.(check bool) "v3 restore identical" true
-          (tables_identical built restored));
-      Alcotest.(check int) "v3 load mapped the words" (mmap_before + 1)
-        (Telemetry.counter_value "table.mmap_hits");
-      Alcotest.(check bool) "mapped bytes accounted" true
-        (Telemetry.counter_value "table.mmap_bytes" > bytes_before))
+        Alcotest.(check bool) "stored record loads identically" true
+          (tables_identical built restored))
 
 let test_table_cache_key_covers_params () =
   let net = Registry.circuit (Option.get (Registry.find "lion")) in
@@ -933,8 +998,8 @@ let () =
             test_table_cache_damage_sweep;
           Alcotest.test_case "version mismatch tolerated" `Quick
             test_table_cache_version_mismatch;
-          Alcotest.test_case "v2 coexistence: loads, rewritten as v3" `Quick
-            test_table_cache_v2_coexistence;
+          Alcotest.test_case "upgrade: version-3 file rebuilt" `Quick
+            test_table_cache_upgrade;
           Alcotest.test_case "key covers parameters" `Quick
             test_table_cache_key_covers_params;
           Alcotest.test_case "warm run simulates nothing" `Quick

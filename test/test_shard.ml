@@ -246,7 +246,11 @@ let test_ledger_damage_sweep () =
       let file = Filename.concat dir "result-plan-mc.rec" in
       let pristine = In_channel.with_open_bin file In_channel.input_all in
       let len = String.length pristine in
+      (* "ndetect-result\n4 <fingerprint> <len> <fnv>\n", zero pad to
+         the next 8-byte boundary, payload. *)
       let header_end = String.index_from pristine 15 '\n' in
+      let payload_start = (header_end + 8) land lnot 7 in
+      let len_field_end = String.rindex_from pristine header_end ' ' - 1 in
       let write raw =
         let oc = open_out_bin file in
         output_string oc raw;
@@ -276,22 +280,24 @@ let test_ledger_damage_sweep () =
           false (Ledger.resolved led u)
       in
       (* Truncations: empty, torn magic, torn header, header only,
-         torn payload. *)
+         header and pad only, torn payload. *)
       List.iter
         (fun cut ->
           expect_healed
             (Printf.sprintf "truncated to %d/%d bytes" cut len)
             (String.sub pristine 0 cut))
-        [ 0; 7; header_end - 3; header_end + 1; len / 2; len - 1 ];
-      (* Single-bit flips: magic, version, kind, fingerprint, digest,
-         length field, payload start / middle / end. *)
+        [ 0; 7; header_end - 3; header_end + 1; payload_start; len / 2;
+          len - 1 ];
+      (* Single-bit flips: magic, version, kind, fingerprint, length
+         field, digest, pad, payload start / middle / end. *)
       List.iter
         (fun pos ->
           expect_healed
             (Printf.sprintf "bit flip at byte %d/%d" pos len)
             (flip pristine pos))
-        [ 0; 15; 17; 24; header_end - 2; header_end + 1;
-          (header_end + 1 + len) / 2; len - 1 ];
+        ([ 0; 10; 15; 17; 24; len_field_end; header_end - 2; payload_start;
+           (payload_start + len) / 2; len - 1 ]
+        @ if payload_start > header_end + 1 then [ header_end + 1 ] else []);
       (* The pristine bytes restored still read back. *)
       write pristine;
       (match Ledger.read_result led u with

@@ -620,6 +620,104 @@ let prop_try_map_exact_indices =
                   List.mem i fails && e.Uerror.kind = Uerror.Invalid_input)
               results))
 
+(* Record container: a fuzzed decoder never raises, and accepts bytes
+   only when they are exactly what [encode] wrote. *)
+
+module Record = Ndetect_util.Record
+
+type mutation = Truncate of int | Overwrite of int * char | Flip of int * int
+
+let record_gen =
+  let open QCheck.Gen in
+  let token chars = string_size ~gen:(oneofl chars) (int_range 1 12) in
+  let lower = List.init 26 (fun i -> Char.chr (97 + i)) in
+  let key_chars = lower @ [ '0'; '7'; 'f'; '-'; '+'; '_'; '.'; ':' ] in
+  (* Empty, word-multiple and ragged payloads, including non-ASCII. *)
+  let payload =
+    frequency
+      [ (1, return "");
+        (1, string_size ~gen:char (map (( * ) 8) (int_range 1 8)));
+        (4, string_size ~gen:char (int_range 1 70)) ]
+  in
+  token lower >>= fun kind ->
+  token key_chars >>= fun key ->
+  payload >>= fun payload ->
+  let raw = Record.encode ~kind ~key payload in
+  let n = String.length raw in
+  oneof
+    [ map (fun cut -> Truncate cut) (int_range 0 (n - 1));
+      map2 (fun pos c -> Overwrite (pos, c)) (int_range 0 (n - 1)) char;
+      map2
+        (fun pos bit -> Flip (pos, bit))
+        (int_range 0 (n - 1))
+        (int_range 0 7) ]
+  >|= fun m -> (kind, key, payload, m)
+
+let mutate raw = function
+  | Truncate cut -> String.sub raw 0 cut
+  | Overwrite (pos, c) -> String.mapi (fun i x -> if i = pos then c else x) raw
+  | Flip (pos, bit) ->
+    String.mapi
+      (fun i x ->
+        if i = pos then Char.chr (Char.code x lxor (1 lsl bit)) else x)
+      raw
+
+let prop_record_roundtrip =
+  QCheck.Test.make ~name:"Record.decode (encode p) = Ok p" ~count:300
+    (QCheck.make record_gen) (fun (kind, key, payload, _) ->
+      let raw = Record.encode ~kind ~key payload in
+      Record.decode ~kind ~key raw = Ok payload
+      && Record.decode_keyed ~kind raw = Ok (key, payload)
+      && Record.decode ~kind:(kind ^ "x") ~key raw = Error Record.Damaged
+      && Record.decode ~kind ~key:(key ^ "x") raw = Error Record.Damaged)
+
+let prop_record_mutations =
+  QCheck.Test.make ~name:"Record.decode rejects every mutation" ~count:1000
+    (QCheck.make
+       ~print:(fun (kind, key, payload, m) ->
+         Printf.sprintf "kind=%S key=%S payload=%S %s" kind key payload
+           (match m with
+           | Truncate cut -> Printf.sprintf "truncate %d" cut
+           | Overwrite (pos, c) -> Printf.sprintf "overwrite %d %C" pos c
+           | Flip (pos, bit) -> Printf.sprintf "flip %d bit %d" pos bit))
+       record_gen)
+    (fun (kind, key, payload, m) ->
+      let raw = Record.encode ~kind ~key payload in
+      let damaged = mutate raw m in
+      match Record.decode ~kind ~key damaged with
+      | Ok p -> damaged = raw && p = payload
+      | Error _ -> damaged <> raw)
+
+(* The writer-side digest is the C pass's function: equal on every
+   payload of 62-bit words, whatever its length mod 4. *)
+let prop_record_digest_matches_kernel =
+  QCheck.Test.make ~name:"Record.digest = Kernel.verify_region" ~count:200
+    QCheck.(array_of_size Gen.(int_range 0 40) (int_bound max_int))
+    (fun words ->
+      let n = Array.length words in
+      let bytes = Bytes.create (8 * n) in
+      Array.iteri
+        (fun i w -> Bytes.set_int64_le bytes (8 * i) (Int64.of_int w))
+        words;
+      let buf = Bigarray.(Array1.of_array int c_layout words) in
+      Ndetect_util.Kernel.verify_region buf ~off:0 n
+      = Some (Record.digest (Bytes.to_string bytes)))
+
+let test_record_versions () =
+  let raw = Record.encode ~kind:"t" ~key:"k" "payload" in
+  let with_version v =
+    "ndetect-t\n" ^ v ^ String.sub raw 11 (String.length raw - 11)
+  in
+  Alcotest.(check bool) "newer version is Future" true
+    (Record.decode ~kind:"t" ~key:"k" (with_version "5") = Error Record.Future);
+  Alcotest.(check bool) "older version is Damaged" true
+    (Record.decode ~kind:"t" ~key:"k" (with_version "3")
+    = Error Record.Damaged);
+  Alcotest.(check bool) "spaces in a key are refused" true
+    (match Record.encode ~kind:"t" ~key:"a b" "" with
+    | _ -> false
+    | exception Invalid_argument _ -> true)
+
 let () =
   Alcotest.run "util"
     [
@@ -696,5 +794,13 @@ let () =
           Alcotest.test_case "lowest failing index re-raised" `Quick
             test_map_array_reraises_lowest_index;
           Helpers.qcheck prop_try_map_exact_indices;
+        ] );
+      ( "record",
+        [
+          Helpers.qcheck prop_record_roundtrip;
+          Helpers.qcheck prop_record_mutations;
+          Helpers.qcheck prop_record_digest_matches_kernel;
+          Alcotest.test_case "versions and key tokens" `Quick
+            test_record_versions;
         ] );
     ]

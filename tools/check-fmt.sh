@@ -9,9 +9,10 @@ root=$(dirname "$0")/..
 cd "$root"
 
 # Sanity-check the sweep's coverage before trusting it (even when the
-# formatter is absent): the differential-oracle library and the kernel
-# backend module must be in the file list — a rename or a narrowed
-# find would otherwise silently drop them from the gate.
+# formatter is absent): the differential-oracle library, the kernel
+# backend module and the record container must be in the file list —
+# a rename or a narrowed find would otherwise silently drop them from
+# the gate.
 if ! find bin lib test bench tools -name '*.ml' -o -name '*.mli' \
     | grep -q '^lib/check/'; then
   echo "check-fmt: lib/check sources missing from the sweep"
@@ -20,6 +21,11 @@ fi
 if ! find bin lib test bench tools -name '*.ml' -o -name '*.mli' \
     | grep -q '^lib/util/kernel\.ml$'; then
   echo "check-fmt: lib/util/kernel.ml missing from the sweep"
+  exit 1
+fi
+if ! find bin lib test bench tools -name '*.ml' -o -name '*.mli' \
+    | grep -q '^lib/util/record\.ml$'; then
+  echo "check-fmt: lib/util/record.ml missing from the sweep"
   exit 1
 fi
 if ! find bin lib test bench tools -name '*.ml' -o -name '*.mli' \
