@@ -97,18 +97,6 @@ let bench_table5 =
                 mode = Procedure1.Definition1;
               })))
 
-let bench_table6 =
-  Test.make ~name:"table6-def2(bbtas,K=10)"
-    (Staged.stage (fun () ->
-         ignore
-           (Procedure1.run (Lazy.force bbtas_table)
-              {
-                Procedure1.seed = 1;
-                set_count = 10;
-                nmax = 10;
-                mode = Procedure1.Definition2;
-              })))
-
 (* Ablations (DESIGN.md section 5). *)
 
 let bench_ablation_collapse_on =
@@ -322,7 +310,6 @@ let all_benches =
       bench_figure2;
       bench_table4;
       bench_table5;
-      bench_table6;
       bench_ablation_collapse_on;
       bench_ablation_collapse_off;
       bench_encoding Encode.Binary;

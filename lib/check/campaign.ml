@@ -168,8 +168,9 @@ let check_net_counted ?(mutate = false) ?proc_mode ~seed net =
             (Printf.sprintf "nmin_witness(g%d)" gj)
             (string_of_int expected) "no witness"
     done;
-    (* Definition 2 verdicts on sampled vector pairs: the memoized cone
-       oracle against the whole-circuit re-evaluation. *)
+    (* Definition 2 verdicts on sampled vectors: the two-rail cone
+       oracle against the whole-circuit re-evaluation, pair by pair and
+       as one batched chain extension of each vector by all the others. *)
     let def2_opt = Definition2.create table in
     let def2_ref =
       Ref_def2.create net (Array.init f_count (Ref_table.target_fault rt))
@@ -195,6 +196,14 @@ let check_net_counted ?(mutate = false) ?proc_mode ~seed net =
                   ~expected:(Ref_def2.different def2_ref ~fi v1 v2)
                   ~actual:(Definition2.different def2_opt ~fi v1 v2))
             vectors)
+        vectors;
+      List.iter
+        (fun v ->
+          let chain = List.filter (( <> ) v) vectors in
+          check_bool
+            (Printf.sprintf "def2_chain(f%d,%d)" fi v)
+            ~expected:(Ref_def2.chain_extend def2_ref ~fi ~chain v)
+            ~actual:(Definition2.chain_extend def2_opt ~fi ~chain v))
         vectors
     done;
     (* Procedure 1: full replay from the same split streams. *)

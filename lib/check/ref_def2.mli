@@ -4,9 +4,9 @@
     fault [f] iff their common partial test [tij] (specified only where
     they agree) does {e not} detect [f] under pessimistic three-valued
     simulation. The optimized oracle ({!Ndetect_core.Definition2})
-    memoizes verdicts and re-evaluates only the fault's fanout cone;
-    this one re-simulates the whole circuit on every query and caches
-    nothing. *)
+    simulates up to 62 pairs at once on two-rail words and re-evaluates
+    only the fault's fanout cone; this one re-simulates the whole
+    circuit for one pair at a time. *)
 
 module Netlist = Ndetect_circuit.Netlist
 module Stuck = Ndetect_faults.Stuck

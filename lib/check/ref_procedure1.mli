@@ -7,7 +7,7 @@
     samples then a shuffled scan for the strict modes, the Definition-1
     fallback once a strict chain is exhausted — but runs strictly
     sequentially, reads detection sets from {!Ref_table}, and asks
-    {!Ref_def2} (not the memoized cone oracle) for Definition 2
+    {!Ref_def2} (not the two-rail cone oracle) for Definition 2
     verdicts. If the optimized run's chunked, domain-parallel execution
     or its kernels disturb any result, the two outcomes diverge. *)
 

@@ -3,8 +3,15 @@
     (specified where [ti] and [tj] agree) does {e not} detect [f] under
     three-valued simulation.
 
-    Pairwise verdicts are memoized per (fault, vector pair) because
-    Procedure 1 revisits the same pairs across its K test sets. *)
+    Values are two-rail ternary words: a [one] and a [zero] rail per node,
+    bit [j] of each saying whether lane [j] is definitely 1 or definitely
+    0 (neither: X). Lane [j] of a pass holds [tij] for one vector pair, so
+    {!chain_extend} checks a vector against up to 62 chain members with
+    one fault-free pass (over the gates the fault's observing outputs
+    depend on) and one faulty pass over the fault's fanout cone. Both
+    run flat schedules, built once per net and once per fault on first
+    use. Nothing is memoized: a [t] owns mutable scratch rails, so it
+    must stay within one domain. *)
 
 module Detection_table := Detection_table
 
@@ -29,7 +36,7 @@ val different : t -> fi:int -> int -> int -> bool
 val chain_extend : t -> fi:int -> chain:int list -> int -> bool
 (** Whether a vector is different from {e every} vector of the chain —
     the incremental greedy counting used by Procedure 1 under
-    Definition 2. *)
+    Definition 2. Chains longer than 62 spill into further batches. *)
 
 val count_greedy : t -> fi:int -> int list -> int * int list
 (** [count_greedy t ~fi tests] scans the tests in order, keeping a vector
@@ -39,6 +46,3 @@ val count_greedy : t -> fi:int -> int list -> int * int list
 val count_exact : t -> fi:int -> int list -> int
 (** Maximum subset of pairwise-different tests (exact, exponential; for
     tests and small inputs only). The greedy count is a lower bound. *)
-
-val memo_size : t -> int
-(** Number of cached pairwise verdicts (observability aid). *)

@@ -333,9 +333,9 @@ let run ?(cancel = Ndetect_util.Cancel.none) ?domains ?report_faults table
               [ ("lo", string_of_int lo); ("hi", string_of_int hi) ]
           @@ fun () ->
           begin
-          (* One Definition-2 oracle per chunk: its memo tables are
-             plain Hashtbls, so they must not cross domains; results are
-             pure, so per-chunk instances do not affect the outcome. *)
+          (* One Definition-2 oracle per chunk: its scratch rails are
+             mutable, so they must not cross domains; verdicts are pure,
+             so per-chunk instances do not affect the outcome. *)
           let def2 =
             match config.mode with
             | Definition2 -> Some (Definition2.create table)

@@ -58,71 +58,6 @@ let detects_stuck net fault assignment =
       | None, (Some _ | None) | Some _, None -> false)
     (Netlist.outputs net)
 
-(* The fault effect is confined to the injection site's fanout cone (for
-   a branch fault, the consuming gate's cone), in three-valued logic as
-   in boolean logic, so detection queries only need the cone re-run. *)
-type cone = {
-  order : int array;  (* cone nodes in topo order; order.(0) = seed *)
-  in_cone : bool array;
-  cone_outputs : int array;
-}
-
-let stuck_cone net fault =
-  let seed =
-    match fault.Stuck.line with
-    | Line.Stem n -> n
-    | Line.Branch { gate; _ } -> gate
-  in
-  let order = Netlist.fanout_cone_order net seed in
-  let in_cone = Array.make (Netlist.node_count net) false in
-  Array.iter (fun id -> in_cone.(id) <- true) order;
-  let cone_outputs =
-    Array.to_seq (Netlist.outputs net)
-    |> Seq.filter (fun o -> in_cone.(o))
-    |> Array.of_seq
-  in
-  { order; in_cone; cone_outputs }
-
-let detects_stuck_in_cone net fault cone ~good assignment =
-  if Array.length cone.cone_outputs = 0 then false
-  else begin
-    let forced = Ternary.of_bool fault.Stuck.value in
-    let faulty = Array.make (Netlist.node_count net) Ternary.X in
-    let fanin_value f =
-      if cone.in_cone.(f) then faulty.(f) else good.(f)
-    in
-    let eval_node id ~pin_override =
-      match Netlist.kind net id with
-      | Gate.Input -> assignment.(id)
-      | kind ->
-        Gate.eval_ternary kind
-          (Array.mapi
-             (fun pin f ->
-               match pin_override pin with
-               | Some v -> v
-               | None -> fanin_value f)
-             (Netlist.fanins net id))
-    in
-    let no_override _ = None in
-    Array.iter
-      (fun id ->
-        faulty.(id) <-
-          (match fault.Stuck.line with
-          | Line.Stem n when id = n -> forced
-          | Line.Branch { gate; pin = p } when id = gate ->
-            eval_node id ~pin_override:(fun pin ->
-                if pin = p then Some forced else None)
-          | Line.Stem _ | Line.Branch _ ->
-            eval_node id ~pin_override:no_override))
-      cone.order;
-    Array.exists
-      (fun o ->
-        match Ternary.to_bool_opt good.(o), Ternary.to_bool_opt faulty.(o) with
-        | Some g, Some f -> not (Bool.equal g f)
-        | None, (Some _ | None) | Some _, None -> false)
-      cone.cone_outputs
-  end
-
 let common_test a b =
   if Array.length a <> Array.length b then
     invalid_arg "Ternary_sim.common_test: arity mismatch";

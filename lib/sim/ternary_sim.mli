@@ -16,20 +16,6 @@ val eval_with_stuck : Netlist.t -> Stuck.t -> Ternary.t array -> Ternary.t array
 val detects_stuck : Netlist.t -> Stuck.t -> Ternary.t array -> bool
 (** Whether the (partially specified) test definitely detects the fault. *)
 
-type cone
-(** Precomputed fanout-cone schedule of a fault's injection site, for
-    repeated {!detects_stuck_in_cone} queries against the same fault. *)
-
-val stuck_cone : Netlist.t -> Stuck.t -> cone
-
-val detects_stuck_in_cone :
-  Netlist.t -> Stuck.t -> cone -> good:Ternary.t array ->
-  Ternary.t array -> bool
-(** Same verdict as {!detects_stuck}, given the fault-free values [good]
-    of the same test: only the cone is re-evaluated, so the cost is
-    proportional to the fault's fanout cone instead of the whole
-    circuit. Definition-2 counting calls this in its inner loop. *)
-
 val common_test : Ternary.t array -> Ternary.t array -> Ternary.t array
 (** The test [tij] of Definition 2: specified where both agree. *)
 

@@ -4,6 +4,8 @@
 
 module Bitvec = Ndetect_util.Bitvec
 module Netlist = Ndetect_circuit.Netlist
+module Line = Ndetect_circuit.Line
+module Stuck = Ndetect_faults.Stuck
 module Detection_table = Ndetect_core.Detection_table
 module Worst_case = Ndetect_core.Worst_case
 module Definition2 = Ndetect_core.Definition2
@@ -55,7 +57,7 @@ let test_ref_worst_unbounded () =
   (* A fault with no intersecting target set gets the sentinel. *)
   Alcotest.(check int) "sentinel" max_int Ref_worst.unbounded
 
-(* Definition 2 verdicts: memoized cone oracle vs whole-circuit ternary
+(* Definition 2 verdicts: two-rail cone oracle vs whole-circuit ternary
    re-evaluation, all pairs over the example circuit's universe. *)
 let test_def2_all_pairs_example () =
   let net = Example.circuit () in
@@ -77,6 +79,54 @@ let test_def2_all_pairs_example () =
       done
     done
   done
+
+(* The batched chain extension against the reference on chains of 0..70
+   vectors, so they cross the 62-lane batch boundary, with [v] itself
+   among the members one time in twenty. In half the cases the first 62
+   members are drawn from vectors the reference calls different from
+   [v], so the verdict rests on the spilled second batch. Every fault of
+   the circuit is checked, and circuits without branch faults are
+   skipped. *)
+let prop_chain_extend_matches_ref =
+  QCheck.Test.make ~count:30 ~name:"def2 chain_extend == reference (lane spill)"
+    QCheck.(pair Helpers.circuit_arbitrary small_nat)
+    (fun (spec, seed) ->
+      let net = Helpers.apply_circuit Fun.id spec in
+      let faults = Stuck.all net in
+      QCheck.assume
+        (Array.exists
+           (fun f ->
+             match f.Stuck.line with
+             | Line.Branch _ -> true
+             | Line.Stem _ -> false)
+           faults);
+      let opt = Definition2.of_faults net faults in
+      let refo = Ref_def2.create net faults in
+      let universe = Netlist.universe_size net in
+      let rng = Random.State.make [| seed |] in
+      let ok = ref true in
+      Array.iteri
+        (fun fi _ ->
+          let v = Random.State.int rng universe in
+          let different =
+            Array.of_list
+              (List.filter (Ref_def2.different refo ~fi v)
+                 (List.init universe Fun.id))
+          in
+          let spill = Random.State.bool rng && Array.length different > 0 in
+          let chain =
+            List.init (Random.State.int rng 71) (fun i ->
+                if spill && i < 62 then
+                  different.(Random.State.int rng (Array.length different))
+                else if Random.State.int rng 20 = 0 then v
+                else Random.State.int rng universe)
+          in
+          if
+            Definition2.chain_extend opt ~fi ~chain v
+            <> Ref_def2.chain_extend refo ~fi ~chain v
+          then ok := false)
+        faults;
+      !ok)
 
 (* Random-circuit property: a clean campaign finds no divergences. Kept
    small; the runtest rule on the CLI runs a larger one and the full
@@ -200,6 +250,7 @@ let () =
             test_def2_all_pairs_example;
           Alcotest.test_case "clean campaign" `Quick test_clean_campaign;
           Helpers.qcheck prop_random_circuit_agrees;
+          Helpers.qcheck prop_chain_extend_matches_ref;
         ] );
       ( "self-test",
         [

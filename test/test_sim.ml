@@ -205,18 +205,19 @@ let prop_ternary_detection_sound =
            faults;
          !ok))
 
-(* The cone-restricted 3-valued detection check agrees with the full
-   re-simulation for every fault and partially-specified test. *)
+(* Definition 2's two-rail cone pass agrees with the whole-circuit
+   3-valued re-simulation for every stem and branch fault and every
+   common test [tij] of a vector pair. *)
 let prop_ternary_cone_matches_full =
   QCheck.Test.make ~name:"cone-restricted 3-valued detection == full"
     ~count:25 Helpers.circuit_arbitrary
     (Helpers.apply_circuit (fun net ->
          let faults = Stuck.all net in
+         let def2 = Ndetect_core.Definition2.of_faults net faults in
          let universe = Netlist.universe_size net in
          let ok = ref true in
-         Array.iter
-           (fun fault ->
-             let cone = Ternary_sim.stuck_cone net fault in
+         Array.iteri
+           (fun fi fault ->
              for v1 = 0 to min 5 (universe - 1) do
                for v2 = 0 to min 5 (universe - 1) do
                  let tij =
@@ -224,10 +225,9 @@ let prop_ternary_cone_matches_full =
                      (Ternary_sim.test_of_vector net v1)
                      (Ternary_sim.test_of_vector net v2)
                  in
-                 let good = Ternary_sim.eval net tij in
                  if
-                   Ternary_sim.detects_stuck_in_cone net fault cone ~good tij
-                   <> Ternary_sim.detects_stuck net fault tij
+                   Ndetect_core.Definition2.different def2 ~fi v1 v2
+                   <> (v1 <> v2 && not (Ternary_sim.detects_stuck net fault tij))
                  then ok := false
                done
              done)

@@ -10,9 +10,9 @@ cd "$root"
 
 # Sanity-check the sweep's coverage before trusting it (even when the
 # formatter is absent): the differential-oracle library, the kernel
-# backend module and the record container must be in the file list —
-# a rename or a narrowed find would otherwise silently drop them from
-# the gate.
+# backend module, the record container and the Definition-2 oracle
+# must be in the file list — a rename or a narrowed find would
+# otherwise silently drop them from the gate.
 if ! find bin lib test bench tools -name '*.ml' -o -name '*.mli' \
     | grep -q '^lib/check/'; then
   echo "check-fmt: lib/check sources missing from the sweep"
@@ -26,6 +26,11 @@ fi
 if ! find bin lib test bench tools -name '*.ml' -o -name '*.mli' \
     | grep -q '^lib/util/record\.ml$'; then
   echo "check-fmt: lib/util/record.ml missing from the sweep"
+  exit 1
+fi
+if ! find bin lib test bench tools -name '*.ml' -o -name '*.mli' \
+    | grep -q '^lib/core/definition2\.ml$'; then
+  echo "check-fmt: lib/core/definition2.ml missing from the sweep"
   exit 1
 fi
 if ! find bin lib test bench tools -name '*.ml' -o -name '*.mli' \
