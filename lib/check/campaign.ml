@@ -9,6 +9,7 @@ module Worst_case = Ndetect_core.Worst_case
 module Definition2 = Ndetect_core.Definition2
 module Procedure1 = Ndetect_core.Procedure1
 module Random_circuit = Ndetect_suite.Random_circuit
+module Estimate = Ndetect_estimate.Estimate
 
 type divergence = { cell : string; expected : string; actual : string }
 
@@ -38,6 +39,48 @@ let modes =
 
 let ints_to_string vs =
   "[" ^ String.concat ";" (List.map string_of_int vs) ^ "]"
+
+(* The sampled-universe case: a small stratified sample of the circuit,
+   whose dmin [Estimate.analyze] computes with the worst-case scanner,
+   against the reference double loop over the same sampled sets. *)
+let sampled_spec = Result.get_ok (Estimate.Spec.make ~strata:4 ~samples:48 ())
+
+let check_sampled ?(mutate = false) ~seed net =
+  let est =
+    Fun.protect
+      ~finally:(fun () -> Estimate.debug_corrupt_scan := false)
+      (fun () ->
+        Estimate.debug_corrupt_scan := mutate;
+        Estimate.analyze ~spec:sampled_spec ~seed ~name:"check" net)
+  in
+  let table = Estimate.table est in
+  let expected =
+    Ref_worst.nmin_of_sets
+      ~target_sets:
+        (Array.init (Detection_table.target_count table)
+           (Detection_table.target_set table))
+      ~untargeted_sets:
+        (Array.init
+           (Detection_table.untargeted_count table)
+           (Detection_table.untargeted_set table))
+  in
+  List.filter_map Fun.id
+    (Array.to_list
+       (Array.mapi
+          (fun gj nmin ->
+            let expected =
+              if nmin = Ref_worst.unbounded then -1 else nmin - 1
+            in
+            let actual = Estimate.dmin est gj in
+            if expected = actual then None
+            else
+              Some
+                {
+                  cell = Printf.sprintf "dmin(g%d)" gj;
+                  expected = string_of_int expected;
+                  actual = string_of_int actual;
+                })
+          expected))
 
 let check_net_counted ?(mutate = false) ?proc_mode ~seed net =
   let divs = ref [] and total = ref 0 in
@@ -250,6 +293,9 @@ let check_net_counted ?(mutate = false) ?proc_mode ~seed net =
       done
     done
   end;
+  List.iter
+    (fun d -> emit d.cell d.expected d.actual)
+    (check_sampled ~mutate ~seed net);
   (List.rev !divs, !total)
 
 let check_net ?mutate ?proc_mode ~seed net =

@@ -5,14 +5,18 @@
     diffs every derived quantity: fault-free output values, kept fault
     lists, every detection set, every [N]/[M] table cell, the full
     [nmin] distribution and its witnesses, sampled Definition 2
-    verdicts, and a complete Procedure 1 replay (detection counts, test
-    sets, per-fault Definition 1 counts, strict chains, output masks).
-    Any divergence is shrunk to a minimal circuit spec.
+    verdicts, a complete Procedure 1 replay (detection counts, test
+    sets, per-fault Definition 1 counts, strict chains, output masks),
+    and the sampled estimator's [dmin] over a small stratified sample
+    ({!check_sampled}). Any divergence is shrunk to a minimal circuit
+    spec.
 
     [mutate] flips one bit of one optimized detection set right after
     the table is built ({!Ndetect_core.Detection_table.corrupt_target_set})
-    — a simulated kernel bug proving the checker reports divergences
-    rather than vacuously passing. *)
+    and corrupts one sampled target set before the sampled scan
+    ({!Ndetect_estimate.Estimate.debug_corrupt_scan}) — simulated bugs
+    proving the checker reports divergences rather than vacuously
+    passing. *)
 
 module Random_circuit = Ndetect_suite.Random_circuit
 module Procedure1 = Ndetect_core.Procedure1
@@ -47,6 +51,14 @@ val check_net :
     the mutation site; [proc_mode] overrides the replayed mode
     (defaults to a seed-determined choice so campaigns exercise all
     three). *)
+
+val check_sampled :
+  ?mutate:bool -> seed:int -> Netlist.t -> divergence list
+(** The sampled case on its own: [Estimate.analyze] (48 samples, 4
+    strata, sampler seed [seed]) against {!Ref_worst.nmin_of_sets} over
+    the same sampled sets, one ["dmin(gN)"] cell per untargeted fault.
+    [mutate] arms {!Ndetect_estimate.Estimate.debug_corrupt_scan} for
+    the one analysis. Part of {!check_net}. *)
 
 val check_spec : ?mutate:bool -> Random_circuit.spec -> divergence list
 (** {!check_net} on the regenerated spec. *)

@@ -38,6 +38,15 @@ type report = {
       (** Greedy-shrunk witness, present only on failure. *)
 }
 
+val clopper_pearson :
+  confidence:float -> trials:int -> successes:int -> float * float
+(** Exact (conservative) binomial interval from the beta-quantile
+    formulation — Lanczos log-gamma, Lentz continued-fraction
+    regularized incomplete beta, bisection inversion — the reference the
+    Wilson interval of {!Ndetect_estimate.Interval} is tested against.
+    Requires [trials > 0], [0 <= successes <= trials] and a confidence
+    inside (0, 1); [Invalid_argument] otherwise. *)
+
 val target_rate : report -> float
 val nmin_rate : report -> float
 

@@ -15,3 +15,10 @@ val nmin : Ref_table.t -> int -> int
 
 val distribution : Ref_table.t -> int array
 (** All [nmin(g_j)], indexed by [g_j]. *)
+
+val nmin_of_sets :
+  target_sets:Ndetect_util.Bitvec.t array ->
+  untargeted_sets:Ndetect_util.Bitvec.t array -> int array
+(** [nmin] of every untargeted set against plain target-set arrays (a
+    sampled table's, for instance): [N] and [M] counted with
+    per-vector [Bitvec.get] loops, no popcount kernel, no layout. *)

@@ -215,18 +215,18 @@ let memoized_index cell build_fn =
       | Some winner -> winner
       | None -> idx (* unreachable: the cell is only ever set *))
 
-(* Deduplicated, N-sorted, cache-blocked view of the target sets: one row
-   per distinct T(f) (first-occurrence target as representative), rows
-   sorted by ascending N(f) (ties by representative index, so the order
-   is deterministic), packed word-major for the batched M(g, f) kernel.
+(* Deduplicated, N-sorted, cache-blocked view of a target-set array: one
+   row per distinct set (first occurrence as representative), rows sorted
+   by ascending N (ties by representative index, so the order is
+   deterministic), packed word-major for the batched M(g, f) kernel.
    nmin only depends on the set contents, so duplicates are counted
    once. *)
-let build_target_layout t =
-  let f_count = Array.length t.target_sets in
+let layout_of_sets sets =
+  let f_count = Array.length sets in
   let canon : int Bitvec.Tbl.t = Bitvec.Tbl.create (2 * f_count) in
   let reps = ref [] and rows = ref 0 in
   for fi = 0 to f_count - 1 do
-    let set = t.target_sets.(fi) in
+    let set = sets.(fi) in
     if not (Bitvec.Tbl.mem canon set) then begin
       Bitvec.Tbl.replace canon set !rows;
       reps := fi :: !reps;
@@ -234,7 +234,7 @@ let build_target_layout t =
     end
   done;
   let rep = Array.of_list (List.rev !reps) in
-  let ns = Array.map (fun fi -> Bitvec.count t.target_sets.(fi)) rep in
+  let ns = Array.map (fun fi -> Bitvec.count sets.(fi)) rep in
   let order = Array.init !rows Fun.id in
   Array.sort
     (fun a b ->
@@ -243,12 +243,11 @@ let build_target_layout t =
     order;
   let rep = Array.map (fun row -> rep.(row)) order in
   let row_n = Array.map (fun row -> ns.(row)) order in
-  let blocked =
-    Bitvec.Blocked.pack (Array.map (fun fi -> t.target_sets.(fi)) rep)
-  in
+  let blocked = Bitvec.Blocked.pack (Array.map (fun fi -> sets.(fi)) rep) in
   { rows = !rows; rep; row_n; blocked }
 
-let target_layout t = memoized_index t.layout (fun () -> build_target_layout t)
+let target_layout t =
+  memoized_index t.layout (fun () -> layout_of_sets t.target_sets)
 
 let invert_sets ~universe sets =
   let buckets = Array.make universe [] in

@@ -92,12 +92,16 @@ type target_layout = {
       (** The rows' sets, cache-blocked word-major, in row order. *)
 }
 
+val layout_of_sets : Bitvec.t array -> target_layout
+(** Deduplicated, N-sorted, cache-blocked view of a set array — the
+    input of the batched worst-case scan. [rep] indexes the given array.
+    Rows are ordered by ascending [N] (ties by representative index),
+    so a scan can early-exit at block granularity. *)
+
 val target_layout : t -> target_layout
-(** Deduplicated, N-sorted, cache-blocked view of the target sets — the
-    input of the batched worst-case scan. Rows are ordered by ascending
-    [N(f)] (ties by representative index), so a scan can early-exit at
-    block granularity. Computed lazily once and published atomically;
-    safe to call from concurrent domains. *)
+(** {!layout_of_sets} of the table's target sets, computed lazily once
+    and published atomically (or adopted from {!restore_parts}); safe to
+    call from concurrent domains. *)
 
 val overlapping_targets : t -> gj:int -> int list
 (** [F(g_j)]: indices of target faults whose detection set intersects

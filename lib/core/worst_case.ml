@@ -4,7 +4,9 @@ module Telemetry = Ndetect_util.Telemetry
 (* Kernel calls = intersection sweeps actually performed (sparse row
    probes plus dense block popcounts); early exits = scans cut short by
    the N-ascending bound. Both are per-unique-detection-set totals, so
-   they are identical for every domain count. *)
+   they are identical for every domain count. Only table scans (the
+   [worst.compute*] spans) count: e2ebench divides these totals by the
+   faults those spans cover, so scans of plain set arrays stay out. *)
 let c_kernel_calls = Telemetry.Counter.create "worst.kernel_calls"
 let c_early_exits = Telemetry.Counter.create "worst.early_exits"
 
@@ -22,30 +24,32 @@ let unbounded = max_int
    once, and scanning rows in increasing N(f) admits a strong early
    exit — M(g, f) <= |T(g)|, so once N(f) - |T(g)| + 1 is at least the
    best candidate found, no later row can improve it (checked at block
-   granularity on the dense path). Untargeted faults with small
+   granularity on the dense path); and M(g, f) <= N(f), so a best of 1
+   cannot be improved at all. Untargeted faults with small
    detection sets (the interesting, hard ones) use a sparse membership
    intersection instead of the blocked popcount sweep. *)
 let sparse_threshold = 64
 
-(* The per-untargeted-fault scan, shared by the whole-table [compute]
-   and the fault-block [compute_slice]: a pure read of the table, so any
-   partition of the untargeted faults yields the same nmin values. *)
-let make_scanner cancel table =
-  let layout = Detection_table.target_layout table in
-  let rows = layout.Detection_table.rows in
-  let row_n = layout.Detection_table.row_n in
-  let rep = layout.Detection_table.rep in
-  let blocked = layout.Detection_table.blocked in
+(* The per-untargeted-set scan over [layout], whose [rep] indexes
+   [target_set]: a pure read, so any partition of the untargeted sets
+   yields the same nmin values. [tally] says whether it adds to the
+   [worst.*] counters. *)
+let make_scanner ~tally cancel (layout : Detection_table.target_layout)
+    target_set =
+  let rows = layout.rows in
+  let row_n = layout.row_n in
+  let rep = layout.rep in
+  let blocked = layout.blocked in
   let block_size = Bitvec.Blocked.block_size blocked in
   let block_count = Bitvec.Blocked.block_count blocked in
   (* Kernel backend resolved once per scanner, not per block sweep. *)
   let sweep = Bitvec.Blocked.scanner blocked in
-  (* Per-untargeted-fault scans are independent pure reads of the table,
-     so they run on parallel domains; the counts scratch is per-call,
-     never shared. *)
-  let per_gj gj =
+  let early_exit () = if tally then Telemetry.Counter.incr c_early_exits in
+  let add_kernels k = if tally then Telemetry.Counter.add c_kernel_calls k in
+  (* Per-untargeted-set scans are independent pure reads, so they run on
+     parallel domains; the counts scratch is per-call, never shared. *)
+  let per_set tg =
     Ndetect_util.Cancel.poll cancel;
-    let tg = Detection_table.untargeted_set table gj in
     let tg_count = Bitvec.count tg in
     if tg_count <= sparse_threshold then begin
       (* Sparse path: membership probes, row-granular early exit. *)
@@ -53,13 +57,13 @@ let make_scanner cancel table =
       let kernels = ref 0 in
       let rec scan row best best_witness =
         if row >= rows then (best, best_witness)
-        else if row_n.(row) - tg_count + 1 >= best then begin
-          Telemetry.Counter.incr c_early_exits;
+        else if best = 1 || row_n.(row) - tg_count + 1 >= best then begin
+          early_exit ();
           (best, best_witness)
         end
         else begin
           incr kernels;
-          let set = Detection_table.target_set table rep.(row) in
+          let set = target_set rep.(row) in
           let m =
             List.fold_left
               (fun acc v -> if Bitvec.unsafe_get set v then acc + 1 else acc)
@@ -74,7 +78,7 @@ let make_scanner cancel table =
         end
       in
       let result = scan 0 unbounded (-1) in
-      Telemetry.Counter.add c_kernel_calls !kernels;
+      add_kernels !kernels;
       result
     end
     else begin
@@ -87,8 +91,8 @@ let make_scanner cancel table =
       let kernels = ref 0 in
       while (not !stop) && !block < block_count do
         let base = !block * block_size in
-        if row_n.(base) - tg_count + 1 >= !best then begin
-          Telemetry.Counter.incr c_early_exits;
+        if !best = 1 || row_n.(base) - tg_count + 1 >= !best then begin
+          early_exit ();
           stop := true
         end
         else begin
@@ -104,33 +108,33 @@ let make_scanner cancel table =
           incr block
         end
       done;
-      Telemetry.Counter.add c_kernel_calls !kernels;
+      add_kernels !kernels;
       (!best, !best_witness)
     end
   in
-  per_gj
+  per_set
 
 (* Untargeted faults frequently share identical detection sets (e.g.
    symmetric bridges); nmin only depends on T(g), so compute once per
    distinct set within the requested range. Grouped by content hash +
    equality — no key strings. Results are written at [gj - lo]. *)
-let scan_range per_gj table ~lo ~hi =
+let scan_range per_set untargeted_set ~lo ~hi =
   let len = hi - lo in
   let groups : int Bitvec.Tbl.t = Bitvec.Tbl.create (2 * len) in
   let representative = Array.make (max len 1) (-1) in
   let unique = ref [] and unique_count = ref 0 in
   for gj = lo to hi - 1 do
-    let set = Detection_table.untargeted_set table gj in
+    let set = untargeted_set gj in
     match Bitvec.Tbl.find_opt groups set with
     | Some idx -> representative.(gj - lo) <- idx
     | None ->
       Bitvec.Tbl.replace groups set !unique_count;
       representative.(gj - lo) <- !unique_count;
-      unique := gj :: !unique;
+      unique := set :: !unique;
       incr unique_count
   done;
   let unique = Array.of_list (List.rev !unique) in
-  let unique_results = Ndetect_util.Parallel.map_array per_gj unique in
+  let unique_results = Ndetect_util.Parallel.map_array per_set unique in
   let nmin = Array.make (max len 0) unbounded in
   let witness = Array.make (max len 0) (-1) in
   for i = 0 to len - 1 do
@@ -140,13 +144,31 @@ let scan_range per_gj table ~lo ~hi =
   done;
   (nmin, witness)
 
+let scan_table cancel table ~lo ~hi =
+  let per_set =
+    make_scanner ~tally:true cancel
+      (Detection_table.target_layout table)
+      (Detection_table.target_set table)
+  in
+  scan_range per_set (Detection_table.untargeted_set table) ~lo ~hi
+
+let nmin_of_sets ?(cancel = Ndetect_util.Cancel.none) ~target_sets
+    ~untargeted_sets () =
+  let per_set =
+    make_scanner ~tally:false cancel
+      (Detection_table.layout_of_sets target_sets)
+      (Array.get target_sets)
+  in
+  fst
+    (scan_range per_set (Array.get untargeted_sets) ~lo:0
+       ~hi:(Array.length untargeted_sets))
+
 let compute ?(cancel = Ndetect_util.Cancel.none) table =
   let g_count = Detection_table.untargeted_count table in
   Telemetry.with_span "worst.compute"
     ~args:[ ("untargeted", string_of_int g_count) ]
   @@ fun () ->
-  let per_gj = make_scanner cancel table in
-  let nmin, witness = scan_range per_gj table ~lo:0 ~hi:g_count in
+  let nmin, witness = scan_table cancel table ~lo:0 ~hi:g_count in
   { table; nmin; witness }
 
 let compute_slice ?(cancel = Ndetect_util.Cancel.none) table ~lo ~hi =
@@ -155,12 +177,7 @@ let compute_slice ?(cancel = Ndetect_util.Cancel.none) table ~lo ~hi =
     invalid_arg "Worst_case.compute_slice: bad range";
   Telemetry.with_span "worst.compute_slice"
     ~args:[ ("lo", string_of_int lo); ("hi", string_of_int hi) ]
-  @@ fun () ->
-  if lo = hi then [||]
-  else begin
-    let per_gj = make_scanner cancel table in
-    fst (scan_range per_gj table ~lo ~hi)
-  end
+  @@ fun () -> if lo = hi then [||] else fst (scan_table cancel table ~lo ~hi)
 
 let table t = t.table
 

@@ -17,6 +17,18 @@ val unbounded : int
 val compute : ?cancel:Ndetect_util.Cancel.token -> Detection_table.t -> t
 (** [cancel] is polled once per untargeted fault. *)
 
+val nmin_of_sets :
+  ?cancel:Ndetect_util.Cancel.token ->
+  target_sets:Ndetect_util.Bitvec.t array ->
+  untargeted_sets:Ndetect_util.Bitvec.t array -> unit -> int array
+(** [nmin(g_j)] for every [untargeted_sets.(j)] against [target_sets]:
+    the scan {!compute} runs, over plain set arrays (all of one length)
+    instead of a table — the sampled estimator and the campaign merge
+    scan the sets of a sample. Opens no span and leaves the
+    [worst.kernel_calls]/[worst.early_exits] counters alone (those count
+    table scans only); [cancel] is polled once per distinct untargeted
+    set. *)
+
 val compute_slice :
   ?cancel:Ndetect_util.Cancel.token ->
   Detection_table.t -> lo:int -> hi:int -> int array

@@ -4,6 +4,7 @@ module Cancel = Ndetect_util.Cancel
 module Telemetry = Ndetect_util.Telemetry
 module Detection_table = Ndetect_core.Detection_table
 module Analysis = Ndetect_core.Analysis
+module Worst_case = Ndetect_core.Worst_case
 
 let c_samples = Telemetry.Counter.create "est.samples_drawn"
 let c_strata = Telemetry.Counter.create "est.strata"
@@ -76,7 +77,7 @@ let check_inputs ~name net =
 (* 2^bits exactly (bits <= 61, so this is an exact float). *)
 let universe_float bits = Float.ldexp 1.0 bits
 
-let scan_sets ?(cancel = Cancel.none) ~target_sets ~untargeted_sets () =
+let scan ?(cancel = Cancel.none) ~target_sets ~untargeted_sets () =
   Telemetry.with_span "est.scan"
     ~args:
       [
@@ -84,27 +85,31 @@ let scan_sets ?(cancel = Cancel.none) ~target_sets ~untargeted_sets () =
         ("untargeted", string_of_int (Array.length untargeted_sets));
       ]
   @@ fun () ->
-  let tcount = Array.length target_sets in
-  let target_k = Array.map Bitvec.count target_sets in
-  let dmin =
-    Array.map
-      (fun gset ->
-        Cancel.check_deadline cancel;
-        let best = ref (-1) in
-        (try
-           for fi = 0 to tcount - 1 do
-             let m = Bitvec.inter_count gset target_sets.(fi) in
-             if m > 0 then begin
-               let d = target_k.(fi) - m in
-               if !best < 0 || d < !best then best := d;
-               if d = 0 then raise Exit
-             end
-           done
-         with Exit -> ());
-        !best)
+  Array.map
+    (fun n -> if n = Worst_case.unbounded then -1 else n - 1)
+    (Worst_case.nmin_of_sets ~cancel ~target_sets ~untargeted_sets ())
+
+let debug_corrupt_scan = ref false
+
+(* The sabotage [debug_corrupt_scan] arms: give a private copy of the
+   first target the detection set of the first nonempty untargeted set
+   that no nonempty target set fits inside, so the scan reports
+   dmin(g) = 0 where the truth is -1 or at least 1. The table itself
+   stays intact. *)
+let corrupt_scan_input target_sets untargeted_sets =
+  let fits g f = (not (Bitvec.is_empty f)) && Bitvec.subset f g in
+  let victim =
+    Array.find_opt
+      (fun g ->
+        (not (Bitvec.is_empty g)) && not (Array.exists (fits g) target_sets))
       untargeted_sets
   in
-  (target_k, dmin)
+  match victim with
+  | Some g when Array.length target_sets > 0 ->
+    let sets = Array.copy target_sets in
+    sets.(0) <- g;
+    sets
+  | _ -> target_sets
 
 let table_sets table =
   ( Array.init (Detection_table.target_count table) (fun i ->
@@ -136,7 +141,11 @@ let analyze ?(cancel = Cancel.none) ~spec ~seed ~name net =
   let vectors = draw_counted ~universe_bits ~spec ~seed ~lo:0 ~hi:strata in
   let table = build_sampled_table ~cancel ~vectors net in
   let target_sets, untargeted_sets = table_sets table in
-  let target_k, dmin = scan_sets ~cancel ~target_sets ~untargeted_sets () in
+  let scanned_sets =
+    if !debug_corrupt_scan then corrupt_scan_input target_sets untargeted_sets
+    else target_sets
+  in
+  let dmin = scan ~cancel ~target_sets:scanned_sets ~untargeted_sets () in
   {
     name;
     spec;
@@ -144,9 +153,11 @@ let analyze ?(cancel = Cancel.none) ~spec ~seed ~name net =
     universe_bits;
     table;
     z = Interval.z_of_confidence spec.Spec.confidence;
-    target_k;
+    target_k = Array.map Bitvec.count target_sets;
     dmin;
   }
+
+let dmin t gj = t.dmin.(gj)
 
 let target_interval t fi =
   let s = t.spec.Spec.samples in
@@ -198,7 +209,7 @@ type summary = {
   unbounded_count : int;
 }
 
-let summary_of_scan ~name ~spec ~universe_bits ~target_k ~dmin =
+let summary_of_scan ~name ~spec ~universe_bits ~target_faults ~dmin =
   let z = Interval.z_of_confidence spec.Spec.confidence in
   let u = universe_float universe_bits in
   let samples = spec.Spec.samples in
@@ -229,7 +240,7 @@ let summary_of_scan ~name ~spec ~universe_bits ~target_k ~dmin =
     spec;
     universe_bits;
     strata_used = effective_strata ~spec ~universe_bits;
-    target_faults = Array.length target_k;
+    target_faults;
     untargeted_faults = total;
     percent_below;
     unbounded_count =
@@ -238,13 +249,12 @@ let summary_of_scan ~name ~spec ~universe_bits ~target_k ~dmin =
 
 let summary t =
   summary_of_scan ~name:t.name ~spec:t.spec ~universe_bits:t.universe_bits
-    ~target_k:t.target_k ~dmin:t.dmin
+    ~target_faults:(Array.length t.target_k) ~dmin:t.dmin
 
 type slice = {
   slice_lo : int;
   slice_hi : int;
   positions : int;
-  slice_target_k : int array;
   slice_target_sets : Bitvec.t array;
   slice_untargeted_sets : Bitvec.t array;
 }
@@ -258,7 +268,6 @@ let stratum_slice ?(cancel = Cancel.none) ~spec ~seed ~lo ~hi net =
     slice_lo = lo;
     slice_hi = hi;
     positions = Array.length vectors;
-    slice_target_k = Array.map Bitvec.count slice_target_sets;
     slice_target_sets;
     slice_untargeted_sets;
   }

@@ -9,7 +9,8 @@
       [s] sampled vectors detect [f];
     - [nmin(g) = min_f (N(f) - M(g,f)) + 1] is estimated through
       [dmin(g) = min over f with sampled M(g,f) > 0 of (k_f - m_gf)],
-      the sampled count of [|T(f) \ T(g)|]. Both Wilson endpoints are
+      the sampled count of [|T(f) \ T(g)|] — the worst-case [nmin]
+      of the sampled table minus one. Both Wilson endpoints are
       monotone nondecreasing in the success count for fixed trials, so
       the minimizing [dmin(g)] yields the point estimate and both
       interval endpoints at once — one scalar per untargeted fault.
@@ -60,9 +61,9 @@ val analyze :
   ?cancel:Ndetect_util.Cancel.token ->
   spec:Spec.t -> seed:int -> name:string -> Netlist.t -> t
 (** Draw the stratified sample, build the sampled detection table and
-    scan it. Fails (ordinary [Failure], caught by the supervised
-    harness) when the circuit has no inputs or more than
-    {!Sampler.max_inputs} of them. *)
+    {!scan} it. The result is identical for every [--domains] value. Fails
+    (ordinary [Failure], caught by the supervised harness) when the
+    circuit has no inputs or more than {!Sampler.max_inputs} of them. *)
 
 val name : t -> string
 val spec : t -> Spec.t
@@ -70,6 +71,19 @@ val seed : t -> int
 val universe_bits : t -> int
 val table : t -> Detection_table.t
 (** The sampled table ([universe = spec.samples]). *)
+
+val dmin : t -> int -> int
+(** [dmin(g_j)]: the sampled [|T(f) \ T(g_j)|] of the minimizing target
+    [f], i.e. the sampled table's [nmin(g_j) - 1]; [-1] when no sampled
+    target set meets [T(g_j)]. *)
+
+val debug_corrupt_scan : bool ref
+(** Test-only sabotage hook: when set, {!analyze} scans with the first
+    target's set replaced by that of the first nonempty untargeted set
+    no nonempty target set fits inside (the table itself stays intact),
+    so that fault's [dmin] comes out [0] instead of its true value.
+    The differential campaign ([ndetect check --mutate]) must catch
+    this. Always [false] in production. *)
 
 val target_interval : t -> int -> float * float * float
 (** [(lo, point, hi)] for [N(f_i)] on the count scale [0, 2^PI]. *)
@@ -86,19 +100,20 @@ val hard_faults : t -> nmax:int -> int array
 
 (** {2 The shared scan}
 
-    [scan_sets] is the single source of truth for the estimator's
-    reduction: {!analyze} runs it on the freshly built table and the
-    campaign merge runs it on reassembled set slices, so the two paths
-    agree by construction. *)
+    [scan] is the estimator's one reduction: {!analyze} runs it on the
+    freshly built table and the campaign merge on reassembled set
+    slices, so the two agree by construction. *)
 
-val scan_sets :
+val scan :
   ?cancel:Ndetect_util.Cancel.token ->
   target_sets:Bitvec.t array -> untargeted_sets:Bitvec.t array -> unit ->
-  int array * int array
-(** [(target_k, dmin)]: per-target sampled detection counts, and per
-    untargeted fault [min over f with m_gf > 0 of (k_f - m_gf)] with
-    [-1] when no target set intersects. Sequential by design — the
-    sampled table is small, and a loop with no scheduling is trivially
+  int array
+(** [dmin] per untargeted set: [min over f with m_gf > 0 of
+    (k_f - m_gf)], or [-1] when no target set intersects. Over the
+    sample this is the worst-case [nmin(g) - 1], so it runs the
+    worst-case scanner ({!Ndetect_core.Worst_case.nmin_of_sets}: dedup,
+    N-ascending early exit, blocked kernel) inside an [est.scan] span.
+    A pure read, parallel over distinct untargeted sets; the result is
     identical for every [--domains] value. *)
 
 (** {2 Summaries} *)
@@ -122,10 +137,11 @@ type summary = {
 }
 
 val summary_of_scan :
-  name:string -> spec:Spec.t -> universe_bits:int ->
-  target_k:int array -> dmin:int array -> summary
-(** The summary from bare scan output — the form the campaign merge
-    uses; [summary] of an analysis equals it field for field. *)
+  name:string -> spec:Spec.t -> universe_bits:int -> target_faults:int ->
+  dmin:int array -> summary
+(** The summary from bare {!scan} output — the form the campaign merge
+    uses on reassembled slices; [summary] of an analysis equals it field
+    for field. *)
 
 val summary : t -> summary
 
@@ -135,7 +151,6 @@ type slice = {
   slice_lo : int;
   slice_hi : int;  (** The stratum range this slice covers. *)
   positions : int;  (** Vectors drawn — [sum (allocation lo..hi-1)]. *)
-  slice_target_k : int array;
   slice_target_sets : Bitvec.t array;
   slice_untargeted_sets : Bitvec.t array;
 }

@@ -36,13 +36,10 @@ let z_of_confidence confidence =
     invalid_arg "Interval.z_of_confidence: confidence outside (0, 1)";
   inv_norm_cdf ((1.0 +. confidence) /. 2.0)
 
-let check_counts fn ~trials ~successes =
-  if trials <= 0 then invalid_arg (fn ^ ": trials must be positive");
-  if successes < 0 || successes > trials then
-    invalid_arg (fn ^ ": successes outside [0, trials]")
-
 let wilson ~z ~trials ~successes =
-  check_counts "Interval.wilson" ~trials ~successes;
+  if trials <= 0 then invalid_arg "Interval.wilson: trials must be positive";
+  if successes < 0 || successes > trials then
+    invalid_arg "Interval.wilson: successes outside [0, trials]";
   let s = float_of_int trials in
   let p_hat = float_of_int successes /. s in
   let z2 = z *. z in
@@ -58,104 +55,5 @@ let wilson ~z ~trials ~successes =
   let lo = if successes = 0 then 0.0 else Float.max 0.0 (center -. half) in
   let hi =
     if successes = trials then 1.0 else Float.min 1.0 (center +. half)
-  in
-  (lo, hi)
-
-(* Lanczos log-gamma (g = 7, 9 terms) — feeds the incomplete-beta
-   prefactor. Accurate to ~1e-13 over the arguments used here (shape
-   parameters are sample counts, so >= 1 after the reflection). *)
-let rec log_gamma x =
-  if x < 0.5 then
-    (* Reflection formula keeps the series in its accurate range. *)
-    log (Float.pi /. sin (Float.pi *. x)) -. log_gamma (1.0 -. x)
-  else
-    let c =
-      [|
-        0.99999999999980993; 676.5203681218851; -1259.1392167224028;
-        771.32342877765313; -176.61502916214059; 12.507343278686905;
-        -0.13857109526572012; 9.9843695780195716e-6; 1.5056327351493116e-7;
-      |]
-    in
-    let x = x -. 1.0 in
-    let acc = ref c.(0) in
-    for i = 1 to 8 do
-      acc := !acc +. (c.(i) /. (x +. float_of_int i))
-    done;
-    let t = x +. 7.5 in
-    (0.5 *. log (2.0 *. Float.pi))
-    +. ((x +. 0.5) *. log t)
-    -. t
-    +. log !acc
-
-(* Continued fraction for the regularized incomplete beta (Lentz's
-   method, the Numerical Recipes recurrence). Converges in a few dozen
-   iterations for the arguments produced by Clopper-Pearson. *)
-let betacf a b x =
-  let fpmin = 1e-300 and eps = 3e-14 in
-  let qab = a +. b and qap = a +. 1.0 and qam = a -. 1.0 in
-  let c = ref 1.0 in
-  let d = ref (1.0 -. (qab *. x /. qap)) in
-  if Float.abs !d < fpmin then d := fpmin;
-  d := 1.0 /. !d;
-  let h = ref !d in
-  (try
-     for m = 1 to 300 do
-       let mf = float_of_int m in
-       let m2 = 2.0 *. mf in
-       let step aa =
-         d := 1.0 +. (aa *. !d);
-         if Float.abs !d < fpmin then d := fpmin;
-         c := 1.0 +. (aa /. !c);
-         if Float.abs !c < fpmin then c := fpmin;
-         d := 1.0 /. !d;
-         !d *. !c
-       in
-       h := !h *. step (mf *. (b -. mf) *. x /. ((qam +. m2) *. (a +. m2)));
-       let del =
-         step (-.(a +. mf) *. (qab +. mf) *. x /. ((a +. m2) *. (qap +. m2)))
-       in
-       h := !h *. del;
-       if Float.abs (del -. 1.0) < eps then raise Exit
-     done
-   with Exit -> ());
-  !h
-
-let reg_inc_beta a b x =
-  if x <= 0.0 then 0.0
-  else if x >= 1.0 then 1.0
-  else
-    let bt =
-      exp
-        (log_gamma (a +. b) -. log_gamma a -. log_gamma b +. (a *. log x)
-        +. (b *. log (1.0 -. x)))
-    in
-    (* Use the continued fraction on whichever side converges fast. *)
-    if x < (a +. 1.0) /. (a +. b +. 2.0) then bt *. betacf a b x /. a
-    else 1.0 -. (bt *. betacf b a (1.0 -. x) /. b)
-
-(* The regularized incomplete beta is strictly increasing in x, so the
-   quantile inverts by plain bisection: 80 halvings reach ~1e-24, well
-   past double precision. *)
-let inv_reg_inc_beta a b p =
-  let lo = ref 0.0 and hi = ref 1.0 in
-  for _ = 1 to 80 do
-    let mid = 0.5 *. (!lo +. !hi) in
-    if reg_inc_beta a b mid < p then lo := mid else hi := mid
-  done;
-  0.5 *. (!lo +. !hi)
-
-let clopper_pearson ~confidence ~trials ~successes =
-  check_counts "Interval.clopper_pearson" ~trials ~successes;
-  if not (confidence > 0.0 && confidence < 1.0) then
-    invalid_arg "Interval.clopper_pearson: confidence outside (0, 1)";
-  let alpha = 1.0 -. confidence in
-  let n = float_of_int trials and k = float_of_int successes in
-  let lo =
-    if successes = 0 then 0.0
-    else inv_reg_inc_beta k (n -. k +. 1.0) (alpha /. 2.0)
-  in
-  let hi =
-    if successes = trials then 1.0
-    else inv_reg_inc_beta (k +. 1.0) (n -. k) (1.0 -. (alpha /. 2.0))
   in
   (lo, hi)

@@ -4,9 +4,9 @@
     proportion: out of [trials] uniformly sampled test vectors,
     [successes] of them landed in some detection set. The interval of
     record is the Wilson score interval (good coverage at small
-    proportions, never escapes [0, 1]); the Clopper-Pearson exact
-    interval is provided as the conservative cross-check the unit tests
-    compare against. *)
+    proportions, never escapes [0, 1]); the exact Clopper-Pearson
+    interval the unit tests compare it against lives with the
+    calibration oracle ([Ndetect_check.Ref_estimate.clopper_pearson]). *)
 
 val z_of_confidence : float -> float
 (** Two-sided normal critical value: [z_of_confidence 0.95 = 1.959964...].
@@ -20,9 +20,3 @@ val wilson : z:float -> trials:int -> successes:int -> float * float
     [0 <= successes <= trials]. Both endpoints are monotone
     nondecreasing in [successes] for fixed [trials] — the property the
     estimator's min-over-targets reduction relies on. *)
-
-val clopper_pearson :
-  confidence:float -> trials:int -> successes:int -> float * float
-(** Exact (conservative) interval from the beta-quantile formulation,
-    computed with a Lentz continued-fraction regularized incomplete
-    beta and bisection inversion. Same preconditions as {!wilson}. *)

@@ -157,6 +157,13 @@ let create ~dir c =
 
 let open_existing ~dir =
   match read_campaign ~dir with
+  | Ok (Some c) when c.Spec.format_version <> Spec.format_version ->
+    (* Its results have another shape: never unmarshal them. *)
+    Error
+      (Printf.sprintf
+         "ledger at %s belongs to a different campaign (format v%d; this \
+          binary reads v%d)"
+         dir c.Spec.format_version Spec.format_version)
   | Ok (Some c) -> Ok (make ~dir c)
   | Ok None -> Error (Printf.sprintf "no campaign ledger at %s" dir)
   | Error e -> Error e

@@ -52,8 +52,9 @@ val create : dir:string -> Spec.campaign -> (t, string) result
 
 val open_existing : dir:string -> (t, string) result
 (** Open a ledger some coordinator already created ([Error] when
-    [campaign.rec] is missing or invalid). Workers use this; they never
-    write campaign or unit lists. *)
+    [campaign.rec] is missing or invalid, or was written under another
+    {!Spec.format_version}, whose result records have another shape).
+    Workers use this; they never write campaign or unit lists. *)
 
 val dir : t -> string
 val campaign : t -> Spec.campaign

@@ -25,8 +25,9 @@ let state_of ledger u =
 let of_circuit circuit (u : Spec.t) = Spec.circuit_of u = circuit
 
 (* Sampled campaigns: reassemble each circuit's detection-set slices in
-   stratum order and run the one shared scan ({!Estimate.scan_sets}), so
-   the merged summary is bit-identical to a single-process
+   stratum order and run the scan [Estimate.analyze] runs
+   ({!Estimate.scan}, the worst-case scanner over set arrays), so the
+   merged summary is bit-identical to a single-process
    [ndetect analyze --samples] of the same seed and spec. *)
 let merge_sampled c spec states poisoned_units =
   let entries = ref [] in
@@ -84,13 +85,12 @@ let merge_sampled c spec states poisoned_units =
                    (Array.length untargeted_sets)
                    info.target_faults info.untargeted)
             else
-              let target_k, dmin =
-                Estimate.scan_sets ~target_sets ~untargeted_sets ()
-              in
+              let dmin = Estimate.scan ~target_sets ~untargeted_sets () in
               entries :=
                 Paper_tables.Est_row
                   (Estimate.summary_of_scan ~name:circuit ~spec
-                     ~universe_bits:info.pi ~target_k ~dmin)
+                     ~universe_bits:info.pi ~target_faults:info.target_faults
+                     ~dmin)
                 :: !entries))
       | Some (Computed _) -> failed "plan unit carries a non-plan result")
     c.Spec.circuits;

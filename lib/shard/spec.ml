@@ -23,8 +23,9 @@ type campaign = {
 }
 
 (* v2: sampled-universe campaigns (samples/strata/confidence in the
-   record and stamp, [pi] in plan results, [Sample] units). *)
-let format_version = 2
+   record and stamp, [pi] in plan results, [Sample] units).
+   v3: [Sample] results no longer carry per-target counts. *)
+let format_version = 3
 
 let estimate_spec c =
   if c.samples = 0 then None

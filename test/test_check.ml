@@ -171,6 +171,35 @@ let test_mutate_campaign_catches_bug () =
       (Campaign.check_spec ~mutate:true spec <> []);
     Alcotest.(check bool) "divergence has a cell" true (d.Campaign.cell <> "")
 
+(* The sampled-scan self-test: with the scan input sabotaged
+   (Estimate.debug_corrupt_scan), the dmin cells alone must report it;
+   clean, they agree with the reference loop. *)
+let test_sampled_scan_mutation_caught () =
+  let rng = Ndetect_util.Rng.create ~seed:7 in
+  let nets =
+    List.init 6 (fun _ ->
+        let spec = Random_circuit.draw_spec rng ~max_inputs:5 ~max_gates:16 in
+        (spec.Random_circuit.seed, Random_circuit.of_spec spec))
+  in
+  List.iter
+    (fun (seed, net) ->
+      no_divergences "clean sampled scan" (Campaign.check_sampled ~seed net))
+    nets;
+  let caught =
+    List.concat_map
+      (fun (seed, net) -> Campaign.check_sampled ~mutate:true ~seed net)
+      nets
+  in
+  Alcotest.(check bool) "sabotaged scan caught" true (caught <> []);
+  Alcotest.(check bool)
+    "only dmin cells diverge" true
+    (List.for_all
+       (fun d -> String.starts_with ~prefix:"dmin(g" d.Campaign.cell)
+       caught);
+  Alcotest.(check bool)
+    "hook disarmed afterwards" false
+    !Ndetect_estimate.Estimate.debug_corrupt_scan
+
 (* Stem-engine self-test, same philosophy as --mutate: corrupt the
    critical-path sensitization words (complement every in-region rung)
    and the differential campaign must notice. Proves the campaign
@@ -260,6 +289,8 @@ let () =
             test_corrupt_target_set_is_local;
           Alcotest.test_case "corrupted sensitization is caught" `Quick
             test_corrupt_sensitization_caught;
+          Alcotest.test_case "sabotaged sampled scan is caught" `Quick
+            test_sampled_scan_mutation_caught;
           Alcotest.test_case "shrink rejects clean specs" `Quick
             test_shrink_requires_divergence;
         ] );

@@ -147,6 +147,80 @@ let prop_nmin_guarantee =
          done;
          !ok))
 
+(* Random set arrays shaped to reach every branch of the shared
+   scanner: lengths of 1, 61-65 (word edges) and a few thousand, empty
+   sets, duplicate rows (shared and copied), and |T(g)| on both sides
+   of the sparse threshold. Drawn from one seed so a failure prints
+   compactly. *)
+let random_set_arrays seed =
+  let st = Random.State.make [| seed |] in
+  let int bound = Random.State.int st bound in
+  let len =
+    match int 4 with
+    | 0 -> 1
+    | 1 | 2 -> 61 + int 5
+    | _ -> 2000 + int 2000
+  in
+  let fresh () =
+    let v = Bitvec.create len in
+    (match int 4 with
+    | 0 -> ()
+    | 1 ->
+      (* About the sparse threshold (64) once collisions are counted. *)
+      for _ = 1 to 60 + int 12 do
+        Bitvec.set v (int len)
+      done
+    | 2 ->
+      for _ = 1 to 1 + int 8 do
+        Bitvec.set v (int len)
+      done
+    | _ ->
+      let p = Random.State.float st 1.0 in
+      for i = 0 to len - 1 do
+        if Random.State.float st 1.0 < p then Bitvec.set v i
+      done);
+    v
+  in
+  let pool = ref [||] in
+  let draw _ =
+    if Array.length !pool > 0 && int 4 = 0 then
+      let v = !pool.(int (Array.length !pool)) in
+      if int 2 = 0 then v else Bitvec.copy v
+    else begin
+      let v = fresh () in
+      pool := Array.append !pool [| v |];
+      v
+    end
+  in
+  let target_sets = Array.init (int 30) draw in
+  let untargeted_sets = Array.init (int 30) draw in
+  (target_sets, untargeted_sets)
+
+let prop_nmin_of_sets_naive =
+  QCheck.Test.make ~name:"nmin_of_sets = naive double loop" ~count:300
+    (QCheck.make ~print:string_of_int QCheck.Gen.(int_bound 1_000_000))
+    (fun seed ->
+      let target_sets, untargeted_sets = random_set_arrays seed in
+      Worst_case.nmin_of_sets ~target_sets ~untargeted_sets ()
+      = Ndetect_check.Ref_worst.nmin_of_sets ~target_sets ~untargeted_sets)
+
+let prop_compute_is_nmin_of_sets =
+  QCheck.Test.make ~name:"compute = nmin_of_sets on the table's sets"
+    ~count:25 Helpers.circuit_arbitrary
+    (Helpers.apply_circuit (fun net ->
+         let table = Detection_table.build net in
+         Worst_case.distribution (Worst_case.compute table)
+         = Worst_case.nmin_of_sets
+             ~target_sets:
+               (Array.init
+                  (Detection_table.target_count table)
+                  (Detection_table.target_set table))
+             ~untargeted_sets:
+               (Array.init
+                  (Detection_table.untargeted_count table)
+                  (Detection_table.untargeted_set table))
+             ()))
+
 let prop_procedure1_sets_valid =
   QCheck.Test.make
     ~name:"Procedure 1 sets are n-detection test sets (Definition 1)"
@@ -471,6 +545,8 @@ let () =
           Alcotest.test_case "counters" `Quick test_worst_case_counters;
           Helpers.qcheck prop_nmin_adversarial_bound;
           Helpers.qcheck prop_nmin_guarantee;
+          Helpers.qcheck prop_nmin_of_sets_naive;
+          Helpers.qcheck prop_compute_is_nmin_of_sets;
         ] );
       ( "procedure1",
         [

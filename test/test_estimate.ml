@@ -62,15 +62,14 @@ let test_wilson_hand_values () =
 (* Clopper-Pearson 95% for 50/100 is (0.39832, 0.60168); for 0/n the
    upper endpoint is 1 - (alpha/2)^(1/n). *)
 let test_clopper_pearson_hand_values () =
-  let lo, hi = Interval.clopper_pearson ~confidence:0.95 ~trials:100 ~successes:50 in
+  let cp = Ref_estimate.clopper_pearson ~confidence:0.95 ~trials:100 in
+  let lo, hi = cp ~successes:50 in
   close "cp lo 50/100" 0.39832 lo;
   close "cp hi 50/100" 0.60168 hi;
-  let lo0, hi0 = Interval.clopper_pearson ~confidence:0.95 ~trials:100 ~successes:0 in
+  let lo0, hi0 = cp ~successes:0 in
   close "cp lo 0/100" 0.0 lo0;
   close "cp hi 0/100" (1.0 -. Float.exp (Float.log 0.025 /. 100.0)) hi0;
-  let lo1, hi1 =
-    Interval.clopper_pearson ~confidence:0.95 ~trials:100 ~successes:100
-  in
+  let lo1, hi1 = cp ~successes:100 in
   close "cp hi 100/100" 1.0 hi1;
   close "cp lo 100/100" (Float.exp (Float.log 0.025 /. 100.0)) lo1
 
@@ -82,7 +81,7 @@ let prop_intervals_sane =
       let z = Interval.z_of_confidence 0.95 in
       let wlo, whi = Interval.wilson ~z ~trials ~successes in
       let clo, chi =
-        Interval.clopper_pearson ~confidence:0.95 ~trials ~successes
+        Ref_estimate.clopper_pearson ~confidence:0.95 ~trials ~successes
       in
       let p = float_of_int successes /. float_of_int trials in
       0.0 <= wlo && wlo <= p && p <= whi && whi <= 1.0 && 0.0 <= clo
@@ -321,10 +320,11 @@ let test_slice_merge_identity () =
           cuts
       in
       let target_sets, untargeted_sets = Estimate.concat_slices ~spec slices in
-      let target_k, dmin = Estimate.scan_sets ~target_sets ~untargeted_sets () in
+      let dmin = Estimate.scan ~target_sets ~untargeted_sets () in
       let merged =
         Estimate.summary_of_scan ~name:"mc" ~spec
-          ~universe_bits:(Estimate.universe_bits e) ~target_k ~dmin
+          ~universe_bits:(Estimate.universe_bits e)
+          ~target_faults:(Array.length target_sets) ~dmin
       in
       Alcotest.(check bool) "merged summary identical" true
         (merged = Estimate.summary e))

@@ -153,6 +153,25 @@ let test_ledger_create_and_resume () =
         Alcotest.(check bool) "error names the mismatch" true
           (Helpers.contains_substring m "different campaign"))
 
+(* A directory written under the previous format (whose Sample results
+   carry another record shape) is refused, never read. *)
+let test_ledger_refuses_old_format () =
+  with_temp_dir (fun dir ->
+      let c =
+        Spec.make_campaign ~tier:Registry.Small ~circuits:[ "mc" ] ~seed:1
+          ~set_count:4 ~samples:64 ~strata:4 ()
+      in
+      let old = { c with Spec.format_version = Spec.format_version - 1 } in
+      ignore (Result.get_ok (Ledger.create ~dir old));
+      let refused label = function
+        | Ok _ -> Alcotest.failf "%s: old-format ledger accepted" label
+        | Error m ->
+          Alcotest.(check bool) (label ^ " names the mismatch") true
+            (Helpers.contains_substring m "different campaign")
+      in
+      refused "create" (Ledger.create ~dir c);
+      refused "open_existing" (Ledger.open_existing ~dir))
+
 let test_ledger_claim_exclusive () =
   with_temp_dir (fun dir ->
       let c = tiny_campaign () in
@@ -457,6 +476,8 @@ let () =
         [
           Alcotest.test_case "create and resume" `Quick
             test_ledger_create_and_resume;
+          Alcotest.test_case "old format refused" `Quick
+            test_ledger_refuses_old_format;
           Alcotest.test_case "claim exclusivity" `Quick
             test_ledger_claim_exclusive;
           Alcotest.test_case "result first wins" `Quick

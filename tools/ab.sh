@@ -1,0 +1,73 @@
+#!/usr/bin/env bash
+# A/B benchmark of this checkout against an earlier commit.
+#
+#   tools/ab.sh REV [--out DIR]
+#
+# Exports REV (the parent, side A) into a temporary directory with
+# `git archive`, then runs `bash e2ebench/run.sh --trace 0` for REV and
+# for this working tree (side B, uncommitted edits included) in
+# alternation: pair i uses seed i on both sides, odd pairs run A then B
+# and even pairs B then A (A, B, B, A, ...), so a slow spell of the
+# host lands on both sides. Every workload of BENCHMARK.json is
+# measured for 10 pairs of the benchmark's run_seconds, the fixed
+# shape a claimed gain is judged on. Last, e2ebench/compare.exe (built
+# from this tree) compares the two record sets under BENCHMARK.json;
+# its exit status is the script's. Records are kept in DIR/parent and
+# DIR/change (DIR defaults to a new temporary directory).
+set -euo pipefail
+
+usage() {
+  echo "usage: tools/ab.sh REV [--out DIR]" >&2
+  exit 2
+}
+
+root=$(cd "$(dirname "$0")/.." && pwd)
+cd "$root"
+
+pairs=10
+out=
+case $# in
+  1) rev=$1 ;;
+  3) [ "$2" = --out ] || usage; rev=$1; out=$3 ;;
+  *) usage ;;
+esac
+
+# BENCHMARK.json is one flat JSON object; sed is enough to read the two
+# fields used here.
+mapfile -t workloads < <(sed -n 's/.*"name": *"\([a-z0-9-]*\)", *"why".*/\1/p' BENCHMARK.json)
+seconds=$(sed -n 's/.*"run_seconds": *\([0-9.]*\).*/\1/p' BENCHMARK.json)
+
+commit=$(git rev-parse --verify "$rev^{commit}")
+[ -n "$out" ] || out=$(mktemp -d "${TMPDIR:-/tmp}/ndetect-ab.XXXXXX")
+parent_tree=$(mktemp -d "${TMPDIR:-/tmp}/ndetect-ab-tree.XXXXXX")
+trap 'rm -rf "$parent_tree"' EXIT
+mkdir -p "$out/parent" "$out/change"
+git archive "$commit" | tar -x -C "$parent_tree"
+
+echo "ab: parent $commit vs working tree; ${workloads[*]}; $pairs pairs of ${seconds}s runs; records in $out" >&2
+
+run() { # side tree workload seed
+  local json="$out/$1/$3-seed$4.json"
+  echo "ab: $1 $3 seed $4" >&2
+  # A run that fails still leaves its record (correct: false), which
+  # the comparator reports; a missing record is the error here.
+  bash "$2/e2ebench/run.sh" --workload "$3" --seed "$4" --seconds "$seconds" \
+    --trace 0 --json "$json" > /dev/null || true
+  [ -s "$json" ] || { echo "ab: $1 $3 seed $4 wrote no record" >&2; exit 1; }
+}
+
+for ((seed = 1; seed <= pairs; seed++)); do
+  for w in "${workloads[@]}"; do
+    if ((seed % 2 == 1)); then
+      run parent "$parent_tree" "$w" "$seed"
+      run change "$root" "$w" "$seed"
+    else
+      run change "$root" "$w" "$seed"
+      run parent "$parent_tree" "$w" "$seed"
+    fi
+  done
+done
+
+DUNE_CACHE=disabled dune build --root . --display quiet ./e2ebench/compare.exe 1>&2
+./_build/default/e2ebench/compare.exe --bench BENCHMARK.json \
+  "$out"/parent/*.json -- "$out"/change/*.json
