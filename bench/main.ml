@@ -135,26 +135,8 @@ let bench_sim_naive =
          let faults = Stuck.collapse net in
          ignore (Naive.stuck_detection_set net faults.(0))))
 
-(* Cold full-table builds pinned to each simulation strategy — the stem
-   engine's headline comparison: one differential propagation per
-   fanout-free region (members recovered by critical path tracing)
-   against one per fault. Strategy selection is two ref stores, noise
-   next to a whole table build. *)
-let bench_table_build strategy net_lazy circuit_name =
-  Test.make
-    ~name:(Printf.sprintf "table-build-%s(%s)" strategy circuit_name)
-    (Staged.stage (fun () ->
-         let net = Lazy.force net_lazy in
-         let saved = Ndetect_sim.Strategy.current_name () in
-         (match Ndetect_sim.Strategy.select strategy with
-         | Ok () -> ()
-         | Error message -> failwith message);
-         Fun.protect
-           ~finally:(fun () -> ignore (Ndetect_sim.Strategy.select saved))
-           (fun () -> ignore (Detection_table.build net))))
-
-(* Sampled-universe counterpart: the same circuit analyzed from 200
-   stratified random vectors instead of the full 2^PI enumeration.
+(* Sampled-universe table build: mc analyzed from 200 stratified
+   random vectors instead of the full 2^PI enumeration.
    Small circuits make sampling a constant-factor loss (the sample
    exceeds the universe); the payoff column is the wide-PI netlist in
    BENCH_PR10.json, where enumeration is infeasible. *)
@@ -214,39 +196,7 @@ let bench_partition =
            (Ndetect_core.Partition.analyze ~max_inputs:4 ~name:"mc"
               (Lazy.force mc_net))))
 
-(* Kernel micro-benches: the primitives under the worst-case scan. *)
-
-module Bitvec = Ndetect_util.Bitvec
 module Table_cache = Ndetect_harness.Table_cache
-
-let kernel_vectors =
-  lazy
-    (let len = 4096 in
-     let mk seed =
-       let v = Bitvec.create len in
-       let x = ref seed in
-       for i = 0 to len - 1 do
-         (* xorshift-ish; deterministic, roughly half-dense *)
-         x := (!x lxor (!x lsl 13)) land max_int;
-         x := !x lxor (!x lsr 7);
-         x := (!x lxor (!x lsl 17)) land max_int;
-         if !x land 1 = 1 then Bitvec.set v i
-       done;
-       v
-     in
-     (mk 0x9E3779B9, Array.init 64 (fun i -> mk (i + 1))))
-
-let bench_kernel_popcount =
-  Test.make ~name:"kernel-popcount(4096b)"
-    (Staged.stage (fun () ->
-         let probe, _ = Lazy.force kernel_vectors in
-         ignore (Bitvec.count probe)))
-
-let bench_kernel_inter_many =
-  Test.make ~name:"kernel-inter-many(64x4096b)"
-    (Staged.stage (fun () ->
-         let probe, targets = Lazy.force kernel_vectors in
-         ignore (Bitvec.inter_count_many probe targets)))
 
 (* Table cache: cold = fault-simulate and persist, warm = restore from
    disk through the zero-copy mmap path. Their ratio is the speedup
@@ -317,10 +267,6 @@ let all_benches =
       bench_encoding Encode.One_hot;
       bench_sim_parallel;
       bench_sim_naive;
-      bench_table_build "cone" mc_net "mc";
-      bench_table_build "stem" mc_net "mc";
-      bench_table_build "cone" dk27_net "dk27";
-      bench_table_build "stem" dk27_net "dk27";
       bench_table_build_sampled;
       bench_bridge_sim;
       bench_untargeted_model Detection_table.Four_way "four-way";
@@ -334,8 +280,6 @@ let all_benches =
       bench_defect_level;
       bench_dictionary;
       bench_partition;
-      bench_kernel_popcount;
-      bench_kernel_inter_many;
       bench_table_cache_cold;
       bench_table_cache_warm_mmap;
       bench_table_cache_warm_mmap_log;

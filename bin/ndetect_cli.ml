@@ -151,20 +151,6 @@ let domains_arg =
     & opt (some int) None
     & info [ "domains" ] ~docv:"N" ~doc:"Procedure-1 worker domains.")
 
-let kernel_backend_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "kernel-backend" ] ~docv:"NAME"
-        ~doc:"Intersection kernel backend (swar or c).")
-
-let sim_strategy_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "sim-strategy" ] ~docv:"NAME"
-        ~doc:"Fault-simulation strategy (cone or stem).")
-
 (* Sampled-universe mode, shared by analyze/average/campaign/client.
    The values always round-trip through [Driver.parse_args_result] (or
    [Driver.Options.universe] for the client), so the validation rules
@@ -199,16 +185,14 @@ let sample_args samples strata confidence =
   @ opt_args "--strata" (Option.map string_of_int strata)
   @ opt_args "--confidence" (Option.map (Printf.sprintf "%.17g") confidence)
 
-let analyze_run spec scheme timeout cache_dir domains kernel sim samples
-    strata confidence =
+let analyze_run spec scheme timeout cache_dir domains samples strata
+    confidence =
   api_run_exit ~spec ~scheme ~nmax:10
     ([ "--only"; "table2" ]
     @ opt_args "--timeout-per-circuit"
         (Option.map (Printf.sprintf "%g") timeout)
     @ opt_args "--table-cache" cache_dir
     @ opt_args "--domains" (Option.map string_of_int domains)
-    @ opt_args "--kernel-backend" kernel
-    @ opt_args "--sim-strategy" sim
     @ sample_args samples strata confidence)
 
 let analyze_cmd =
@@ -217,8 +201,8 @@ let analyze_cmd =
     (Cmd.info "analyze" ~doc)
     Term.(
       const analyze_run $ circuit_arg $ scheme_arg $ timeout_arg
-      $ table_cache_arg $ domains_arg $ kernel_backend_arg
-      $ sim_strategy_arg $ samples_arg $ strata_arg $ confidence_arg)
+      $ table_cache_arg $ domains_arg $ samples_arg $ strata_arg
+      $ confidence_arg)
 
 (* average *)
 
@@ -630,6 +614,10 @@ let check_run circuits seed max_pi mutate estimate samples confidence =
     if (not mutate) && caught then exit 1
   end
   else begin
+    (* The paper's small-tier circuits first, then the random campaign;
+       --mutate must be caught by both. *)
+    let suite = Campaign.check_suite ~mutate () in
+    print_string (Campaign.render_suite suite);
     let report =
       try Campaign.run ~mutate ~circuits ~seed ~max_pi ()
       with Invalid_argument message ->
@@ -637,13 +625,17 @@ let check_run circuits seed max_pi mutate estimate samples confidence =
         exit 2
     in
     print_string (Campaign.render report);
+    let suite_divergent = suite.Campaign.divergent <> [] in
     let divergent = report.Campaign.failures <> [] in
-    if mutate && not divergent then begin
+    if mutate && not (suite_divergent && divergent) then begin
       prerr_endline
-        "check --mutate: the injected bug was NOT caught (checker is broken)";
+        (Printf.sprintf
+           "check --mutate: the injected bug was NOT caught by the %s \
+            (checker is broken)"
+           (if suite_divergent then "random campaign" else "small-tier check"));
       exit 1
     end;
-    if (not mutate) && divergent then exit 1
+    if (not mutate) && (suite_divergent || divergent) then exit 1
   end
 
 let check_cmd =
@@ -664,8 +656,9 @@ let check_cmd =
       & info [ "mutate" ]
           ~doc:
             "Self-test: flip one bit of one optimized detection set per \
-             circuit (or bias the sampler under $(b,--estimate)) and \
-             require the checker to report it.")
+             circuit, small-tier and random alike (or bias the sampler \
+             under $(b,--estimate)), and require the checker to report \
+             it.")
   in
   let estimate =
     Arg.(
@@ -690,9 +683,11 @@ let check_cmd =
              default 0.95).")
   in
   let doc =
-    "Differential check: run the optimized analyses and a brute-force \
-     reference side by side on random circuits, diff every table cell, and \
-     shrink any divergence to a minimal reproducer."
+    "Differential check: rebuild every small-tier circuit's detection \
+     table against per-fault simulation and a reference popcount kernel, \
+     then run the optimized analyses and a brute-force reference side by \
+     side on random circuits, diff every table cell, and shrink any \
+     divergence to a minimal reproducer."
   in
   Cmd.v
     (Cmd.info "check" ~doc)

@@ -4,11 +4,13 @@ module Netlist = Ndetect_circuit.Netlist
 module Stuck = Ndetect_faults.Stuck
 module Bridge = Ndetect_faults.Bridge
 module Good = Ndetect_sim.Good
+module Fault_sim = Ndetect_sim.Fault_sim
 module Detection_table = Ndetect_core.Detection_table
 module Worst_case = Ndetect_core.Worst_case
 module Definition2 = Ndetect_core.Definition2
 module Procedure1 = Ndetect_core.Procedure1
 module Random_circuit = Ndetect_suite.Random_circuit
+module Registry = Ndetect_suite.Registry
 module Estimate = Ndetect_estimate.Estimate
 
 type divergence = { cell : string; expected : string; actual : string }
@@ -26,6 +28,15 @@ type report = {
 }
 
 let max_divergences = 20
+
+(* A divergence sink: keeps the first [max_divergences], counts all. *)
+let sink () =
+  let divs = ref [] and total = ref 0 in
+  let emit cell expected actual =
+    incr total;
+    if !total <= max_divergences then divs := { cell; expected; actual } :: !divs
+  in
+  (emit, fun () -> (List.rev !divs, !total))
 
 (* The replay config: small on purpose — every quantity is compared
    cell by cell, so a handful of sets over a few iterations already
@@ -83,11 +94,7 @@ let check_sampled ?(mutate = false) ~seed net =
           expected))
 
 let check_net_counted ?(mutate = false) ?proc_mode ~seed net =
-  let divs = ref [] and total = ref 0 in
-  let emit cell expected actual =
-    incr total;
-    if !total <= max_divergences then divs := { cell; expected; actual } :: !divs
-  in
+  let emit, result = sink () in
   let check_int cell ~expected ~actual =
     if expected <> actual then
       emit cell (string_of_int expected) (string_of_int actual)
@@ -296,7 +303,7 @@ let check_net_counted ?(mutate = false) ?proc_mode ~seed net =
   List.iter
     (fun d -> emit d.cell d.expected d.actual)
     (check_sampled ~mutate ~seed net);
-  (List.rev !divs, !total)
+  result ()
 
 let check_net ?mutate ?proc_mode ~seed net =
   fst (check_net_counted ?mutate ?proc_mode ~seed net)
@@ -362,6 +369,155 @@ let run ?(mutate = false) ~circuits ~seed ~max_pi () =
     | { spec; _ } :: _ -> Some (shrink ~mutate spec)
   in
   { circuits_run = circuits; failures; reproducer }
+
+(* {2 Small-tier sweep} *)
+
+type circuit_failure = {
+  circuit : string;
+  first : divergence list;
+  count : int;
+}
+
+type suite_report = { checked : int; divergent : circuit_failure list }
+
+let check_table ?(mutate = false) ~site net =
+  let emit, result = sink () in
+  let check_int cell ~expected ~actual =
+    if expected <> actual then
+      emit cell (string_of_int expected) (string_of_int actual)
+  in
+  (* A set divergence is reported by its lowest differing vector. *)
+  let check_set cell ~expected ~actual =
+    if not (Bitvec.equal expected actual) then begin
+      let differ =
+        Bitvec.union (Bitvec.diff expected actual) (Bitvec.diff actual expected)
+      in
+      let v = Option.get (Bitvec.choose differ) in
+      let side set = if Bitvec.get set v then "in" else "out" in
+      emit cell
+        (Printf.sprintf "vector %d %s" v (side expected))
+        (Printf.sprintf "vector %d %s" v (side actual))
+    end
+  in
+  let table = Detection_table.build net in
+  if mutate then begin
+    let tcount = Detection_table.target_count table in
+    if tcount > 0 then
+      Detection_table.corrupt_target_set table ~fi:(site mod tcount)
+        ~vector:(site mod Detection_table.universe table)
+  end;
+  (* The reference: every fault of the paper's two lists simulated on
+     its own cone, the undetectable ones dropped as the table drops
+     them. *)
+  let good = Good.compute net in
+  let detected sim faults =
+    Array.of_list
+      (List.filter_map
+         (fun f ->
+           let set = sim good f in
+           if Bitvec.is_empty set then None else Some (f, set))
+         (Array.to_list faults))
+  in
+  let targets = detected Fault_sim.stuck_detection_set (Stuck.collapse net) in
+  let bridges =
+    detected Fault_sim.bridge_detection_set (Bridge.enumerate net)
+  in
+  let f_count = Array.length targets and g_count = Array.length bridges in
+  check_int "targets kept" ~expected:f_count
+    ~actual:(Detection_table.target_count table);
+  check_int "untargeted kept" ~expected:g_count
+    ~actual:(Detection_table.untargeted_count table);
+  if
+    f_count = Detection_table.target_count table
+    && g_count = Detection_table.untargeted_count table
+  then begin
+    let ns = Array.map (fun (_, set) -> Ref_kernel.count set) targets in
+    (* nmin(g) = min over f with M(g, f) > 0 of N(f) - M(g, f) + 1,
+       every pair counted by the reference kernel. It depends on T(g)
+       alone, so each distinct set is scanned once (bridges share sets
+       about tenfold on these circuits). *)
+    let ref_nmin = Bitvec.Tbl.create 256 in
+    let nmin_of tg =
+      match Bitvec.Tbl.find_opt ref_nmin tg with
+      | Some best -> best
+      | None ->
+        let best = ref Ref_worst.unbounded in
+        Array.iteri
+          (fun fi (_, tf) ->
+            let m = Ref_kernel.inter_count tf tg in
+            if m > 0 then best := min !best (ns.(fi) - m + 1))
+          targets;
+        Bitvec.Tbl.replace ref_nmin tg !best;
+        !best
+    in
+    Array.iteri
+      (fun fi (f, set) ->
+        let actual = Detection_table.target_fault table fi in
+        if not (Stuck.equal f actual) then
+          emit
+            (Printf.sprintf "target fault f%d" fi)
+            (Stuck.to_string net f) (Stuck.to_string net actual);
+        check_set
+          (Printf.sprintf "T(f%d)" fi)
+          ~expected:set
+          ~actual:(Detection_table.target_set table fi);
+        check_int
+          (Printf.sprintf "N(f%d)" fi)
+          ~expected:ns.(fi)
+          ~actual:(Detection_table.target_n table fi))
+      targets;
+    let wc = Worst_case.compute table in
+    Array.iteri
+      (fun gj (g, tg) ->
+        (match Detection_table.untargeted_fault table gj with
+        | Detection_table.Bridge_fault b when Bridge.equal b g -> ()
+        | Detection_table.Bridge_fault b ->
+          emit
+            (Printf.sprintf "untargeted fault g%d" gj)
+            (Bridge.to_string net g) (Bridge.to_string net b)
+        | Detection_table.Wired_fault _ ->
+          emit
+            (Printf.sprintf "untargeted fault g%d" gj)
+            (Bridge.to_string net g) "wired fault");
+        check_set
+          (Printf.sprintf "T(g%d)" gj)
+          ~expected:tg
+          ~actual:(Detection_table.untargeted_set table gj);
+        check_int
+          (Printf.sprintf "nmin(g%d)" gj)
+          ~expected:(nmin_of tg) ~actual:(Worst_case.nmin wc gj))
+      bridges
+  end;
+  result ()
+
+let check_suite ?mutate () =
+  let entries = Registry.of_tier Registry.Small in
+  let divergent =
+    List.concat
+      (List.mapi
+         (fun site (entry : Registry.entry) ->
+           match check_table ?mutate ~site (Registry.circuit entry) with
+           | [], _ -> []
+           | first, count -> [ { circuit = entry.Registry.name; first; count } ])
+         entries)
+  in
+  { checked = List.length entries; divergent }
+
+let render_suite r =
+  let b = Buffer.create 256 in
+  Printf.bprintf b "small-tier check: %d circuit(s), %d divergent\n"
+    r.checked (List.length r.divergent);
+  List.iter
+    (fun f ->
+      Printf.bprintf b "FAIL %s: %d divergence(s)\n" f.circuit f.count;
+      List.iteri
+        (fun i d ->
+          if i < 5 then
+            Printf.bprintf b "  %s: reference=%s optimized=%s\n" d.cell
+              d.expected d.actual)
+        f.first)
+    r.divergent;
+  Buffer.contents b
 
 let render r =
   let b = Buffer.create 1024 in

@@ -77,3 +77,36 @@ val run :
 val render : report -> string
 (** Human-readable summary (campaign size, each failing spec with its
     first divergences, the shrunk reproducer). *)
+
+(** {2 Small-tier sweep}
+
+    The paper's own small-tier circuits ({!Ndetect_suite.Registry.of_tier}
+    [Small]), through the production table build (batched stem-region
+    simulation, C kernel) against the per-fault references: each kept
+    fault and detection set against {!Ndetect_sim.Fault_sim.stuck_detection_set}
+    / {!Ndetect_sim.Fault_sim.bridge_detection_set}, each [N(f)]
+    against {!Ref_kernel.count} of the reference set, and each
+    [nmin(g)] of {!Ndetect_core.Worst_case.compute} against a double
+    loop of {!Ref_kernel} counts over the reference sets. [ndetect
+    check] runs it before the random campaign. *)
+
+type circuit_failure = {
+  circuit : string;  (** Registry name. *)
+  first : divergence list;  (** First {!max_divergences} found. *)
+  count : int;  (** Total, including truncated ones. *)
+}
+
+type suite_report = {
+  checked : int;  (** Circuits swept. *)
+  divergent : circuit_failure list;  (** In registry order. *)
+}
+
+val check_suite : ?mutate:bool -> unit -> suite_report
+(** Sweep every small-tier circuit. [mutate] flips one bit of one
+    target set of every table right after it is built
+    ({!Ndetect_core.Detection_table.corrupt_target_set}), which the
+    sweep must report. *)
+
+val render_suite : suite_report -> string
+(** Human-readable summary: circuits swept, each divergent circuit with
+    its first divergences. *)

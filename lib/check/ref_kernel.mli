@@ -1,0 +1,27 @@
+(** Reference for the C popcount kernel ({!Ndetect_util.Kernel}): the
+    same counts as the {!Ndetect_util.Bitvec} bulk operations, computed
+    by a pure-OCaml SWAR word loop over the same words: no C, no SIMD,
+    no early exit. [test/test_util.ml]
+    compares every {!Ndetect_util.Bitvec} count against it, and
+    {!Campaign.check_suite} recounts every [N(f)] and [nmin(g)] of the
+    small-tier tables with it. *)
+
+module Bitvec = Ndetect_util.Bitvec
+
+val count : Bitvec.t -> int
+(** [|a|], as {!Bitvec.count}. *)
+
+val inter_count : Bitvec.t -> Bitvec.t -> int
+(** [|a ∩ b|], as {!Bitvec.inter_count}. Raises [Invalid_argument] on a
+    length mismatch. *)
+
+val inter_count_upto : limit:int -> Bitvec.t -> Bitvec.t -> int
+(** [min |a ∩ b| limit], as {!Bitvec.inter_count_upto}. *)
+
+val inter_count_many : Bitvec.t -> Bitvec.t array -> int array
+(** One {!inter_count} per target, as {!Bitvec.inter_count_many}. *)
+
+val blocked_inter_counts_into :
+  Bitvec.Blocked.t -> block:int -> Bitvec.t -> int array -> int
+(** As {!Bitvec.Blocked.inter_counts_into}, read straight from the
+    packed buffer ({!Bitvec.Blocked.raw}) by the layout's offsets. *)

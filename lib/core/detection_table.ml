@@ -69,9 +69,8 @@ let build ?(keep_undetectable_targets = false)
   let universe = Good.universe good in
   let stuck_list = if collapse then Stuck.collapse net else Stuck.all net in
   (* Simulation and finalization are profiled separately: "table.sim"
-     is where the strategy choice (cone vs stem) shows up, while
-     "table.finalize" covers the undetectable filtering and set
-     dedup/sharing that cost the same either way. *)
+     is the fault simulation, while "table.finalize" covers the
+     undetectable filtering and set dedup/sharing. *)
   let stuck_sets, (all_untargeted, all_sets) =
     Telemetry.with_span "table.sim" @@ fun () ->
     let stuck_sets =

@@ -42,8 +42,6 @@ let make_scanner ~tally cancel (layout : Detection_table.target_layout)
   let blocked = layout.blocked in
   let block_size = Bitvec.Blocked.block_size blocked in
   let block_count = Bitvec.Blocked.block_count blocked in
-  (* Kernel backend resolved once per scanner, not per block sweep. *)
-  let sweep = Bitvec.Blocked.scanner blocked in
   let early_exit () = if tally then Telemetry.Counter.incr c_early_exits in
   let add_kernels k = if tally then Telemetry.Counter.add c_kernel_calls k in
   (* Per-untargeted-set scans are independent pure reads, so they run on
@@ -97,7 +95,9 @@ let make_scanner ~tally cancel (layout : Detection_table.target_layout)
         end
         else begin
           incr kernels;
-          let k = sweep ~block:!block tg counts in
+          let k =
+            Bitvec.Blocked.inter_counts_into blocked ~block:!block tg counts
+          in
           for r = 0 to k - 1 do
             let m = counts.(r) in
             if m > 0 && row_n.(base + r) - m + 1 < !best then begin

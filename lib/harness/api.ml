@@ -9,8 +9,6 @@ module Paper_tables = Ndetect_report.Paper_tables
 module Supervise = Ndetect_util.Supervise
 module Telemetry = Ndetect_util.Telemetry
 module Cancel = Ndetect_util.Cancel
-module Kernel = Ndetect_util.Kernel
-module Strategy = Ndetect_sim.Strategy
 module Encode = Ndetect_synth.Encode
 module Kiss2 = Ndetect_netparse.Kiss2
 module Bench_format = Ndetect_netparse.Bench_format
@@ -35,15 +33,13 @@ module Request = struct
     seed : int;
     scheme : Encode.scheme;
     domains : int option;
-    kernel_backend : string option;
-    sim_strategy : string option;
     cache_dir : string option;
     deadline : float option;
   }
 
   let make ?(sections = [ Worst ]) ?(universe = Exhaustive) ?(k = 1000)
       ?(k2 = 200) ?(nmax = 10) ?(seed = 1) ?(scheme = Encode.Binary) ?domains
-      ?kernel_backend ?sim_strategy ?cache_dir ?deadline ~label source =
+      ?cache_dir ?deadline ~label source =
     {
       label;
       source;
@@ -55,8 +51,6 @@ module Request = struct
       seed;
       scheme;
       domains;
-      kernel_backend;
-      sim_strategy;
       cache_dir;
       deadline;
     }
@@ -99,8 +93,6 @@ module Request = struct
         ("seed", Rpc.Int t.seed);
         ("scheme", Rpc.Str (Encode.to_string t.scheme));
         ("domains", opt_int t.domains);
-        ("kernel_backend", opt_str t.kernel_backend);
-        ("sim_strategy", opt_str t.sim_strategy);
         ("cache_dir", opt_str t.cache_dir);
         ("deadline", opt_float t.deadline);
         (* Null for the exhaustive default, so every pre-sampling
@@ -141,6 +133,15 @@ module Request = struct
       | Some Rpc.Null | None -> Ok None
       | Some _ ->
         Error (Printf.sprintf "request field %S must be a string or null" name)
+    in
+    let legacy_field name ~runs =
+      match field name with
+      | Some Rpc.Null | None -> Ok ()
+      | Some (Rpc.Str s) when String.equal s runs -> Ok ()
+      | Some v ->
+        Error
+          (Printf.sprintf "request field %S: only %S is supported, got %s" name
+             runs (Rpc.to_string v))
     in
     let* label = str_field "label" in
     let* source =
@@ -198,8 +199,11 @@ module Request = struct
         | Some _ | None ->
           Error "request field \"domains\" must be an integer >= 1")
     in
-    let* kernel_backend = opt_str_field "kernel_backend" in
-    let* sim_strategy = opt_str_field "sim_strategy" in
+    (* Clients from before the one-kernel runtime may still name the
+       kernel and the simulation strategy; only the ones that run are
+       accepted. *)
+    let* () = legacy_field "kernel_backend" ~runs:"c" in
+    let* () = legacy_field "sim_strategy" ~runs:"stem" in
     let* cache_dir = opt_str_field "cache_dir" in
     let* deadline =
       match field "deadline" with
@@ -250,8 +254,6 @@ module Request = struct
           seed;
           scheme;
           domains;
-          kernel_backend;
-          sim_strategy;
           cache_dir;
           deadline;
         }
@@ -373,17 +375,6 @@ let table_builder ~cache_dir =
     (fun dir -> fun ~cancel net -> Table_cache.table ~dir ~cancel net)
     cache_dir
 
-let select_runtime (req : Request.t) =
-  let ( let* ) = Result.bind in
-  let* () =
-    match req.kernel_backend with
-    | None -> Ok ()
-    | Some name -> Kernel.select name
-  in
-  match req.sim_strategy with
-  | None -> Ok ()
-  | Some name -> Strategy.select name
-
 (* What the [analyze] unit produced: the exhaustive analysis or the
    sampled estimate. Either way the average-case sections run Procedure 1
    over the unit's detection table (sampled tables run it unchanged —
@@ -391,170 +382,167 @@ let select_runtime (req : Request.t) =
 type computed = Exact of Analysis.t | Sampled_est of Estimate.t
 
 let run ?build (req : Request.t) =
-  match select_runtime req with
+  match load_source ~scheme:req.scheme req.source with
   | Error message -> Error message
-  | Ok () -> (
-    match load_source ~scheme:req.scheme req.source with
-    | Error message -> Error message
-    | Ok net ->
-      let before = Telemetry.counters () in
-      let failures = ref [] in
-      let name = req.Request.label in
-      (* Same supervised-unit shape (and injection sites) as the
-         reproduction driver, so --inject specs written against the
-         driver hit the service path unchanged. *)
-      let supervised ~label ~site f =
-        let result =
-          Supervise.run ?deadline:req.Request.deadline ~retries:2
-            (fun cancel ->
-              Telemetry.with_span label
-                ~args:[ ("site", site) ]
-                (fun () ->
-                  Supervise.inject ~cancel site;
-                  f cancel))
-        in
-        (match result with
-        | Error failure -> failures := (label, failure) :: !failures
-        | Ok _ -> ());
-        result
+  | Ok net ->
+    let before = Telemetry.counters () in
+    let failures = ref [] in
+    let name = req.Request.label in
+    (* Same supervised-unit shape (and injection sites) as the
+       reproduction driver, so --inject specs written against the
+       driver hit the service path unchanged. *)
+    let supervised ~label ~site f =
+      let result =
+        Supervise.run ?deadline:req.Request.deadline ~retries:2
+          (fun cancel ->
+            Telemetry.with_span label
+              ~args:[ ("site", site) ]
+              (fun () ->
+                Supervise.inject ~cancel site;
+                f cancel))
       in
-      let build =
-        match build with
-        | Some _ as b -> b
-        | None -> table_builder ~cache_dir:req.Request.cache_dir
-      in
-      let analysis =
-        lazy
-          (supervised ~label:("analyze " ^ name) ~site:("analyze:" ^ name)
-             (fun cancel ->
-               match req.Request.universe with
-               | Request.Exhaustive ->
-                 Exact (Analysis.analyze ?build ~cancel ~name net)
-               | Request.Sampled spec ->
-                 (* The sampled table depends on spec and seed, not just
-                    the netlist, so it never goes through the table
-                    cache — the build is cheap by construction. *)
-                 Sampled_est
-                   (Estimate.analyze ~cancel ~spec ~seed:req.Request.seed
-                      ~name net)))
-      in
-      (* The hard-fault population is shared by both average sections;
-         computing it is cheap once the analysis exists. *)
-      let hard =
-        lazy
-          (match Lazy.force analysis with
-          | Error _ -> None
-          | Ok (Exact a) ->
-            Some
-              (a.Analysis.table, Analysis.hard_faults a ~nmax:req.Request.nmax)
-          | Ok (Sampled_est e) ->
-            Some (Estimate.table e, Estimate.hard_faults e ~nmax:req.Request.nmax))
-      in
-      let procedure1 ~set_count mode table hard cancel =
-        Procedure1.run ~cancel ?domains:req.Request.domains
-          ~report_faults:hard table
-          {
-            Procedure1.seed = req.Request.seed;
-            set_count;
-            nmax = req.Request.nmax;
-            mode;
-          }
-      in
-      let section_rows = function
-        | Request.Worst -> (
-          match Lazy.force analysis with
-          | Ok (Exact a) ->
-            Response.Worst_rows [ Paper_tables.Row a.Analysis.summary ]
-          | Ok (Sampled_est e) ->
+      (match result with
+      | Error failure -> failures := (label, failure) :: !failures
+      | Ok _ -> ());
+      result
+    in
+    let build =
+      match build with
+      | Some _ as b -> b
+      | None -> table_builder ~cache_dir:req.Request.cache_dir
+    in
+    let analysis =
+      lazy
+        (supervised ~label:("analyze " ^ name) ~site:("analyze:" ^ name)
+           (fun cancel ->
+             match req.Request.universe with
+             | Request.Exhaustive ->
+               Exact (Analysis.analyze ?build ~cancel ~name net)
+             | Request.Sampled spec ->
+               (* The sampled table depends on spec and seed, not just
+                  the netlist, so it never goes through the table
+                  cache — the build is cheap by construction. *)
+               Sampled_est
+                 (Estimate.analyze ~cancel ~spec ~seed:req.Request.seed
+                    ~name net)))
+    in
+    (* The hard-fault population is shared by both average sections;
+       computing it is cheap once the analysis exists. *)
+    let hard =
+      lazy
+        (match Lazy.force analysis with
+        | Error _ -> None
+        | Ok (Exact a) ->
+          Some
+            (a.Analysis.table, Analysis.hard_faults a ~nmax:req.Request.nmax)
+        | Ok (Sampled_est e) ->
+          Some (Estimate.table e, Estimate.hard_faults e ~nmax:req.Request.nmax))
+    in
+    let procedure1 ~set_count mode table hard cancel =
+      Procedure1.run ~cancel ?domains:req.Request.domains
+        ~report_faults:hard table
+        {
+          Procedure1.seed = req.Request.seed;
+          set_count;
+          nmax = req.Request.nmax;
+          mode;
+        }
+    in
+    let section_rows = function
+      | Request.Worst -> (
+        match Lazy.force analysis with
+        | Ok (Exact a) ->
+          Response.Worst_rows [ Paper_tables.Row a.Analysis.summary ]
+        | Ok (Sampled_est e) ->
+          Response.Est_rows
+            {
+              confidence = (Estimate.spec e).Estimate.Spec.confidence;
+              entries = [ Paper_tables.Est_row (Estimate.summary e) ];
+            }
+        | Error failure -> (
+          let reason = Supervise.describe failure in
+          match req.Request.universe with
+          | Request.Exhaustive ->
+            Response.Worst_rows
+              [ Paper_tables.Failed_row { circuit = name; reason } ]
+          | Request.Sampled spec ->
             Response.Est_rows
               {
-                confidence = (Estimate.spec e).Estimate.Spec.confidence;
-                entries = [ Paper_tables.Est_row (Estimate.summary e) ];
-              }
-          | Error failure -> (
-            let reason = Supervise.describe failure in
-            match req.Request.universe with
-            | Request.Exhaustive ->
-              Response.Worst_rows
-                [ Paper_tables.Failed_row { circuit = name; reason } ]
-            | Request.Sampled spec ->
-              Response.Est_rows
-                {
-                  confidence = spec.Estimate.Spec.confidence;
-                  entries =
-                    [ Paper_tables.Est_failed_row { circuit = name; reason } ];
-                }))
-        | Request.Average -> (
-          let nmax = req.Request.nmax and k = req.Request.k in
-          match Lazy.force hard with
-          | None -> Response.Average_rows { nmax; k; rows = None }
-          | Some (_, [||]) -> Response.Average_rows { nmax; k; rows = Some [] }
-          | Some (table, hard) -> (
-            match
-              supervised ~label:("procedure1 " ^ name)
-                ~site:("table5:" ^ name)
-                (procedure1 ~set_count:k Procedure1.Definition1 table hard)
-            with
-            | Error _ -> Response.Average_rows { nmax; k; rows = None }
-            | Ok outcome ->
-              Response.Average_rows
-                {
-                  nmax;
-                  k;
-                  rows =
-                    Some
-                      [
-                        {
-                          Paper_tables.circuit = name;
-                          hard_faults = Array.length hard;
-                          row = Average_case.summarize outcome ~n:nmax;
-                        };
-                      ];
-                }))
-        | Request.Average_def2 -> (
-          let nmax = req.Request.nmax and k2 = req.Request.k2 in
-          match Lazy.force hard with
-          | None -> Response.Def2_rows { nmax; k2; rows = None }
-          | Some (_, [||]) -> Response.Def2_rows { nmax; k2; rows = Some [] }
-          | Some (table, hard) -> (
-            match
-              supervised
-                ~label:("procedure1-def2 " ^ name)
-                ~site:("table6:" ^ name)
-                (fun cancel ->
-                  let def1 =
-                    procedure1 ~set_count:k2 Procedure1.Definition1 table hard
-                      cancel
-                  in
-                  let def2 =
-                    procedure1 ~set_count:k2 Procedure1.Definition2 table hard
-                      cancel
-                  in
-                  (def1, def2))
-            with
-            | Error _ -> Response.Def2_rows { nmax; k2; rows = None }
-            | Ok (def1, def2) ->
-              Response.Def2_rows
-                {
-                  nmax;
-                  k2;
-                  rows =
-                    Some
-                      [
-                        ( name,
-                          Array.length hard,
-                          Average_case.summarize def1 ~n:nmax,
-                          Average_case.summarize def2 ~n:nmax );
-                      ];
-                }))
-      in
-      let sections =
-        List.map (fun s -> (s, section_rows s)) req.Request.sections
-      in
-      Ok
-        {
-          Response.label = name;
-          sections;
-          failures = List.rev !failures;
-          counters = Telemetry.delta ~before ~after:(Telemetry.counters ());
-        })
+                confidence = spec.Estimate.Spec.confidence;
+                entries =
+                  [ Paper_tables.Est_failed_row { circuit = name; reason } ];
+              }))
+      | Request.Average -> (
+        let nmax = req.Request.nmax and k = req.Request.k in
+        match Lazy.force hard with
+        | None -> Response.Average_rows { nmax; k; rows = None }
+        | Some (_, [||]) -> Response.Average_rows { nmax; k; rows = Some [] }
+        | Some (table, hard) -> (
+          match
+            supervised ~label:("procedure1 " ^ name)
+              ~site:("table5:" ^ name)
+              (procedure1 ~set_count:k Procedure1.Definition1 table hard)
+          with
+          | Error _ -> Response.Average_rows { nmax; k; rows = None }
+          | Ok outcome ->
+            Response.Average_rows
+              {
+                nmax;
+                k;
+                rows =
+                  Some
+                    [
+                      {
+                        Paper_tables.circuit = name;
+                        hard_faults = Array.length hard;
+                        row = Average_case.summarize outcome ~n:nmax;
+                      };
+                    ];
+              }))
+      | Request.Average_def2 -> (
+        let nmax = req.Request.nmax and k2 = req.Request.k2 in
+        match Lazy.force hard with
+        | None -> Response.Def2_rows { nmax; k2; rows = None }
+        | Some (_, [||]) -> Response.Def2_rows { nmax; k2; rows = Some [] }
+        | Some (table, hard) -> (
+          match
+            supervised
+              ~label:("procedure1-def2 " ^ name)
+              ~site:("table6:" ^ name)
+              (fun cancel ->
+                let def1 =
+                  procedure1 ~set_count:k2 Procedure1.Definition1 table hard
+                    cancel
+                in
+                let def2 =
+                  procedure1 ~set_count:k2 Procedure1.Definition2 table hard
+                    cancel
+                in
+                (def1, def2))
+          with
+          | Error _ -> Response.Def2_rows { nmax; k2; rows = None }
+          | Ok (def1, def2) ->
+            Response.Def2_rows
+              {
+                nmax;
+                k2;
+                rows =
+                  Some
+                    [
+                      ( name,
+                        Array.length hard,
+                        Average_case.summarize def1 ~n:nmax,
+                        Average_case.summarize def2 ~n:nmax );
+                    ];
+              }))
+    in
+    let sections =
+      List.map (fun s -> (s, section_rows s)) req.Request.sections
+    in
+    Ok
+      {
+        Response.label = name;
+        sections;
+        failures = List.rev !failures;
+        counters = Telemetry.delta ~before ~after:(Telemetry.counters ());
+      }

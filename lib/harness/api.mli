@@ -10,7 +10,7 @@
     value.
 
     [run] never raises for an in-band reason. A request that cannot be
-    attempted (unknown kernel backend, unparsable netlist) is [Error];
+    attempted (unparsable netlist, unknown suite circuit) is [Error];
     per-unit analysis failures (timeouts, crashes) come back {e inside}
     an [Ok] response as structured failure rows, exactly like the
     supervised driver reports them. *)
@@ -66,8 +66,6 @@ module Request : sig
     seed : int;
     scheme : Encode.scheme;  (** FSM state encoding for KISS2 sources. *)
     domains : int option;  (** Procedure-1 parallelism (None = sequential). *)
-    kernel_backend : string option;  (** {!Ndetect_util.Kernel.select} name. *)
-    sim_strategy : string option;  (** {!Ndetect_sim.Strategy.select} name. *)
     cache_dir : string option;  (** Detection-table cache directory. *)
     deadline : float option;  (** Per-supervised-unit budget, seconds. *)
   }
@@ -81,8 +79,6 @@ module Request : sig
     ?seed:int ->
     ?scheme:Encode.scheme ->
     ?domains:int ->
-    ?kernel_backend:string ->
-    ?sim_strategy:string ->
     ?cache_dir:string ->
     ?deadline:float ->
     label:string ->
@@ -100,7 +96,10 @@ module Request : sig
   val of_json : Rpc.json -> (t, string) result
   (** Inverse of {!to_json}; [Error] names the offending field. Unknown
       fields are ignored (forward compatibility), missing optional
-      fields take the {!make} defaults. *)
+      fields take the {!make} defaults. The retired fields
+      ["kernel_backend"] and ["sim_strategy"] of older clients are
+      accepted when null or naming what always runs (["c"], ["stem"]);
+      any other value is an [Error]. Never raises. *)
 end
 
 module Response : sig
@@ -178,11 +177,11 @@ val run :
     (cancel:Ndetect_util.Cancel.token -> Netlist.t -> Detection_table.t) ->
   Request.t ->
   (Response.t, string) result
-(** Execute the request: select backend/strategy, load the source, run
+(** Execute the request: load the source, run
     each section as a supervised unit (deadline = [req.deadline],
     bounded retries, injection sites ["analyze:<label>"],
     ["table5:<label>"], ["table6:<label>"]) and snapshot the counter
     delta. [build] overrides the table builder derived from the
     request's [cache_dir] — the daemon injects its resident store here.
-    [Error] only for requests that cannot be attempted at all — unknown
-    backend or strategy name, unloadable source. *)
+    [Error] only for requests that cannot be attempted at all — an
+    unloadable source. *)

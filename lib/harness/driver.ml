@@ -5,8 +5,6 @@ module Registry = Ndetect_suite.Registry
 module Example = Ndetect_suite.Example
 module Paper_tables = Ndetect_report.Paper_tables
 module Bitvec = Ndetect_util.Bitvec
-module Kernel = Ndetect_util.Kernel
-module Strategy = Ndetect_sim.Strategy
 module Supervise = Ndetect_util.Supervise
 module Telemetry = Ndetect_util.Telemetry
 
@@ -26,8 +24,6 @@ type options = {
   table_cache : string option;
   trace : string option;
   metrics : bool;
-  kernel_backend : string option;
-  sim_strategy : string option;
   (* Sampled-universe flags: [samples = None] is exhaustive mode.
      [strata]/[confidence] refine a sampled run and require
      [--samples]. *)
@@ -59,8 +55,6 @@ let default_options =
     table_cache = None;
     trace = None;
     metrics = false;
-    kernel_backend = None;
-    sim_strategy = None;
     samples = None;
     strata = None;
     confidence = None;
@@ -79,8 +73,8 @@ module Options = struct
       ?(only = default_options.only) ?(quiet = default_options.quiet)
       ?csv_dir ?checkpoint_dir ?(resume = default_options.resume)
       ?timeout_per_circuit ?inject ?domains ?table_cache ?trace
-      ?(metrics = default_options.metrics) ?kernel_backend ?sim_strategy
-      ?samples ?strata ?confidence ?workers ?lease_secs ?max_unit_retries
+      ?(metrics = default_options.metrics) ?samples ?strata ?confidence
+      ?workers ?lease_secs ?max_unit_retries
       ?(chaos = default_options.chaos) ?ledger_dir () =
     {
       tier;
@@ -98,8 +92,6 @@ module Options = struct
       table_cache;
       trace;
       metrics;
-      kernel_backend;
-      sim_strategy;
       samples;
       strata;
       confidence;
@@ -145,8 +137,7 @@ module Options = struct
         Result.map
           (fun universe ->
             Api.Request.make ~sections ~universe ~k:t.k ~k2:t.k2 ~seed:t.seed
-              ?scheme ?domains:t.domains ?kernel_backend:t.kernel_backend
-              ?sim_strategy:t.sim_strategy ?cache_dir:t.table_cache
+              ?scheme ?domains:t.domains ?cache_dir:t.table_cache
               ?deadline:t.timeout_per_circuit ~label source)
           (universe t))
 end
@@ -156,8 +147,7 @@ let usage =
   \                 [--only table1..table6|figure2|all] [--quiet] [--csv DIR]\n\
   \                 [--checkpoint DIR] [--resume] [--timeout-per-circuit SECS]\n\
   \                 [--inject SPEC] [--domains N] [--table-cache DIR]\n\
-  \                 [--trace FILE] [--metrics] [--kernel-backend swar|c]\n\
-  \                 [--sim-strategy cone|stem]\n\
+  \                 [--trace FILE] [--metrics]\n\
   \                 [--samples N] [--strata N] [--confidence P]\n\
   \                 [--workers N] [--lease-secs SECS] [--max-unit-retries N]\n\
   \                 [--chaos] [--ledger DIR]"
@@ -166,9 +156,8 @@ let value_flags =
   [
     "--tier"; "--k"; "--k2"; "--seed"; "--only"; "--csv"; "--checkpoint";
     "--timeout-per-circuit"; "--inject"; "--domains"; "--table-cache";
-    "--trace"; "--kernel-backend"; "--sim-strategy"; "--samples"; "--strata";
-    "--confidence"; "--workers"; "--lease-secs"; "--max-unit-retries";
-    "--ledger";
+    "--trace"; "--samples"; "--strata"; "--confidence"; "--workers";
+    "--lease-secs"; "--max-unit-retries"; "--ledger";
   ]
 
 (* The flag grammar is written with [failwith] (every arm wants to abort
@@ -235,26 +224,6 @@ let parse_args_exn args =
       go { opts with table_cache = Some dir } rest
     | "--trace" :: file :: rest -> go { opts with trace = Some file } rest
     | "--metrics" :: rest -> go { opts with metrics = true } rest
-    | "--kernel-backend" :: v :: rest ->
-      let name = String.lowercase_ascii v in
-      if List.mem_assoc name Kernel.backends then
-        go { opts with kernel_backend = Some name } rest
-      else
-        failwith
-          (Printf.sprintf "--kernel-backend: unknown backend %S (expected %s)\n%s"
-             v
-             (String.concat ", " (List.map fst Kernel.backends))
-             usage)
-    | "--sim-strategy" :: v :: rest ->
-      let name = String.lowercase_ascii v in
-      if List.mem_assoc name Strategy.names then
-        go { opts with sim_strategy = Some name } rest
-      else
-        failwith
-          (Printf.sprintf
-             "--sim-strategy: unknown strategy %S (expected %s)\n%s" v
-             (String.concat ", " (List.map fst Strategy.names))
-             usage)
     | "--samples" :: v :: rest -> (
       match int_of_string_opt v with
       | Some n when n >= 1 -> go { opts with samples = Some n } rest
@@ -393,24 +362,6 @@ let request_of_options options =
     | Ok req -> Some req)
 
 let create options =
-  (* Backend selection before any analysis touches a Bitvec: the flag
-     wins over NDETECT_KERNEL (which Kernel read at init). The name was
-     validated at parse time; re-validate anyway for programmatic
-     [Options.make] callers. *)
-  (match options.kernel_backend with
-  | None -> ()
-  | Some name -> (
-    match Kernel.select name with
-    | Ok () -> ()
-    | Error message -> failwith (Printf.sprintf "--kernel-backend: %s" message)));
-  (* Same contract for the fault-simulation strategy: the flag wins over
-     NDETECT_SIM, applied before any table is built. *)
-  (match options.sim_strategy with
-  | None -> ()
-  | Some name -> (
-    match Strategy.select name with
-    | Ok () -> ()
-    | Error message -> failwith (Printf.sprintf "--sim-strategy: %s" message)));
   (match options.inject with
   | None -> Supervise.set_injection []
   | Some spec -> (
@@ -506,8 +457,7 @@ let response t entry =
           | Some r -> r
           | None ->
             let t0 = Unix.gettimeofday () in
-            (* A suite source always loads, and create validated the
-               backend and strategy names. *)
+            (* A suite source always loads. *)
             let r =
               match Api.run req with
               | Ok r -> r

@@ -21,7 +21,11 @@
     ({!Checkpoint.store}) under its circuit and section list;
     [--resume] renders from those entries without recomputation and
     retries only the circuits that failed or are missing. Without
-    [quiet], one timing line is printed per circuit request. *)
+    [quiet], one timing line is printed per circuit request.
+
+    No option picks a kernel or a simulation strategy: every run counts
+    with the C kernel and simulates by stem-region tracing, and their
+    references live in [lib/check] ([ndetect check]). *)
 
 module Registry = Ndetect_suite.Registry
 module Analysis = Ndetect_core.Analysis
@@ -68,23 +72,6 @@ type options = {
       (** Print a telemetry report after [run_all]: per-supervised-unit
           counter deltas, process-wide totals and the aggregated span
           profile. Pure observability, like [trace]. *)
-  kernel_backend : string option;
-      (** When set, {!create} switches the process-wide intersection
-          kernel ({!Ndetect_util.Kernel.select}) before any analysis
-          runs — overriding the [NDETECT_KERNEL] environment default.
-          Both backends are bit-identical, so — like [domains] — this is
-          a pure throughput knob, excluded from checkpoint stamps and
-          cache keys. The selection is visible as the
-          ["kernel.backend"] gauge in [--metrics] and traces. *)
-  sim_strategy : string option;
-      (** When set, {!create} switches the process-wide fault-simulation
-          strategy ({!Ndetect_sim.Strategy.select}) before any analysis
-          runs — overriding the [NDETECT_SIM] environment default
-          (["stem"]). Both strategies produce bit-identical detection
-          tables, so this is a pure throughput knob like
-          [kernel_backend], excluded from checkpoint stamps and cache
-          keys. Visible as the ["sim.strategy"] gauge in [--metrics]
-          and traces. *)
   samples : int option;
       (** When set (>= 1), analyses run in sampled-universe mode:
           detection quantities are estimated from this many stratified
@@ -140,8 +127,6 @@ module Options : sig
     ?table_cache:string ->
     ?trace:string ->
     ?metrics:bool ->
-    ?kernel_backend:string ->
-    ?sim_strategy:string ->
     ?samples:int ->
     ?strata:int ->
     ?confidence:float ->
@@ -174,8 +159,8 @@ module Options : sig
       [Worst], [table5] to [Average], [table6] to [Average_def2], [all]
       to all three; the example-circuit sections ([table1], [table4],
       [figure2]) have no per-request form and return [Error]. [k],
-      [k2], [seed], [domains], [kernel_backend], [sim_strategy],
-      [table_cache] and [timeout_per_circuit] carry over field for
+      [k2], [seed], [domains], [table_cache] and
+      [timeout_per_circuit] carry over field for
       field; [samples]/[strata]/[confidence] lower to the request's
       {!universe} mode. *)
 end
@@ -185,12 +170,10 @@ val parse_args_result : string list -> (options, string) result
     [--only WHAT], [--quiet], [--csv DIR], [--checkpoint DIR],
     [--resume], [--timeout-per-circuit SECS], [--inject SPEC],
     [--domains N], [--table-cache DIR], [--trace FILE], [--metrics],
-    [--kernel-backend NAME] (a registered
-    {!Ndetect_util.Kernel.backends} name), [--sim-strategy NAME] (a
-    registered {!Ndetect_sim.Strategy.names} name), the sampled-universe
-    flags [--samples N] (>= 1), [--strata N] (>= 1, requires
-    [--samples], rejected when above it) and [--confidence P] (strictly
-    inside (0, 1), requires [--samples]), and the campaign flags [--workers N] (>= 1), [--lease-secs SECS]
+    the sampled-universe flags [--samples N] (>= 1), [--strata N]
+    (>= 1, requires [--samples], rejected when above it) and
+    [--confidence P] (strictly inside (0, 1), requires [--samples]), and
+    the campaign flags [--workers N] (>= 1), [--lease-secs SECS]
     (>= 1), [--max-unit-retries N] (>= 1), [--chaos] (rejected unless
     [--workers >= 2]) and [--ledger DIR]. [Error message] names the
     offending flag (and includes the usage string) on malformed values,

@@ -122,23 +122,26 @@ let cached ~key build =
 (* Work accounting lives in the Telemetry registry (one atomic add per
    fault or group, never per inner loop). "sim.detection_sets" is the
    counter the table-cache tests hold flat across a warm run;
-   "sim.cone_propagations" counts per-batch propagation passes and
-   "sim.bridge_groups" the grouped (victim, aggressor) simulations of
-   the cone strategy. The stem strategy adds "sim.stem_regions"
-   (regions traced), "sim.cpt_faults" (member faults recovered by
-   critical path tracing) and "sim.stem_fallbacks" (faults routed back
-   to the cone path, i.e. wired bridges). All count deterministic work,
-   so their totals are identical for every domain count. *)
+   "sim.cone_propagations" counts per-batch propagation passes,
+   "sim.stem_regions" the regions traced, "sim.cpt_faults" the member
+   faults recovered by critical path tracing and "sim.stem_fallbacks"
+   the faults routed to the per-fault cone path instead (wired
+   bridges). All count deterministic work, so their totals are
+   identical for every domain count. *)
 module Telemetry = Ndetect_util.Telemetry
 
 let c_sets = Telemetry.Counter.create "sim.detection_sets"
 let c_propagations = Telemetry.Counter.create "sim.cone_propagations"
-let c_bridge_groups = Telemetry.Counter.create "sim.bridge_groups"
 let c_stem_regions = Telemetry.Counter.create "sim.stem_regions"
 let c_cpt_faults = Telemetry.Counter.create "sim.cpt_faults"
 let c_stem_fallbacks = Telemetry.Counter.create "sim.stem_fallbacks"
 let detection_sets_computed () = Telemetry.Counter.value c_sets
 let note_sets n = Telemetry.Counter.add c_sets n
+
+(* Every trace must report a sim.strategy gauge (bin/validate_trace
+   checks it); 1 is the value traces have always given stem-region
+   tracing. *)
+let () = Telemetry.Gauge.set (Telemetry.Gauge.create "sim.strategy") 1
 
 let cone_for good seed =
   cached
@@ -241,99 +244,6 @@ let bridge_seed good (fault : Bridge.t) =
 
 let bridge_detection_set good fault =
   detection_set_of_seed good (bridge_seed good fault)
-
-let stuck_detection_sets_cone ?(cancel = Ndetect_util.Cancel.none) good faults =
-  Ndetect_util.Parallel.map_array
-    (fun f ->
-      Ndetect_util.Cancel.poll cancel;
-      stuck_detection_set good f)
-    faults
-
-(* Bridges sharing a (victim, aggressor) direction differ only in the
-   required fault-free values, and those activation conditions are
-   pairwise disjoint (the victim cannot be both 0 and 1 in one lane).
-   Bit-parallel lanes are independent, so one cone propagation of the
-   union flip [victim_good lxor (act_1 lor ... lor act_k)] computes every
-   fault of the group at once: fault [i]'s detection mask is the
-   propagated difference ANDed with [act_i]. This halves the cone passes
-   per unordered line pair (2 instead of 4 under the paper's model). *)
-let bridge_group_sets good (faults : Bridge.t array) members =
-  let k = Array.length members in
-  note_sets k;
-  Telemetry.Counter.incr c_bridge_groups;
-  let propagated = ref 0 in
-  let first = faults.(members.(0)) in
-  let victim = first.Bridge.victim and aggressor = first.Bridge.aggressor in
-  let cone = cone_for good victim in
-  let universe = Good.universe good in
-  let sets = Array.init k (fun _ -> Bitvec.create universe) in
-  let acts = Array.make k Word.zeroes in
-  for batch = 0 to Good.batch_count good - 1 do
-    let live = Good.live_mask good ~batch in
-    let victim_good = Good.value good ~node:victim ~batch in
-    let aggressor_good = Good.value good ~node:aggressor ~batch in
-    let union_act = ref Word.zeroes in
-    for i = 0 to k - 1 do
-      let f = faults.(members.(i)) in
-      let act =
-        value_match victim_good ~value:f.Bridge.victim_value ~live
-        land value_match aggressor_good ~value:f.Bridge.aggressor_value ~live
-      in
-      acts.(i) <- act;
-      union_act := !union_act lor act
-    done;
-    if !union_act <> Word.zeroes then begin
-      incr propagated;
-      let d =
-        propagate good cone ~batch ~seed_value:(victim_good lxor !union_act)
-      in
-      if d <> Word.zeroes then
-        for i = 0 to k - 1 do
-          let di = d land acts.(i) in
-          if di <> Word.zeroes then Bitvec.unsafe_set_word sets.(i) batch di
-        done
-    end
-  done;
-  Telemetry.Counter.add c_propagations !propagated;
-  sets
-
-let bridge_detection_sets_cone ?(cancel = Ndetect_util.Cancel.none) good faults
-    =
-  (* Group by (victim, aggressor) in first-seen order; members keep their
-     enumeration order, so results scatter back positionally and the
-     output is deterministic regardless of domain scheduling. *)
-  let group_of : (int * int, int) Hashtbl.t =
-    Hashtbl.create (Array.length faults)
-  in
-  let groups : int list ref array = Array.make (Array.length faults) (ref []) in
-  let group_count = ref 0 in
-  Array.iteri
-    (fun idx (f : Bridge.t) ->
-      let key = (f.Bridge.victim, f.Bridge.aggressor) in
-      match Hashtbl.find_opt group_of key with
-      | Some g -> groups.(g) := idx :: !(groups.(g))
-      | None ->
-        Hashtbl.replace group_of key !group_count;
-        groups.(!group_count) <- ref [ idx ];
-        incr group_count)
-    faults;
-  let members =
-    Array.init !group_count (fun g ->
-        Array.of_list (List.rev !(groups.(g))))
-  in
-  let group_results =
-    Ndetect_util.Parallel.map_array
-      (fun ms ->
-        Ndetect_util.Cancel.poll cancel;
-        bridge_group_sets good faults ms)
-      members
-  in
-  let sets = Array.make (Array.length faults) (Bitvec.create 0) in
-  Array.iteri
-    (fun g ms ->
-      Array.iteri (fun i idx -> sets.(idx) <- group_results.(g).(i)) ms)
-    members;
-  sets
 
 (* {2 Stem-region critical path tracing}
 
@@ -635,8 +545,7 @@ let stem_detection_sets ~cancel good part jobs =
    fault-free value. Either way the path-to-root sensitization applies
    from the first in-region gate output. A stuck-at-[v] fault is
    activated where the fault-free value is NOT [v]. *)
-let stuck_detection_sets_stem ?(cancel = Ndetect_util.Cancel.none) good faults
-    =
+let stuck_detection_sets ?(cancel = Ndetect_util.Cancel.none) good faults =
   let net = Good.net good in
   let part = Netlist.ffr_partition net in
   let jobs = make_jobs (Array.length faults) in
@@ -661,8 +570,7 @@ let stuck_detection_sets_stem ?(cancel = Ndetect_util.Cancel.none) good faults
    conditions hold over fault-free values, so it traces exactly like a
    stem fault at the victim with a compound activation. Every bridge
    victimizing a node in the same region shares one root propagation. *)
-let bridge_detection_sets_stem ?(cancel = Ndetect_util.Cancel.none) good
-    faults =
+let bridge_detection_sets ?(cancel = Ndetect_util.Cancel.none) good faults =
   let part = Netlist.ffr_partition (Good.net good) in
   let jobs = make_jobs (Array.length faults) in
   Array.iteri
@@ -675,17 +583,6 @@ let bridge_detection_sets_stem ?(cancel = Ndetect_util.Cancel.none) good
       jobs.sj_sens.(s) <- f.Bridge.victim)
     faults;
   stem_detection_sets ~cancel good part jobs
-
-
-let stuck_detection_sets ?cancel good faults =
-  match Strategy.current () with
-  | Strategy.Cone -> stuck_detection_sets_cone ?cancel good faults
-  | Strategy.Stem -> stuck_detection_sets_stem ?cancel good faults
-
-let bridge_detection_sets ?cancel good faults =
-  match Strategy.current () with
-  | Strategy.Cone -> bridge_detection_sets_cone ?cancel good faults
-  | Strategy.Stem -> bridge_detection_sets_stem ?cancel good faults
 
 let wired_detection_set good (fault : Ndetect_faults.Wired.t) =
   note_sets 1;
@@ -710,12 +607,9 @@ let wired_detection_set good (fault : Ndetect_faults.Wired.t) =
 
 let wired_detection_sets ?(cancel = Ndetect_util.Cancel.none) good faults =
   (* Wired bridges force two seeds at once, so the single-stem trace
-     does not apply; under the stem strategy they fall back to the cone
-     path and are counted so profiles show the untraced remainder. *)
-  (match Strategy.current () with
-  | Strategy.Stem ->
-    Telemetry.Counter.add c_stem_fallbacks (Array.length faults)
-  | Strategy.Cone -> ());
+     does not apply; they fall back to the per-fault cone path and are
+     counted so profiles show the untraced remainder. *)
+  Telemetry.Counter.add c_stem_fallbacks (Array.length faults);
   Ndetect_util.Parallel.map_array
     (fun f ->
       Ndetect_util.Cancel.poll cancel;

@@ -3,7 +3,13 @@
     For each fault, only the transitive fanout cone of the injection site
     is re-evaluated, against the precomputed fault-free table; a vector
     detects the fault iff some primary output differs. The result of
-    [detection_set] is exactly the paper's [T(h)] for the fault [h]. *)
+    [detection_set] is exactly the paper's [T(h)] for the fault [h].
+
+    The batched entry points, which every detection table is built
+    with, compute the same sets with one propagation per fanout-free
+    region instead of one per fault. The per-fault entry points stay as
+    their reference and serve the callers that need single faults
+    ([Test_eval], [Defect_level], [Transition_analysis]). *)
 
 module Bitvec = Ndetect_util.Bitvec
 module Stuck = Ndetect_faults.Stuck
@@ -19,32 +25,8 @@ val bridge_detection_set : Good.t -> Bridge.t -> Bitvec.t
 
 val stuck_detection_sets :
   ?cancel:Ndetect_util.Cancel.token -> Good.t -> Stuck.t array -> Bitvec.t array
-(** The batched variants dispatch on {!Strategy.current} — the stem
-    path by default, the per-fault cone path under
-    [NDETECT_SIM=cone] / [--sim-strategy cone] — and poll [cancel]
-    between parallel jobs, so a supervised caller's deadline is
-    honoured mid-simulation. Both strategies return bit-identical
-    sets. *)
-
-val bridge_detection_sets :
-  ?cancel:Ndetect_util.Cancel.token ->
-  Good.t -> Bridge.t array -> Bitvec.t array
-(** Equal to mapping {!bridge_detection_set}; dispatches on
-    {!Strategy.current} like {!stuck_detection_sets}. *)
-
-(** {2 Strategy-pinned entry points}
-
-    The two batched implementations behind the dispatchers, exported so
-    tests and benches can compare them directly without touching the
-    process-wide {!Strategy} selection. *)
-
-val stuck_detection_sets_cone :
-  ?cancel:Ndetect_util.Cancel.token -> Good.t -> Stuck.t array -> Bitvec.t array
-(** One differential cone propagation per fault (the reference). *)
-
-val stuck_detection_sets_stem :
-  ?cancel:Ndetect_util.Cancel.token -> Good.t -> Stuck.t array -> Bitvec.t array
-(** One propagation per fanout-free-region stem
+(** Equal to mapping {!stuck_detection_set}, computed with one
+    propagation per fanout-free-region stem
     ({!Ndetect_circuit.Netlist.ffr_partition}): the root is flipped in
     every lane at once, and each member fault's mask is recovered by
     word-parallel critical path tracing — activation word AND entry-pin
@@ -54,26 +36,23 @@ val stuck_detection_sets_stem :
     root is handled by the real propagation. Parallelism is batch-major:
     each task owns a contiguous batch range for all faults and writes
     disjoint words of the result sets, so output is identical for every
-    domain count by construction. *)
+    domain count by construction. [cancel] is polled between parallel
+    jobs, so a supervised caller's deadline is honoured mid-simulation.
 
-val bridge_detection_sets_cone :
+    The per-fault {!stuck_detection_set} is its reference: the qcheck
+    properties in [test/test_sim.ml] and [ndetect check]
+    ({!Ndetect_check.Campaign.check_suite}) compare the two. *)
+
+val bridge_detection_sets :
   ?cancel:Ndetect_util.Cancel.token ->
   Good.t -> Bridge.t array -> Bitvec.t array
-(** Grouped (victim, aggressor) simulation: activation conditions of a
-    direction are pairwise disjoint, so one cone propagation of the
-    union flip serves the whole group — two propagations per unordered
-    line pair instead of four. *)
-
-val bridge_detection_sets_stem :
-  ?cancel:Ndetect_util.Cancel.token ->
-  Good.t -> Bridge.t array -> Bitvec.t array
-(** A bridge flips its victim wherever both activation conditions hold,
-    so it traces exactly like a stem fault at the victim: {e every}
-    bridge victimizing any node of a region shares that region's single
-    root propagation. *)
+(** Equal to mapping {!bridge_detection_set}. A bridge flips its victim
+    wherever both activation conditions hold, so it traces exactly like
+    a stem fault at the victim: {e every} bridge victimizing any node of
+    a region shares that region's single root propagation. *)
 
 val debug_corrupt_sensitization : bool ref
-(** Test-only sabotage hook: when set, the stem path complements every
+(** Test-only sabotage hook: when set, the batched path complements every
     in-region sensitization word, silently corrupting traced detection
     sets. The differential campaign ([ndetect check]) must catch this —
     the self-test lives in [test/test_check.ml]. Always [false] in
@@ -103,22 +82,18 @@ val stuck_detection_by_output : Good.t -> Stuck.t -> Bitvec.t array
     registry (always on; one atomic add per fault or group):
 
     - ["sim.detection_sets"] — full detection-set simulations (stuck,
-      bridge, wired and per-output variants), identical under both
-      strategies.
+      bridge, wired and per-output variants).
     - ["sim.cone_propagations"] — per-batch cone propagation passes
       handed to the kernel (a pass may still short-circuit when the
-      seed is not activated in that batch). Under the stem strategy
-      this is [regions * batches] per batched call — the headline
-      saving versus one-per-fault.
-    - ["sim.bridge_groups"] — grouped (victim, aggressor) bridge
-      simulations of the cone strategy.
-    - ["sim.stem_regions"] — fanout-free regions traced by the stem
-      strategy (regions containing at least one simulated fault).
+      seed is not activated in that batch). A batched call adds
+      [regions * batches] — the headline saving versus one per fault.
+    - ["sim.stem_regions"] — fanout-free regions traced by the batched
+      calls (regions containing at least one simulated fault).
     - ["sim.cpt_faults"] — member faults recovered by critical path
       tracing.
-    - ["sim.stem_fallbacks"] — faults the stem strategy routed back to
-      the cone path (wired bridges force two seeds, so the single-stem
-      trace does not apply).
+    - ["sim.stem_fallbacks"] — faults routed to the per-fault cone path
+      instead (wired bridges force two seeds, so the single-stem trace
+      does not apply).
 
     All of these count deterministic work, so totals are identical for
     every domain count. *)

@@ -3,7 +3,7 @@
    simplifies cross-checking, and costs almost nothing.
 
    The backing store is a Bigarray of untagged native ints
-   ({!Kernel.buf}) rather than an [int array]: the C kernel backend
+   ({!Kernel.buf}) rather than an [int array]: the C kernel
    reads the data pointer directly, [Bigarray.Array1.sub] gives
    zero-copy views, and [Unix.map_file] gives vectors (and whole
    blocked layouts) living in a file — the table cache's v3 mmap path
@@ -12,10 +12,9 @@
    [len] is zero (creation zero-fills; setters mask; external buffers
    are checksum-verified by their producer).
 
-   Bulk counting ops route through the process-wide kernel backend
-   ({!Kernel.current}), dereferenced once per call — never per word.
-   Everything else (single-bit access, iteration, set algebra) is
-   backend-independent OCaml. *)
+   Bulk counting ops call the C kernel's [@@noalloc] externals
+   ({!Kernel}) directly. Everything else (single-bit access, iteration,
+   set algebra) is OCaml. *)
 
 module A1 = Bigarray.Array1
 
@@ -83,8 +82,8 @@ let word_length t = A1.dim t.buf
 let unsafe_get_word t w = A1.unsafe_get t.buf w
 let unsafe_set_word t w v = A1.unsafe_set t.buf w v
 
-(* Local SWAR popcount for the backend-independent paths (diff counts,
-   ordered iteration); the bulk counting kernels live in {!Kernel}. *)
+(* Local SWAR popcount for the word walks that are not bulk counts
+   (diff counts, ordered iteration); the bulk counts live in {!Kernel}. *)
 let popcount_word = Kernel.popcount_word
 
 (* Count-trailing-zeros of the isolated lowest set bit via a 32-bit De
@@ -103,9 +102,7 @@ let ctz_low low =
     + Array.unsafe_get ctz_table
         (((low lsr 32) * 0x077CB531 land 0xFFFFFFFF) lsr 27)
 
-let count t =
-  let k = Kernel.current () in
-  k.Kernel.popcount_words t.buf (A1.dim t.buf)
+let count t = Kernel.popcount_words t.buf (A1.dim t.buf)
 
 let is_empty t =
   let n = A1.dim t.buf in
@@ -155,13 +152,11 @@ let hash t =
 
 let inter_count a b =
   same_len a b;
-  let k = Kernel.current () in
-  k.Kernel.inter_count a.buf b.buf (A1.dim a.buf)
+  Kernel.inter_count a.buf b.buf (A1.dim a.buf)
 
 let inter_count_upto ~limit a b =
   same_len a b;
-  let k = Kernel.current () in
-  k.Kernel.inter_count_upto a.buf b.buf (A1.dim a.buf) ~limit
+  Kernel.inter_count_upto a.buf b.buf (A1.dim a.buf) limit
 
 let inter_count_many a targets =
   let n = Array.length targets in
@@ -169,8 +164,7 @@ let inter_count_many a targets =
   if n > 0 then begin
     Array.iter (fun b -> same_len a b) targets;
     let bufs = Array.map (fun b -> b.buf) targets in
-    let k = Kernel.current () in
-    k.Kernel.inter_count_many a.buf bufs (A1.dim a.buf) counts
+    Kernel.inter_count_many a.buf bufs (A1.dim a.buf) counts
   end;
   counts
 
@@ -389,25 +383,17 @@ module Blocked = struct
 
   (* Intersection counts of [probe] against every row of block [b],
      written into [dst.(0 .. k-1)]; returns [k]. One kernel call per
-     block — the backend is resolved per call here; hot scans hoist it
-     with {!scanner}. *)
-  let counts_with (kern : Kernel.ops) t ~block probe dst =
+     block. *)
+  let inter_counts_into t ~block probe dst =
     if len_of probe <> t.len then
       invalid_arg "Bitvec.Blocked.inter_counts_into: length mismatch";
     let k = rows_in_block t block in
     if Array.length dst < k then
       invalid_arg "Bitvec.Blocked.inter_counts_into: dst too small";
-    kern.Kernel.inter_counts_block ~probe:(buf_of probe)
-      ~data:(Array.unsafe_get t.subs block)
-      ~k ~words:t.words ~dst;
+    Kernel.inter_counts_block (buf_of probe)
+      (Array.unsafe_get t.subs block)
+      k t.words dst;
     k
-
-  let inter_counts_into t ~block probe dst =
-    counts_with (Kernel.current ()) t ~block probe dst
-
-  let scanner t =
-    let kern = Kernel.current () in
-    fun ~block probe dst -> counts_with kern t ~block probe dst
 end
 
 let pp ppf t =

@@ -6,10 +6,8 @@
     popcounts.
 
     Vectors are backed by {!Kernel.buf} bigarrays (untagged native
-    words), and every bulk counting operation routes through the
-    process-wide kernel backend ({!Kernel.current}) — selected once, by
-    [NDETECT_KERNEL] or [--kernel-backend], and dereferenced once per
-    bulk call. *)
+    words), and every bulk counting operation calls the C kernel
+    ({!Kernel}) directly. *)
 
 type t
 (** A fixed-length vector of bits. Indices run from [0] to [length - 1]. *)
@@ -203,11 +201,5 @@ module Blocked : sig
   (** [inter_counts_into t ~block probe dst] stores
       [inter_count probe row] for every row of the block into
       [dst.(0 ..)] (rows in pack order) and returns the number of rows
-      written. [dst] must hold at least {!rows_in_block} entries.
-      Resolves the kernel backend per call; hot scans use {!scanner}. *)
-
-  val scanner : t -> block:int -> vec -> int array -> int
-  (** [scanner t] is {!inter_counts_into} with the kernel backend
-      resolved once at partial application — the worst-case scan builds
-      one scanner per table and pays no per-call dispatch. *)
+      written. [dst] must hold at least {!rows_in_block} entries. *)
 end

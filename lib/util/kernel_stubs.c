@@ -1,4 +1,4 @@
-/* C kernel backend for Ndetect_util.Kernel.
+/* The popcount/intersection kernel behind Ndetect_util.Kernel.
  *
  * Operands are OCaml bigarrays of kind int (untagged native words, low
  * 62 bits carry the payload, top two bits are zero by the Bitvec
@@ -7,12 +7,12 @@
  * (lib/util/probe_cflags.sh) grants -march=native and the host has
  * AVX2, the long sweeps additionally run a 4-words-per-iteration
  * nibble-LUT popcount (Mula's method); the scalar tail keeps results
- * exactly equal to the SWAR reference on every length. Compiling with
- * AVX2 enabled is not the same as running on an AVX2 host (a binary
- * built with -march=native can be copied to an older machine), so the
- * vector loops are additionally gated by a memoized runtime
- * __builtin_cpu_supports("avx2") probe and fall back to the scalar
- * __builtin_popcountll path when the CPU lacks them.
+ * exactly equal to the SWAR reference (Ndetect_check.Ref_kernel) on
+ * every length. Compiling with AVX2 enabled is not the same as running
+ * on an AVX2 host (a binary built with -march=native can be copied to
+ * an older machine), so the vector loops are additionally gated by a
+ * memoized runtime __builtin_cpu_supports("avx2") probe and fall back
+ * to the scalar __builtin_popcountll path when the CPU lacks them.
  *
  * Every stub is [@@noalloc]: no OCaml allocation, no callbacks, and the
  * only OCaml-heap writes are immediate ints (Val_long) into int arrays,
@@ -252,17 +252,4 @@ CAMLprim value ndetect_c_verify_region(value vb, value voff, value vn) {
   vsome = caml_alloc_small(1, Tag_some);
   Field(vsome, 0) = vdigest;
   CAMLreturn(vsome);
-}
-
-CAMLprim value ndetect_c_description(value vunit) {
-  (void)vunit;
-#if defined(__AVX2__)
-  if (ndetect_have_avx2())
-    return caml_copy_string(
-        "C __builtin_popcountll + AVX2 nibble-LUT sweeps (CPUID ok)");
-  return caml_copy_string(
-      "C __builtin_popcountll (AVX2 compiled but absent from CPUID; scalar)");
-#else
-  return caml_copy_string("C __builtin_popcountll (no SIMD probed)");
-#endif
 }

@@ -203,21 +203,33 @@ let test_sampled_scan_mutation_caught () =
 (* Stem-engine self-test, same philosophy as --mutate: corrupt the
    critical-path sensitization words (complement every in-region rung)
    and the differential campaign must notice. Proves the campaign
-   actually exercises the traced path, not just the dispatcher. *)
+   actually exercises the traced path. *)
 let test_corrupt_sensitization_caught () =
-  let saved = Ndetect_sim.Strategy.current_name () in
-  (match Ndetect_sim.Strategy.select "stem" with
-  | Ok () -> ()
-  | Error message -> Alcotest.fail message);
   Ndetect_sim.Fault_sim.debug_corrupt_sensitization := true;
   Fun.protect
     ~finally:(fun () ->
-      Ndetect_sim.Fault_sim.debug_corrupt_sensitization := false;
-      ignore (Ndetect_sim.Strategy.select saved))
+      Ndetect_sim.Fault_sim.debug_corrupt_sensitization := false)
     (fun () ->
       Alcotest.(check bool)
         "campaign catches corrupted sensitization" true
         (Campaign.check_net ~seed:3 (Example.circuit ()) <> []))
+
+(* The small-tier sweep rebuilds every table on the production path
+   and compares it with per-fault simulation, so the same sabotage must
+   show there too. *)
+let test_corrupt_sensitization_caught_by_suite () =
+  Ndetect_sim.Fault_sim.debug_corrupt_sensitization := true;
+  let report =
+    Fun.protect
+      ~finally:(fun () ->
+        Ndetect_sim.Fault_sim.debug_corrupt_sensitization := false)
+      (fun () -> Campaign.check_suite ())
+  in
+  Alcotest.(check bool) "small-tier circuits swept" true
+    (report.Campaign.checked > 0);
+  Alcotest.(check bool)
+    "sweep catches corrupted sensitization" true
+    (report.Campaign.divergent <> [])
 
 let test_corrupt_target_set_is_local () =
   let net = Example.circuit () in
@@ -289,6 +301,8 @@ let () =
             test_corrupt_target_set_is_local;
           Alcotest.test_case "corrupted sensitization is caught" `Quick
             test_corrupt_sensitization_caught;
+          Alcotest.test_case "corrupted sensitization is caught by the sweep"
+            `Quick test_corrupt_sensitization_caught_by_suite;
           Alcotest.test_case "sabotaged sampled scan is caught" `Quick
             test_sampled_scan_mutation_caught;
           Alcotest.test_case "shrink rejects clean specs" `Quick

@@ -110,8 +110,7 @@ let test_rpc_rejects_oversized_frame () =
 let full_request =
   Api.Request.make
     ~sections:[ Api.Request.Worst; Api.Request.Average; Api.Request.Average_def2 ]
-    ~k:7 ~k2:3 ~nmax:4 ~seed:9 ~domains:2 ~kernel_backend:"portable"
-    ~cache_dir:"/tmp/tables" ~deadline:2.5 ~label:"lion"
+    ~k:7 ~k2:3 ~nmax:4 ~seed:9 ~domains:2 ~cache_dir:"/tmp/tables" ~deadline:2.5 ~label:"lion"
     (Api.Request.Suite "lion")
 
 let test_request_roundtrip () =
@@ -219,6 +218,59 @@ let test_request_of_json_errors () =
     Alcotest.(check bool) "null universe is exhaustive" true
       (req.Api.Request.universe = Api.Request.Exhaustive)
   | Error m -> Alcotest.fail m)
+
+(* Requests from clients older than the one-kernel runtime may carry
+   "kernel_backend" and "sim_strategy". Absent, null, or naming what
+   always runs ("c", "stem") decodes to the same request; anything
+   else is a structured error naming the field, never an exception. *)
+let test_request_retired_fields () =
+  let base = Api.Request.make ~label:"x" (Api.Request.Suite "lion") in
+  let with_field name v =
+    match Api.Request.to_json base with
+    | Rpc.Obj fields -> Rpc.Obj (fields @ [ (name, v) ])
+    | _ -> Alcotest.fail "request encodes to an object"
+  in
+  let decode doc =
+    try Api.Request.of_json doc
+    with exn -> Alcotest.failf "of_json raised %s" (Printexc.to_string exn)
+  in
+  List.iter
+    (fun (name, v) ->
+      match decode (with_field name v) with
+      | Ok req ->
+        Alcotest.(check bool)
+          (Printf.sprintf "%s=%s decodes to the plain request" name
+             (Rpc.to_string v))
+          true (req = base)
+      | Error m -> Alcotest.failf "%s=%s rejected: %s" name (Rpc.to_string v) m)
+    [
+      ("kernel_backend", Rpc.Null);
+      ("kernel_backend", Rpc.Str "c");
+      ("sim_strategy", Rpc.Null);
+      ("sim_strategy", Rpc.Str "stem");
+    ];
+  (match decode (Api.Request.to_json base) with
+  | Ok req -> Alcotest.(check bool) "absent fields" true (req = base)
+  | Error m -> Alcotest.fail m);
+  List.iter
+    (fun (name, v) ->
+      match decode (with_field name v) with
+      | Ok _ ->
+        Alcotest.failf "%s=%s accepted" name (Rpc.to_string v)
+      | Error m ->
+        Alcotest.(check bool)
+          (Printf.sprintf "%s=%s error names the field" name
+             (Rpc.to_string v))
+          true
+          (Helpers.contains_substring m name))
+    [
+      ("kernel_backend", Rpc.Str "swar");
+      ("kernel_backend", Rpc.Str "stem");
+      ("kernel_backend", Rpc.Int 42);
+      ("sim_strategy", Rpc.Str "cone");
+      ("sim_strategy", Rpc.Str "c");
+      ("sim_strategy", Rpc.Int 42);
+    ]
 
 let test_section_names () =
   List.iter
@@ -482,6 +534,46 @@ let test_serve_matches_local_run () =
         Alcotest.(check int) "clean run" 0 reply.remote_failures;
         Alcotest.(check bool) "trace streamed" true (span_count reply.trace > 0))
 
+(* A request naming a retired kernel gets an error frame on its
+   connection; the daemon keeps serving, and the next plain request on
+   the same connection is answered. *)
+let test_serve_retired_field_is_an_error_frame () =
+  with_server (fun socket ->
+      let conn = connect socket in
+      Fun.protect
+        ~finally:(fun () -> disconnect conn)
+        (fun () ->
+          let _, ic, oc = conn in
+          let req = quick_request "lion" in
+          let fields =
+            match Api.Request.to_json req with
+            | Rpc.Obj fields -> fields
+            | _ -> Alcotest.fail "request encodes to an object"
+          in
+          Rpc.write_frame oc
+            (Rpc.Obj
+               [
+                 ("type", Rpc.Str "request");
+                 ( "request",
+                   Rpc.Obj (fields @ [ ("kernel_backend", Rpc.Str "swar") ])
+                 );
+               ]);
+          (match Rpc.read_frame ic with
+          | Error m -> Alcotest.fail ("reply: " ^ m)
+          | Ok j ->
+            Alcotest.(check (option string))
+              "error frame" (Some "error")
+              (Option.bind (Rpc.member "type" j) Rpc.to_str);
+            Alcotest.(check bool) "message names the field" true
+              (Helpers.contains_substring
+                 (Option.value ~default:""
+                    (Option.bind (Rpc.member "message" j) Rpc.to_str))
+                 "kernel_backend"));
+          send_request conn req;
+          let reply = read_reply conn in
+          Alcotest.(check int) "next request answered" 0 reply.remote_failures;
+          Alcotest.(check bool) "with a render" true (reply.render <> "")))
+
 let test_serve_stats_frame () =
   with_server (fun socket ->
       ignore (one_shot socket (quick_request "lion"));
@@ -645,6 +737,8 @@ let () =
           Helpers.qcheck prop_universe_roundtrip;
           Alcotest.test_case "of_json errors" `Quick
             test_request_of_json_errors;
+          Alcotest.test_case "retired runtime fields" `Quick
+            test_request_retired_fields;
           Alcotest.test_case "section names" `Quick test_section_names;
           Alcotest.test_case "options lowering" `Quick
             test_options_to_request;
@@ -654,6 +748,8 @@ let () =
           Alcotest.test_case "matches local run" `Quick
             test_serve_matches_local_run;
           Alcotest.test_case "stats frame" `Quick test_serve_stats_frame;
+          Alcotest.test_case "retired runtime field is an error frame" `Quick
+            test_serve_retired_field_is_an_error_frame;
           Alcotest.test_case "dedups concurrent identical requests" `Quick
             test_serve_dedups_concurrent_identical_requests;
           Alcotest.test_case "deadline is a structured row" `Quick

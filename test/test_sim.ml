@@ -11,7 +11,6 @@ module Ternary_sim = Ndetect_sim.Ternary_sim
 module Ternary = Ndetect_logic.Ternary
 module Bitvec = Ndetect_util.Bitvec
 module Telemetry = Ndetect_util.Telemetry
-module Strategy = Ndetect_sim.Strategy
 module Wired = Ndetect_faults.Wired
 module Example = Ndetect_suite.Example
 
@@ -247,16 +246,9 @@ let test_naive_branch_fault_localized () =
   Alcotest.(check bool) "gate 10 unaffected" false values.(g10)
 
 (* ------------------------------------------------------------------ *)
-(* Stem-region strategy: the critical-path-traced engine must be       *)
-(* bit-identical to the per-fault cone reference on every fault model. *)
+(* Stem-region tracing: the batched engine must be bit-identical to    *)
+(* the per-fault cone reference on every fault model.                  *)
 (* ------------------------------------------------------------------ *)
-
-let with_strategy name f =
-  let saved = Strategy.current_name () in
-  (match Strategy.select name with
-  | Ok () -> ()
-  | Error message -> Alcotest.fail message);
-  Fun.protect ~finally:(fun () -> ignore (Strategy.select saved)) f
 
 let prop_stuck_stem_matches_cone =
   QCheck.Test.make ~name:"stem stuck sets == cone stuck sets" ~count:40
@@ -264,8 +256,8 @@ let prop_stuck_stem_matches_cone =
     (Helpers.apply_circuit (fun net ->
          let good = Good.compute net in
          let faults = Stuck.all net in
-         let cone = Fault_sim.stuck_detection_sets_cone good faults in
-         let stem = Fault_sim.stuck_detection_sets_stem good faults in
+         let cone = Array.map (Fault_sim.stuck_detection_set good) faults in
+         let stem = Fault_sim.stuck_detection_sets good faults in
          Array.for_all2 Bitvec.equal cone stem))
 
 let prop_bridge_stem_matches_cone =
@@ -274,17 +266,17 @@ let prop_bridge_stem_matches_cone =
     (Helpers.apply_circuit (fun net ->
          let good = Good.compute net in
          let faults = Bridge.enumerate net in
-         let cone = Fault_sim.bridge_detection_sets_cone good faults in
-         let stem = Fault_sim.bridge_detection_sets_stem good faults in
+         let cone = Array.map (Fault_sim.bridge_detection_set good) faults in
+         let stem = Fault_sim.bridge_detection_sets good faults in
          Array.for_all2 Bitvec.equal cone stem))
 
-(* Table 1 pinned a second time, directly against the stem engine, so a
-   dispatcher bug cannot hide a traced-engine regression. *)
+(* Table 1 pinned a second time, against the batched engine, so a
+   regression there cannot hide behind the per-fault path. *)
 let test_example_detection_sets_stem () =
   let net = Example.circuit () in
   let good = Good.compute net in
   let faults = Stuck.collapse net in
-  let sets = Fault_sim.stuck_detection_sets_stem good faults in
+  let sets = Fault_sim.stuck_detection_sets good faults in
   let set i = Bitvec.to_list sets.(i) in
   Alcotest.(check (list int)) "T(1/1)" [ 4; 5; 6; 7 ] (set 0);
   Alcotest.(check (list int)) "T(2/0)" [ 6; 7; 12; 13; 14; 15 ] (set 1);
@@ -297,25 +289,22 @@ let test_example_detection_sets_stem () =
     [ 1; 2; 3; 5; 6; 7; 9; 10; 11; 13; 14; 15 ]
     (set 14)
 
-(* Wired bridges force two seeds per batch, so the stem strategy routes
-   them to the cone path and counts each routed fault as a fallback. *)
+(* Wired bridges force two seeds per batch, so the batched call routes
+   them to the per-fault cone path and counts each routed fault as a
+   fallback. *)
 let test_wired_stem_fallback () =
   let net = Example.circuit () in
   let good = Good.compute net in
   let faults = Wired.enumerate net Wired.Wired_and in
-  let under strategy =
-    with_strategy strategy (fun () ->
-        let before = Telemetry.counter_value "sim.stem_fallbacks" in
-        let sets = Fault_sim.wired_detection_sets good faults in
-        (sets, Telemetry.counter_value "sim.stem_fallbacks" - before))
-  in
-  let cone_sets, cone_delta = under "cone" in
-  let stem_sets, stem_delta = under "stem" in
-  Alcotest.(check int) "no fallbacks under cone" 0 cone_delta;
-  Alcotest.(check int) "every wired fault falls back under stem"
-    (Array.length faults) stem_delta;
+  let before = Telemetry.counter_value "sim.stem_fallbacks" in
+  let sets = Fault_sim.wired_detection_sets good faults in
+  let delta = Telemetry.counter_value "sim.stem_fallbacks" - before in
+  Alcotest.(check int) "every wired fault falls back"
+    (Array.length faults) delta;
   Alcotest.(check bool) "identical sets" true
-    (Array.for_all2 Bitvec.equal cone_sets stem_sets)
+    (Array.for_all2 Bitvec.equal
+       (Array.map (Fault_sim.wired_detection_set good) faults)
+       sets)
 
 (* Stem work accounting is deterministic: the same batched call adds the
    same counter deltas regardless of how the slices were scheduled. *)
@@ -326,7 +315,7 @@ let test_stem_counter_determinism () =
   let run () =
     let regions0 = Telemetry.counter_value "sim.stem_regions" in
     let cpt0 = Telemetry.counter_value "sim.cpt_faults" in
-    ignore (Fault_sim.stuck_detection_sets_stem good faults);
+    ignore (Fault_sim.stuck_detection_sets good faults);
     ( Telemetry.counter_value "sim.stem_regions" - regions0,
       Telemetry.counter_value "sim.cpt_faults" - cpt0 )
   in

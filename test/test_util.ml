@@ -290,16 +290,52 @@ let naive_inter_count len a b =
   done;
   !c
 
-(* Property bodies are named so the backend-pinned suite below can run
-   the exact same differential checks under each registered kernel. *)
+(* The bulk counts come in two implementations over the same words: the
+   C kernel behind [Bitvec] and its pure-OCaml SWAR reference
+   [Ref_kernel]. Property bodies take one of them, so the same
+   differential checks run against each (the "kernel backends" group
+   below) and the two are compared output for output. *)
 
-let dense_inter_count_body (len, sa, sb) =
+module Ref_kernel = Ndetect_check.Ref_kernel
+
+type kernel = {
+  count : Bitvec.t -> int;
+  inter_count : Bitvec.t -> Bitvec.t -> int;
+  inter_count_upto : limit:int -> Bitvec.t -> Bitvec.t -> int;
+  inter_count_many : Bitvec.t -> Bitvec.t array -> int array;
+  blocked : Bitvec.Blocked.t -> block:int -> Bitvec.t -> int array -> int;
+}
+
+let c_kernel =
+  {
+    count = Bitvec.count;
+    inter_count = Bitvec.inter_count;
+    inter_count_upto = Bitvec.inter_count_upto;
+    inter_count_many = Bitvec.inter_count_many;
+    blocked = Bitvec.Blocked.inter_counts_into;
+  }
+
+let ref_kernel =
+  {
+    count = Ref_kernel.count;
+    inter_count = Ref_kernel.inter_count;
+    inter_count_upto = Ref_kernel.inter_count_upto;
+    inter_count_many = Ref_kernel.inter_count_many;
+    blocked = Ref_kernel.blocked_inter_counts_into;
+  }
+
+(* Labelled as the test names have always read: "c" is the C kernel,
+   "swar" its reference. *)
+let kernels = [ ("swar", ref_kernel); ("c", c_kernel) ]
+
+let dense_inter_count_body k (len, sa, sb) =
   let a = dense_of_seed len sa and b = dense_of_seed len sb in
-  Bitvec.inter_count a b = naive_inter_count len a b
+  k.inter_count a b = naive_inter_count len a b
 
 let prop_dense_inter_count =
   QCheck.Test.make ~name:"inter_count = naive get loop (dense)" ~count:300
-    dense_pair_gen dense_inter_count_body
+    dense_pair_gen
+    (dense_inter_count_body c_kernel)
 
 let dense_upto_gen =
   QCheck.make
@@ -307,13 +343,14 @@ let dense_upto_gen =
       Printf.sprintf "len=%d seed_a=%d seed_b=%d limit=%d" len sa sb limit)
     QCheck.Gen.(pair (QCheck.gen dense_pair_gen) (int_range 0 305))
 
-let dense_inter_count_upto_body ((len, sa, sb), limit) =
+let dense_inter_count_upto_body k ((len, sa, sb), limit) =
   let a = dense_of_seed len sa and b = dense_of_seed len sb in
-  Bitvec.inter_count_upto ~limit a b = min (naive_inter_count len a b) limit
+  k.inter_count_upto ~limit a b = min (naive_inter_count len a b) limit
 
 let prop_dense_inter_count_upto =
   QCheck.Test.make ~name:"inter_count_upto = naive get loop (dense)"
-    ~count:300 dense_upto_gen dense_inter_count_upto_body
+    ~count:300 dense_upto_gen
+    (dense_inter_count_upto_body c_kernel)
 
 let dense_many_gen =
   QCheck.make
@@ -322,15 +359,15 @@ let dense_many_gen =
     QCheck.Gen.(
       triple (oneofa ragged_lengths) (int_bound 10_000) (int_range 0 12))
 
-let dense_inter_count_many_body (len, sp, rows) =
+let dense_inter_count_many_body k (len, sp, rows) =
   let p = dense_of_seed len sp in
   let targets = Array.init rows (fun r -> dense_of_seed len (r + 17)) in
-  Bitvec.inter_count_many p targets
-  = Array.map (naive_inter_count len p) targets
+  k.inter_count_many p targets = Array.map (naive_inter_count len p) targets
 
 let prop_dense_inter_count_many =
   QCheck.Test.make ~name:"inter_count_many = naive get loops (dense)"
-    ~count:200 dense_many_gen dense_inter_count_many_body
+    ~count:200 dense_many_gen
+    (dense_inter_count_many_body c_kernel)
 
 let dense_blocked_gen =
   QCheck.make
@@ -340,25 +377,29 @@ let dense_blocked_gen =
       quad (oneofa ragged_lengths) (int_bound 10_000) (int_range 0 12)
         (int_range 1 9))
 
-let dense_blocked_body (len, sp, rows, block_size) =
+(* Every block's counts, in row order. *)
+let blocked_counts k packed probe =
+  List.concat
+    (List.init (Bitvec.Blocked.block_count packed) (fun block ->
+         let dst = Array.make (Bitvec.Blocked.block_size packed) (-1) in
+         let n = k.blocked packed ~block probe dst in
+         Array.to_list (Array.sub dst 0 n)))
+
+let dense_blocked_body k (len, sp, rows, block_size) =
   let p = dense_of_seed len sp in
   let vecs = Array.init rows (fun r -> dense_of_seed len (r + 31)) in
   let packed = Bitvec.Blocked.pack ~block_size vecs in
-  let got = Array.make rows (-1) in
-  let dst = Array.make block_size 0 in
-  for b = 0 to Bitvec.Blocked.block_count packed - 1 do
-    let k = Bitvec.Blocked.inter_counts_into packed ~block:b p dst in
-    Array.blit dst 0 got (b * block_size) k
-  done;
-  got = Array.map (naive_inter_count len p) vecs
+  blocked_counts k packed p
+  = Array.to_list (Array.map (naive_inter_count len p) vecs)
 
 let prop_dense_blocked =
   QCheck.Test.make ~name:"Blocked = naive get loops (dense, ragged)"
-    ~count:200 dense_blocked_gen dense_blocked_body
+    ~count:200 dense_blocked_gen
+    (dense_blocked_body c_kernel)
 
 (* Empty operands hit the all-zero-word paths and the limit=0 early
    exit; spelled out per ragged length rather than left to chance. *)
-let test_intersection_kernels_empty_sets () =
+let test_intersection_kernels_empty_sets k () =
   Array.iter
     (fun len ->
       let empty = Bitvec.create len in
@@ -367,24 +408,24 @@ let test_intersection_kernels_empty_sets () =
         (fun (label, a, b) ->
           Alcotest.(check int)
             (Printf.sprintf "inter_count %s len=%d" label len)
-            0 (Bitvec.inter_count a b);
+            0 (k.inter_count a b);
           Alcotest.(check int)
             (Printf.sprintf "inter_count_upto %s len=%d" label len)
             0
-            (Bitvec.inter_count_upto ~limit:3 a b))
+            (k.inter_count_upto ~limit:3 a b))
         [ ("0∩0", empty, empty); ("0∩d", empty, dense); ("d∩0", dense, empty) ];
       Alcotest.(check int)
         (Printf.sprintf "limit=0 len=%d" len)
         0
-        (Bitvec.inter_count_upto ~limit:0 dense dense);
+        (k.inter_count_upto ~limit:0 dense dense);
       Alcotest.(check (array int))
         (Printf.sprintf "many vs empties len=%d" len)
         [| 0; 0 |]
-        (Bitvec.inter_count_many empty [| dense; empty |]);
+        (k.inter_count_many empty [| dense; empty |]);
       let packed = Bitvec.Blocked.pack ~block_size:2 [| empty; dense |] in
       let dst = Array.make 2 (-1) in
-      let k = Bitvec.Blocked.inter_counts_into packed ~block:0 empty dst in
-      Alcotest.(check int) (Printf.sprintf "blocked rows len=%d" len) 2 k;
+      let rows = k.blocked packed ~block:0 empty dst in
+      Alcotest.(check int) (Printf.sprintf "blocked rows len=%d" len) 2 rows;
       Alcotest.(check (array int))
         (Printf.sprintf "blocked vs empty probe len=%d" len)
         [| 0; 0 |] dst)
@@ -392,54 +433,36 @@ let test_intersection_kernels_empty_sets () =
   (* No rows at all: nothing to count, nothing to pack. *)
   Alcotest.(check (array int))
     "many with zero targets" [||]
-    (Bitvec.inter_count_many (dense_of_seed 63 1) [||])
+    (k.inter_count_many (dense_of_seed 63 1) [||])
 
-(* Backend pinning: the dense differential properties re-run with each
-   registered kernel backend forced — the C stubs must be bit-identical
-   to the SWAR reference on ragged lengths, whole-word masks, empty
-   sets and the blocked layout — plus a direct swar-vs-c agreement
-   check over structured edge inputs and the registry contract
-   (select, the "kernel.backend" gauge, unknown names). *)
+(* The C kernel against its reference: the dense differential
+   properties run once per kernel, and structured edge inputs compare
+   the two output for output. *)
 
-module Kernel = Ndetect_util.Kernel
-module Telemetry = Ndetect_util.Telemetry
-
-let with_backend name f =
-  let prev = Kernel.current_name () in
-  (match Kernel.select name with
-  | Ok () -> ()
-  | Error m -> failwith m);
-  Fun.protect ~finally:(fun () -> ignore (Kernel.select prev)) f
-
-let backend_props backend =
-  let wrap body x = with_backend backend (fun () -> body x) in
-  let name s = Printf.sprintf "%s [%s]" s backend in
+let kernel_props (name, k) =
+  let name s = Printf.sprintf "%s [%s]" s name in
   [
     QCheck.Test.make
       ~name:(name "inter_count = naive (dense)")
-      ~count:200 dense_pair_gen
-      (wrap dense_inter_count_body);
+      ~count:200 dense_pair_gen (dense_inter_count_body k);
     QCheck.Test.make
       ~name:(name "inter_count_upto = naive (dense)")
       ~count:200 dense_upto_gen
-      (wrap dense_inter_count_upto_body);
+      (dense_inter_count_upto_body k);
     QCheck.Test.make
       ~name:(name "inter_count_many = naive (dense)")
       ~count:150 dense_many_gen
-      (wrap dense_inter_count_many_body);
+      (dense_inter_count_many_body k);
     QCheck.Test.make
       ~name:(name "Blocked = naive (dense, ragged)")
-      ~count:150 dense_blocked_gen
-      (wrap dense_blocked_body);
+      ~count:150 dense_blocked_gen (dense_blocked_body k);
   ]
-
-let test_backend_empty_sets backend () =
-  with_backend backend test_intersection_kernels_empty_sets
 
 (* Structured edge inputs — whole-word masks (every bit of the ragged
    last word set), empty sets, half-full vectors, self-intersection —
-   evaluated under swar and under c, compared output-for-output. *)
-let test_backends_agree () =
+   counted by the C kernel and by the reference, compared
+   output-for-output. *)
+let test_kernels_agree () =
   Array.iter
     (fun len ->
       let full = Bitvec.of_list len (List.init len Fun.id) in
@@ -447,29 +470,19 @@ let test_backends_agree () =
       let a = dense_of_seed len 101 and b = dense_of_seed len 202 in
       List.iter
         (fun (label, p, q) ->
-          let run () =
+          let run k =
             let targets = [| q; p; empty; full |] in
             let packed = Bitvec.Blocked.pack ~block_size:3 targets in
-            let dst = Array.make 3 0 in
-            let blocked =
-              List.concat
-                (List.init (Bitvec.Blocked.block_count packed) (fun blk ->
-                     let k =
-                       Bitvec.Blocked.inter_counts_into packed ~block:blk p dst
-                     in
-                     Array.to_list (Array.sub dst 0 k)))
-            in
-            ( Bitvec.count p,
-              Bitvec.inter_count p q,
-              Bitvec.inter_count_upto ~limit:7 p q,
-              Bitvec.inter_count_many p targets,
-              blocked )
+            ( k.count p,
+              k.inter_count p q,
+              k.inter_count_upto ~limit:7 p q,
+              k.inter_count_many p targets,
+              blocked_counts k packed p )
           in
-          let swar = with_backend "swar" run in
-          let c = with_backend "c" run in
           Alcotest.(check bool)
             (Printf.sprintf "%s len=%d" label len)
-            true (swar = c))
+            true
+            (run ref_kernel = run c_kernel))
         [
           ("full∩dense", full, a);
           ("dense∩dense", a, b);
@@ -477,27 +490,6 @@ let test_backends_agree () =
           ("full∩full", full, full);
         ])
     ragged_lengths
-
-let test_backend_registry () =
-  List.iteri
-    (fun i (name, (module B : Kernel.KERNEL)) ->
-      Alcotest.(check string) "registered under its own name" name B.name;
-      with_backend name (fun () ->
-          Alcotest.(check string) "current_name" name (Kernel.current_name ());
-          Alcotest.(check int)
-            (Printf.sprintf "gauge tracks %s" name)
-            i
-            (Telemetry.counter_value "kernel.backend")))
-    Kernel.backends;
-  let before = Kernel.current_name () in
-  (match Kernel.select "no-such-backend" with
-  | Ok () -> Alcotest.fail "unknown backend accepted"
-  | Error m ->
-    Alcotest.(check bool)
-      "error lists the registered names" true
-      (Helpers.contains_substring m "swar"));
-  Alcotest.(check string) "selection unchanged on error" before
-    (Kernel.current_name ())
 
 let prop_equal_compare_hash =
   QCheck.make
@@ -761,25 +753,24 @@ let () =
           Helpers.qcheck prop_dense_inter_count_many;
           Helpers.qcheck prop_dense_blocked;
           Alcotest.test_case "empty sets (all kernels)" `Quick
-            test_intersection_kernels_empty_sets;
+            (test_intersection_kernels_empty_sets c_kernel);
           Helpers.qcheck prop_equal_compare_hash;
           Helpers.qcheck prop_equal_reflexive;
         ] );
       ( "kernel backends",
         List.concat_map
-          (fun (name, _) -> List.map Helpers.qcheck (backend_props name))
-          Kernel.backends
+          (fun kernel -> List.map Helpers.qcheck (kernel_props kernel))
+          kernels
         @ List.map
-            (fun (name, _) ->
+            (fun (name, k) ->
               Alcotest.test_case
                 (Printf.sprintf "empty sets [%s]" name)
-                `Quick (test_backend_empty_sets name))
-            Kernel.backends
+                `Quick
+                (test_intersection_kernels_empty_sets k))
+            kernels
         @ [
             Alcotest.test_case "swar and c agree on edge inputs" `Quick
-              test_backends_agree;
-            Alcotest.test_case "registry: select, gauge, unknown name" `Quick
-              test_backend_registry;
+              test_kernels_agree;
           ] );
       ( "parallel",
         [

@@ -8,41 +8,27 @@ set -eu
 root=$(dirname "$0")/..
 cd "$root"
 
+files=$(find bin lib test bench tools -name '*.ml' -o -name '*.mli')
+
 # Sanity-check the sweep's coverage before trusting it (even when the
-# formatter is absent): the differential-oracle library, the kernel
-# backend module, the record container and the Definition-2 oracle
-# must be in the file list — a rename or a narrowed find would
-# otherwise silently drop them from the gate.
-if ! find bin lib test bench tools -name '*.ml' -o -name '*.mli' \
-    | grep -q '^lib/check/'; then
-  echo "check-fmt: lib/check sources missing from the sweep"
-  exit 1
-fi
-if ! find bin lib test bench tools -name '*.ml' -o -name '*.mli' \
-    | grep -q '^lib/util/kernel\.ml$'; then
-  echo "check-fmt: lib/util/kernel.ml missing from the sweep"
-  exit 1
-fi
-if ! find bin lib test bench tools -name '*.ml' -o -name '*.mli' \
-    | grep -q '^lib/util/record\.ml$'; then
-  echo "check-fmt: lib/util/record.ml missing from the sweep"
-  exit 1
-fi
-if ! find bin lib test bench tools -name '*.ml' -o -name '*.mli' \
-    | grep -q '^lib/core/definition2\.ml$'; then
-  echo "check-fmt: lib/core/definition2.ml missing from the sweep"
-  exit 1
-fi
-if ! find bin lib test bench tools -name '*.ml' -o -name '*.mli' \
-    | grep -q '^lib/sim/strategy\.ml$'; then
-  echo "check-fmt: lib/sim/strategy.ml missing from the sweep"
-  exit 1
-fi
-if ! find bin lib test bench tools -name '*.ml' -o -name '*.mli' \
-    | grep -q '^lib/estimate/'; then
-  echo "check-fmt: lib/estimate sources missing from the sweep"
-  exit 1
-fi
+# formatter is absent): the differential-oracle library and its
+# reference kernel, the kernel module, the record container, the
+# Definition-2 oracle, the strategy stamp and the estimator must be in
+# the file list — a rename or a narrowed find would otherwise silently
+# drop them from the gate. A path ending in / requires some file below
+# it; any other path requires exactly that file.
+for required in lib/check/ lib/check/ref_kernel.ml lib/util/kernel.ml \
+    lib/util/record.ml lib/core/definition2.ml lib/sim/strategy.ml \
+    lib/estimate/; do
+  case $required in
+    */) match="grep -q ^$required" ;;
+    *) match="grep -qxF $required" ;;
+  esac
+  if ! printf '%s\n' "$files" | $match; then
+    echo "check-fmt: $required missing from the sweep"
+    exit 1
+  fi
+done
 
 if ! command -v ocamlformat >/dev/null 2>&1; then
   echo "check-fmt: ocamlformat not installed; skipping"
@@ -55,7 +41,7 @@ if [ ! -f .ocamlformat ]; then
 fi
 
 status=0
-for f in $(find bin lib test bench tools -name '*.ml' -o -name '*.mli'); do
+for f in $files; do
   if ! ocamlformat --check "$f"; then
     echo "check-fmt: $f is not formatted"
     status=1
