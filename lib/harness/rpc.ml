@@ -76,6 +76,12 @@ let to_string j =
 
 exception Bad of string
 
+(* Real frames nest a few levels deep. Without a bound, a frame of
+   nothing but '[' recurses once per byte: a 16 MiB one grows the
+   stack by gigabytes on the connection thread, which holds the
+   runtime lock the whole daemon shares. *)
+let max_depth = 256
+
 let parse (s : string) : json =
   let n = String.length s in
   let pos = ref 0 in
@@ -180,9 +186,10 @@ let parse (s : string) : json =
       | Some f -> Float f
       | None -> fail "bad number"
   in
-  let rec parse_value () =
+  let rec parse_value depth =
     skip_ws ();
     match peek () with
+    | Some ('{' | '[') when depth >= max_depth -> fail "nesting too deep"
     | Some '{' ->
       advance ();
       skip_ws ();
@@ -196,7 +203,7 @@ let parse (s : string) : json =
           let key = parse_string () in
           skip_ws ();
           expect ':';
-          let v = parse_value () in
+          let v = parse_value (depth + 1) in
           skip_ws ();
           match peek () with
           | Some ',' ->
@@ -218,7 +225,7 @@ let parse (s : string) : json =
       end
       else begin
         let rec elements acc =
-          let v = parse_value () in
+          let v = parse_value (depth + 1) in
           skip_ws ();
           match peek () with
           | Some ',' ->
@@ -238,7 +245,7 @@ let parse (s : string) : json =
     | Some _ -> parse_number ()
     | None -> fail "unexpected end of input"
   in
-  let v = parse_value () in
+  let v = parse_value 0 in
   skip_ws ();
   if !pos <> n then fail "trailing garbage";
   v
@@ -269,7 +276,7 @@ let write_frame oc j =
   output_string oc (frame j);
   flush oc
 
-let read_frame ic =
+let read_payload ic =
   match input_line ic with
   | exception End_of_file -> Error "eof"
   | line -> (
@@ -277,6 +284,8 @@ let read_frame ic =
     | Some len when len >= 0 && len <= max_frame -> (
       match really_input_string ic len with
       | exception End_of_file -> Error "truncated frame"
-      | payload -> of_string payload)
+      | payload -> Ok payload)
     | Some _ -> Error "frame too large"
     | None -> Error (Printf.sprintf "bad frame length %S" line))
+
+let read_frame ic = Result.bind (read_payload ic) of_string

@@ -43,7 +43,12 @@ val to_string : json -> string
 val of_string : string -> (json, string) result
 (** Parse one JSON document; trailing garbage is an error. Numbers with
     a fraction, exponent, or outside OCaml's [int] range decode as
-    [Float]; anything else decodes as [Int]. *)
+    [Float]; anything else decodes as [Int]. Arrays and objects nested
+    deeper than {!max_depth} are an [Error], found before the parser
+    recurses past the bound. *)
+
+val max_depth : int
+(** Deepest accepted nesting of arrays and objects (256). *)
 
 (** {2 Object helpers} *)
 
@@ -64,9 +69,15 @@ val max_frame : int
 val write_frame : out_channel -> json -> unit
 (** Write one length-prefixed frame and flush. *)
 
+val read_payload : in_channel -> (string, string) result
+(** Read one frame's payload bytes without decoding them; [Error] on
+    EOF, a malformed length line or an oversized frame. After [Ok] the
+    channel sits at the next frame whatever the payload holds, so a
+    reader can answer an undecodable payload and keep going. *)
+
 val read_frame : in_channel -> (json, string) result
-(** Read one frame; [Error] on EOF, a malformed length line, an
-    oversized frame, or an undecodable payload. *)
+(** {!read_payload} then {!of_string}: [Error] on EOF, a malformed
+    length line, an oversized frame, or an undecodable payload. *)
 
 val frame : json -> string
 (** The exact bytes {!write_frame} writes — for tests and for writers

@@ -399,10 +399,12 @@ let handle_conn t fd =
   (try
      Rpc.write_frame oc hello_frame;
      let rec loop () =
-       match Rpc.read_frame ic with
+       match Rpc.read_payload ic with
        | Error _ -> ()  (* peer hung up (or sent garbage framing) *)
-       | Ok j ->
-         handle_frame t oc j;
+       | Ok payload ->
+         (match Rpc.of_string payload with
+         | Ok j -> handle_frame t oc j
+         | Error message -> Rpc.write_frame oc (error_frame message));
          loop ()
      in
      loop ()

@@ -3,7 +3,9 @@
     The daemon listens on a Unix-domain socket and speaks
     {!Rpc.protocol} ([ndetect-rpc/1]): length-prefixed JSON frames. Per
     connection it sends a [hello] frame, then answers [request] and
-    [stats] frames until the peer hangs up. A [request] carries an
+    [stats] frames until the peer hangs up. A well-framed payload that
+    does not decode (bad JSON, nesting past {!Rpc.max_depth}) gets an
+    [error] frame and the connection stays open. A [request] carries an
     {!Api.Request.t}; the answer streams the request's own
     [ndetect-trace/1] telemetry ([trace] frames), one [row] frame per
     computed section, one [failure] frame per failed supervised unit,

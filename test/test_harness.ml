@@ -1,5 +1,5 @@
-(* Tests for the reproduction driver shared by bin/reproduce and
-   bench/main. *)
+(* Tests for the reproduction driver behind bin/reproduce and
+   `ndetect tables`. *)
 
 module Driver = Ndetect_harness.Driver
 module Checkpoint = Ndetect_harness.Checkpoint

@@ -105,6 +105,35 @@ let test_rpc_rejects_oversized_frame () =
           Alcotest.(check bool) "oversized frame rejected" true
             (Result.is_error (Rpc.read_frame ic))))
 
+(* Nesting is bounded, so a frame of nothing but '[' is rejected at
+   once instead of recursing (and growing the stack) once per byte. *)
+let test_rpc_rejects_deep_nesting () =
+  let arrays depth = String.make depth '[' ^ String.make depth ']' in
+  let objects depth =
+    String.concat "" (List.init depth (fun _ -> "{\"a\":"))
+    ^ "0" ^ String.make depth '}'
+  in
+  let rejected doc =
+    match Rpc.of_string doc with
+    | Ok _ -> false
+    | Error m -> Helpers.contains_substring m "nesting too deep at byte"
+  in
+  Alcotest.(check bool) "arrays max_depth deep accepted" true
+    (Result.is_ok (Rpc.of_string (arrays Rpc.max_depth)));
+  Alcotest.(check bool) "objects max_depth deep accepted" true
+    (Result.is_ok (Rpc.of_string (objects Rpc.max_depth)));
+  Alcotest.(check bool) "one array deeper rejected" true
+    (rejected (arrays (Rpc.max_depth + 1)));
+  Alcotest.(check bool) "one object deeper rejected" true
+    (rejected (objects (Rpc.max_depth + 1)));
+  let frame = String.make (4 * 1024 * 1024) '[' in
+  let t0 = Unix.gettimeofday () in
+  let frame_rejected = rejected frame in
+  let elapsed = Unix.gettimeofday () -. t0 in
+  Alcotest.(check bool) "4 MiB of '[' rejected" true frame_rejected;
+  if elapsed >= 0.1 then
+    Alcotest.failf "4 MiB of '[' took %.3f s to reject" elapsed
+
 (* request encoding *)
 
 let full_request =
@@ -282,6 +311,121 @@ let test_section_names () =
     [ Api.Request.Worst; Api.Request.Average; Api.Request.Average_def2 ];
   Alcotest.(check bool) "unknown section name" true
     (Api.Request.section_of_name "table9" = None)
+
+(* Byte-mutation fuzz: valid request and response frames, truncated,
+   overwritten and bit-flipped, must decode to Ok or Error through
+   every decoder a daemon or client runs on untrusted bytes — never an
+   exception. *)
+let seed_frames =
+  let request req =
+    Rpc.Obj
+      [ ("type", Rpc.Str "request"); ("request", Api.Request.to_json req) ]
+  in
+  List.map Rpc.frame
+    [
+      request full_request;
+      request (Api.Request.make ~label:"defaults" (Api.Request.Suite "mc"));
+      request
+        (Api.Request.make ~label:"inline"
+           (Api.Request.Inline_bench "INPUT(a)\nOUTPUT(z)\nz = NOT(a)\n"));
+      request
+        (Api.Request.make ~label:"sampled"
+           ~universe:
+             (Api.Request.Sampled
+                { Api.Estimate.Spec.samples = 500; strata = 8; confidence = 0.9 })
+           (Api.Request.Suite "mc"));
+      Rpc.Obj [ ("type", Rpc.Str "stats") ];
+      Rpc.Obj
+        [
+          ("type", Rpc.Str "hello"); ("protocol", Rpc.Str Rpc.protocol);
+          ("server", Rpc.Str "ndetect serve");
+        ];
+      Rpc.Obj
+        [
+          ("type", Rpc.Str "trace");
+          ("line", Rpc.Str "{\"type\":\"begin\",\"name\":\"table.build\"}");
+        ];
+      Rpc.Obj
+        [
+          ("type", Rpc.Str "failure"); ("label", Rpc.Str "lion");
+          ("reason", Rpc.Str "timed out after 0.4s");
+          ("spans", Rpc.List [ Rpc.Str "table.sim"; Rpc.Str "analyze" ]);
+        ];
+      Rpc.Obj
+        [
+          ("type", Rpc.Str "done");
+          ("render", Rpc.Str "Table 2\n  lion\t100.00  -1.5e-3\n");
+          ("failures", Rpc.Int 0);
+          ( "counters",
+            Rpc.Obj [ ("table.builds", Rpc.Int 1); ("serve.requests", Rpc.Int 7) ]
+          );
+        ];
+      Rpc.Obj [ ("type", Rpc.Str "overloaded"); ("queue", Rpc.Int 16) ];
+      Rpc.Obj [ ("type", Rpc.Str "error"); ("message", Rpc.Str "bad \"x\"") ];
+    ]
+
+type mutation = Truncate of int | Overwrite of int * char | Flip of int * int
+
+let apply_mutation frame = function
+  | Truncate at -> String.sub frame 0 (at mod (String.length frame + 1))
+  | Overwrite (at, c) when frame <> "" ->
+    String.mapi (fun i d -> if i = at mod String.length frame then c else d) frame
+  | Flip (at, bit) when frame <> "" ->
+    String.mapi
+      (fun i d ->
+        if i = at mod String.length frame then
+          Char.chr (Char.code d lxor (1 lsl bit))
+        else d)
+      frame
+  | Overwrite _ | Flip _ -> frame
+
+let mutated_frame_gen =
+  let open QCheck.Gen in
+  let mutation =
+    frequency
+      [
+        (1, map (fun at -> Truncate at) nat);
+        (2, map2 (fun at c -> Overwrite (at, c)) nat char);
+        (3, map2 (fun at bit -> Flip (at, bit)) nat (int_bound 7));
+      ]
+  in
+  map2
+    (fun frame mutations -> List.fold_left apply_mutation frame mutations)
+    (oneofl seed_frames)
+    (list_size (int_range 1 4) mutation)
+
+(* A frame through the channel reader, as the daemon and the client
+   read it. The frames are small, so one pipe buffer holds each. *)
+let read_frame_of_string bytes =
+  let r, w = Unix.pipe ~cloexec:true () in
+  let ic = Unix.in_channel_of_descr r in
+  Fun.protect
+    ~finally:(fun () -> close_in_noerr ic)
+    (fun () ->
+      Fun.protect
+        ~finally:(fun () -> Unix.close w)
+        (fun () ->
+          ignore (Unix.write_substring w bytes 0 (String.length bytes)));
+      Rpc.read_frame ic)
+
+(* The property holds unless a decoder raises (qcheck reports the
+   exception with the offending bytes). *)
+let prop_mutated_frames_decode =
+  QCheck.Test.make ~count:400 ~name:"rpc decoders survive byte mutation"
+    (QCheck.make ~print:(Printf.sprintf "%S") mutated_frame_gen)
+    (fun bytes ->
+      ignore (read_frame_of_string bytes : (Rpc.json, string) result);
+      let payload =
+        match String.index_opt bytes '\n' with
+        | Some i -> String.sub bytes (i + 1) (String.length bytes - i - 1)
+        | None -> bytes
+      in
+      (match Rpc.of_string payload with
+      | Ok doc ->
+        let request = Option.value ~default:doc (Rpc.member "request" doc) in
+        ignore (Api.Request.of_json request : (Api.Request.t, string) result)
+      | Error _ -> ());
+      true)
 
 (* options -> request lowering *)
 
@@ -574,6 +718,34 @@ let test_serve_retired_field_is_an_error_frame () =
           Alcotest.(check int) "next request answered" 0 reply.remote_failures;
           Alcotest.(check bool) "with a render" true (reply.render <> "")))
 
+(* A frame nested past Rpc.max_depth gets an error frame, not a stalled
+   daemon or a dropped connection; the next plain request on the same
+   connection is answered. *)
+let test_serve_deep_frame_is_an_error_frame () =
+  with_server (fun socket ->
+      let conn = connect socket in
+      Fun.protect
+        ~finally:(fun () -> disconnect conn)
+        (fun () ->
+          let _, ic, oc = conn in
+          let payload = String.make (4 * 1024 * 1024) '[' in
+          Printf.fprintf oc "%d\n%s%!" (String.length payload) payload;
+          (match Rpc.read_frame ic with
+          | Error m -> Alcotest.fail ("reply: " ^ m)
+          | Ok j ->
+            Alcotest.(check (option string))
+              "error frame" (Some "error")
+              (Option.bind (Rpc.member "type" j) Rpc.to_str);
+            Alcotest.(check bool) "message says nesting" true
+              (Helpers.contains_substring
+                 (Option.value ~default:""
+                    (Option.bind (Rpc.member "message" j) Rpc.to_str))
+                 "nesting too deep"));
+          send_request conn (quick_request "lion");
+          let reply = read_reply conn in
+          Alcotest.(check int) "next request answered" 0 reply.remote_failures;
+          Alcotest.(check bool) "with a render" true (reply.render <> "")))
+
 let test_serve_stats_frame () =
   with_server (fun socket ->
       ignore (one_shot socket (quick_request "lion"));
@@ -730,6 +902,8 @@ let () =
           Helpers.qcheck prop_framing_roundtrip;
           Alcotest.test_case "oversized frame rejected" `Quick
             test_rpc_rejects_oversized_frame;
+          Alcotest.test_case "deep nesting rejected" `Quick
+            test_rpc_rejects_deep_nesting;
         ] );
       ( "request",
         [
@@ -739,6 +913,7 @@ let () =
             test_request_of_json_errors;
           Alcotest.test_case "retired runtime fields" `Quick
             test_request_retired_fields;
+          Helpers.qcheck prop_mutated_frames_decode;
           Alcotest.test_case "section names" `Quick test_section_names;
           Alcotest.test_case "options lowering" `Quick
             test_options_to_request;
@@ -750,6 +925,8 @@ let () =
           Alcotest.test_case "stats frame" `Quick test_serve_stats_frame;
           Alcotest.test_case "retired runtime field is an error frame" `Quick
             test_serve_retired_field_is_an_error_frame;
+          Alcotest.test_case "deep frame is an error frame" `Quick
+            test_serve_deep_frame_is_an_error_frame;
           Alcotest.test_case "dedups concurrent identical requests" `Quick
             test_serve_dedups_concurrent_identical_requests;
           Alcotest.test_case "deadline is a structured row" `Quick

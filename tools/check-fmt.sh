@@ -8,7 +8,7 @@ set -eu
 root=$(dirname "$0")/..
 cd "$root"
 
-files=$(find bin lib test bench tools -name '*.ml' -o -name '*.mli')
+files=$(find bin lib test tools -name '*.ml' -o -name '*.mli')
 
 # Sanity-check the sweep's coverage before trusting it (even when the
 # formatter is absent): the differential-oracle library and its
