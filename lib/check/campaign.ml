@@ -148,6 +148,112 @@ let check_net_counted ?(mutate = false) ?proc_mode ~seed net =
     && g_count = Detection_table.untargeted_count table
   in
   if shapes_ok then begin
+    (* Definition 2 verdicts on sampled vectors: the two-rail cone
+       oracle against the whole-circuit re-evaluation, pair by pair and
+       as one batched chain extension of each vector by all the others.
+       They depend on the fault list only, not on the detection sets, so
+       they come first: a corrupted table cannot crowd their cells out
+       of the recorded divergences. *)
+    let def2_opt = Definition2.create table in
+    let def2_ref =
+      Ref_def2.create net (Array.init f_count (Ref_table.target_fault rt))
+    in
+    let checked = min f_count 8 in
+    let tests =
+      Array.init checked (fun fi ->
+          Ref_table.members (Ref_table.target_set rt fi))
+    in
+    for fi = 0 to checked - 1 do
+      let members = Array.of_list tests.(fi) in
+      let picked =
+        List.init (min (Array.length members) 5) (fun i ->
+            members.(i * Array.length members / min (Array.length members) 5))
+      in
+      let vectors =
+        List.sort_uniq Int.compare ((universe - 1) :: 0 :: picked)
+      in
+      List.iteri
+        (fun i v1 ->
+          List.iteri
+            (fun j v2 ->
+              if i < j then
+                check_bool
+                  (Printf.sprintf "def2(f%d,%d,%d)" fi v1 v2)
+                  ~expected:(Ref_def2.different def2_ref ~fi v1 v2)
+                  ~actual:(Definition2.different def2_opt ~fi v1 v2))
+            vectors)
+        vectors;
+      List.iter
+        (fun v ->
+          let chain = List.filter (( <> ) v) vectors in
+          check_bool
+            (Printf.sprintf "def2_chain(f%d,%d)" fi v)
+            ~expected:(Ref_def2.chain_extend def2_ref ~fi ~chain v)
+            ~actual:(Definition2.chain_extend def2_opt ~fi ~chain v))
+        vectors
+    done;
+    (* The packed entry points, with [mutate] arming the lane-group
+       sabotage. Each fault's chain is the reference's greedy chain over
+       T(f), so no other test of T(f) extends it: [first_extending] must
+       scan them all and find none, and [extend_many] must refuse each
+       of them for that fault, placed last in a pack it shares with the
+       other faults. A scan of the whole universe, where some vector
+       usually does extend the chain, must stop where the reference
+       does. *)
+    let chains =
+      Array.init checked (fun fi ->
+          List.fold_left
+            (fun chain v ->
+              if Ref_def2.chain_extend def2_ref ~fi ~chain v then v :: chain
+              else chain)
+            [] tests.(fi))
+    in
+    let show = function None -> "none" | Some v -> string_of_int v in
+    let bits bs =
+      String.concat ""
+        (Array.to_list (Array.map (fun b -> if b then "1" else "0") bs))
+    in
+    Fun.protect
+      ~finally:(fun () -> Definition2.debug_corrupt_lanes := false)
+      (fun () ->
+        Definition2.debug_corrupt_lanes := mutate;
+        for fi = 0 to checked - 1 do
+          let chain = chains.(fi) in
+          let unused =
+            List.filter (fun v -> not (List.mem v chain)) tests.(fi)
+          in
+          List.iter
+            (fun candidates ->
+              let expected =
+                Array.find_opt (Ref_def2.chain_extend def2_ref ~fi ~chain)
+                  candidates
+              and actual =
+                Definition2.first_extending def2_opt ~fi ~chain candidates
+              in
+              if expected <> actual then
+                emit
+                  (Printf.sprintf "def2_first(f%d,%d candidates)" fi
+                     (Array.length candidates))
+                  (show expected) (show actual))
+            [
+              Array.of_list unused;
+              Array.init universe (fun i -> universe - 1 - i);
+            ];
+          let fis = Array.init checked (fun k -> (fi + 1 + k) mod checked) in
+          List.iter
+            (fun v ->
+              let expected =
+                Array.map
+                  (fun fj ->
+                    Ref_def2.chain_extend def2_ref ~fi:fj ~chain:chains.(fj) v)
+                  fis
+              and actual = Definition2.extend_many def2_opt ~chains fis v in
+              if expected <> actual then
+                emit
+                  (Printf.sprintf "def2_many(f%d last,%d)" fi v)
+                  (bits expected) (bits actual))
+            unused
+        done);
     for fi = 0 to f_count - 1 do
       let ref_fault = Ref_table.target_fault rt fi in
       if not (Stuck.equal ref_fault (Detection_table.target_fault table fi))
@@ -217,44 +323,6 @@ let check_net_counted ?(mutate = false) ?proc_mode ~seed net =
           emit
             (Printf.sprintf "nmin_witness(g%d)" gj)
             (string_of_int expected) "no witness"
-    done;
-    (* Definition 2 verdicts on sampled vectors: the two-rail cone
-       oracle against the whole-circuit re-evaluation, pair by pair and
-       as one batched chain extension of each vector by all the others. *)
-    let def2_opt = Definition2.create table in
-    let def2_ref =
-      Ref_def2.create net (Array.init f_count (Ref_table.target_fault rt))
-    in
-    for fi = 0 to min f_count 8 - 1 do
-      let members =
-        Array.of_list (Ref_table.members (Ref_table.target_set rt fi))
-      in
-      let picked =
-        List.init (min (Array.length members) 5) (fun i ->
-            members.(i * Array.length members / min (Array.length members) 5))
-      in
-      let vectors =
-        List.sort_uniq Int.compare ((universe - 1) :: 0 :: picked)
-      in
-      List.iteri
-        (fun i v1 ->
-          List.iteri
-            (fun j v2 ->
-              if i < j then
-                check_bool
-                  (Printf.sprintf "def2(f%d,%d,%d)" fi v1 v2)
-                  ~expected:(Ref_def2.different def2_ref ~fi v1 v2)
-                  ~actual:(Definition2.different def2_opt ~fi v1 v2))
-            vectors)
-        vectors;
-      List.iter
-        (fun v ->
-          let chain = List.filter (( <> ) v) vectors in
-          check_bool
-            (Printf.sprintf "def2_chain(f%d,%d)" fi v)
-            ~expected:(Ref_def2.chain_extend def2_ref ~fi ~chain v)
-            ~actual:(Definition2.chain_extend def2_opt ~fi ~chain v))
-        vectors
     done;
     (* Procedure 1: full replay from the same split streams. *)
     let mode =

@@ -5,7 +5,8 @@
     diffs every derived quantity: fault-free output values, kept fault
     lists, every detection set, every [N]/[M] table cell, the full
     [nmin] distribution and its witnesses, sampled Definition 2
-    verdicts, a complete Procedure 1 replay (detection counts, test
+    verdicts (pairwise, per chain, and through the packed
+    [first_extending] / [extend_many] passes), a complete Procedure 1 replay (detection counts, test
     sets, per-fault Definition 1 counts, strict chains, output masks),
     and the sampled estimator's [dmin] over a small stratified sample
     ({!check_sampled}). Any divergence is shrunk to a minimal circuit
@@ -13,8 +14,10 @@
 
     [mutate] flips one bit of one optimized detection set right after
     the table is built ({!Ndetect_core.Detection_table.corrupt_target_set})
-    and corrupts one sampled target set before the sampled scan
-    ({!Ndetect_estimate.Estimate.debug_corrupt_scan}) — simulated bugs
+    corrupts one sampled target set before the sampled scan
+    ({!Ndetect_estimate.Estimate.debug_corrupt_scan}) and misreads one
+    lane group of the packed Definition 2 passes
+    ({!Ndetect_core.Definition2.debug_corrupt_lanes}) — simulated bugs
     proving the checker reports divergences rather than vacuously
     passing. *)
 

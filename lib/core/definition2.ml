@@ -6,7 +6,8 @@ module Word = Ndetect_logic.Word
 
 (* Two-rail ternary words: lane j of a node is 1 where bit j of its [one]
    rail is set, 0 where bit j of its [zero] rail is set, X where neither
-   is. Lane j of a batch simulates the test tij of the pair (v, chain_j).
+   is. Lane j of a pass simulates the test common to a vector pair
+   (a_j, b_j): the tij of a candidate and one chain member.
 
    Rail slots: [0, n) hold the fault-free values of the n nodes,
    [n, 2n) the faulty values of cone nodes, and 2n / 2n+1 the constants
@@ -39,7 +40,13 @@ type t = {
   cones : cone option array;  (* per fault, built on first use *)
   one : int array;  (* rails, 2n + 2 slots each *)
   zero : int array;
-  batch : int array;  (* chain vectors of the current batch, by lane *)
+  ta : int array;  (* per input: lane j of a pass simulates the test *)
+  tb : int array;  (* common to a_j and b_j, bit j of ta.(i) / tb.(i)
+                      being input i of a_j / b_j *)
+  tc : int array;  (* first_extending: the chain, transposed *)
+  b : int array;  (* extend_many: the chain member of each lane *)
+  seg_k : int array;  (* extend_many: segments of the current pack *)
+  seg_lo : int array;
 }
 
 let sched_of net ~dst ~slot nodes =
@@ -113,6 +120,7 @@ let build_cone net ~good fault =
 
 let of_faults net faults =
   let n = Netlist.node_count net in
+  let pi = Array.length (Netlist.inputs net) in
   let one = Array.make ((2 * n) + 2) 0 and zero = Array.make ((2 * n) + 2) 0 in
   zero.(2 * n) <- -1;
   one.((2 * n) + 1) <- -1;
@@ -126,7 +134,12 @@ let of_faults net faults =
     cones = Array.make (Array.length faults) None;
     one;
     zero;
-    batch = Array.make Word.width 0;
+    ta = Array.make pi 0;
+    tb = Array.make pi 0;
+    tc = Array.make pi 0;
+    b = Array.make Word.width 0;
+    seg_k = Array.make Word.width 0;
+    seg_lo = Array.make Word.width 0;
   }
 
 let create table =
@@ -191,26 +204,43 @@ let[@inline] eval_gate s i one zero =
     one.(d) <- !o;
     zero.(d) <- !z
 
-(* Simulate the first [lanes] lanes of [t.batch] (lane j: the test common
-   to [v] and [t.batch.(j)]) and report whether some lane detects the
-   fault: a cone output binary in both circuits, with different values. *)
-let batch_detects t cone ~v ~lanes =
-  let inputs = Netlist.inputs t.net in
-  let pi = Array.length inputs in
+(* Operands are transposed: bit j of [ta.(i)] / [tb.(i)] is input i of
+   a_j / b_j. [transpose] fills [dst] from the vectors [src.(lo + j)],
+   j < len (input i is bit [pi - 1 - i] of a vector); [splat] gives
+   every lane the vector [v]. *)
+let transpose dst src ~lo ~len =
+  let pi = Array.length dst in
   for i = 0 to pi - 1 do
     let bit = pi - 1 - i in
-    let vbit = (v lsr bit) land 1 in
-    (* Lanes whose chain vector agrees with [v] on this input. *)
-    let agree = ref 0 in
-    for j = 0 to lanes - 1 do
-      if (t.batch.(j) lsr bit) land 1 = vbit then agree := !agree lor (1 lsl j)
+    let w = ref 0 in
+    for j = 0 to len - 1 do
+      w := !w lor (((src.(lo + j) lsr bit) land 1) lsl j)
     done;
-    t.one.(inputs.(i)) <- (if vbit = 1 then !agree else 0);
-    t.zero.(inputs.(i)) <- (if vbit = 1 then 0 else !agree)
-  done;
-  for k = 0 to Array.length cone.support - 1 do
-    eval_gate t.good cone.support.(k) t.one t.zero
-  done;
+    dst.(i) <- !w
+  done
+
+let splat dst v =
+  let pi = Array.length dst in
+  for i = 0 to pi - 1 do
+    dst.(i) <- -((v lsr (pi - 1 - i)) land 1)
+  done
+
+(* The input rails of lanes [0, lanes): input i of the test common to
+   a_j and b_j is 1 where both are 1, 0 where both are 0, X where they
+   differ. *)
+let load t ~lanes =
+  let inputs = Netlist.inputs t.net and live = Word.mask_low lanes in
+  for i = 0 to Array.length inputs - 1 do
+    let a = t.ta.(i) and b = t.tb.(i) in
+    t.one.(inputs.(i)) <- a land b;
+    t.zero.(inputs.(i)) <- lnot (a lor b) land live
+  done
+
+(* The faulty pass over a fault's cone, on good rails already computed
+   for every gate the cone's observing outputs depend on. It writes only
+   faulty slots. Returns the lanes where the fault is detected: a cone
+   output binary in both circuits, with different values. *)
+let cone_mask t cone =
   for i = 0 to Array.length cone.sched.dst - 1 do
     eval_gate cone.sched i t.one t.zero
   done;
@@ -220,23 +250,142 @@ let batch_detects t cone ~v ~lanes =
     acc :=
       !acc lor (t.one.(g) land t.zero.(f)) lor (t.zero.(g) land t.one.(f))
   done;
-  !acc land Word.mask_low lanes <> 0
+  !acc
+
+(* Detecting lanes among [0, lanes) for one fault: the fault-free pass
+   over the cone's support only, then the cone pass. *)
+let detect_mask t cone ~lanes =
+  load t ~lanes;
+  for k = 0 to Array.length cone.support - 1 do
+    eval_gate t.good cone.support.(k) t.one t.zero
+  done;
+  cone_mask t cone land Word.mask_low lanes
+
+let debug_corrupt_lanes = ref false
+
+(* Lanes [lo, lo + len) of a detection mask: one candidate's or one
+   fault's group. The sabotage reads the [last] group of a pass that
+   holds several one group too far, past the filled lanes. *)
+let[@inline] group mask ~lo ~len ~last =
+  if last && lo > 0 && !debug_corrupt_lanes then 0
+  else (mask lsr lo) land Word.mask_low len
+
+(* A candidate against a chain longer than one pass: 62 members per
+   pass, stopping at the first detecting one. *)
+let extends_spilled t cone members c =
+  let m = Array.length members in
+  let rec go s0 =
+    s0 >= m
+    ||
+    let lanes = min Word.width (m - s0) in
+    transpose t.tb members ~lo:s0 ~len:lanes;
+    detect_mask t cone ~lanes = 0 && go (s0 + lanes)
+  in
+  splat t.ta c;
+  (not (Array.mem c members)) && go 0
+
+(* Candidates in groups of |chain| lanes, as many groups as fit in one
+   pass; the first group without a detecting lane, in candidate order,
+   is the answer. Every group's b operands are the chain, transposed
+   once and repeated by one multiplication per input (the copies do not
+   overlap, so nothing carries); group k's a operands are its
+   candidate's bits, each spread over the group's [m] lanes. *)
+let first_extending t ~fi ~chain candidates =
+  let members = Array.of_list chain in
+  let m = Array.length members and count = Array.length candidates in
+  if count = 0 then None
+  else if m = 0 then Some candidates.(0)
+  else
+    let cone = cone t fi in
+    if m > Word.width then
+      Array.find_opt (extends_spilled t cone members) candidates
+    else begin
+      transpose t.tc members ~lo:0 ~len:m;
+      let pi = Array.length t.ta and per = Word.width / m in
+      let block = Word.mask_low m in
+      let rec pass c0 =
+        if c0 >= count then None
+        else
+          let g = min per (count - c0) in
+          let repeat = ref 0 in
+          for k = 0 to g - 1 do
+            repeat := !repeat lor (1 lsl (k * m))
+          done;
+          for i = 0 to pi - 1 do
+            let bit = pi - 1 - i in
+            let a = ref 0 in
+            for k = 0 to g - 1 do
+              let spread = -((candidates.(c0 + k) lsr bit) land 1) land block in
+              a := !a lor (spread lsl (k * m))
+            done;
+            t.ta.(i) <- !a;
+            t.tb.(i) <- t.tc.(i) * !repeat
+          done;
+          let mask = detect_mask t cone ~lanes:(g * m) in
+          let rec pick k =
+            if k >= g then pass (c0 + g)
+            else
+              let c = candidates.(c0 + k) in
+              if
+                group mask ~lo:(k * m) ~len:m ~last:(k = g - 1) = 0
+                && not (Array.mem c members)
+              then Some c
+              else pick (k + 1)
+          in
+          pick 0
+      in
+      pass 0
+    end
 
 (* Different from every chain member: [v] is not in the chain and no
-   common test detects the fault. The chain fills 62-lane batches in
-   order; the first detecting batch, or [v] itself, ends the scan. *)
+   common test detects the fault. *)
 let chain_extend t ~fi ~chain v =
-  let cone = cone t fi in
-  let rec go chain lanes =
-    match chain with
-    | s :: _ when s = v -> false
-    | s :: rest when lanes < Word.width ->
-      t.batch.(lanes) <- s;
-      go rest (lanes + 1)
-    | [] -> lanes = 0 || not (batch_detects t cone ~v ~lanes)
-    | _ :: _ -> (not (batch_detects t cone ~v ~lanes)) && go chain 0
+  Option.is_some (first_extending t ~fi ~chain [| v |])
+
+(* (fault, chain member) lanes, packed 62 at a time across faults. A
+   pack's segments are runs of lanes of one fault ([seg_k]: its position
+   in [fis], [seg_lo]: its first lane); a fault's chain may straddle two
+   packs. Each pack runs one fault-free pass over the whole net, whose
+   good rails every segment's cone pass then shares. *)
+let extend_many t ~chains fis v =
+  let verdict = Array.map (fun fi -> not (List.mem v chains.(fi))) fis in
+  let lanes = ref 0 and segs = ref 0 in
+  splat t.ta v;
+  let flush () =
+    if !segs > 0 then begin
+      transpose t.tb t.b ~lo:0 ~len:!lanes;
+      load t ~lanes:!lanes;
+      for i = 0 to Array.length t.good.dst - 1 do
+        eval_gate t.good i t.one t.zero
+      done;
+      for s = 0 to !segs - 1 do
+        let k = t.seg_k.(s) and lo = t.seg_lo.(s) in
+        let hi = if s + 1 < !segs then t.seg_lo.(s + 1) else !lanes in
+        let mask = cone_mask t (cone t fis.(k)) in
+        if group mask ~lo ~len:(hi - lo) ~last:(s = !segs - 1) <> 0 then
+          verdict.(k) <- false
+      done;
+      lanes := 0;
+      segs := 0
+    end
   in
-  go chain 0
+  Array.iteri
+    (fun k fi ->
+      if verdict.(k) then
+        List.iter
+          (fun s ->
+            if !lanes = Word.width then flush ();
+            if !segs = 0 || t.seg_k.(!segs - 1) <> k then begin
+              t.seg_k.(!segs) <- k;
+              t.seg_lo.(!segs) <- !lanes;
+              incr segs
+            end;
+            t.b.(!lanes) <- s;
+            incr lanes)
+          chains.(fi))
+    fis;
+  flush ();
+  verdict
 
 let different t ~fi v1 v2 = chain_extend t ~fi ~chain:[ v2 ] v1
 

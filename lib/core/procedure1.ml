@@ -89,8 +89,9 @@ let pick_uniform_diff rng tf members =
    phases draw uniformly over the candidate set (the first acceptable
    element of a uniform permutation is uniform over acceptables, by
    symmetry), and the permutation scan only pays for the full set when
-   no candidate exists at all. *)
-let pick_candidate rng ~accepts s tf =
+   no candidate exists at all. [first] is that scan: the first
+   acceptable element of the shuffled unused tests. *)
+let pick_candidate rng ~accepts ~first s tf =
   let rec sample attempts =
     if attempts = 0 then None
     else
@@ -107,12 +108,7 @@ let pick_candidate rng ~accepts s tf =
       |> Array.of_list
     in
     Rng.shuffle_in_place rng unused;
-    let rec scan i =
-      if i >= Array.length unused then None
-      else if accepts unused.(i) then Some unused.(i)
-      else scan (i + 1)
-    in
-    scan 0
+    first unused
 
 (* Construct one complete n-detection test set from its own RNG stream.
    [def2] is the (chunk-local) Definition-2 oracle; [first_detected]
@@ -136,19 +132,29 @@ let run_one cancel sh def2 rng =
   let add_test ~iteration v =
     Bitvec.set s.members v;
     s.added <- (v, iteration) :: s.added;
+    let detected = sh.target_detectors.(v) in
+    (match def2 with
+    | Some def2 ->
+      (* Chains are per fault, so every open chain's verdict on [v] can
+         be taken in one batch before any of them grows. *)
+      let open_ =
+        Array.of_seq
+          (Seq.filter
+             (fun fi -> s.chain_lens.(fi) < sh.cfg.nmax)
+             (Array.to_seq detected))
+      in
+      let extends = Definition2.extend_many def2 ~chains:s.chains open_ v in
+      Array.iteri
+        (fun k fi ->
+          if extends.(k) then begin
+            s.chains.(fi) <- v :: s.chains.(fi);
+            s.chain_lens.(fi) <- s.chain_lens.(fi) + 1
+          end)
+        open_
+    | None -> ());
     Array.iter
       (fun fi ->
         s.def1_counts.(fi) <- s.def1_counts.(fi) + 1;
-        (match def2 with
-        | Some def2 ->
-          if
-            s.chain_lens.(fi) < sh.cfg.nmax
-            && Definition2.chain_extend def2 ~fi ~chain:s.chains.(fi) v
-          then begin
-            s.chains.(fi) <- v :: s.chains.(fi);
-            s.chain_lens.(fi) <- s.chain_lens.(fi) + 1
-          end
-        | None -> ());
         if sh.cfg.mode = Multi_output then begin
           (* A test joins the fault's counted chain iff it observes the
              fault on an output the chain has not covered yet, so the
@@ -164,7 +170,7 @@ let run_one cancel sh def2 rng =
             s.chain_masks.(fi) <- s.chain_masks.(fi) lor m
           end
         end)
-      sh.target_detectors.(v);
+      detected;
     Array.iter
       (fun pos ->
         if first_detected.(pos) = 0 then first_detected.(pos) <- iteration)
@@ -192,13 +198,13 @@ let run_one cancel sh def2 rng =
         if s.chain_lens.(fi) < n then
           if s.strict_exhausted.(fi) then fallback_def1 ()
           else begin
-            let accepts v =
-              match def2 with
-              | Some def2 ->
-                Definition2.chain_extend def2 ~fi ~chain:s.chains.(fi) v
-              | None -> false
-            in
-            match pick_candidate rng ~accepts s tf with
+            let def2 = Option.get def2 and chain = s.chains.(fi) in
+            match
+              pick_candidate rng
+                ~accepts:(Definition2.chain_extend def2 ~fi ~chain)
+                ~first:(Definition2.first_extending def2 ~fi ~chain)
+                s tf
+            with
             | Some v -> add_test ~iteration:n v
             | None ->
               s.strict_exhausted.(fi) <- true;
@@ -211,7 +217,9 @@ let run_one cancel sh def2 rng =
             let accepts v =
               observing_mask sh fi v land lnot s.chain_masks.(fi) <> 0
             in
-            match pick_candidate rng ~accepts s tf with
+            match
+              pick_candidate rng ~accepts ~first:(Array.find_opt accepts) s tf
+            with
             | Some v -> add_test ~iteration:n v
             | None ->
               s.strict_exhausted.(fi) <- true;

@@ -1,6 +1,7 @@
 module Supervise = Ndetect_util.Supervise
 module Telemetry = Ndetect_util.Telemetry
 module Rng = Ndetect_util.Rng
+module Clock = Ndetect_util.Clock
 
 let c_reassigned = Telemetry.Counter.create "shard.reassigned"
 let c_poisoned = Telemetry.Counter.create "shard.poisoned"
@@ -87,7 +88,7 @@ let run cfg campaign =
     let chaos_kills = ref 0 in
     let spec_origin : (string, string) Hashtbl.t = Hashtbl.create 16 in
     let devnull = Unix.openfile "/dev/null" [ Unix.O_RDONLY ] 0 in
-    let started = Unix.gettimeofday () in
+    let started = Clock.now () in
     let last_progress = ref 0.0 in
 
     let unit_by_id () =
@@ -491,8 +492,8 @@ let run cfg campaign =
         (fun w -> if w.stopped_until > 0.0 then kill_quiet w.pid Sys.sigcont)
         !fleet;
       if graceful then List.iter (fun w -> kill_quiet w.pid Sys.sigterm) !fleet;
-      let deadline = Unix.gettimeofday () +. shutdown_grace_secs in
-      while !fleet <> [] && Unix.gettimeofday () < deadline do
+      let deadline = Clock.now () +. shutdown_grace_secs in
+      while !fleet <> [] && Clock.now () < deadline do
         reap ();
         if !fleet <> [] then Unix.sleepf tick_secs
       done;
@@ -536,7 +537,7 @@ let run cfg campaign =
                 "terminated by SIGTERM; campaign resumable from %s"
                 cfg.ledger_dir))
       else
-        let now = Unix.gettimeofday () in
+        let now = Clock.now () in
         match cfg.max_wall_secs with
         | Some budget when now -. started > budget ->
           finish

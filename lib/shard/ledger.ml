@@ -181,6 +181,9 @@ let claim t ~worker (u : Spec.t) =
 let release t (u : Spec.t) =
   try Sys.remove (path t (claim_name u.id)) with Sys_error _ -> ()
 
+(* Wall time, not the monotonic clock: the mtime was stamped by another
+   process (a worker's heartbeat or claim), and only the wall clock is
+   shared between processes and comparable with it. *)
 let file_age file =
   match Unix.stat file with
   | exception Unix.Unix_error _ -> None

@@ -2,7 +2,7 @@ exception Cancelled
 
 type token = {
   flag : bool Atomic.t;
-  deadline : float option;  (* absolute Unix.gettimeofday time *)
+  deadline : float option;  (* absolute Clock.now time *)
   (* Poll counter used to amortize clock reads. Racy updates across
      domains are harmless: a lost increment only shifts when the next
      clock check happens. *)
@@ -13,23 +13,20 @@ type token = {
 let none =
   { flag = Atomic.make false; deadline = None; ticks = 0; never = true }
 
-let create ?deadline_in ?deadline_at () =
+let create ?deadline_in () =
   let deadline =
-    match (deadline_in, deadline_at) with
-    | Some _, Some _ ->
-      invalid_arg "Cancel.create: deadline_in and deadline_at are exclusive"
-    | None, Some at -> Some at
-    | None, None -> None
-    | Some s, None ->
-      if s <= 0.0 then invalid_arg "Cancel.create: deadline_in must be > 0";
-      Some (Unix.gettimeofday () +. s)
+    Option.map
+      (fun s ->
+        if s <= 0.0 then invalid_arg "Cancel.create: deadline_in must be > 0";
+        Clock.now () +. s)
+      deadline_in
   in
   { flag = Atomic.make false; deadline; ticks = 0; never = false }
 
 let deadline t = t.deadline
 
 let remaining t =
-  Option.map (fun d -> d -. Unix.gettimeofday ()) t.deadline
+  Option.map (fun d -> d -. Clock.now ()) t.deadline
 
 let cancel t = if not t.never then Atomic.set t.flag true
 
@@ -40,7 +37,7 @@ let clock_mask = 0xFF
 
 let expire_if_past_deadline t =
   match t.deadline with
-  | Some d when Unix.gettimeofday () > d ->
+  | Some d when Clock.now () > d ->
     Atomic.set t.flag true;
     raise Cancelled
   | Some _ | None -> ()

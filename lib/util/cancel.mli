@@ -1,12 +1,13 @@
 (** Cooperative cancellation tokens.
 
     A token carries a cancellation flag (an [Atomic.t], safe to share
-    across domains) and an optional wall-clock deadline. Long-running
-    loops call {!poll} at natural iteration boundaries; once the flag is
-    set — externally via {!cancel} or internally when the deadline
-    passes — the next poll raises {!Cancelled}, unwinding the
-    computation. Polling is cheap (one atomic load; the clock is only
-    consulted every few hundred polls), so poll points can be liberal. *)
+    across domains) and an optional deadline on the monotonic clock.
+    Long-running loops call {!poll} at natural iteration boundaries;
+    once the flag is set — externally via {!cancel} or internally when
+    the deadline passes — the next poll raises {!Cancelled}, unwinding
+    the computation. Polling is cheap (one atomic load; the clock is
+    only consulted every few hundred polls), so poll points can be
+    liberal. *)
 
 exception Cancelled
 
@@ -16,17 +17,15 @@ val none : token
 (** A shared token that is never cancelled and has no deadline. Safe as
     the default for [?cancel] arguments. *)
 
-val create : ?deadline_in:float -> ?deadline_at:float -> unit -> token
+val create : ?deadline_in:float -> unit -> token
 (** [create ~deadline_in:secs ()] makes a token whose deadline is [secs]
-    seconds of wall clock from now; [create ~deadline_at:t ()] pins the
-    deadline to the absolute [Unix.gettimeofday] time [t] instead (a
-    queued request's budget keeps draining while it waits — the admission
-    point mints the token, the executor inherits whatever is left).
-    Without either, the token only cancels when {!cancel} is called.
-    [deadline_in] must be positive; the two forms are exclusive. *)
+    seconds from now on the monotonic clock ({!Clock.now}), so stepping
+    the wall clock neither fires nor delays it. Without it, the token
+    only cancels when {!cancel} is called. [deadline_in] must be
+    positive. *)
 
 val deadline : token -> float option
-(** The token's absolute deadline ([Unix.gettimeofday] time), if any. *)
+(** The token's absolute deadline ({!Clock.now} time), if any. *)
 
 val remaining : token -> float option
 (** Seconds until the deadline — negative once it has passed, [None]

@@ -77,8 +77,8 @@ let inject ?cancel site =
   | None -> ()
   | Some Inject_crash -> raise (Injected site)
   | Some (Inject_stall seconds) ->
-    let until = Unix.gettimeofday () +. seconds in
-    while Unix.gettimeofday () < until do
+    let until = Clock.now () +. seconds in
+    while Clock.now () < until do
       (match cancel with
       | Some token -> Cancel.check_deadline token
       | None -> ());

@@ -2,18 +2,7 @@
    is observation only: no instrumented computation reads any of this
    state, so telemetry can never change a result. *)
 
-(* Non-decreasing clock: the wall clock behind a process-wide high-water
-   mark (no monotonic clock is exposed by the stdlib Unix binding). The
-   CAS loop only retries under contention on the mark, and only ever
-   raises it. *)
-let clock_mark = Atomic.make 0.0
-
-let rec now () =
-  let t = Unix.gettimeofday () in
-  let seen = Atomic.get clock_mark in
-  if t <= seen then seen
-  else if Atomic.compare_and_set clock_mark seen t then t
-  else now ()
+let now = Clock.now
 
 (* Counter / gauge registry: creation is rare and mutex-guarded; the hot
    path touches only the cell's Atomic. Counters and gauges share one

@@ -18,10 +18,9 @@
 (** {1 Clock} *)
 
 val now : unit -> float
-(** Seconds from an arbitrary origin, guaranteed non-decreasing across
-    the whole process (the best monotonic source available here: the
-    wall clock behind a process-wide high-water mark, so span durations
-    can never be negative even if the wall clock steps backwards). *)
+(** {!Clock.now}: seconds from an arbitrary origin on the monotonic
+    clock, so span durations can never be negative, nor stretched or
+    shrunk when the wall clock is stepped. *)
 
 (** {1 Counters and gauges}
 

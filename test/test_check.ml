@@ -128,6 +128,133 @@ let prop_chain_extend_matches_ref =
         faults;
       !ok)
 
+(* The packed entry points against the reference. Chains have 0..70
+   members, so candidate groups straddle the 62-lane edge and both the
+   one-candidate-per-pass (> 31) and the spilled (> 62) paths run; the
+   candidate count is drawn independently of the group size. In half the
+   cases the chain is the reference's greedy chain over a shuffled
+   universe, which no candidate extends, so the whole list is scanned.
+   [extend_many] gets the same faults, each with its chain, and one
+   vector. *)
+let prop_packed_matches_ref =
+  QCheck.Test.make ~count:30
+    ~name:"def2 first_extending/extend_many == reference"
+    QCheck.(pair Helpers.circuit_arbitrary small_nat)
+    (fun (spec, seed) ->
+      let net = Helpers.apply_circuit Fun.id spec in
+      let faults = Stuck.all net in
+      let opt = Definition2.of_faults net faults in
+      let refo = Ref_def2.create net faults in
+      let universe = Netlist.universe_size net in
+      let rng = Random.State.make [| seed |] in
+      let shuffled () =
+        let a = Array.init universe Fun.id in
+        for i = universe - 1 downto 1 do
+          let j = Random.State.int rng (i + 1) in
+          let x = a.(i) in
+          a.(i) <- a.(j);
+          a.(j) <- x
+        done;
+        a
+      in
+      let chain_for fi =
+        if Random.State.bool rng then
+          Array.fold_left
+            (fun chain v ->
+              if Ref_def2.chain_extend refo ~fi ~chain v then v :: chain
+              else chain)
+            [] (shuffled ())
+        else
+          List.init (Random.State.int rng 71) (fun _ ->
+              Random.State.int rng universe)
+      in
+      (* Ten faults drawn with repeats: [extend_many] must handle a
+         fault listed twice. *)
+      let fis =
+        Array.init 10 (fun _ -> Random.State.int rng (Array.length faults))
+      in
+      let chains = Array.make (Array.length faults) [] in
+      Array.iter (fun fi -> chains.(fi) <- chain_for fi) fis;
+      let first_ok fi =
+        let chain = chains.(fi) in
+        let candidates =
+          Array.sub (shuffled ()) 0 (Random.State.int rng (universe + 1))
+        in
+        Definition2.first_extending opt ~fi ~chain candidates
+        = Array.find_opt (Ref_def2.chain_extend refo ~fi ~chain) candidates
+      in
+      let v = Random.State.int rng universe in
+      Array.for_all first_ok fis
+      && Definition2.extend_many opt ~chains fis v
+         = Array.map
+             (fun fi -> Ref_def2.chain_extend refo ~fi ~chain:chains.(fi) v)
+             fis)
+
+(* Procedure 1 under Definition 2 on circuits of 8 inputs, where chains
+   grow long enough (nmax = 10) for several candidates and several
+   faults to share a pass: every test set and chain must equal the
+   sequential reference replay. With the lane-group sabotage armed, some
+   outcome must change, which shows that the runs did pack passes. *)
+let test_def2_procedure1_wide () =
+  let sabotaged = ref false in
+  List.iter
+    (fun seed ->
+      let net = Helpers.random_circuit ~seed ~inputs:8 ~gates:30 in
+      let cfg =
+        { Procedure1.seed; set_count = 3; nmax = 10;
+          mode = Procedure1.Definition2 }
+      in
+      let table = Detection_table.build net in
+      let refo = Ref_procedure1.run (Ref_table.build net) cfg in
+      let outcome opt =
+        List.init cfg.Procedure1.set_count (fun k ->
+            ( Procedure1.test_set opt ~k,
+              List.init (Detection_table.target_count table) (fun fi ->
+                  Procedure1.chain_def2 opt ~k ~fi) ))
+      in
+      let expected =
+        List.init cfg.Procedure1.set_count (fun k ->
+            ( Ref_procedure1.test_set refo ~k,
+              List.init (Detection_table.target_count table) (fun fi ->
+                  Ref_procedure1.chain_def2 refo ~k ~fi) ))
+      in
+      Alcotest.(check (list (pair (list int) (list (list int)))))
+        (Printf.sprintf "seed %d: test sets and chains" seed)
+        expected
+        (outcome (Procedure1.run table cfg));
+      Definition2.debug_corrupt_lanes := true;
+      let corrupted =
+        Fun.protect
+          ~finally:(fun () -> Definition2.debug_corrupt_lanes := false)
+          (fun () -> outcome (Procedure1.run table cfg))
+      in
+      if corrupted <> expected then sabotaged := true)
+    [ 5; 17 ];
+  Alcotest.(check bool) "sabotaged lane groups change an outcome" true
+    !sabotaged
+
+(* The --mutate self-test of the packed Definition 2 passes: the lane
+   checks of the campaign report both entry points. *)
+let test_lane_mutation_caught () =
+  let rng = Ndetect_util.Rng.create ~seed:11 in
+  let cells =
+    List.concat_map
+      (fun _ ->
+        let spec = Random_circuit.draw_spec rng ~max_inputs:5 ~max_gates:16 in
+        List.map
+          (fun d -> d.Campaign.cell)
+          (Campaign.check_spec ~mutate:true spec))
+      (List.init 6 Fun.id)
+  in
+  List.iter
+    (fun prefix ->
+      Alcotest.(check bool)
+        (prefix ^ " cells diverge") true
+        (List.exists (String.starts_with ~prefix) cells))
+    [ "def2_first("; "def2_many(" ];
+  Alcotest.(check bool)
+    "hook disarmed afterwards" false !Definition2.debug_corrupt_lanes
+
 (* Random-circuit property: a clean campaign finds no divergences. Kept
    small; the runtest rule on the CLI runs a larger one and the full
    campaign is `ndetect check --circuits 200 --seed 42`. *)
@@ -292,6 +419,9 @@ let () =
           Alcotest.test_case "clean campaign" `Quick test_clean_campaign;
           Helpers.qcheck prop_random_circuit_agrees;
           Helpers.qcheck prop_chain_extend_matches_ref;
+          Helpers.qcheck prop_packed_matches_ref;
+          Alcotest.test_case "def2 Procedure 1 on 8 inputs" `Quick
+            test_def2_procedure1_wide;
         ] );
       ( "self-test",
         [
@@ -305,6 +435,8 @@ let () =
             `Quick test_corrupt_sensitization_caught_by_suite;
           Alcotest.test_case "sabotaged sampled scan is caught" `Quick
             test_sampled_scan_mutation_caught;
+          Alcotest.test_case "sabotaged lane groups are caught" `Quick
+            test_lane_mutation_caught;
           Alcotest.test_case "shrink rejects clean specs" `Quick
             test_shrink_requires_divergence;
         ] );

@@ -299,6 +299,15 @@ let test_now_monotone () =
   in
   loop 0 (Telemetry.now ())
 
+(* The monotonic clock counts real seconds: a 20 ms sleep shows as at
+   least 20 ms and well under a second. *)
+let test_now_advances () =
+  let t0 = Telemetry.now () in
+  Unix.sleepf 0.02;
+  let dt = Telemetry.now () -. t0 in
+  Alcotest.(check bool) (Printf.sprintf "slept 20 ms, clock says %.4fs" dt)
+    true (dt >= 0.0195 && dt < 1.0)
+
 let () =
   Alcotest.run "telemetry"
     [
@@ -331,5 +340,9 @@ let () =
           Alcotest.test_case "stream" `Quick test_jsonl_stream;
           Alcotest.test_case "escaping" `Quick test_jsonl_escaping;
         ] );
-      ("clock", [ Alcotest.test_case "monotone" `Quick test_now_monotone ]);
+      ("clock",
+        [
+          Alcotest.test_case "monotone" `Quick test_now_monotone;
+          Alcotest.test_case "advances with sleep" `Quick test_now_advances;
+        ] );
     ]
