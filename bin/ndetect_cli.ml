@@ -2,7 +2,7 @@
 
    Subcommands: list, analyze, average, atpg, tables, check, synth,
    dot, evaluate, partition, transition, equiv, scoap, campaign,
-   worker. *)
+   worker, serve, client. *)
 
 module Netlist = Ndetect_circuit.Netlist
 module Dot = Ndetect_circuit.Dot
@@ -73,12 +73,6 @@ let list_cmd =
     let rows =
       List.map
         (fun e ->
-          let tier =
-            match e.Registry.tier with
-            | Registry.Small -> "small"
-            | Registry.Medium -> "medium"
-            | Registry.Large -> "large"
-          in
           let dims =
             match e.Registry.source with
             | Registry.Kiss2_text _ -> "classic (embedded KISS2)"
@@ -87,7 +81,10 @@ let list_cmd =
               Printf.sprintf "i=%d o=%d s=%d p=%d" inputs outputs states
                 products
           in
-          [ e.Registry.name; tier; string_of_int (Registry.pi_count e); dims ])
+          [
+            e.Registry.name; Registry.tier_name e.Registry.tier;
+            string_of_int (Registry.pi_count e); dims;
+          ])
         Registry.all
     in
     print_string
@@ -101,35 +98,39 @@ let list_cmd =
   let doc = "List the embedded benchmark suite." in
   Cmd.v (Cmd.info "list" ~doc) Term.(const run $ const ())
 
-(* analyze / average: both subcommands build a driver-grammar argument
-   list, parse it through [Driver.parse_args_result], lower the options
-   onto an [Api.Request.t] and funnel through [Api.run] — one validated
-   grammar and one execution path, shared with bin/reproduce and the
-   serve daemon (whose answers are byte-identical by construction). *)
+(* analyze / average / client build their [Api.Request.t] straight from
+   the typed flags and check it with [Api.Request.validate], the rule the
+   serve daemon applies to the same request. analyze and average then
+   funnel through [Api.run], like bin/reproduce and the daemon (whose
+   answers are byte-identical by construction). *)
 
-let opt_args flag = function None -> [] | Some v -> [ flag; v ]
+let usage_error message =
+  prerr_endline message;
+  exit 2
 
-let api_run_exit ~spec ~scheme ~nmax args =
-  match Driver.parse_args_result args with
+(* [validate]'s error names a request field; [flags] maps each field to
+   the flag that set it, so the usage error names what the user
+   typed. *)
+let validate_or_exit ~flags req =
+  match Api.Request.validate req with
+  | Ok req -> req
+  | Error message -> (
+    match
+      Option.bind
+        (Scanf.sscanf_opt message "request field %S" Fun.id)
+        (fun field -> List.assoc_opt field flags)
+    with
+    | Some flag -> usage_error (flag ^ ": " ^ message)
+    | None -> usage_error message)
+
+let run_request_exit req =
+  match Api.run req with
   | Error message ->
     prerr_endline message;
-    exit 2
-  | Ok opts -> (
-    match
-      Driver.Options.to_request ~scheme opts
-        ~source:(Api.source_of_spec spec) ~label:spec
-    with
-    | Error message ->
-      prerr_endline message;
-      exit 2
-    | Ok req -> (
-      match Api.run { req with Api.Request.nmax } with
-      | Error message ->
-        prerr_endline message;
-        exit 1
-      | Ok resp ->
-        print_string (Api.Response.render resp);
-        if resp.Api.Response.failures <> [] then exit 3))
+    exit 1
+  | Ok resp ->
+    print_string (Api.Response.render resp);
+    if resp.Api.Response.failures <> [] then exit 3
 
 let timeout_arg =
   Arg.(
@@ -151,10 +152,8 @@ let domains_arg =
     & opt (some int) None
     & info [ "domains" ] ~docv:"N" ~doc:"Procedure-1 worker domains.")
 
-(* Sampled-universe mode, shared by analyze/average/campaign/client.
-   The values always round-trip through [Driver.parse_args_result] (or
-   [Driver.Options.universe] for the client), so the validation rules
-   live in exactly one place. *)
+(* Sampled-universe mode, shared by analyze/average/campaign/client
+   through [universe_of_flags]. *)
 let samples_arg =
   Arg.(
     value
@@ -180,20 +179,28 @@ let confidence_arg =
           "Interval confidence, strictly between 0 and 1 (requires \
            --samples; default 0.95).")
 
-let sample_args samples strata confidence =
-  opt_args "--samples" (Option.map string_of_int samples)
-  @ opt_args "--strata" (Option.map string_of_int strata)
-  @ opt_args "--confidence" (Option.map (Printf.sprintf "%.17g") confidence)
+(* The universe the three sampled-mode flags denote; the bounds on the
+   spec are [Estimate.Spec.make]'s. *)
+let universe_of_flags samples strata confidence =
+  match samples with
+  | None ->
+    if strata <> None then usage_error "--strata requires --samples"
+    else if confidence <> None then
+      usage_error "--confidence requires --samples"
+    else Api.Request.Exhaustive
+  | Some samples -> (
+    match Api.Estimate.Spec.make ?strata ?confidence ~samples () with
+    | Ok spec -> Api.Request.Sampled spec
+    | Error message -> usage_error ("--samples: " ^ message))
 
 let analyze_run spec scheme timeout cache_dir domains samples strata
     confidence =
-  api_run_exit ~spec ~scheme ~nmax:10
-    ([ "--only"; "table2" ]
-    @ opt_args "--timeout-per-circuit"
-        (Option.map (Printf.sprintf "%g") timeout)
-    @ opt_args "--table-cache" cache_dir
-    @ opt_args "--domains" (Option.map string_of_int domains)
-    @ sample_args samples strata confidence)
+  let universe = universe_of_flags samples strata confidence in
+  Api.Request.make ~universe ~scheme ?domains ?cache_dir ?deadline:timeout
+    ~label:spec (Api.source_of_spec spec)
+  |> validate_or_exit
+       ~flags:[ ("deadline", "--timeout"); ("domains", "--domains") ]
+  |> run_request_exit
 
 let analyze_cmd =
   let doc = "Worst-case analysis: guaranteed bridging-fault coverage vs n." in
@@ -208,16 +215,21 @@ let analyze_cmd =
 
 let average_run spec scheme k nmax def2 seed timeout cache_dir domains
     samples strata confidence =
-  api_run_exit ~spec ~scheme ~nmax
-    ([ "--only"; (if def2 then "table6" else "table5"); "--seed";
-       string_of_int seed ]
-    @ (if def2 then [ "--k2"; string_of_int k ]
-       else [ "--k"; string_of_int k ])
-    @ opt_args "--timeout-per-circuit"
-        (Option.map (Printf.sprintf "%g") timeout)
-    @ opt_args "--table-cache" cache_dir
-    @ opt_args "--domains" (Option.map string_of_int domains)
-    @ sample_args samples strata confidence)
+  let universe = universe_of_flags samples strata confidence in
+  (* --sets is K for the section it runs; the other count keeps its
+     default. *)
+  let section, k, k2, k_field =
+    if def2 then (Api.Request.Average_def2, None, Some k, "k2")
+    else (Api.Request.Average, Some k, None, "k")
+  in
+  Api.Request.make ~sections:[ section ] ~universe ?k ?k2 ~nmax ~seed ~scheme
+    ?domains ?cache_dir ?deadline:timeout ~label:spec
+    (Api.source_of_spec spec)
+  |> validate_or_exit
+       ~flags:
+         [ (k_field, "--sets"); ("nmax", "--nmax"); ("deadline", "--timeout");
+           ("domains", "--domains") ]
+  |> run_request_exit
 
 let average_cmd =
   let k =
@@ -776,84 +788,82 @@ let dot_cmd =
 
 (* campaign / worker *)
 
-(* The campaign flags funnel through [Driver.parse_args_result] so the
-   CLI and the reproduction driver share one validated grammar (worker
-   and lease bounds, the chaos/workers cross-check, injection specs). *)
+(* The campaign checks its own flags (worker and lease bounds, the
+   chaos/workers cross-check, the injection spec); the sampled-mode
+   flags share [universe_of_flags] with analyze and average. *)
 let campaign_run tier k seed nmax fault_block set_chunk circuits workers
     lease_secs max_unit_retries chaos ledger inject quiet max_wall samples
     strata confidence =
-  let args =
-    [
-      "--tier"; tier; "--k"; string_of_int k; "--seed"; string_of_int seed;
-      "--workers"; string_of_int workers; "--lease-secs";
-      Printf.sprintf "%g" lease_secs; "--max-unit-retries";
-      string_of_int max_unit_retries; "--ledger"; ledger;
-    ]
-    @ (if chaos then [ "--chaos" ] else [])
-    @ (match inject with Some s -> [ "--inject"; s ] | None -> [])
-    @ sample_args samples strata confidence
+  let tier =
+    match Registry.tier_of_string tier with
+    | Some tier -> tier
+    | None ->
+      usage_error
+        (Printf.sprintf "unknown tier %S (small, medium or large)" tier)
   in
-  match Driver.parse_args_result args with
-  | Error message ->
-    prerr_endline message;
-    exit 2
-  | Ok opts ->
-    (match opts.Driver.inject with
-    | None -> ()
-    | Some spec -> (
+  if workers < 1 then
+    usage_error
+      (Printf.sprintf "--workers expects an integer >= 1, got %d" workers);
+  if not (lease_secs >= 1.0) then
+    usage_error
+      (Printf.sprintf "--lease-secs expects a number of seconds >= 1, got %g"
+         lease_secs);
+  if max_unit_retries < 1 then
+    usage_error
+      (Printf.sprintf "--max-unit-retries expects an integer >= 1, got %d"
+         max_unit_retries);
+  (* Chaos kills workers mid-campaign; with fewer than two there is
+     nothing left to make progress while the victim is down. *)
+  if chaos && workers < 2 then usage_error "--chaos requires --workers >= 2";
+  Option.iter
+    (fun spec ->
       match Supervise.parse_injection_spec spec with
       | Ok plan -> Supervise.set_injection plan
-      | Error message ->
-        prerr_endline message;
-        exit 2));
-    let campaign =
-      try
-        Shard_spec.make_campaign ~fault_block
-          ?set_chunk:(if set_chunk > 0 then Some set_chunk else None)
-          ?circuits:
-            (match circuits with
-            | None -> None
-            | Some names ->
-              Some (String.split_on_char ',' names |> List.map String.trim))
-          ~nmax ?samples:opts.Driver.samples ?strata:opts.Driver.strata
-          ?confidence:opts.Driver.confidence ~tier:opts.Driver.tier
-          ~seed:opts.Driver.seed ~set_count:opts.Driver.k ()
-      with Invalid_argument message ->
-        prerr_endline message;
-        exit 2
-    in
-    let base = Coordinator.default_config ~ledger_dir:ledger in
-    let config =
-      {
-        base with
-        Coordinator.workers = Option.value opts.Driver.workers ~default:2;
-        lease_secs =
-          Option.value opts.Driver.lease_secs
-            ~default:Shard_worker.default_lease_secs;
-        max_unit_retries = Option.value opts.Driver.max_unit_retries ~default:3;
-        chaos = opts.Driver.chaos;
-        chaos_seed = opts.Driver.seed;
-        inject = opts.Driver.inject;
-        max_wall_secs = max_wall;
-        log = (if quiet then fun _ -> () else base.Coordinator.log);
-      }
-    in
-    (match Coordinator.run config campaign with
-    | Ok outcome ->
-      print_string outcome.Coordinator.report;
-      Printf.eprintf
-        "campaign counters: reassigned=%d speculative_wins=%d poisoned=%d \
-         ledger_corrupt=%d spawn_failures=%d chaos_kills=%d \
-         workers_spawned=%d\n%!"
-        outcome.Coordinator.reassigned outcome.Coordinator.speculative_wins
-        outcome.Coordinator.poisoned_count outcome.Coordinator.ledger_corrupt
-        outcome.Coordinator.spawn_failures outcome.Coordinator.chaos_kills
-        outcome.Coordinator.workers_spawned;
-      if outcome.Coordinator.poisoned_units <> [] then exit 3
-    | Error message ->
-      prerr_endline ("campaign: " ^ message);
-      if Supervise.terminating () then exit Supervise.sigterm_exit_code
-      else exit 1)
+      | Error message -> usage_error ("--inject: " ^ message))
+    inject;
+  ignore (universe_of_flags samples strata confidence : Api.Request.universe);
+  let campaign =
+    try
+      Shard_spec.make_campaign ~fault_block
+        ?set_chunk:(if set_chunk > 0 then Some set_chunk else None)
+        ?circuits:
+          (match circuits with
+          | None -> None
+          | Some names ->
+            Some (String.split_on_char ',' names |> List.map String.trim))
+        ~nmax ?samples ?strata ?confidence ~tier ~seed ~set_count:k ()
+    with Invalid_argument message -> usage_error message
+  in
+  let base = Coordinator.default_config ~ledger_dir:ledger in
+  let config =
+    {
+      base with
+      Coordinator.workers;
+      lease_secs;
+      max_unit_retries;
+      chaos;
+      chaos_seed = seed;
+      inject;
+      max_wall_secs = max_wall;
+      log = (if quiet then fun _ -> () else base.Coordinator.log);
+    }
+  in
+  match Coordinator.run config campaign with
+  | Ok outcome ->
+    print_string outcome.Coordinator.report;
+    Printf.eprintf
+      "campaign counters: reassigned=%d speculative_wins=%d poisoned=%d \
+       ledger_corrupt=%d spawn_failures=%d chaos_kills=%d \
+       workers_spawned=%d\n%!"
+      outcome.Coordinator.reassigned outcome.Coordinator.speculative_wins
+      outcome.Coordinator.poisoned_count outcome.Coordinator.ledger_corrupt
+      outcome.Coordinator.spawn_failures outcome.Coordinator.chaos_kills
+      outcome.Coordinator.workers_spawned;
+    if outcome.Coordinator.poisoned_units <> [] then exit 3
+  | Error message ->
+    prerr_endline ("campaign: " ^ message);
+    if Supervise.terminating () then exit Supervise.sigterm_exit_code
+    else exit 1
 
 let campaign_cmd =
   let tier =
@@ -1220,21 +1230,14 @@ let client_run socket stats spec sections k k2 nmax seed deadline domains
             exit 2)
         (String.split_on_char ',' sections)
     in
-    let universe =
-      (* Same validation as the local CLI: the three flags lower through
-         the driver's universe rule. *)
-      match
-        Driver.Options.universe
-          (Driver.Options.make ?samples ?strata ?confidence ())
-      with
-      | Ok u -> u
-      | Error message ->
-        prerr_endline message;
-        exit 2
-    in
+    let universe = universe_of_flags samples strata confidence in
     let req =
       Api.Request.make ~sections ~k ~k2 ~nmax ~seed ?deadline ?domains
         ~universe ~label:spec (client_source spec)
+      |> validate_or_exit
+           ~flags:
+             [ ("k", "--sets"); ("k2", "--k2"); ("nmax", "--nmax");
+               ("deadline", "--deadline"); ("domains", "--domains") ]
     in
     let rj = Api.Request.to_json req in
     (* All requests go out before any response is read, so --count 2

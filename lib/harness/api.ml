@@ -109,6 +109,33 @@ module Request = struct
              ]);
       ]
 
+  (* The one owner of the request bounds: the daemon ([of_json]), the
+     CLI and the reproduction driver all reject through here. *)
+  let validate t =
+    let at_least_one field n =
+      if n >= 1 then Ok ()
+      else Error (Printf.sprintf "request field %S must be >= 1" field)
+    in
+    let ( let* ) = Result.bind in
+    let* () = at_least_one "k" t.k in
+    let* () = at_least_one "k2" t.k2 in
+    let* () = at_least_one "nmax" t.nmax in
+    let* () =
+      Option.fold ~none:(Ok ()) ~some:(at_least_one "domains") t.domains
+    in
+    let* () =
+      match t.deadline with
+      | Some d when not (d > 0.0) ->
+        Error "request field \"deadline\" must be a positive number"
+      | Some _ | None -> Ok ()
+    in
+    match t.universe with
+    | Exhaustive -> Ok t
+    | Sampled spec -> (
+      match Estimate.Spec.validate spec with
+      | Ok _ -> Ok t
+      | Error msg -> Error ("request field \"universe\": " ^ msg))
+
   let of_json j =
     let ( let* ) = Result.bind in
     let field name = Rpc.member name j in
@@ -195,9 +222,8 @@ module Request = struct
       | Some Rpc.Null | None -> Ok None
       | Some v -> (
         match Rpc.to_int v with
-        | Some n when n >= 1 -> Ok (Some n)
-        | Some _ | None ->
-          Error "request field \"domains\" must be an integer >= 1")
+        | Some n -> Ok (Some n)
+        | None -> Error "request field \"domains\" must be an integer or null")
     in
     (* Clients from before the one-kernel runtime may still name the
        kernel and the simulation strategy; only the ones that run are
@@ -208,9 +234,9 @@ module Request = struct
     let* deadline =
       match field "deadline" with
       | Some Rpc.Null | None -> Ok None
-      | Some (Rpc.Float f) when f > 0.0 -> Ok (Some f)
-      | Some (Rpc.Int n) when n > 0 -> Ok (Some (float_of_int n))
-      | Some _ -> Error "request field \"deadline\" must be a positive number"
+      | Some (Rpc.Float f) -> Ok (Some f)
+      | Some (Rpc.Int n) -> Ok (Some (float_of_int n))
+      | Some _ -> Error "request field \"deadline\" must be a number or null"
     in
     let* universe =
       match field "universe" with
@@ -231,32 +257,24 @@ module Request = struct
           | Some (Rpc.Int n) -> Ok (float_of_int n)
           | _ -> Error "universe field \"confidence\" must be a number"
         in
-        match
-          Estimate.Spec.validate { Estimate.Spec.samples; strata; confidence }
-        with
-        | Ok spec -> Ok (Sampled spec)
-        | Error msg -> Error ("request field \"universe\": " ^ msg))
+        Ok (Sampled { Estimate.Spec.samples; strata; confidence }))
       | Some _ -> Error "request field \"universe\" must be an object or null"
     in
-    if k < 1 then Error "request field \"k\" must be >= 1"
-    else if k2 < 1 then Error "request field \"k2\" must be >= 1"
-    else if nmax < 1 then Error "request field \"nmax\" must be >= 1"
-    else
-      Ok
-        {
-          label;
-          source;
-          sections;
-          universe;
-          k;
-          k2;
-          nmax;
-          seed;
-          scheme;
-          domains;
-          cache_dir;
-          deadline;
-        }
+    validate
+      {
+        label;
+        source;
+        sections;
+        universe;
+        k;
+        k2;
+        nmax;
+        seed;
+        scheme;
+        domains;
+        cache_dir;
+        deadline;
+      }
 end
 
 module Response = struct

@@ -2,12 +2,13 @@
 
     One analysis — "this netlist, these sections, these parameters" —
     is a value: {!Request.t} going in, {!Response.t} coming out of
-    {!run}. The CLI subcommands, the reproduction driver's option
-    parser ({!Driver.Options.to_request}) and the {!Serve} daemon all
-    build the same request and funnel through the same [run], so a
-    daemon answer is byte-identical to the CLI answer for the same
-    request by construction: both print {!Response.render} of the same
-    value.
+    {!run}. The CLI subcommands build the request directly from their
+    typed flags ({!Request.make}), the reproduction driver lowers its
+    options per circuit, and the {!Serve} daemon decodes it
+    ({!Request.of_json}); all three reject through one
+    {!Request.validate} and funnel through the same [run], so a daemon
+    answer is byte-identical to the CLI answer for the same request by
+    construction: both print {!Response.render} of the same value.
 
     [run] never raises for an in-band reason. A request that cannot be
     attempted (unparsable netlist, unknown suite circuit) is [Error];
@@ -86,7 +87,15 @@ module Request : sig
     t
   (** Defaults: sections [[Worst]], universe [Exhaustive], k 1000,
       k2 200, nmax 10, seed 1, scheme [Encode.Binary], everything else
-      off. *)
+      off. Checks nothing: see {!validate}. *)
+
+  val validate : t -> (t, string) result
+  (** The request bounds, in one place: [k], [k2] and [nmax] >= 1,
+      [domains] >= 1, [deadline] > 0, and a sampled universe through
+      {!Ndetect_estimate.Estimate.Spec.validate}. [Error] is
+      [request field "NAME" ...], naming the first field out of
+      bounds, so a front end can map it back to the flag that set
+      it. *)
 
   val to_json : t -> Rpc.json
   (** Canonical encoding (fixed field order), used both on the wire and
@@ -94,12 +103,13 @@ module Request : sig
       documents. *)
 
   val of_json : Rpc.json -> (t, string) result
-  (** Inverse of {!to_json}; [Error] names the offending field. Unknown
-      fields are ignored (forward compatibility), missing optional
-      fields take the {!make} defaults. The retired fields
-      ["kernel_backend"] and ["sim_strategy"] of older clients are
-      accepted when null or naming what always runs (["c"], ["stem"]);
-      any other value is an [Error]. Never raises. *)
+  (** Inverse of {!to_json}, ending in {!validate}; [Error] names the
+      offending field. Unknown fields are ignored (forward
+      compatibility), missing optional fields take the {!make}
+      defaults. The retired fields ["kernel_backend"] and
+      ["sim_strategy"] of older clients are accepted when null or
+      naming what always runs (["c"], ["stem"]); any other value is an
+      [Error]. Never raises. *)
 end
 
 module Response : sig

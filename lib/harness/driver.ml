@@ -24,18 +24,6 @@ type options = {
   table_cache : string option;
   trace : string option;
   metrics : bool;
-  (* Sampled-universe flags: [samples = None] is exhaustive mode.
-     [strata]/[confidence] refine a sampled run and require
-     [--samples]. *)
-  samples : int option;
-  strata : int option;
-  confidence : float option;
-  (* Campaign-mode flags (the [ndetect campaign] subcommand). *)
-  workers : int option;
-  lease_secs : float option;
-  max_unit_retries : int option;
-  chaos : bool;
-  ledger_dir : string option;
 }
 
 let default_options =
@@ -55,70 +43,12 @@ let default_options =
     table_cache = None;
     trace = None;
     metrics = false;
-    samples = None;
-    strata = None;
-    confidence = None;
-    workers = None;
-    lease_secs = None;
-    max_unit_retries = None;
-    chaos = false;
-    ledger_dir = None;
   }
 
 module Options = struct
   type nonrec t = options
 
-  let make ?(tier = default_options.tier) ?(k = default_options.k)
-      ?(k2 = default_options.k2) ?(seed = default_options.seed)
-      ?(only = default_options.only) ?(quiet = default_options.quiet)
-      ?csv_dir ?checkpoint_dir ?(resume = default_options.resume)
-      ?timeout_per_circuit ?inject ?domains ?table_cache ?trace
-      ?(metrics = default_options.metrics) ?samples ?strata ?confidence
-      ?workers ?lease_secs ?max_unit_retries
-      ?(chaos = default_options.chaos) ?ledger_dir () =
-    {
-      tier;
-      k;
-      k2;
-      seed;
-      only;
-      quiet;
-      csv_dir;
-      checkpoint_dir;
-      resume;
-      timeout_per_circuit;
-      inject;
-      domains;
-      table_cache;
-      trace;
-      metrics;
-      samples;
-      strata;
-      confidence;
-      workers;
-      lease_secs;
-      max_unit_retries;
-      chaos;
-      ledger_dir;
-    }
-
-  (* The universe mode an options value denotes; shared between
-     [to_request] and the campaign subcommand, which builds a campaign
-     spec rather than a request but must validate identically. *)
-  let universe t =
-    match t.samples with
-    | None ->
-      if t.strata <> None then Error "--strata requires --samples"
-      else if t.confidence <> None then
-        Error "--confidence requires --samples"
-      else Ok Api.Request.Exhaustive
-    | Some samples ->
-      Ndetect_estimate.Estimate.Spec.make ?strata:t.strata
-        ?confidence:t.confidence ~samples ()
-      |> Result.map (fun spec -> Api.Request.Sampled spec)
-      |> Result.map_error (fun msg -> "--samples: " ^ msg)
-
-  let to_request ?scheme t ~source ~label =
+  let to_request t ~source ~label =
     let sections =
       match t.only with
       | "table2" | "table3" -> Ok [ Api.Request.Worst ]
@@ -134,12 +64,10 @@ module Options = struct
              other)
     in
     Result.bind sections (fun sections ->
-        Result.map
-          (fun universe ->
-            Api.Request.make ~sections ~universe ~k:t.k ~k2:t.k2 ~seed:t.seed
-              ?scheme ?domains:t.domains ?cache_dir:t.table_cache
-              ?deadline:t.timeout_per_circuit ~label source)
-          (universe t))
+        Api.Request.validate
+          (Api.Request.make ~sections ~k:t.k ~k2:t.k2 ~seed:t.seed
+             ?domains:t.domains ?cache_dir:t.table_cache
+             ?deadline:t.timeout_per_circuit ~label source))
 end
 
 let usage =
@@ -147,17 +75,13 @@ let usage =
   \                 [--only table1..table6|figure2|all] [--quiet] [--csv DIR]\n\
   \                 [--checkpoint DIR] [--resume] [--timeout-per-circuit SECS]\n\
   \                 [--inject SPEC] [--domains N] [--table-cache DIR]\n\
-  \                 [--trace FILE] [--metrics]\n\
-  \                 [--samples N] [--strata N] [--confidence P]\n\
-  \                 [--workers N] [--lease-secs SECS] [--max-unit-retries N]\n\
-  \                 [--chaos] [--ledger DIR]"
+  \                 [--trace FILE] [--metrics]"
 
 let value_flags =
   [
     "--tier"; "--k"; "--k2"; "--seed"; "--only"; "--csv"; "--checkpoint";
     "--timeout-per-circuit"; "--inject"; "--domains"; "--table-cache";
-    "--trace"; "--samples"; "--strata"; "--confidence"; "--workers";
-    "--lease-secs"; "--max-unit-retries"; "--ledger";
+    "--trace";
   ]
 
 (* The flag grammar is written with [failwith] (every arm wants to abort
@@ -171,21 +95,19 @@ let parse_args_exn args =
   in
   let seconds_value flag v =
     match float_of_string_opt v with
-    | Some s when s > 0.0 -> s
-    | Some _ | None ->
+    | Some s -> s
+    | None ->
       failwith
-        (Printf.sprintf "%s expects a positive number of seconds, got %S\n%s"
-           flag v usage)
+        (Printf.sprintf "%s expects a number of seconds, got %S\n%s" flag v
+           usage)
   in
   let rec go opts = function
     | [] -> opts
     | "--tier" :: v :: rest ->
       let tier =
-        match String.lowercase_ascii v with
-        | "small" -> Registry.Small
-        | "medium" -> Registry.Medium
-        | "large" -> Registry.Large
-        | _ ->
+        match Registry.tier_of_string v with
+        | Some tier -> tier
+        | None ->
           failwith
             (Printf.sprintf "unknown tier %S (small, medium or large)" v)
       in
@@ -213,65 +135,12 @@ let parse_args_exn args =
       match Supervise.parse_injection_spec spec with
       | Ok _ -> go { opts with inject = Some spec } rest
       | Error message -> failwith (Printf.sprintf "--inject: %s" message))
-    | "--domains" :: v :: rest -> (
-      match int_of_string_opt v with
-      | Some n when n >= 1 -> go { opts with domains = Some n } rest
-      | Some _ | None ->
-        failwith
-          (Printf.sprintf "--domains expects an integer >= 1, got %S\n%s" v
-             usage))
+    | "--domains" :: v :: rest ->
+      go { opts with domains = Some (int_value "--domains" v) } rest
     | "--table-cache" :: dir :: rest ->
       go { opts with table_cache = Some dir } rest
     | "--trace" :: file :: rest -> go { opts with trace = Some file } rest
     | "--metrics" :: rest -> go { opts with metrics = true } rest
-    | "--samples" :: v :: rest -> (
-      match int_of_string_opt v with
-      | Some n when n >= 1 -> go { opts with samples = Some n } rest
-      | Some _ | None ->
-        failwith
-          (Printf.sprintf "--samples expects an integer >= 1, got %S\n%s" v
-             usage))
-    | "--strata" :: v :: rest -> (
-      match int_of_string_opt v with
-      | Some n when n >= 1 -> go { opts with strata = Some n } rest
-      | Some _ | None ->
-        failwith
-          (Printf.sprintf "--strata expects an integer >= 1, got %S\n%s" v
-             usage))
-    | "--confidence" :: v :: rest -> (
-      match float_of_string_opt v with
-      | Some p when p > 0.0 && p < 1.0 ->
-        go { opts with confidence = Some p } rest
-      | Some _ | None ->
-        failwith
-          (Printf.sprintf
-             "--confidence expects a probability strictly inside (0, 1), \
-              got %S\n%s"
-             v usage))
-    | "--workers" :: v :: rest -> (
-      match int_of_string_opt v with
-      | Some n when n >= 1 -> go { opts with workers = Some n } rest
-      | Some _ | None ->
-        failwith
-          (Printf.sprintf "--workers expects an integer >= 1, got %S\n%s" v
-             usage))
-    | "--lease-secs" :: v :: rest -> (
-      match float_of_string_opt v with
-      | Some s when s >= 1.0 -> go { opts with lease_secs = Some s } rest
-      | Some _ | None ->
-        failwith
-          (Printf.sprintf
-             "--lease-secs expects a number of seconds >= 1, got %S\n%s" v
-             usage))
-    | "--max-unit-retries" :: v :: rest -> (
-      match int_of_string_opt v with
-      | Some n when n >= 1 -> go { opts with max_unit_retries = Some n } rest
-      | Some _ | None ->
-        failwith
-          (Printf.sprintf
-             "--max-unit-retries expects an integer >= 1, got %S\n%s" v usage))
-    | "--chaos" :: rest -> go { opts with chaos = true } rest
-    | "--ledger" :: dir :: rest -> go { opts with ledger_dir = Some dir } rest
     | [ flag ] when List.mem flag value_flags ->
       failwith (Printf.sprintf "%s requires a value\n%s" flag usage)
     | arg :: _ -> failwith (Printf.sprintf "unknown argument %S\n%s" arg usage)
@@ -279,8 +148,8 @@ let parse_args_exn args =
   let opts = go default_options args in
   (* Cross-flag validation: combinations each flag parser accepts in
      isolation but that would silently do the wrong thing as a whole —
-     a run selecting no section, or empty sample sizes that render
-     every table vacuously. *)
+     a resume with nothing to resume from, or a run selecting no
+     section. *)
   if opts.resume && opts.checkpoint_dir = None then
     failwith (Printf.sprintf "--resume requires --checkpoint DIR\n%s" usage);
   let sections =
@@ -291,32 +160,22 @@ let parse_args_exn args =
     failwith
       (Printf.sprintf "--only: unknown section %S (expected %s)\n%s" opts.only
          (String.concat ", " sections) usage);
-  if opts.k < 1 then
-    failwith
-      (Printf.sprintf "--k expects a positive sample count, got %d\n%s" opts.k
-         usage);
-  if opts.k2 < 1 then
-    failwith
-      (Printf.sprintf "--k2 expects a positive sample count, got %d\n%s"
-         opts.k2 usage);
-  (match (opts.samples, opts.strata, opts.confidence) with
-  | None, Some _, _ ->
-    failwith (Printf.sprintf "--strata requires --samples N\n%s" usage)
-  | None, _, Some _ ->
-    failwith (Printf.sprintf "--confidence requires --samples N\n%s" usage)
-  | Some samples, Some strata, _ when samples < strata ->
-    failwith
-      (Printf.sprintf "--samples %d < --strata %d (every stratum must draw \
-                       at least once)\n%s"
-         samples strata usage)
-  | _ -> ());
-  (match (opts.chaos, opts.workers) with
-  | true, Some w when w >= 2 -> ()
-  | true, _ ->
-    (* Chaos kills workers mid-campaign; with fewer than two there is
-       nothing left to make progress while the victim is down. *)
-    failwith (Printf.sprintf "--chaos requires --workers >= 2\n%s" usage)
-  | false, _ -> ());
+  (* The numeric bounds are the request's ({!Api.Request.validate}),
+     checked whatever the sections; its error names the request field,
+     which is the flag's name but for the timeout. *)
+  (match
+     Options.to_request { opts with only = "all" }
+       ~source:(Api.Request.Suite "") ~label:""
+   with
+  | Ok _ -> ()
+  | Error message ->
+    let flag =
+      match Scanf.sscanf_opt message "request field %S" Fun.id with
+      | Some "deadline" -> "--timeout-per-circuit"
+      | Some field -> "--" ^ field
+      | None -> "reproduce"
+    in
+    failwith (Printf.sprintf "%s: %s\n%s" flag message usage));
   opts
 
 let parse_args_result args =
@@ -338,11 +197,6 @@ type t = {
   mutable unit_metrics : (string * (string * int) list) list;  (* newest first *)
 }
 
-let tier_name = function
-  | Registry.Small -> "small"
-  | Registry.Medium -> "medium"
-  | Registry.Large -> "large"
-
 (* Figure 2 reads the worst-case summaries Table 2 does; Tables 1 and 4
    are the Figure 1 example and need no suite circuit. *)
 let request_of_options options =
@@ -355,10 +209,6 @@ let request_of_options options =
         ~source:(Api.Request.Suite "") ~label:""
     with
     | Error message -> failwith message
-    | Ok { Api.Request.universe = Api.Request.Sampled _; _ } ->
-      failwith
-        "--samples: the paper's tables are exact counts; sampled estimates \
-         are rendered by ndetect analyze / average"
     | Ok req -> Some req)
 
 let create options =
@@ -377,7 +227,7 @@ let create options =
             {
               Checkpoint.version = Checkpoint.version;
               seed = options.seed;
-              tier = tier_name options.tier;
+              tier = Registry.tier_name options.tier;
               k = options.k;
               k2 = options.k2;
             })

@@ -72,83 +72,18 @@ type options = {
       (** Print a telemetry report after [run_all]: per-supervised-unit
           counter deltas, process-wide totals and the aggregated span
           profile. Pure observability, like [trace]. *)
-  samples : int option;
-      (** When set (>= 1), analyses run in sampled-universe mode:
-          detection quantities are estimated from this many stratified
-          random vectors instead of all [2^PI], and the worst-case
-          section reports confidence intervals
-          ({!Ndetect_estimate.Estimate}). [None] is exhaustive mode. *)
-  strata : int option;
-      (** Sampled mode only: stratum count (>= 1, and at most
-          [samples]); requires [samples]. Default
-          {!Ndetect_estimate.Estimate.Spec.default_strata}. *)
-  confidence : float option;
-      (** Sampled mode only: interval confidence, strictly inside
-          (0, 1); requires [samples]. Default
-          {!Ndetect_estimate.Estimate.Spec.default_confidence}. *)
-  workers : int option;
-      (** [ndetect campaign] only: worker subprocess count (>= 1).
-          Ignored by the reproduction driver. *)
-  lease_secs : float option;
-      (** Campaign only: heartbeat lease before a worker is presumed
-          dead and its units reassigned (>= 1 second). *)
-  max_unit_retries : int option;
-      (** Campaign only: failed attempts before a unit is poisoned
-          (>= 1). *)
-  chaos : bool;
-      (** Campaign only: randomly SIGKILL / stall workers mid-run.
-          Requires [workers >= 2]. *)
-  ledger_dir : string option;  (** Campaign only: the work ledger. *)
 }
 
 val default_options : options
 (** Medium tier, [k = 1000], [k2 = 200], [seed = 1], everything; no
     checkpointing, no timeout, no injection, no telemetry. *)
 
-(** Smart constructor: build an {!options} value by overriding only the
-    fields you care about, robust to future field additions (unlike a
-    record literal, which every new field breaks). *)
+(** The options' lowering onto {!Api.Request}. Callers build an
+    [options] value as [{ default_options with ... }]. *)
 module Options : sig
   type t = options
 
-  val make :
-    ?tier:Registry.tier ->
-    ?k:int ->
-    ?k2:int ->
-    ?seed:int ->
-    ?only:string ->
-    ?quiet:bool ->
-    ?csv_dir:string ->
-    ?checkpoint_dir:string ->
-    ?resume:bool ->
-    ?timeout_per_circuit:float ->
-    ?inject:string ->
-    ?domains:int ->
-    ?table_cache:string ->
-    ?trace:string ->
-    ?metrics:bool ->
-    ?samples:int ->
-    ?strata:int ->
-    ?confidence:float ->
-    ?workers:int ->
-    ?lease_secs:float ->
-    ?max_unit_retries:int ->
-    ?chaos:bool ->
-    ?ledger_dir:string ->
-    unit ->
-    t
-  (** Every omitted argument takes its {!default_options} value. *)
-
-  val universe :
-    t -> (Api.Request.universe, string) result
-  (** The universe mode the options denote: [Exhaustive] without
-      [samples], otherwise a validated
-      [Sampled of Estimate.Spec.t] ([Error] on an invalid
-      samples/strata/confidence combination — same validation as
-      {!Ndetect_estimate.Estimate.Spec.make}). *)
-
   val to_request :
-    ?scheme:Ndetect_synth.Encode.scheme ->
     t ->
     source:Api.Request.source ->
     label:string ->
@@ -159,25 +94,23 @@ module Options : sig
       [Worst], [table5] to [Average], [table6] to [Average_def2], [all]
       to all three; the example-circuit sections ([table1], [table4],
       [figure2]) have no per-request form and return [Error]. [k],
-      [k2], [seed], [domains], [table_cache] and
-      [timeout_per_circuit] carry over field for
-      field; [samples]/[strata]/[confidence] lower to the request's
-      {!universe} mode. *)
+      [k2], [seed], [domains], [table_cache] and [timeout_per_circuit]
+      carry over field for field; the universe is always exhaustive
+      (the paper's tables are exact counts). The result passes through
+      {!Api.Request.validate}. *)
 end
 
 val parse_args_result : string list -> (options, string) result
 (** Parse [--tier small|medium|large], [--k N], [--k2 N], [--seed N],
     [--only WHAT], [--quiet], [--csv DIR], [--checkpoint DIR],
-    [--resume], [--timeout-per-circuit SECS], [--inject SPEC],
-    [--domains N], [--table-cache DIR], [--trace FILE], [--metrics],
-    the sampled-universe flags [--samples N] (>= 1), [--strata N]
-    (>= 1, requires [--samples], rejected when above it) and
-    [--confidence P] (strictly inside (0, 1), requires [--samples]), and
-    the campaign flags [--workers N] (>= 1), [--lease-secs SECS]
-    (>= 1), [--max-unit-retries N] (>= 1), [--chaos] (rejected unless
-    [--workers >= 2]) and [--ledger DIR]. [Error message] names the
-    offending flag (and includes the usage string) on malformed values,
-    missing values, or unknown arguments. *)
+    [--resume] (requires [--checkpoint]), [--timeout-per-circuit SECS],
+    [--inject SPEC], [--domains N], [--table-cache DIR], [--trace FILE]
+    and [--metrics] — reproduce's flags and no others. The bounds on
+    [--k], [--k2], [--domains] and [--timeout-per-circuit] are
+    {!Api.Request.validate}'s, checked for every [--only]. [Error
+    message] names the offending flag (and includes the usage string)
+    on malformed or out-of-bounds values, missing values, or unknown
+    arguments. *)
 
 val usage : string
 (** The usage string appended to [parse_args_result] error messages. *)
@@ -189,7 +122,8 @@ val create : options -> t
 (** Also installs the [inject] plan ({!Supervise.set_injection}) and
     opens the checkpoint directory, stamped with the options' seed,
     tier, [k] and [k2]. Raises [Failure] on options no run can honour
-    (e.g. [samples]: the paper's tables are exact counts). *)
+    (a bound {!Api.Request.validate} rejects, a bad [inject] spec, a
+    [csv_dir] that is not a directory). *)
 
 val failures : t -> (string * Supervise.failure) list
 (** Supervised units that failed so far, in execution order, labelled

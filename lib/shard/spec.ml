@@ -34,11 +34,6 @@ let estimate_spec c =
       { Estimate.Spec.samples = c.samples; strata = c.strata;
         confidence = c.confidence }
 
-let tier_name = function
-  | Registry.Small -> "small"
-  | Registry.Medium -> "medium"
-  | Registry.Large -> "large"
-
 let make_campaign ?(fault_block = 256) ?set_chunk ?(nmax = 10) ?circuits
     ?samples ?strata ?confidence ~tier ~seed ~set_count () =
   if fault_block < 1 then invalid_arg "Spec.make_campaign: fault_block < 1";
@@ -75,14 +70,14 @@ let make_campaign ?(fault_block = 256) ?set_chunk ?(nmax = 10) ?circuits
             invalid_arg
               (Printf.sprintf
                  "Spec.make_campaign: %S is not a %s-tier suite circuit" name
-                 (tier_name tier)))
+                 (Registry.tier_name tier)))
         only;
       (* Keep registry order regardless of how the filter was given. *)
       List.filter (fun name -> List.mem name only) tier_circuits
   in
   {
     format_version;
-    tier = tier_name tier;
+    tier = Registry.tier_name tier;
     circuits;
     seed;
     set_count;

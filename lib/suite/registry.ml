@@ -75,6 +75,16 @@ let names () = List.map (fun e -> e.name) all
 
 let tier_rank = function Small -> 0 | Medium -> 1 | Large -> 2
 
+let tier_name = function
+  | Small -> "small"
+  | Medium -> "medium"
+  | Large -> "large"
+
+let tier_of_string s =
+  List.find_opt
+    (fun tier -> tier_name tier = String.lowercase_ascii s)
+    [ Small; Medium; Large ]
+
 let of_tier tier =
   List.filter (fun e -> tier_rank e.tier <= tier_rank tier) all
 

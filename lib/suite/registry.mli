@@ -28,6 +28,12 @@ val names : unit -> string list
 val of_tier : tier -> entry list
 (** Entries of the given tier or cheaper. *)
 
+val tier_name : tier -> string
+(** ["small"], ["medium"] or ["large"]. *)
+
+val tier_of_string : string -> tier option
+(** Inverse of {!tier_name}, ignoring case. *)
+
 val fsm : entry -> Ndetect_netparse.Kiss2.t
 (** Parse or generate the machine. Raises [Invalid_argument] for
     [Bench_text] entries, which have no FSM. *)

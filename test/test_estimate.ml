@@ -12,7 +12,6 @@ module Estimate = Ndetect_estimate.Estimate
 module Ref_estimate = Ndetect_check.Ref_estimate
 module Registry = Ndetect_suite.Registry
 module Random_circuit = Ndetect_suite.Random_circuit
-module Driver = Ndetect_harness.Driver
 module Api = Ndetect_harness.Api
 
 let close ?(eps = 1e-4) label expected actual =
@@ -396,50 +395,59 @@ let test_calibration_validation () =
   expect_invalid "bad sampling spec" (fun () ->
       Ref_estimate.run ~samples:2 ~strata:8 ~trials:1 ~seed:1 ~max_pi:4 ())
 
-(* --- driver flag validation --- *)
+(* --- request validation ---
 
-let test_driver_sampled_flags () =
-  (match Driver.parse_args_result [ "--samples"; "500"; "--strata"; "8";
-                                    "--confidence"; "0.9" ] with
-  | Ok o ->
-    Alcotest.(check (option int)) "samples parsed" (Some 500) o.Driver.samples;
-    Alcotest.(check (option int)) "strata parsed" (Some 8) o.Driver.strata;
-    Alcotest.(check bool) "confidence parsed" true
-      (o.Driver.confidence = Some 0.9);
-    (match Driver.Options.universe o with
-    | Ok (Api.Request.Sampled spec) ->
-      Alcotest.(check int) "universe samples" 500 spec.Api.Estimate.Spec.samples
-    | Ok Api.Request.Exhaustive -> Alcotest.fail "expected sampled universe"
-    | Error m -> Alcotest.fail m)
+   A sampled request's spec is checked by [Api.Request.validate], the
+   rule the CLI and the daemon share. The CLI-only rules (--strata and
+   --confidence require --samples, errors name the flag) are runtest
+   rules in bin/dune. *)
+
+let test_request_sampled_universe () =
+  let request universe =
+    Api.Request.make ~universe ~label:"mc" (Api.Request.Suite "mc")
+  in
+  let sampled samples strata confidence =
+    request (Api.Request.Sampled { Estimate.Spec.samples; strata; confidence })
+  in
+  (match Api.Request.validate (sampled 500 8 0.9) with
+  | Ok req ->
+    Alcotest.(check bool) "valid spec kept" true
+      (req.Api.Request.universe
+      = Api.Request.Sampled
+          { Estimate.Spec.samples = 500; strata = 8; confidence = 0.9 })
   | Error m -> Alcotest.fail m);
-  (match Driver.parse_args_result [] with
-  | Ok o ->
-    Alcotest.(check bool) "default universe exhaustive" true
-      (Driver.Options.universe o = Ok Api.Request.Exhaustive)
+  (match Estimate.Spec.make ~samples:300 () with
+  | Ok spec ->
+    Alcotest.(check int) "strata default" Estimate.Spec.default_strata
+      spec.Estimate.Spec.strata;
+    Alcotest.(check bool) "defaulted spec validates" true
+      (Result.is_ok (Api.Request.validate (request (Api.Request.Sampled spec))))
   | Error m -> Alcotest.fail m);
+  Alcotest.(check bool) "default universe exhaustive" true
+    (Api.Request.validate (request Api.Request.Exhaustive)
+    |> Result.map (fun r -> r.Api.Request.universe)
+    = Ok Api.Request.Exhaustive);
   List.iter
-    (fun (label, args) ->
-      match Driver.parse_args_result args with
+    (fun (label, req) ->
+      match Api.Request.validate req with
       | Error m ->
         Alcotest.(check bool)
-          (label ^ " error names the flag")
+          (label ^ " error names the universe")
           true
-          (Helpers.contains_substring m "--samples"
-          || Helpers.contains_substring m "--strata"
-          || Helpers.contains_substring m "--confidence")
-      | Ok _ -> Alcotest.failf "%s: accepted %s" label (String.concat " " args))
+          (Helpers.contains_substring m "request field \"universe\"");
+        Alcotest.(check bool)
+          (label ^ " the daemon rejects it alike")
+          true
+          (Api.Request.of_json (Api.Request.to_json req) = Error m)
+      | Ok _ -> Alcotest.failf "%s: accepted" label)
     [
-      ("zero samples", [ "--samples"; "0" ]);
-      ("negative samples", [ "--samples"; "-5" ]);
-      ("non-integer samples", [ "--samples"; "many" ]);
-      ("confidence 0", [ "--samples"; "10"; "--confidence"; "0" ]);
-      ("confidence 1", [ "--samples"; "10"; "--confidence"; "1" ]);
-      ("confidence 1.5", [ "--samples"; "10"; "--confidence"; "1.5" ]);
-      ("confidence word", [ "--samples"; "10"; "--confidence"; "high" ]);
-      ("strata without samples", [ "--strata"; "4" ]);
-      ("confidence without samples", [ "--confidence"; "0.9" ]);
-      ("samples below strata", [ "--samples"; "3"; "--strata"; "8" ]);
-      ("missing value", [ "--samples" ]);
+      ("zero samples", sampled 0 1 0.95);
+      ("negative samples", sampled (-5) 1 0.95);
+      ("zero strata", sampled 10 0 0.95);
+      ("confidence 0", sampled 10 2 0.0);
+      ("confidence 1", sampled 10 2 1.0);
+      ("confidence 1.5", sampled 10 2 1.5);
+      ("samples below strata", sampled 3 8 0.95);
     ]
 
 let () =
@@ -493,8 +501,9 @@ let () =
             test_calibration_catches_biased_sampler;
           Alcotest.test_case "validation" `Quick test_calibration_validation;
         ] );
-      ( "driver",
+      ( "request",
         [
-          Alcotest.test_case "sampled flags" `Quick test_driver_sampled_flags;
+          Alcotest.test_case "sampled universe" `Quick
+            test_request_sampled_universe;
         ] );
     ]

@@ -22,8 +22,15 @@ let with_temp_dir f =
     (fun () -> f dir)
 
 let small_options =
-  Driver.Options.make ~tier:Registry.Small ~k:20 ~k2:10 ~seed:1 ~only:"all"
-    ~quiet:true ()
+  {
+    Driver.default_options with
+    tier = Registry.Small;
+    k = 20;
+    k2 = 10;
+    seed = 1;
+    only = "all";
+    quiet = true;
+  }
 
 let parse_ok args =
   match Driver.parse_args_result args with
@@ -81,8 +88,10 @@ let test_parse_args_friendly_messages () =
   Alcotest.(check bool) "usage appended" true
     (Helpers.contains_substring m "usage: reproduce");
   let m = failure_message [ "--timeout-per-circuit"; "-3" ] in
-  Alcotest.(check bool) "non-positive timeout" true
-    (Helpers.contains_substring m "--timeout-per-circuit expects a positive")
+  Alcotest.(check bool) "non-positive timeout names the flag" true
+    (Helpers.contains_substring m "--timeout-per-circuit: ");
+  Alcotest.(check bool) "non-positive timeout names the bound" true
+    (Helpers.contains_substring m "must be a positive number")
 
 let test_parse_args_result () =
   (match Driver.parse_args_result [ "--k"; "5" ] with
@@ -97,7 +106,8 @@ let test_parse_args_result () =
 (* Flag combinations that every individual parser accepts but that are
    wrong as a whole must be an [Error], not a run that silently does
    nothing (an unknown --only section selects zero tables; k/k2 < 1
-   render every sampled table vacuously). *)
+   render every sampled table vacuously). The numeric bounds are
+   [Api.Request.validate]'s, reported under reproduce's flag names. *)
 let test_parse_args_rejects_contradictions () =
   let expect_error label args needle =
     match Driver.parse_args_result args with
@@ -109,23 +119,22 @@ let test_parse_args_rejects_contradictions () =
         (Helpers.contains_substring m needle)
   in
   expect_error "unknown section" [ "--only"; "table9" ] "unknown section";
-  expect_error "zero k" [ "--k"; "0" ] "--k expects a positive";
-  expect_error "negative k2" [ "--k2"; "-5" ] "--k2 expects a positive";
+  expect_error "zero k" [ "--k"; "0" ] "--k: request field \"k\" must be >= 1";
+  expect_error "negative k2" [ "--k2"; "-5" ]
+    "--k2: request field \"k2\" must be >= 1";
+  expect_error "zero domains" [ "--domains"; "0" ]
+    "--domains: request field \"domains\" must be >= 1";
+  expect_error "bounds hold without a suite section"
+    [ "--only"; "table4"; "--k"; "0" ]
+    "--k: ";
   expect_error "resume without checkpoint" [ "--resume" ]
     "--resume requires --checkpoint";
-  (* Campaign flags: degenerate values and contradictory combinations. *)
-  expect_error "zero workers" [ "--workers"; "0" ]
-    "--workers expects an integer >= 1";
-  expect_error "non-integer workers" [ "--workers"; "two" ]
-    "--workers expects an integer >= 1";
-  expect_error "sub-second lease" [ "--lease-secs"; "0.5" ]
-    "--lease-secs expects a number of seconds >= 1";
-  expect_error "zero retries" [ "--max-unit-retries"; "0" ]
-    "--max-unit-retries expects an integer >= 1";
-  expect_error "chaos without workers" [ "--chaos" ]
-    "--chaos requires --workers >= 2";
-  expect_error "chaos with one worker" [ "--chaos"; "--workers"; "1" ]
-    "--chaos requires --workers >= 2";
+  (* The campaign's flags belong to ndetect campaign alone. *)
+  List.iter
+    (fun flag ->
+      expect_error ("campaign flag " ^ flag) [ flag ] "unknown argument")
+    [ "--workers"; "--lease-secs"; "--max-unit-retries"; "--chaos";
+      "--ledger"; "--samples"; "--strata"; "--confidence" ];
   (* Case-insensitivity and the valid spellings stay accepted. *)
   List.iter
     (fun args ->
@@ -138,21 +147,8 @@ let test_parse_args_rejects_contradictions () =
       [ "--only"; "all" ];
       [ "--k"; "1" ];
       [ "--resume"; "--checkpoint"; "ck" ];
-      [ "--workers"; "4"; "--lease-secs"; "30"; "--max-unit-retries"; "3" ];
-      [ "--chaos"; "--workers"; "2" ];
-    ];
-  (* The parsed campaign values round-trip. *)
-  match
-    Driver.parse_args_result
-      [ "--workers"; "4"; "--lease-secs"; "12.5"; "--max-unit-retries"; "5" ]
-  with
-  | Error m -> Alcotest.fail ("unexpected Error: " ^ m)
-  | Ok opts ->
-    Alcotest.(check (option int)) "workers" (Some 4) opts.Driver.workers;
-    Alcotest.(check bool) "lease" true (opts.Driver.lease_secs = Some 12.5);
-    Alcotest.(check (option int)) "retries" (Some 5)
-      opts.Driver.max_unit_retries;
-    Alcotest.(check bool) "chaos off by default" false opts.Driver.chaos
+      [ "--domains"; "1"; "--timeout-per-circuit"; "0.5" ];
+    ]
 
 let test_parse_args_telemetry_flags () =
   let opts = parse_ok [ "--trace"; "out.jsonl"; "--metrics" ] in
@@ -168,16 +164,6 @@ let test_parse_args_telemetry_flags () =
     (Helpers.contains_substring
        (failure_message [ "--trace" ])
        "--trace requires a value")
-
-let test_options_make () =
-  Alcotest.(check bool) "no overrides = defaults" true
-    (Driver.Options.make () = Driver.default_options);
-  let opts = Driver.Options.make ~k:7 ~trace:"t.jsonl" () in
-  Alcotest.(check int) "override applied" 7 opts.Driver.k;
-  Alcotest.(check (option string)) "option field" (Some "t.jsonl")
-    opts.Driver.trace;
-  Alcotest.(check int) "untouched field keeps default"
-    Driver.default_options.Driver.k2 opts.Driver.k2
 
 let test_parse_args_supervision_flags () =
   let opts =
@@ -975,7 +961,6 @@ let () =
             test_parse_args_rejects_contradictions;
           Alcotest.test_case "telemetry flags" `Quick
             test_parse_args_telemetry_flags;
-          Alcotest.test_case "options make" `Quick test_options_make;
           Alcotest.test_case "supervision flags" `Quick
             test_parse_args_supervision_flags;
         ] );

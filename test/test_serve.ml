@@ -430,10 +430,18 @@ let prop_mutated_frames_decode =
 (* options -> request lowering *)
 
 let test_options_to_request () =
-  let lower only =
-    Driver.Options.to_request
-      (Driver.Options.make ~only ~k:11 ~k2:5 ~seed:3
-         ~timeout_per_circuit:1.5 ~table_cache:"tc" ())
+  let options =
+    {
+      Driver.default_options with
+      k = 11;
+      k2 = 5;
+      seed = 3;
+      timeout_per_circuit = Some 1.5;
+      table_cache = Some "tc";
+    }
+  in
+  let lower ?(options = options) only =
+    Driver.Options.to_request { options with only }
       ~source:(Api.Request.Suite "lion") ~label:"lion"
   in
   (match lower "table2" with
@@ -471,46 +479,70 @@ let test_options_to_request () =
         true
         (Result.is_error (lower only)))
     [ "table1"; "table4"; "figure2" ];
-  (* Sampled-universe lowering: the three flags become the request's
-     universe, with defaults filled in and invalid combinations
-     becoming structured errors. *)
-  let lower_sampled ?samples ?strata ?confidence () =
-    Driver.Options.to_request
-      (Driver.Options.make ~only:"table2" ?samples ?strata ?confidence ())
-      ~source:(Api.Request.Suite "lion") ~label:"lion"
+  (match lower "all" with
+  | Ok req ->
+    Alcotest.(check bool) "the tables lower to an exhaustive universe" true
+      (req.Api.Request.universe = Api.Request.Exhaustive)
+  | Error m -> Alcotest.fail m);
+  (* The lowering ends in [Api.Request.validate]. *)
+  Alcotest.(check bool) "out-of-bounds k rejected" true
+    (lower ~options:{ options with k = 0 } "table5"
+    = Error "request field \"k\" must be >= 1")
+
+(* [Api.Request.validate] is the one owner of the request bounds: each
+   one rejects its field, and the daemon's decoder ends in it, so a
+   request the CLI rejects is rejected by the daemon with the same
+   message. *)
+let test_request_validate () =
+  let base = Api.Request.make ~label:"lion" (Api.Request.Suite "lion") in
+  let sampled samples strata confidence =
+    Api.Request.Sampled { Api.Estimate.Spec.samples; strata; confidence }
   in
-  (match lower_sampled ~samples:300 ~strata:4 ~confidence:0.99 () with
-  | Error m -> Alcotest.fail m
-  | Ok req ->
-    Alcotest.(check bool) "sampled universe lowered" true
-      (req.Api.Request.universe
-      = Api.Request.Sampled
-          { Api.Estimate.Spec.samples = 300; strata = 4; confidence = 0.99 }));
-  (match lower_sampled ~samples:300 () with
-  | Error m -> Alcotest.fail m
-  | Ok req ->
-    Alcotest.(check bool) "strata and confidence default" true
-      (match req.Api.Request.universe with
-      | Api.Request.Sampled
-          { Api.Estimate.Spec.samples = 300; strata = 16; confidence = c } ->
-        c = Api.Estimate.Spec.default_confidence
-      | _ -> false));
-  (match lower_sampled () with
-  | Error m -> Alcotest.fail m
-  | Ok req ->
-    Alcotest.(check bool) "no samples is exhaustive" true
-      (req.Api.Request.universe = Api.Request.Exhaustive));
+  (match Api.Request.validate base with
+  | Ok req -> Alcotest.(check bool) "valid request unchanged" true (req = base)
+  | Error m -> Alcotest.fail m);
   List.iter
-    (fun (label, req) ->
-      Alcotest.(check bool) label true (Result.is_error req))
+    (fun (field, req) ->
+      match Api.Request.validate req with
+      | Ok _ -> Alcotest.failf "%s: out-of-bounds request accepted" field
+      | Error m ->
+        Alcotest.(check bool)
+          (field ^ " error names the field")
+          true
+          (Helpers.contains_substring m
+             (Printf.sprintf "request field %S" field));
+        Alcotest.(check bool)
+          (field ^ ": of_json (to_json r) = validate r")
+          true
+          (Api.Request.of_json (Api.Request.to_json req) = Error m))
     [
-      ("samples below strata rejected",
-       lower_sampled ~samples:3 ~strata:8 ());
-      ("confidence 1.0 rejected", lower_sampled ~samples:10 ~confidence:1.0 ());
-      ("strata without samples rejected", lower_sampled ~strata:4 ());
-      ("confidence without samples rejected",
-       lower_sampled ~confidence:0.9 ());
-    ]
+      ("k", { base with k = 0 });
+      ("k", { base with k = -3 });
+      ("k2", { base with k2 = 0 });
+      ("nmax", { base with nmax = 0 });
+      ("domains", { base with domains = Some 0 });
+      ("deadline", { base with deadline = Some 0.0 });
+      ("deadline", { base with deadline = Some (-1.5) });
+      ("universe", { base with universe = sampled 0 1 0.95 });
+      ("universe", { base with universe = sampled 3 8 0.95 });
+      ("universe", { base with universe = sampled 10 2 1.0 });
+    ];
+  (* The smallest in-bounds values pass both. *)
+  let edge =
+    {
+      base with
+      k = 1;
+      k2 = 1;
+      nmax = 1;
+      domains = Some 1;
+      deadline = Some 0.001;
+      universe = sampled 1 1 0.5;
+    }
+  in
+  Alcotest.(check bool) "edge values validate" true
+    (Api.Request.validate edge = Ok edge);
+  Alcotest.(check bool) "edge values decode" true
+    (Api.Request.of_json (Api.Request.to_json edge) = Ok edge)
 
 (* in-process daemon *)
 
@@ -915,6 +947,7 @@ let () =
             test_request_retired_fields;
           Helpers.qcheck prop_mutated_frames_decode;
           Alcotest.test_case "section names" `Quick test_section_names;
+          Alcotest.test_case "validate bounds" `Quick test_request_validate;
           Alcotest.test_case "options lowering" `Quick
             test_options_to_request;
         ] );
