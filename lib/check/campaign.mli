@@ -13,8 +13,10 @@
     spec.
 
     [mutate] flips one bit of one optimized detection set right after
-    the table is built ({!Ndetect_core.Detection_table.corrupt_target_set})
-    corrupts one sampled target set before the sampled scan
+    the table is built ({!Ndetect_core.Detection_table.corrupt_target_set}),
+    inverts one aggressor row of the factored bridge build
+    ({!Ndetect_core.Detection_table.debug_flip_aggressor}), corrupts
+    one sampled target set before the sampled scan
     ({!Ndetect_estimate.Estimate.debug_corrupt_scan}) and misreads one
     lane group of the packed Definition 2 passes
     ({!Ndetect_core.Definition2.debug_corrupt_lanes}) — simulated bugs

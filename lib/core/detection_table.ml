@@ -11,9 +11,20 @@ let c_builds = Telemetry.Counter.create "table.builds"
 let c_dedup_hits = Telemetry.Counter.create "table.dedup_hits"
 let c_restores = Telemetry.Counter.create "table.restores"
 
+(* The factored bridge build forms its detection sets here rather than
+   in Fault_sim, so it adds them to the simulator's set counter: one per
+   bridge product, next to the victim stem sets the sweep counts. *)
+let c_sets = Telemetry.Counter.create "sim.detection_sets"
+
 type untargeted_model = Four_way | Wired of Wired.semantics
 
 type untargeted_fault = Bridge_fault of Bridge.t | Wired_fault of Wired.t
+
+type classes = {
+  kept : int array;
+  class_of : int array;
+  distinct : Bitvec.t array;
+}
 
 type t = {
   net : Netlist.t;
@@ -22,7 +33,10 @@ type t = {
   target_sets : Bitvec.t array;
   undetectable_targets : int;
   untargeted : untargeted_fault array;
-  untargeted_sets : Bitvec.t array;
+  (* T(g_j) is [untargeted_distinct.(untargeted_class.(j))]: one set per
+     distinct content, classes numbered in first-seen order. *)
+  untargeted_class : int array;
+  untargeted_distinct : Bitvec.t array;
   undetectable_untargeted : int;
   good : Good.t;
   (* Lazily-built memos. Tables are shared read-only across Parallel
@@ -53,6 +67,104 @@ and target_layout = {
   blocked : Bitvec.Blocked.t;
 }
 
+(* The one class builder every fault family goes through: drop the
+   empty sets (unless [keep_empty]) and give each kept set the class of
+   its content, looked up by content hash plus word equality. [set i]
+   may return a scratch buffer that the next call overwrites; [copy]
+   says so, and a miss then copies it into the pool. *)
+let classify ~keep_empty ~copy n set =
+  let canon : int Bitvec.Tbl.t = Bitvec.Tbl.create 1024 in
+  let distinct = ref [] and classes = ref 0 in
+  let kept = Array.make n 0 and class_of = Array.make n 0 in
+  let k = ref 0 in
+  for i = 0 to n - 1 do
+    let s = set i in
+    if keep_empty || not (Bitvec.is_empty s) then begin
+      let c =
+        match Bitvec.Tbl.find_opt canon s with
+        | Some c ->
+          Telemetry.Counter.incr c_dedup_hits;
+          c
+        | None ->
+          let s = if copy then Bitvec.copy s else s in
+          let c = !classes in
+          Bitvec.Tbl.replace canon s c;
+          distinct := s :: !distinct;
+          incr classes;
+          c
+      in
+      kept.(!k) <- i;
+      class_of.(!k) <- c;
+      incr k
+    end
+  done;
+  {
+    kept = Array.sub kept 0 !k;
+    class_of = Array.sub class_of 0 !k;
+    distinct = Array.of_list (List.rev !distinct);
+  }
+
+let debug_flip_aggressor = ref false
+
+(* T(v, a1, u, a2) = T(v stuck-at NOT a1) AND {t : good(u, t) = a2}:
+   the bridge is activated on fault-free values, where it forces the
+   victim exactly as the stuck-at fault does, and every lane is
+   simulated on its own. So one traced sweep over the victims' stem
+   faults, one good-value row per (aggressor, value) and one word-wise
+   AND per bridge give every set; only distinct products are kept. *)
+let bridge_classes ?(keep_undetectable = false)
+    ?(cancel = Ndetect_util.Cancel.none) good bridges =
+  let nodes = Netlist.node_count (Good.net good) in
+  let universe = Good.universe good in
+  (* Victim stem faults and aggressor rows are both keyed by
+     [2 * node + value]; victim slots are numbered in first-use order. *)
+  let victim_slot = Array.make (2 * nodes) (-1) in
+  let victims = ref [] and victim_count = ref 0 in
+  Array.iter
+    (fun (b : Bridge.t) ->
+      let key = (2 * b.victim) + Bool.to_int b.victim_value in
+      if victim_slot.(key) < 0 then begin
+        victim_slot.(key) <- !victim_count;
+        victims :=
+          { Stuck.line = Ndetect_circuit.Line.Stem b.victim;
+            value = not b.victim_value }
+          :: !victims;
+        incr victim_count
+      end)
+    bridges;
+  let victim_sets =
+    Fault_sim.stuck_detection_sets ~cancel good
+      (Array.of_list (List.rev !victims))
+  in
+  let rows = Array.make (2 * nodes) None in
+  let flip = ref !debug_flip_aggressor in
+  let row node value =
+    let key = (2 * node) + Bool.to_int value in
+    match rows.(key) with
+    | Some r -> r
+    | None ->
+      (* The mutation self-test inverts the first row built. *)
+      let value = if !flip then not value else value in
+      flip := false;
+      let r =
+        Good.detection_mask_to_set good (fun ~batch ->
+            let v = Good.value good ~node ~batch in
+            if value then v else lnot v)
+      in
+      rows.(key) <- Some r;
+      r
+  in
+  let scratch = Bitvec.create universe in
+  Telemetry.Counter.add c_sets (Array.length bridges);
+  classify ~keep_empty:keep_undetectable ~copy:true (Array.length bridges)
+    (fun j ->
+      let b = bridges.(j) in
+      let victim = (2 * b.victim) + Bool.to_int b.victim_value in
+      Bitvec.inter_into scratch
+        victim_sets.(victim_slot.(victim))
+        (row b.aggressor b.aggressor_value);
+      scratch)
+
 let build ?(keep_undetectable_targets = false)
     ?(keep_undetectable_untargeted = false) ?(collapse = true)
     ?(model = Four_way) ?(cancel = Ndetect_util.Cancel.none) ?vectors net =
@@ -68,70 +180,63 @@ let build ?(keep_undetectable_targets = false)
   Ndetect_util.Cancel.check_deadline cancel;
   let universe = Good.universe good in
   let stuck_list = if collapse then Stuck.collapse net else Stuck.all net in
-  (* Simulation and finalization are profiled separately: "table.sim"
-     is the fault simulation, while "table.finalize" covers the
-     undetectable filtering and set dedup/sharing. *)
-  let stuck_sets, (all_untargeted, all_sets) =
+  (* "table.sim" is the fault simulation, including the bridge products
+     and their classes; "table.finalize" assembles the table. *)
+  let stuck_sets, (all_untargeted, untargeted_classes) =
     Telemetry.with_span "table.sim" @@ fun () ->
     let stuck_sets =
       Telemetry.with_span "table.sim.targets"
         ~args:[ ("faults", string_of_int (Array.length stuck_list)) ]
         (fun () -> Fault_sim.stuck_detection_sets ~cancel good stuck_list)
     in
+    let classes_args c =
+      [ ("classes", string_of_int (Array.length c.distinct)) ]
+    in
     let untargeted =
       match model with
       | Four_way ->
         let bridges = Bridge.enumerate net in
+        let is_victim = Array.make (Netlist.node_count net) false in
+        Array.iter
+          (fun (b : Bridge.t) -> is_victim.(b.victim) <- true)
+          bridges;
+        let victims =
+          Array.fold_left (fun n v -> n + Bool.to_int v) 0 is_victim
+        in
         ( Array.map (fun b -> Bridge_fault b) bridges,
           Telemetry.with_span "table.sim.untargeted"
-            ~args:[ ("faults", string_of_int (Array.length bridges)) ]
-            (fun () -> Fault_sim.bridge_detection_sets ~cancel good bridges) )
+            ~args:
+              [
+                ("faults", string_of_int (Array.length bridges));
+                ("victims", string_of_int victims);
+              ]
+            ~end_args:classes_args
+            (fun () ->
+              bridge_classes ~keep_undetectable:keep_undetectable_untargeted
+                ~cancel good bridges) )
       | Wired semantics ->
         let wired = Wired.enumerate net semantics in
         ( Array.map (fun w -> Wired_fault w) wired,
           Telemetry.with_span "table.sim.untargeted"
             ~args:[ ("faults", string_of_int (Array.length wired)) ]
-            (fun () -> Fault_sim.wired_detection_sets ~cancel good wired) )
+            ~end_args:classes_args
+            (fun () ->
+              let sets = Fault_sim.wired_detection_sets ~cancel good wired in
+              classify ~keep_empty:keep_undetectable_untargeted ~copy:false
+                (Array.length sets) (Array.get sets)) )
     in
     (stuck_sets, untargeted)
   in
   Telemetry.with_span "table.finalize" @@ fun () ->
-  let keep_target i =
-    keep_undetectable_targets || not (Bitvec.is_empty stuck_sets.(i))
+  (* Equivalent stuck-at targets often share a set: one physical copy
+     per distinct content. *)
+  let target_classes =
+    classify ~keep_empty:keep_undetectable_targets ~copy:false
+      (Array.length stuck_sets) (Array.get stuck_sets)
   in
-  let kept_t =
-    Array.to_list (Array.mapi (fun i f -> (i, f)) stuck_list)
-    |> List.filter (fun (i, _) -> keep_target i)
-  in
-  let targets = Array.of_list (List.map snd kept_t) in
+  let targets = Array.map (Array.get stuck_list) target_classes.kept in
   let target_sets =
-    Array.of_list (List.map (fun (i, _) -> stuck_sets.(i)) kept_t)
-  in
-  let kept_g =
-    Array.to_list (Array.mapi (fun j g -> (j, g)) all_untargeted)
-    |> List.filter (fun (j, _) ->
-           keep_undetectable_untargeted || not (Bitvec.is_empty all_sets.(j)))
-  in
-  let untargeted = Array.of_list (List.map snd kept_g) in
-  (* Symmetric bridges (and equivalent stuck-at targets) often share
-     identical detection sets; keep one physical copy per distinct set
-     (halves memory on the big circuits and lets downstream passes dedup
-     by pointer-or-content). Keyed by content hash + word-wise equality —
-     no per-set key string is materialized. *)
-  let share =
-    let canon : Bitvec.t Bitvec.Tbl.t = Bitvec.Tbl.create 1024 in
-    fun set ->
-      match Bitvec.Tbl.find_opt canon set with
-      | Some c ->
-        Telemetry.Counter.incr c_dedup_hits;
-        c
-      | None ->
-        Bitvec.Tbl.replace canon set set;
-        set
-  in
-  let target_sets = Array.map share target_sets in
-  let untargeted_sets =
-    Array.of_list (List.map (fun (j, _) -> share all_sets.(j)) kept_g)
+    Array.map (Array.get target_classes.distinct) target_classes.class_of
   in
   {
     net;
@@ -139,10 +244,11 @@ let build ?(keep_undetectable_targets = false)
     targets;
     target_sets;
     undetectable_targets = Array.length stuck_list - Array.length targets;
-    untargeted;
-    untargeted_sets;
+    untargeted = Array.map (Array.get all_untargeted) untargeted_classes.kept;
+    untargeted_class = untargeted_classes.class_of;
+    untargeted_distinct = untargeted_classes.distinct;
     undetectable_untargeted =
-      Array.length all_untargeted - Array.length untargeted;
+      Array.length all_untargeted - Array.length untargeted_classes.kept;
     good;
     inverted = Atomic.make None;
     untargeted_inverted = Atomic.make None;
@@ -162,7 +268,10 @@ let target_n t i = Bitvec.count t.target_sets.(i)
 let undetectable_target_count t = t.undetectable_targets
 let untargeted_count t = Array.length t.untargeted
 let untargeted_fault t j = t.untargeted.(j)
-let untargeted_set t j = t.untargeted_sets.(j)
+let untargeted_set t j = t.untargeted_distinct.(t.untargeted_class.(j))
+let untargeted_class t j = t.untargeted_class.(j)
+let untargeted_class_count t = Array.length t.untargeted_distinct
+let untargeted_class_set t c = t.untargeted_distinct.(c)
 let undetectable_untargeted_count t = t.undetectable_untargeted
 
 let untargeted_label_of net = function
@@ -190,10 +299,10 @@ let untargeted_labels t =
 let target_label t i = (target_labels t).(i)
 let untargeted_label t j = (untargeted_labels t).(j)
 
-let m t ~gj ~fi = Bitvec.inter_count t.target_sets.(fi) t.untargeted_sets.(gj)
+let m t ~gj ~fi = Bitvec.inter_count t.target_sets.(fi) (untargeted_set t gj)
 
 let overlapping_targets t ~gj =
-  let g = t.untargeted_sets.(gj) in
+  let g = untargeted_set t gj in
   let acc = ref [] in
   for i = Array.length t.target_sets - 1 downto 0 do
     if Bitvec.intersects t.target_sets.(i) g then acc := i :: !acc
@@ -261,7 +370,8 @@ let detectors_of_vector t =
 
 let untargeted_detectors_of_vector t =
   memoized_index t.untargeted_inverted (fun () ->
-      invert_sets ~universe:t.universe t.untargeted_sets)
+      invert_sets ~universe:t.universe
+        (Array.map (Array.get t.untargeted_distinct) t.untargeted_class))
 
 let target_output_sets t ~fi =
   let cached =
@@ -289,7 +399,8 @@ let output_count t = Array.length (Netlist.outputs t.net)
    the decoder adopted its rows zero-copy from the mapped file, and
    rebuilding it would both copy and re-sort for nothing. *)
 let restore_parts net ~universe ~targets ~target_sets ~undetectable_targets
-    ~untargeted ~untargeted_sets ~undetectable_untargeted ?layout () =
+    ~untargeted ~untargeted_class ~untargeted_distinct ~undetectable_untargeted
+    ?layout () =
   Telemetry.Counter.incr c_restores;
   let good = Good.compute net in
   if Good.universe good <> universe then
@@ -302,10 +413,12 @@ let restore_parts net ~universe ~targets ~target_sets ~undetectable_targets
       sets
   in
   check_sets target_sets;
-  check_sets untargeted_sets;
+  check_sets untargeted_distinct;
+  let classes = Array.length untargeted_distinct in
   if
     Array.length targets <> Array.length target_sets
-    || Array.length untargeted <> Array.length untargeted_sets
+    || Array.length untargeted <> Array.length untargeted_class
+    || not (Array.for_all (fun c -> c >= 0 && c < classes) untargeted_class)
     || undetectable_targets < 0
     || undetectable_untargeted < 0
   then invalid_arg "Detection_table.restore_parts: inconsistent parts";
@@ -329,7 +442,8 @@ let restore_parts net ~universe ~targets ~target_sets ~undetectable_targets
     target_sets;
     undetectable_targets;
     untargeted;
-    untargeted_sets;
+    untargeted_class;
+    untargeted_distinct;
     undetectable_untargeted;
     good;
     inverted = Atomic.make None;
@@ -346,7 +460,7 @@ let corrupt_target_set t ~fi ~vector =
     invalid_arg "Detection_table.corrupt_target_set: bad target index";
   if vector < 0 || vector >= t.universe then
     invalid_arg "Detection_table.corrupt_target_set: vector outside universe";
-  (* Detection sets are deduplicated ([share]), so corrupt a private copy:
+  (* Detection sets are deduplicated ([classify]), so corrupt a private copy:
      the injected wrong answer must stay confined to this one target. *)
   let set = Bitvec.copy t.target_sets.(fi) in
   Bitvec.assign set vector (not (Bitvec.get set vector));

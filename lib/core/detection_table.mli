@@ -32,12 +32,14 @@ val build :
   ?vectors:int array ->
   Netlist.t ->
   t
-(** Runs one exhaustive fault-free simulation plus one differential fault
-    simulation per fault. [collapse] (default [true]) applies equivalence
-    collapsing to the stuck-at list — the paper's setting; turning it off,
-    like switching the untargeted [model] (default [Four_way]), is exposed
-    for the ablation benches. [cancel] is polled between per-fault
-    simulation jobs (cooperative deadline support).
+(** Runs one exhaustive fault-free simulation, one traced fault
+    simulation of the stuck-at list and, for the [Four_way] model, the
+    factored bridge build ({!bridge_classes}). [collapse] (default
+    [true]) applies equivalence collapsing to the stuck-at list — the
+    paper's setting; turning it off, like switching the untargeted
+    [model] (default [Four_way]), is exposed for the ablation benches.
+    [cancel] is polled between simulation jobs (cooperative deadline
+    support).
 
     [vectors] switches the table from the exhaustive universe to a
     {e sampled} one: the fault-free and fault simulations run only the
@@ -73,7 +75,19 @@ val undetectable_target_count : t -> int
 val untargeted_count : t -> int
 val untargeted_fault : t -> int -> untargeted_fault
 val untargeted_set : t -> int -> Bitvec.t
-(** [T(g_j)]. *)
+(** [T(g_j)], the set of [g_j]'s class: faults of one class share one
+    physical set. *)
+
+val untargeted_class : t -> int -> int
+(** The class of [g_j]: two untargeted faults share a class iff their
+    detection sets are equal. Classes are numbered [0 ..
+    {!untargeted_class_count} - 1] in order of first occurrence. *)
+
+val untargeted_class_count : t -> int
+(** Distinct untargeted detection sets. *)
+
+val untargeted_class_set : t -> int -> Bitvec.t
+(** The detection set of a class. *)
 
 val untargeted_label : t -> int -> string
 val undetectable_untargeted_count : t -> int
@@ -135,6 +149,32 @@ val find_untargeted :
   aggressor_value:bool -> int option
 (** Index of a bridging fault by node names, for the worked example. *)
 
+(** {2 Untargeted classes} *)
+
+type classes = {
+  kept : int array;
+      (** Indices of the kept faults in the list given, ascending. *)
+  class_of : int array;
+      (** [class_of.(k)] is the class of kept fault [k]. *)
+  distinct : Bitvec.t array;
+      (** One set per class, numbered in order of first occurrence. *)
+}
+
+val bridge_classes :
+  ?keep_undetectable:bool ->
+  ?cancel:Ndetect_util.Cancel.token ->
+  Ndetect_sim.Good.t -> Bridge.t array -> classes
+(** The four-way bridges' detection sets, factored and deduplicated:
+    [T(v, a1, u, a2) = T(v stuck-at (not a1)) ∩ {t : good(u, t) = a2}].
+    One traced sweep ({!Ndetect_sim.Fault_sim.stuck_detection_sets})
+    covers the victims' stem faults; each bridge's product is formed
+    in a scratch buffer, dropped when empty (unless
+    [keep_undetectable], default [false]), and copied into [distinct]
+    only when its content is new. Each bridge's set equals
+    {!Ndetect_sim.Fault_sim.bridge_detection_set}; the qcheck
+    properties in [test/test_sim.ml] and [test/test_core.ml] hold them
+    to it. *)
+
 (** {2 Self-test} *)
 
 val corrupt_target_set : t -> fi:int -> vector:int -> unit
@@ -147,6 +187,14 @@ val corrupt_target_set : t -> fi:int -> vector:int -> unit
     they are forced would leave the table internally inconsistent.
     Never called by any analysis path. *)
 
+val debug_flip_aggressor : bool ref
+(** Test-only sabotage hook: when set, {!bridge_classes} inverts the
+    polarity of the first aggressor row it builds, so every bridge with
+    that aggressor and value gets the product for the opposite value.
+    The differential campaign's [T(g)] cells must report it
+    ({!Ndetect_check.Campaign.check_net} arms it under [mutate]). Always
+    [false] in production. *)
+
 (** {2 Persistence} *)
 
 val restore_parts :
@@ -156,7 +204,8 @@ val restore_parts :
   target_sets:Bitvec.t array ->
   undetectable_targets:int ->
   untargeted:untargeted_fault array ->
-  untargeted_sets:Bitvec.t array ->
+  untargeted_class:int array ->
+  untargeted_distinct:Bitvec.t array ->
   undetectable_untargeted:int ->
   ?layout:target_layout ->
   unit ->
@@ -164,13 +213,16 @@ val restore_parts :
 (** Rebuild a table from its parts, for external decoders (the table
     cache's mmap loader), without any fault simulation: runs the
     (cheap, fault-free) exhaustive good simulation for [net] and adopts
-    the given arrays directly — the detection sets may be zero-copy
+    the given arrays directly: [untargeted_class.(j)] indexes
+    [untargeted_distinct], as {!untargeted_class} does. The detection
+    sets may be zero-copy
     {!Bitvec.of_view}s into a mapped file. Labels and lazy memos
     (inverted indexes, per-output sets) rebuild on demand; when
     [layout] is given it seeds the {!target_layout} memo, so the
     worst-case scan runs over the mapped rows without repacking. Raises
     [Invalid_argument] when the parts are inconsistent with [net] or
-    each other (universe, set lengths, array shapes, negative counts)
+    each other (universe, set lengths, array shapes, classes out of
+    range, negative counts)
     or the layout's shape is off ([rep]/[row_n] lengths, row counts,
     representative indices in range) — callers treat that as a cache
     miss. *)

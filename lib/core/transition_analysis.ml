@@ -16,7 +16,6 @@ type target = {
 type t = {
   net : Netlist.t;
   targets : target array;
-  untargeted_sets : Bitvec.t array;
   untargeted_labels : string array;
   nmin : int array;
 }
@@ -44,18 +43,15 @@ let compute net =
     |> Array.of_list
   in
   let bridges = Bridge.enumerate net in
-  let bridge_sets = Fault_sim.bridge_detection_sets good bridges in
-  let kept =
-    Array.to_list (Array.mapi (fun j s -> (j, s)) bridge_sets)
-    |> List.filter (fun (_, s) -> not (Bitvec.is_empty s))
-  in
-  let untargeted_sets = Array.of_list (List.map snd kept) in
+  let classes = Detection_table.bridge_classes good bridges in
   let untargeted_labels =
-    Array.of_list
-      (List.map (fun (j, _) -> Bridge.to_string net bridges.(j)) kept)
+    Array.map
+      (fun j -> Bridge.to_string net bridges.(j))
+      classes.Detection_table.kept
   in
-  (* nmin over the pair universe, using the factorized counts. *)
-  let nmin =
+  (* nmin over the pair universe, using the factorized counts, once per
+     distinct bridge set. *)
+  let class_nmin =
     Array.map
       (fun tg ->
         Array.fold_left
@@ -69,9 +65,12 @@ let compute net =
               min acc candidate
             end)
           Worst_case.unbounded targets)
-      untargeted_sets
+      classes.Detection_table.distinct
   in
-  { net; targets; untargeted_sets; untargeted_labels; nmin }
+  let nmin =
+    Array.map (Array.get class_nmin) classes.Detection_table.class_of
+  in
+  { net; targets; untargeted_labels; nmin }
 
 let net t = t.net
 let target_count t = Array.length t.targets
@@ -80,7 +79,7 @@ let target_fault t i = t.targets.(i).fault
 let target_n t i =
   Bitvec.count t.targets.(i).init * Bitvec.count t.targets.(i).detect
 
-let untargeted_count t = Array.length t.untargeted_sets
+let untargeted_count t = Array.length t.untargeted_labels
 let untargeted_label t j = t.untargeted_labels.(j)
 let nmin t j = t.nmin.(j)
 

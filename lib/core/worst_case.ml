@@ -114,43 +114,55 @@ let make_scanner ~tally cancel (layout : Detection_table.target_layout)
   in
   per_set
 
-(* Untargeted faults frequently share identical detection sets (e.g.
-   symmetric bridges); nmin only depends on T(g), so compute once per
-   distinct set within the requested range. Grouped by content hash +
-   equality — no key strings. Results are written at [gj - lo]. *)
+(* nmin depends on T(g) alone, so each distinct set is scanned once:
+   [group.(i)] indexes [unique] for the [i]-th fault of the range, and
+   the results are expanded back to one per fault. *)
+let scan_groups per_set unique group =
+  let results = Ndetect_util.Parallel.map_array per_set unique in
+  ( Array.map (fun u -> fst results.(u)) group,
+    Array.map (fun u -> snd results.(u)) group )
+
+(* Plain set arrays are grouped by content hash + equality — no key
+   strings. *)
 let scan_range per_set untargeted_set ~lo ~hi =
   let len = hi - lo in
   let groups : int Bitvec.Tbl.t = Bitvec.Tbl.create (2 * len) in
-  let representative = Array.make (max len 1) (-1) in
   let unique = ref [] and unique_count = ref 0 in
-  for gj = lo to hi - 1 do
-    let set = untargeted_set gj in
-    match Bitvec.Tbl.find_opt groups set with
-    | Some idx -> representative.(gj - lo) <- idx
-    | None ->
-      Bitvec.Tbl.replace groups set !unique_count;
-      representative.(gj - lo) <- !unique_count;
-      unique := set :: !unique;
-      incr unique_count
-  done;
-  let unique = Array.of_list (List.rev !unique) in
-  let unique_results = Ndetect_util.Parallel.map_array per_set unique in
-  let nmin = Array.make (max len 0) unbounded in
-  let witness = Array.make (max len 0) (-1) in
-  for i = 0 to len - 1 do
-    let n, w = unique_results.(representative.(i)) in
-    nmin.(i) <- n;
-    witness.(i) <- w
-  done;
-  (nmin, witness)
+  let group =
+    Array.init len (fun i ->
+        let set = untargeted_set (lo + i) in
+        match Bitvec.Tbl.find_opt groups set with
+        | Some u -> u
+        | None ->
+          let u = !unique_count in
+          Bitvec.Tbl.replace groups set u;
+          unique := set :: !unique;
+          incr unique_count;
+          u)
+  in
+  scan_groups per_set (Array.of_list (List.rev !unique)) group
 
+(* A table already knows its distinct sets: the faults of the range are
+   grouped by class, renumbered in first-seen order, with no hashing. *)
 let scan_table cancel table ~lo ~hi =
   let per_set =
     make_scanner ~tally:true cancel
       (Detection_table.target_layout table)
       (Detection_table.target_set table)
   in
-  scan_range per_set (Detection_table.untargeted_set table) ~lo ~hi
+  let local = Array.make (Detection_table.untargeted_class_count table) (-1) in
+  let unique = ref [] and unique_count = ref 0 in
+  let group =
+    Array.init (hi - lo) (fun i ->
+        let c = Detection_table.untargeted_class table (lo + i) in
+        if local.(c) < 0 then begin
+          local.(c) <- !unique_count;
+          unique := Detection_table.untargeted_class_set table c :: !unique;
+          incr unique_count
+        end;
+        local.(c))
+  in
+  scan_groups per_set (Array.of_list (List.rev !unique)) group
 
 let nmin_of_sets ?(cancel = Ndetect_util.Cancel.none) ~target_sets
     ~untargeted_sets () =

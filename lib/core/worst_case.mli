@@ -15,7 +15,8 @@ val unbounded : int
     target fault's detection set intersects its own): [max_int]. *)
 
 val compute : ?cancel:Ndetect_util.Cancel.token -> Detection_table.t -> t
-(** [cancel] is polled once per untargeted fault. *)
+(** Scans each untargeted class ({!Detection_table.untargeted_class})
+    once. [cancel] is polled once per class. *)
 
 val nmin_of_sets :
   ?cancel:Ndetect_util.Cancel.token ->

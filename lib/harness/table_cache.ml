@@ -137,10 +137,11 @@ let store ~dir ~key table =
   let layout = Detection_table.target_layout table in
   let rows = layout.Detection_table.rows in
   let block_size = Bitvec.Blocked.block_size layout.Detection_table.blocked in
-  (* One pool over both fault families: identical sets (deduplicated by
-     [Detection_table.build]'s [share]) are written once and re-shared
-     on load via the index indirection. *)
-  let canon : int Bitvec.Tbl.t = Bitvec.Tbl.create (2 * (t_count + g_count)) in
+  (* One pool over both fault families: identical sets are written once
+     and re-shared on load via the index indirection. Untargeted faults
+     take their pool index from their class, so only the table's
+     distinct sets are hashed. *)
+  let canon : int Bitvec.Tbl.t = Bitvec.Tbl.create (2 * t_count) in
   let pool_rev = ref [] and pool_n = ref 0 in
   let pool_index set =
     match Bitvec.Tbl.find_opt canon set with
@@ -155,9 +156,16 @@ let store ~dir ~key table =
   let tindex =
     Array.init t_count (fun i -> pool_index (Detection_table.target_set table i))
   in
+  let class_index =
+    Array.make (Detection_table.untargeted_class_count table) (-1)
+  in
   let uindex =
     Array.init g_count (fun j ->
-        pool_index (Detection_table.untargeted_set table j))
+        let c = Detection_table.untargeted_class table j in
+        if class_index.(c) < 0 then
+          class_index.(c) <-
+            pool_index (Detection_table.untargeted_class_set table c);
+        class_index.(c))
   in
   let pool = Array.of_list (List.rev !pool_rev) in
   let pool_count = Array.length pool in
@@ -348,8 +356,8 @@ let decode ~map ~words net =
   let table =
     if nwords = 0 then
       Detection_table.restore_parts net ~universe ~targets ~target_sets:[||]
-        ~undetectable_targets ~untargeted ~untargeted_sets:[||]
-        ~undetectable_untargeted ()
+        ~undetectable_targets ~untargeted ~untargeted_class:[||]
+        ~untargeted_distinct:[||] ~undetectable_untargeted ()
     else begin
       (* The checksums held: adopt the verified mapping zero-copy. *)
       let pool =
@@ -357,7 +365,22 @@ let decode ~map ~words net =
             Bitvec.of_view universe (A1.sub map (meta_words + (i * wpr)) wpr))
       in
       let target_sets = Array.map (fun i -> pool.(i)) tindex in
-      let untargeted_sets = Array.map (fun i -> pool.(i)) uindex in
+      (* Classes in first-seen order of [uindex], as the build numbers
+         them: pool entries are distinct, so are the classes. *)
+      let pool_class = Array.make pool_count (-1) in
+      let distinct = ref [] and classes = ref 0 in
+      let untargeted_class =
+        Array.map
+          (fun i ->
+            if pool_class.(i) < 0 then begin
+              pool_class.(i) <- !classes;
+              distinct := pool.(i) :: !distinct;
+              incr classes
+            end;
+            pool_class.(i))
+          uindex
+      in
+      let untargeted_distinct = Array.of_list (List.rev !distinct) in
       let layout =
         if rows = 0 then None
         else
@@ -370,8 +393,8 @@ let decode ~map ~words net =
           Some { Detection_table.rows; rep; row_n; blocked }
       in
       Detection_table.restore_parts net ~universe ~targets ~target_sets
-        ~undetectable_targets ~untargeted ~untargeted_sets
-        ~undetectable_untargeted ?layout ()
+        ~undetectable_targets ~untargeted ~untargeted_class
+        ~untargeted_distinct ~undetectable_untargeted ?layout ()
     end
   in
   Telemetry.Counter.incr c_mmap_hits;

@@ -6,7 +6,7 @@
     netlist and the build parameters — so it is cached on disk, one
     versioned binary file per (netlist, parameters) fingerprint, and a
     warm run performs {e zero} fault simulations
-    (see {!Ndetect_sim.Fault_sim.detection_sets_computed}).
+    (the ["sim.detection_sets"] telemetry counter stays flat).
 
     Each file is one {!Ndetect_util.Record} of kind ["table"]: a
     checksummed header, then a payload of integer meta fields followed

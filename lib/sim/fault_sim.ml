@@ -135,7 +135,6 @@ let c_propagations = Telemetry.Counter.create "sim.cone_propagations"
 let c_stem_regions = Telemetry.Counter.create "sim.stem_regions"
 let c_cpt_faults = Telemetry.Counter.create "sim.cpt_faults"
 let c_stem_fallbacks = Telemetry.Counter.create "sim.stem_fallbacks"
-let detection_sets_computed () = Telemetry.Counter.value c_sets
 let note_sets n = Telemetry.Counter.add c_sets n
 
 (* Every trace must report a sim.strategy gauge (bin/validate_trace
@@ -273,26 +272,20 @@ let bridge_detection_set good fault =
    differential campaign (`ndetect check`) must catch this. *)
 let debug_corrupt_sensitization = ref false
 
-(* How one fault enters its region: the activation condition over
-   fault-free values, an optional gate pin the effect enters through,
-   and the region node whose path-to-root sensitization gates
-   detection (the root itself for at-root faults; [sens(root)] is all
-   live lanes). *)
 (* Flat slot-indexed description of every traced fault (structure of
    arrays): entry [s] describes the fault whose detection set is result
-   slot [s]. Activation is uniform for both fault models — detection
-   requires the fault-free value at [sj_node] to equal [sj_act_value]
-   (for a stuck-at-v fault that is NOT v; for a bridge, the victim's
-   required value), optionally ANDed with the same condition on an
-   aggressor node. Plain int/bool arrays keep grouping and the traced
-   inner loop allocation-free, which matters: on small universes the
-   bookkeeping around the sweep costs more than the sweep itself. *)
+   slot [s] — how it enters its region: detection requires the
+   fault-free value at [sj_node] to equal [sj_act_value] (NOT the stuck
+   value), the effect may enter through one gate pin, and the region
+   node whose path-to-root sensitization gates detection (the root
+   itself for at-root faults; [sens(root)] is all live lanes). Plain
+   int/bool arrays keep grouping and the traced inner loop
+   allocation-free, which matters: on small universes the bookkeeping
+   around the sweep costs more than the sweep itself. *)
 type stem_jobs = {
   sj_root : int array;  (* region root of the fault site *)
-  sj_node : int array;  (* activation node (stuck site / victim) *)
+  sj_node : int array;  (* activation node (the line's driver) *)
   sj_act_value : bool array;  (* required fault-free value there *)
-  sj_agg : int array;  (* aggressor node, or -1 *)
-  sj_agg_value : bool array;
   sj_pin_gate : int array;  (* gate whose pin the effect enters, or -1 *)
   sj_pin : int array;
   sj_sens : int array;  (* region node whose sens-to-root applies *)
@@ -303,8 +296,6 @@ let make_jobs n =
     sj_root = Array.make n 0;
     sj_node = Array.make n 0;
     sj_act_value = Array.make n false;
-    sj_agg = Array.make n (-1);
-    sj_agg_value = Array.make n false;
     sj_pin_gate = Array.make n (-1);
     sj_pin = Array.make n 0;
     sj_sens = Array.make n 0;
@@ -495,15 +486,6 @@ let run_stem_regions ~cancel good (rg : regions) (jobs : stem_jobs) sets =
                     (Good.value good ~node:jobs.sj_node.(s) ~batch)
                     ~value:jobs.sj_act_value.(s) ~live
                 in
-                let agg = jobs.sj_agg.(s) in
-                let act =
-                  if agg >= 0 then
-                    act
-                    land value_match
-                          (Good.value good ~node:agg ~batch)
-                          ~value:jobs.sj_agg_value.(s) ~live
-                  else act
-                in
                 let d = ref (act land stemdiff) in
                 if !d <> Word.zeroes then begin
                   if jobs.sj_pin_gate.(s) >= 0 then
@@ -563,24 +545,6 @@ let stuck_detection_sets ?(cancel = Ndetect_util.Cancel.none) good faults =
         jobs.sj_pin_gate.(s) <- gate;
         jobs.sj_pin.(s) <- pin;
         jobs.sj_sens.(s) <- gate)
-    faults;
-  stem_detection_sets ~cancel good part jobs
-
-(* A four-way bridge flips the victim wherever both activation
-   conditions hold over fault-free values, so it traces exactly like a
-   stem fault at the victim with a compound activation. Every bridge
-   victimizing a node in the same region shares one root propagation. *)
-let bridge_detection_sets ?(cancel = Ndetect_util.Cancel.none) good faults =
-  let part = Netlist.ffr_partition (Good.net good) in
-  let jobs = make_jobs (Array.length faults) in
-  Array.iteri
-    (fun s (f : Bridge.t) ->
-      jobs.sj_root.(s) <- part.Netlist.ffr_root.(f.Bridge.victim);
-      jobs.sj_node.(s) <- f.Bridge.victim;
-      jobs.sj_act_value.(s) <- f.Bridge.victim_value;
-      jobs.sj_agg.(s) <- f.Bridge.aggressor;
-      jobs.sj_agg_value.(s) <- f.Bridge.aggressor_value;
-      jobs.sj_sens.(s) <- f.Bridge.victim)
     faults;
   stem_detection_sets ~cancel good part jobs
 

@@ -9,7 +9,10 @@
     with, compute the same sets with one propagation per fanout-free
     region instead of one per fault. The per-fault entry points stay as
     their reference and serve the callers that need single faults
-    ([Test_eval], [Defect_level], [Transition_analysis]). *)
+    ([Test_eval], [Defect_level], [Transition_analysis]). Bridge sets
+    are built from stem stuck-at sets
+    ({!Ndetect_core.Detection_table.bridge_classes}); the per-fault
+    {!bridge_detection_set} is their check twin. *)
 
 module Bitvec = Ndetect_util.Bitvec
 module Stuck = Ndetect_faults.Stuck
@@ -43,14 +46,6 @@ val stuck_detection_sets :
     properties in [test/test_sim.ml] and [ndetect check]
     ({!Ndetect_check.Campaign.check_suite}) compare the two. *)
 
-val bridge_detection_sets :
-  ?cancel:Ndetect_util.Cancel.token ->
-  Good.t -> Bridge.t array -> Bitvec.t array
-(** Equal to mapping {!bridge_detection_set}. A bridge flips its victim
-    wherever both activation conditions hold, so it traces exactly like
-    a stem fault at the victim: {e every} bridge victimizing any node of
-    a region shares that region's single root propagation. *)
-
 val debug_corrupt_sensitization : bool ref
 (** Test-only sabotage hook: when set, the batched path complements every
     in-region sensitization word, silently corrupting traced detection
@@ -81,8 +76,9 @@ val stuck_detection_by_output : Good.t -> Stuck.t -> Bitvec.t array
     Simulation work is counted in the {!Ndetect_util.Telemetry}
     registry (always on; one atomic add per fault or group):
 
-    - ["sim.detection_sets"] — full detection-set simulations (stuck,
-      bridge, wired and per-output variants).
+    - ["sim.detection_sets"] — detection sets formed: full simulations
+      (stuck, bridge, wired and per-output variants) plus, added by the
+      factored bridge build, one per bridge product.
     - ["sim.cone_propagations"] — per-batch cone propagation passes
       handed to the kernel (a pass may still short-circuit when the
       seed is not activated in that batch). A batched call adds
@@ -97,11 +93,3 @@ val stuck_detection_by_output : Good.t -> Stuck.t -> Bitvec.t array
 
     All of these count deterministic work, so totals are identical for
     every domain count. *)
-
-val detection_sets_computed : unit -> int
-(** Deprecated thin wrapper over the ["sim.detection_sets"] telemetry
-    counter, kept for existing callers (the table-cache tests use it to
-    prove a warm cache run simulates nothing). New code should read
-    [Telemetry.counter_value "sim.detection_sets"]. Monotone; sample it
-    before and after an operation to count the simulations it
-    triggered. *)

@@ -187,6 +187,13 @@ let union_in_place a b =
     A1.unsafe_set a.buf i (A1.unsafe_get a.buf i lor A1.unsafe_get b.buf i)
   done
 
+let inter_into dst a b =
+  same_len dst a;
+  same_len a b;
+  for i = 0 to A1.dim a.buf - 1 do
+    A1.unsafe_set dst.buf i (A1.unsafe_get a.buf i land A1.unsafe_get b.buf i)
+  done
+
 let intersects a b =
   same_len a b;
   let n = A1.dim a.buf in

@@ -112,6 +112,10 @@ val diff : t -> t -> t
 val union_in_place : t -> t -> unit
 (** [union_in_place a b] sets [a := a OR b]. *)
 
+val inter_into : t -> t -> t -> unit
+(** [inter_into dst a b] overwrites [dst] with [a AND b] without
+    allocating. All three lengths must agree. *)
+
 val intersects : t -> t -> bool
 (** [intersects a b] iff [a] and [b] share a set bit. *)
 

@@ -72,7 +72,12 @@ type span = {
 
 type event =
   | Span_begin of { span : span; time : float }
-  | Span_end of { span : span; time : float; duration : float }
+  | Span_end of {
+      span : span;
+      time : float;
+      duration : float;
+      end_args : (string * string) list;
+    }
 
 (* Registered sinks, as a copy-on-write array published through an
    Atomic: emitting reads one snapshot, registration CAS-swaps a new
@@ -135,7 +140,7 @@ let error_spans e =
     spans
   | Some _ | None -> []
 
-let with_span ?(args = []) name f =
+let with_span ?(args = []) ?end_args name f =
   let sinks = Atomic.get sink_cells in
   if Array.length sinks = 0 then f ()
   else begin
@@ -151,17 +156,18 @@ let with_span ?(args = []) name f =
     stack := span :: !stack;
     (* End events go to the sinks captured at begin time, so a sink
        registered or removed mid-span still sees a balanced stream. *)
-    let finish () =
+    let finish end_args =
       (match !stack with
       | s :: rest when s.id = span.id -> stack := rest
       | _ -> () (* unreachable: spans unwind strictly nested *));
       let t1 = now () in
       emit sinks
-        (Span_end { span; time = t1; duration = Float.max 0.0 (t1 -. t0) })
+        (Span_end
+           { span; time = t1; duration = Float.max 0.0 (t1 -. t0); end_args })
     in
     match f () with
     | value ->
-      finish ();
+      finish (match end_args with None -> [] | Some args_of -> args_of value);
       value
     | exception e ->
       let bt = Printexc.get_raw_backtrace () in
@@ -169,7 +175,7 @@ let with_span ?(args = []) name f =
       (match !pending with
       | Some (e0, _) when e0 == e -> () (* innermost record wins *)
       | Some _ | None -> pending := Some (e, current_spans ()));
-      finish ();
+      finish [];
       Printexc.raise_with_backtrace e bt
   end
 
@@ -357,10 +363,10 @@ module Jsonl = struct
            | Some p -> string_of_int p
            | None -> "null")
            (escape span.name) (ts t) (args_field span.args))
-    | Span_end { span; duration; _ } ->
+    | Span_end { span; duration; end_args; _ } ->
       write_line t
-        (Printf.sprintf "{\"type\":\"end\",\"id\":%d,\"name\":\"%s\",\"ts\":%s,\"dur\":%.6f}"
-           span.id (escape span.name) (ts t) duration)
+        (Printf.sprintf "{\"type\":\"end\",\"id\":%d,\"name\":\"%s\",\"ts\":%s,\"dur\":%.6f%s}"
+           span.id (escape span.name) (ts t) duration (args_field end_args))
 
   let meta_line =
     "{\"type\":\"meta\",\"schema\":\"ndetect-trace/1\",\"clock\":\"monotonic-s\"}"

@@ -89,7 +89,14 @@ type span = {
 
 type event =
   | Span_begin of { span : span; time : float }
-  | Span_end of { span : span; time : float; duration : float }
+  | Span_end of {
+      span : span;
+      time : float;
+      duration : float;
+      end_args : (string * string) list;
+          (** Arguments known only once the span's work is done
+              ({!with_span}'s [end_args]); [[]] otherwise. *)
+    }
       (** Every begin is matched by exactly one end (also when the
           wrapped function raises); [duration >= 0]. *)
 
@@ -107,11 +114,16 @@ val unregister_sink : sink -> unit
 val enabled : unit -> bool
 (** Whether at least one sink is registered (i.e. spans are live). *)
 
-val with_span : ?args:(string * string) list -> string -> (unit -> 'a) -> 'a
+val with_span :
+  ?args:(string * string) list ->
+  ?end_args:('a -> (string * string) list) ->
+  string -> (unit -> 'a) -> 'a
 (** [with_span name f] runs [f ()] inside a span. With no sink
     registered this is one atomic load plus a call to [f]. Exceptions
     propagate unchanged (with their backtrace), after the span is
-    closed and the open-span stack recorded for {!error_spans}. *)
+    closed and the open-span stack recorded for {!error_spans}.
+    [end_args] derives further arguments from [f]'s result; they ride
+    on the end event (a span that raises has none). *)
 
 val current_spans : unit -> string list
 (** Names of the spans open on the calling domain, innermost first.

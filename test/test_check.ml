@@ -255,6 +255,26 @@ let test_lane_mutation_caught () =
   Alcotest.(check bool)
     "hook disarmed afterwards" false !Definition2.debug_corrupt_lanes
 
+(* The factored bridge build's self-test: [mutate] also inverts one
+   aggressor row (Detection_table.debug_flip_aggressor), which the
+   bridge-set cells against Ref_table must report. *)
+let test_aggressor_flip_caught () =
+  let rng = Ndetect_util.Rng.create ~seed:11 in
+  let cells =
+    List.concat_map
+      (fun _ ->
+        let spec = Random_circuit.draw_spec rng ~max_inputs:5 ~max_gates:16 in
+        List.map
+          (fun d -> d.Campaign.cell)
+          (Campaign.check_spec ~mutate:true spec))
+      (List.init 6 Fun.id)
+  in
+  Alcotest.(check bool)
+    "T(g) cells diverge" true
+    (List.exists (String.starts_with ~prefix:"T(g") cells);
+  Alcotest.(check bool)
+    "hook disarmed afterwards" false !Detection_table.debug_flip_aggressor
+
 (* Random-circuit property: a clean campaign finds no divergences. Kept
    small; the runtest rule on the CLI runs a larger one and the full
    campaign is `ndetect check --circuits 200 --seed 42`. *)
@@ -437,6 +457,8 @@ let () =
             test_sampled_scan_mutation_caught;
           Alcotest.test_case "sabotaged lane groups are caught" `Quick
             test_lane_mutation_caught;
+          Alcotest.test_case "flipped aggressor row is caught" `Quick
+            test_aggressor_flip_caught;
           Alcotest.test_case "shrink rejects clean specs" `Quick
             test_shrink_requires_divergence;
         ] );

@@ -6,6 +6,13 @@ module Average_case = Ndetect_core.Average_case
 module Analysis = Ndetect_core.Analysis
 module Bitvec = Ndetect_util.Bitvec
 module Example = Ndetect_suite.Example
+module Netlist = Ndetect_circuit.Netlist
+module Gate = Ndetect_circuit.Gate
+module Bridge = Ndetect_faults.Bridge
+module Good = Ndetect_sim.Good
+module Fault_sim = Ndetect_sim.Fault_sim
+module Naive = Ndetect_sim.Naive
+module Ref_table = Ndetect_check.Ref_table
 
 let example_table =
   let t = lazy (Detection_table.build (Example.circuit ())) in
@@ -220,6 +227,153 @@ let prop_compute_is_nmin_of_sets =
                   (Detection_table.untargeted_count table)
                   (Detection_table.untargeted_set table))
              ()))
+
+(* Factored bridge sets: every kept T(g) of a table equals both
+   per-fault twins (cone simulation over the table's own universe, and
+   naive re-simulation of the vector at each position), faults of one
+   class share one physical set, and classes are content-distinct. *)
+let bridge_sets_agree table good ~vector_of =
+  let net = Detection_table.net table in
+  List.for_all
+    (fun gj ->
+      match Detection_table.untargeted_fault table gj with
+      | Detection_table.Wired_fault _ -> false
+      | Detection_table.Bridge_fault b ->
+        let set = Detection_table.untargeted_set table gj in
+        let naive = Naive.bridge_detection_set net b in
+        Bitvec.equal set (Fault_sim.bridge_detection_set good b)
+        && List.for_all
+             (fun i -> Bitvec.get set i = Bitvec.get naive (vector_of i))
+             (List.init (Bitvec.length set) Fun.id))
+    (List.init (Detection_table.untargeted_count table) Fun.id)
+
+let classes_well_formed table =
+  let classes = Detection_table.untargeted_class_count table in
+  let sets = Array.init classes (Detection_table.untargeted_class_set table) in
+  List.for_all
+    (fun gj ->
+      Detection_table.untargeted_set table gj
+      == sets.(Detection_table.untargeted_class table gj))
+    (List.init (Detection_table.untargeted_count table) Fun.id)
+  && List.for_all
+       (fun c ->
+         List.for_all
+           (fun d -> c = d || not (Bitvec.equal sets.(c) sets.(d)))
+           (List.init classes Fun.id))
+       (List.init classes Fun.id)
+
+let prop_factored_bridge_sets =
+  QCheck.Test.make
+    ~name:"factored bridge sets == per-fault and naive (exhaustive, sampled)"
+    ~count:20
+    (QCheck.make
+       ~print:(fun (seed, inputs, gates) ->
+         Printf.sprintf "seed=%d inputs=%d gates=%d" seed inputs gates)
+       QCheck.Gen.(
+         triple (int_bound 1_000_000) (int_range 2 8) (int_range 1 25)))
+    (Helpers.apply_circuit (fun net ->
+         let table = Detection_table.build net in
+         let universe = Detection_table.universe table in
+         let vectors =
+           Array.init (min universe 48) (fun i -> ((7 * i) + 3) mod universe)
+         in
+         let sampled =
+           Detection_table.build ~keep_undetectable_targets:true
+             ~keep_undetectable_untargeted:true ~vectors net
+         in
+         Detection_table.undetectable_untargeted_count table
+         = Ref_table.undetectable_untargeted_count (Ref_table.build net)
+         && bridge_sets_agree table (Good.compute net) ~vector_of:Fun.id
+         && classes_well_formed table
+         && Detection_table.untargeted_count sampled
+            = Array.length (Bridge.enumerate net)
+         && bridge_sets_agree sampled (Good.of_vectors net vectors)
+              ~vector_of:(Array.get vectors)
+         && classes_well_formed sampled))
+
+(* A redundant circuit: out1 = OR(AND(a, b), a) = a, so the AND's
+   stuck-at-0 is undetectable and every bridge that victimizes the AND
+   at value 1 must be dropped, while keep_undetectable_untargeted keeps
+   it with the empty set. *)
+let test_redundant_victim_dropped () =
+  let b = Netlist.Builder.create () in
+  let a = Netlist.Builder.add_input b ~name:"a" in
+  let bi = Netlist.Builder.add_input b ~name:"b" in
+  let c = Netlist.Builder.add_input b ~name:"c" in
+  let gate kind fanins name =
+    Netlist.Builder.add_gate b ~kind ~fanins ~name
+  in
+  let g1 = gate Gate.And [| a; bi |] "g1" in
+  let out1 = gate Gate.Or [| g1; a |] "out1" in
+  let g2 = gate Gate.Or [| bi; c |] "g2" in
+  Netlist.Builder.set_outputs b [| out1; g2 |];
+  let net = Netlist.Builder.finalize b in
+  let good = Good.compute net in
+  let victim_sa0 =
+    { Ndetect_faults.Stuck.line = Ndetect_circuit.Line.Stem g1; value = false }
+  in
+  Alcotest.(check (list int)) "victim stuck-at set empty" []
+    (Bitvec.to_list (Fault_sim.stuck_detection_set good victim_sa0));
+  let dropped =
+    { Bridge.victim = g1; victim_value = true; aggressor = g2;
+      aggressor_value = false }
+  in
+  let table = Detection_table.build net in
+  Alcotest.(check bool) "bridge dropped" true
+    (Detection_table.find_untargeted table ~victim:"g1" ~victim_value:true
+       ~aggressor:"g2" ~aggressor_value:false
+    = None);
+  Alcotest.(check int) "dropped count matches the reference"
+    (Ref_table.undetectable_untargeted_count (Ref_table.build net))
+    (Detection_table.undetectable_untargeted_count table);
+  Alcotest.(check bool) "kept sets agree" true
+    (bridge_sets_agree table good ~vector_of:Fun.id);
+  let kept = Detection_table.build ~keep_undetectable_untargeted:true net in
+  match
+    Detection_table.find_untargeted kept ~victim:"g1" ~victim_value:true
+      ~aggressor:"g2" ~aggressor_value:false
+  with
+  | None -> Alcotest.fail "keep_undetectable_untargeted must keep the bridge"
+  | Some gj ->
+    Alcotest.(check bool) "kept with the empty set" true
+      (Bitvec.is_empty (Detection_table.untargeted_set kept gj)
+      && Bitvec.is_empty (Naive.bridge_detection_set net dropped))
+
+(* The bridge build's span says what it swept and kept: the victim
+   count on its begin line, the distinct classes on its end line. *)
+let test_untargeted_span_args () =
+  let module Telemetry = Ndetect_util.Telemetry in
+  let path = Filename.temp_file "ndetect-span" ".jsonl" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      let sink = Telemetry.Jsonl.attach ~path in
+      let table =
+        Fun.protect
+          ~finally:(fun () -> Telemetry.Jsonl.detach sink)
+          (fun () -> Detection_table.build (Example.circuit ()))
+      in
+      let lines =
+        String.split_on_char '\n'
+          (In_channel.with_open_bin path In_channel.input_all)
+      in
+      let line kind =
+        List.find
+          (fun l ->
+            Helpers.contains_substring l
+              (Printf.sprintf "\"type\":\"%s\"" kind)
+            && Helpers.contains_substring l
+                 "\"name\":\"table.sim.untargeted\"")
+          lines
+      in
+      Alcotest.(check bool)
+        "victims at begin" true
+        (Helpers.contains_substring (line "begin") "\"victims\":\"");
+      Alcotest.(check bool)
+        "classes at end" true
+        (Helpers.contains_substring (line "end")
+           (Printf.sprintf "\"args\":{\"classes\":\"%d\"}"
+              (Detection_table.untargeted_class_count table))))
 
 let prop_procedure1_sets_valid =
   QCheck.Test.make
@@ -537,6 +691,11 @@ let () =
           Alcotest.test_case "M values" `Quick test_table_m_values;
           Alcotest.test_case "overlapping targets" `Quick
             test_overlapping_targets;
+          Helpers.qcheck prop_factored_bridge_sets;
+          Alcotest.test_case "redundant victim dropped" `Quick
+            test_redundant_victim_dropped;
+          Alcotest.test_case "bridge span reports victims and classes"
+            `Quick test_untargeted_span_args;
         ] );
       ( "worst-case",
         [

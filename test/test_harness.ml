@@ -292,7 +292,7 @@ let test_write_atomic () =
 
 module Table_cache = Ndetect_harness.Table_cache
 module Detection_table = Ndetect_core.Detection_table
-module Fault_sim = Ndetect_sim.Fault_sim
+module Telemetry = Ndetect_util.Telemetry
 module Bitvec = Ndetect_util.Bitvec
 
 let tables_identical a b =
@@ -334,6 +334,44 @@ let test_table_cache_roundtrip () =
         Alcotest.(check (array int)) "same nmin distribution"
           (Worst_case.distribution (Worst_case.compute built))
           (Worst_case.distribution (Worst_case.compute restored)))
+
+(* The cache stores one pool index per untargeted class and rebuilds
+   the classes on load: a cold store (a build, then its record) and a
+   warm load agree on every class, every nmin and the rendered
+   report. *)
+let test_table_cache_classes_roundtrip () =
+  with_temp_dir (fun dir ->
+      let module Worst_case = Ndetect_core.Worst_case in
+      let module Analysis = Ndetect_core.Analysis in
+      let module Paper_tables = Ndetect_report.Paper_tables in
+      let net = Registry.circuit (Option.get (Registry.find "bbara")) in
+      let cold = Table_cache.table ~dir net in
+      match Table_cache.load ~dir ~key:(Table_cache.key net) net with
+      | None -> Alcotest.fail "expected a cache hit"
+      | Some warm ->
+        let classes t =
+          ( Detection_table.untargeted_class_count t,
+            List.init (Detection_table.untargeted_count t)
+              (Detection_table.untargeted_class t) )
+        in
+        Alcotest.(check (pair int (list int)))
+          "same classes" (classes cold) (classes warm);
+        Alcotest.(check bool)
+          "classes shared" true
+          (fst (classes cold) < Detection_table.untargeted_count cold);
+        let worst t = Worst_case.compute t in
+        Alcotest.(check (array int))
+          "same nmin"
+          (Worst_case.distribution (worst cold))
+          (Worst_case.distribution (worst warm));
+        let report t =
+          let w = worst t in
+          let summary = Analysis.summary_of_worst ~name:"bbara" w in
+          Paper_tables.table2 [ summary ]
+          ^ Paper_tables.table3 [ summary ]
+          ^ Paper_tables.figure2 w ~min_value:1
+        in
+        Alcotest.(check string) "same report" (report cold) (report warm))
 
 let test_table_cache_corruption () =
   with_temp_dir (fun dir ->
@@ -554,10 +592,10 @@ let test_table_cache_upgrade () =
         (Telemetry.counter_value "table_cache.corrupt");
       Alcotest.(check bool) "version-3 file deleted" false
         (Sys.file_exists path);
-      let sims_before = Fault_sim.detection_sets_computed () in
+      let sims_before = Telemetry.counter_value "sim.detection_sets" in
       let rebuilt = Table_cache.table ~dir net in
       Alcotest.(check bool) "rebuilt by fault simulation" true
-        (Fault_sim.detection_sets_computed () > sims_before);
+        (Telemetry.counter_value "sim.detection_sets" > sims_before);
       Alcotest.(check bool) "rebuilt table identical" true
         (tables_identical built rebuilt);
       match Table_cache.load ~dir ~key net with
@@ -589,12 +627,12 @@ let test_table_cache_warm_run_simulates_nothing () =
         (Driver.table2_csv cold);
       (* Warm run: every table restored from disk, zero fault
          simulations, byte-identical output. *)
-      let before = Fault_sim.detection_sets_computed () in
+      let before = Telemetry.counter_value "sim.detection_sets" in
       let warm = Driver.create opts in
       Alcotest.(check string) "warm run byte-identical" expected_t2
         (Driver.table2_csv warm);
       Alcotest.(check int) "zero fault simulations when warm" before
-        (Fault_sim.detection_sets_computed ());
+        (Telemetry.counter_value "sim.detection_sets");
       Alcotest.(check int) "no failures" 0
         (List.length (Driver.failures warm)))
 
@@ -977,6 +1015,8 @@ let () =
         [
           Alcotest.test_case "roundtrip bit-identical" `Quick
             test_table_cache_roundtrip;
+          Alcotest.test_case "classes survive store and warm load" `Quick
+            test_table_cache_classes_roundtrip;
           Alcotest.test_case "corruption tolerated" `Quick
             test_table_cache_corruption;
           Alcotest.test_case "damage sweep: truncations and bit flips" `Quick

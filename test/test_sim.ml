@@ -13,6 +13,7 @@ module Bitvec = Ndetect_util.Bitvec
 module Telemetry = Ndetect_util.Telemetry
 module Wired = Ndetect_faults.Wired
 module Example = Ndetect_suite.Example
+module Detection_table = Ndetect_core.Detection_table
 
 let test_vector_codec () =
   let net = Example.circuit () in
@@ -79,17 +80,21 @@ let prop_bridge_sim_matches_naive =
                (Naive.bridge_detection_set net fault))
            (Bridge.enumerate net)))
 
-(* The grouped batch path (one shared cone propagation per
-   (victim, aggressor) direction) must agree fault-for-fault with the
+(* The factored batch path (victim stem sets ANDed with aggressor
+   rows, deduplicated into classes) must agree fault-for-fault with the
    independent single-fault simulations, which in turn match naive full
    re-simulation above. *)
+let factored_bridge_sets good faults =
+  let c = Detection_table.bridge_classes ~keep_undetectable:true good faults in
+  Array.map (Array.get c.Detection_table.distinct) c.Detection_table.class_of
+
 let prop_bridge_batch_matches_singles =
   QCheck.Test.make ~name:"bridge batch == per-fault simulation" ~count:25
     Helpers.circuit_arbitrary
     (Helpers.apply_circuit (fun net ->
          let good = Good.compute net in
          let faults = Bridge.enumerate net in
-         let batch = Fault_sim.bridge_detection_sets good faults in
+         let batch = factored_bridge_sets good faults in
          Array.length batch = Array.length faults
          && Array.for_all2
               (fun set fault ->
@@ -267,8 +272,18 @@ let prop_bridge_stem_matches_cone =
          let good = Good.compute net in
          let faults = Bridge.enumerate net in
          let cone = Array.map (Fault_sim.bridge_detection_set good) faults in
-         let stem = Fault_sim.bridge_detection_sets good faults in
-         Array.for_all2 Bitvec.equal cone stem))
+         (* The default build drops exactly the empty sets. *)
+         let c = Detection_table.bridge_classes good faults in
+         let nonempty =
+           List.filter
+             (fun j -> not (Bitvec.is_empty cone.(j)))
+             (List.init (Array.length faults) Fun.id)
+         in
+         Array.to_list c.Detection_table.kept = nonempty
+         && Array.for_all2
+              (fun j cls ->
+                Bitvec.equal cone.(j) c.Detection_table.distinct.(cls))
+              c.Detection_table.kept c.Detection_table.class_of))
 
 (* Table 1 pinned a second time, against the batched engine, so a
    regression there cannot hide behind the per-fault path. *)

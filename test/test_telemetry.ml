@@ -268,6 +268,42 @@ let test_jsonl_stream () =
           (Helpers.contains_substring last "\"type\":\"counters\"")
       | [] -> assert false))
 
+(* End arguments are derived from the result and ride on the end line
+   only; a span that raises ends without them. *)
+let test_jsonl_end_args () =
+  with_temp_trace (fun path ->
+      let sink = Telemetry.Jsonl.attach ~path in
+      Fun.protect ~finally:(fun () -> Telemetry.Jsonl.detach sink)
+        (fun () ->
+          let n =
+            Telemetry.with_span "sized" ~args:[ ("in", "3") ]
+              ~end_args:(fun n -> [ ("out", string_of_int n) ])
+              (fun () -> 7)
+          in
+          Alcotest.(check int) "result passes through" 7 n;
+          try
+            Telemetry.with_span "raises"
+              ~end_args:(fun () -> [ ("out", "never") ])
+              (fun () -> failwith "boom")
+          with Failure _ -> ());
+      Telemetry.Jsonl.detach sink;
+      let lines = read_lines path in
+      let has kind name args =
+        let field key v = Printf.sprintf "\"%s\":\"%s\"" key v in
+        List.exists
+          (fun l ->
+            Helpers.contains_substring l (field "type" kind)
+            && Helpers.contains_substring l (field "name" name)
+            && Helpers.contains_substring l args)
+          lines
+      in
+      Alcotest.(check bool) "begin keeps its args" true
+        (has "begin" "sized" "\"args\":{\"in\":\"3\"}");
+      Alcotest.(check bool) "end carries the result args" true
+        (has "end" "sized" "\"args\":{\"out\":\"7\"}");
+      Alcotest.(check bool) "raising span ends without them" false
+        (has "end" "raises" "\"args\""))
+
 let test_jsonl_escaping () =
   with_temp_trace (fun path ->
       let sink = Telemetry.Jsonl.attach ~path in
@@ -339,6 +375,7 @@ let () =
         [
           Alcotest.test_case "stream" `Quick test_jsonl_stream;
           Alcotest.test_case "escaping" `Quick test_jsonl_escaping;
+          Alcotest.test_case "end args" `Quick test_jsonl_end_args;
         ] );
       ("clock",
         [
