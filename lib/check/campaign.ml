@@ -110,9 +110,14 @@ let check_net_counted ?(mutate = false) ?proc_mode ~seed net =
   let rt = Ref_table.build net in
   let table =
     Fun.protect
-      ~finally:(fun () -> Detection_table.debug_flip_aggressor := false)
+      ~finally:(fun () ->
+        Detection_table.debug_flip_aggressor := false;
+        Detection_table.debug_trust_hash := false)
       (fun () ->
-        Detection_table.debug_flip_aggressor := mutate;
+        if mutate then begin
+          Detection_table.debug_flip_aggressor := true;
+          Detection_table.debug_trust_hash := true
+        end;
         Detection_table.build net)
   in
   if mutate then begin
@@ -530,9 +535,10 @@ let check_table ?(mutate = false) ~site net =
        every pair counted by the reference kernel. It depends on T(g)
        alone, so each distinct set is scanned once (bridges share sets
        about tenfold on these circuits). *)
-    let ref_nmin = Bitvec.Tbl.create 256 in
+    let seen = Bitvec.Index.create 256 and ref_nmin = Hashtbl.create 256 in
     let nmin_of tg =
-      match Bitvec.Tbl.find_opt ref_nmin tg with
+      let c = Bitvec.Index.add seen tg in
+      match Hashtbl.find_opt ref_nmin c with
       | Some best -> best
       | None ->
         let best = ref Ref_worst.unbounded in
@@ -541,7 +547,7 @@ let check_table ?(mutate = false) ~site net =
             let m = Ref_kernel.inter_count tf tg in
             if m > 0 then best := min !best (ns.(fi) - m + 1))
           targets;
-        Bitvec.Tbl.replace ref_nmin tg !best;
+        Hashtbl.replace ref_nmin c !best;
         !best
     in
     Array.iteri

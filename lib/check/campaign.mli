@@ -15,7 +15,9 @@
     [mutate] flips one bit of one optimized detection set right after
     the table is built ({!Ndetect_core.Detection_table.corrupt_target_set}),
     inverts one aggressor row of the factored bridge build
-    ({!Ndetect_core.Detection_table.debug_flip_aggressor}), corrupts
+    ({!Ndetect_core.Detection_table.debug_flip_aggressor}), makes the
+    bridge content index trust a truncated hash
+    ({!Ndetect_core.Detection_table.debug_trust_hash}), corrupts
     one sampled target set before the sampled scan
     ({!Ndetect_estimate.Estimate.debug_corrupt_scan}) and misreads one
     lane group of the packed Definition 2 passes

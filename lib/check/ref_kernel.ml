@@ -47,3 +47,49 @@ let blocked_inter_counts_into t ~block probe dst =
     dst.(r) <- !acc
   done;
   k
+
+(* The content hash in boxed 64-bit arithmetic, step for step as
+   kernel_stubs.c: word [i] feeds lane [i mod 4] through
+   [rotl (h xor w * p2, 31) * p1], the word count and the lanes fold by
+   xor-multiply, murmur3's fmix64 avalanches, and the low 62 bits are
+   the result. *)
+let p1 = 0x9E3779B185EBCA87L
+let p2 = 0xC2B2AE3D27D4EB4FL
+let p3 = 0x165667B19E3779F9L
+
+let round h w =
+  let h = Int64.logxor h (Int64.mul w p2) in
+  let h =
+    Int64.logor (Int64.shift_left h 31) (Int64.shift_right_logical h 33)
+  in
+  Int64.mul h p1
+
+let fmix64 k =
+  let k = Int64.logxor k (Int64.shift_right_logical k 33) in
+  let k = Int64.mul k 0xff51afd7ed558ccdL in
+  let k = Int64.logxor k (Int64.shift_right_logical k 33) in
+  let k = Int64.mul k 0xc4ceb9fe1a85ec53L in
+  Int64.logxor k (Int64.shift_right_logical k 33)
+
+let hash_of_words words =
+  let lanes = [| p1; p2; p3; Int64.logxor p1 p2 |] in
+  Array.iteri
+    (fun i w -> lanes.(i land 3) <- round lanes.(i land 3) (Int64.of_int w))
+    words;
+  let h =
+    Array.fold_left
+      (fun h lane -> Int64.mul (Int64.logxor h lane) p1)
+      (Int64.mul (Int64.of_int (Array.length words)) p3)
+      lanes
+  in
+  Int64.to_int (Int64.logand (fmix64 h) 0x3FFFFFFFFFFFFFFFL)
+
+let inter_hash_into dst a b =
+  same_len dst a;
+  same_len a b;
+  let words =
+    Array.init (Bitvec.word_length a) (fun w ->
+        Bitvec.unsafe_get_word a w land Bitvec.unsafe_get_word b w)
+  in
+  Array.iteri (Bitvec.unsafe_set_word dst) words;
+  if Array.for_all (( = ) 0) words then -1 else hash_of_words words

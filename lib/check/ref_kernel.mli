@@ -1,7 +1,7 @@
-(** Reference for the C popcount kernel ({!Ndetect_util.Kernel}): the
-    same counts as the {!Ndetect_util.Bitvec} bulk operations, computed
-    by a pure-OCaml SWAR word loop over the same words: no C, no SIMD,
-    no early exit. [test/test_util.ml]
+(** Reference for the C kernel ({!Ndetect_util.Kernel}): the same
+    counts as the {!Ndetect_util.Bitvec} bulk operations, computed by a
+    pure-OCaml SWAR word loop over the same words (no C, no SIMD, no
+    early exit), and the same fused AND+hash. [test/test_util.ml]
     compares every {!Ndetect_util.Bitvec} count against it, and
     {!Campaign.check_suite} recounts every [N(f)] and [nmin(g)] of the
     small-tier tables with it. *)
@@ -25,3 +25,8 @@ val blocked_inter_counts_into :
   Bitvec.Blocked.t -> block:int -> Bitvec.t -> int array -> int
 (** As {!Bitvec.Blocked.inter_counts_into}, read straight from the
     packed buffer ({!Bitvec.Blocked.raw}) by the layout's offsets. *)
+
+val inter_hash_into : Bitvec.t -> Bitvec.t -> Bitvec.t -> int
+(** As {!Bitvec.inter_hash_into}: [dst := a AND b], then [-1] for an
+    empty product or its content hash, computed in boxed [Int64]
+    arithmetic step for step as the C kernel. *)

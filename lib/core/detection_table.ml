@@ -69,30 +69,23 @@ and target_layout = {
 
 (* The one class builder every fault family goes through: drop the
    empty sets (unless [keep_empty]) and give each kept set the class of
-   its content, looked up by content hash plus word equality. [set i]
-   may return a scratch buffer that the next call overwrites; [copy]
-   says so, and a miss then copies it into the pool. *)
-let classify ~keep_empty ~copy n set =
-  let canon : int Bitvec.Tbl.t = Bitvec.Tbl.create 1024 in
-  let distinct = ref [] and classes = ref 0 in
+   its content in a {!Bitvec.Index}. [form i] makes the [i]-th set
+   current and returns its hash, [-1] when it is empty; [current i]
+   returns it. It may be a scratch buffer that the next [form]
+   overwrites; [copy] says so, and a miss then copies it into the
+   index. *)
+let classify ?debug_trust_hash ~keep_empty ~copy n ~form ~current =
+  let index = Bitvec.Index.create ?debug_trust_hash 1024 in
   let kept = Array.make n 0 and class_of = Array.make n 0 in
   let k = ref 0 in
   for i = 0 to n - 1 do
-    let s = set i in
-    if keep_empty || not (Bitvec.is_empty s) then begin
-      let c =
-        match Bitvec.Tbl.find_opt canon s with
-        | Some c ->
-          Telemetry.Counter.incr c_dedup_hits;
-          c
-        | None ->
-          let s = if copy then Bitvec.copy s else s in
-          let c = !classes in
-          Bitvec.Tbl.replace canon s c;
-          distinct := s :: !distinct;
-          incr classes;
-          c
-      in
+    let h = form i in
+    if h >= 0 || keep_empty then begin
+      let s = current i in
+      let classes = Bitvec.Index.classes index in
+      let hash = if h >= 0 then h else Bitvec.hash s in
+      let c = Bitvec.Index.add ~copy ~hash index s in
+      if c < classes then Telemetry.Counter.incr c_dedup_hits;
       kept.(!k) <- i;
       class_of.(!k) <- c;
       incr k
@@ -101,17 +94,27 @@ let classify ~keep_empty ~copy n set =
   {
     kept = Array.sub kept 0 !k;
     class_of = Array.sub class_of 0 !k;
-    distinct = Array.of_list (List.rev !distinct);
+    distinct = Bitvec.Index.to_array index;
   }
 
+(* [classify] over an array of finished sets. *)
+let classify_sets ~keep_empty sets =
+  classify ~keep_empty ~copy:false (Array.length sets)
+    ~form:(fun i ->
+      let s = sets.(i) in
+      if Bitvec.is_empty s then -1 else Bitvec.hash s)
+    ~current:(Array.get sets)
+
 let debug_flip_aggressor = ref false
+let debug_trust_hash = ref false
 
 (* T(v, a1, u, a2) = T(v stuck-at NOT a1) AND {t : good(u, t) = a2}:
    the bridge is activated on fault-free values, where it forces the
    victim exactly as the stuck-at fault does, and every lane is
    simulated on its own. So one traced sweep over the victims' stem
-   faults, one good-value row per (aggressor, value) and one word-wise
-   AND per bridge give every set; only distinct products are kept. *)
+   faults, one good-value row per (aggressor, value) and one fused
+   AND+hash pass per bridge give every set; only distinct products are
+   kept. *)
 let bridge_classes ?(keep_undetectable = false)
     ?(cancel = Ndetect_util.Cancel.none) good bridges =
   let nodes = Netlist.node_count (Good.net good) in
@@ -156,14 +159,15 @@ let bridge_classes ?(keep_undetectable = false)
   in
   let scratch = Bitvec.create universe in
   Telemetry.Counter.add c_sets (Array.length bridges);
-  classify ~keep_empty:keep_undetectable ~copy:true (Array.length bridges)
-    (fun j ->
+  classify ~debug_trust_hash:!debug_trust_hash ~keep_empty:keep_undetectable
+    ~copy:true (Array.length bridges)
+    ~form:(fun j ->
       let b = bridges.(j) in
       let victim = (2 * b.victim) + Bool.to_int b.victim_value in
-      Bitvec.inter_into scratch
+      Bitvec.inter_hash_into scratch
         victim_sets.(victim_slot.(victim))
-        (row b.aggressor b.aggressor_value);
-      scratch)
+        (row b.aggressor b.aggressor_value))
+    ~current:(fun _ -> scratch)
 
 let build ?(keep_undetectable_targets = false)
     ?(keep_undetectable_untargeted = false) ?(collapse = true)
@@ -221,9 +225,8 @@ let build ?(keep_undetectable_targets = false)
             ~args:[ ("faults", string_of_int (Array.length wired)) ]
             ~end_args:classes_args
             (fun () ->
-              let sets = Fault_sim.wired_detection_sets ~cancel good wired in
-              classify ~keep_empty:keep_undetectable_untargeted ~copy:false
-                (Array.length sets) (Array.get sets)) )
+              classify_sets ~keep_empty:keep_undetectable_untargeted
+                (Fault_sim.wired_detection_sets ~cancel good wired)) )
     in
     (stuck_sets, untargeted)
   in
@@ -231,8 +234,7 @@ let build ?(keep_undetectable_targets = false)
   (* Equivalent stuck-at targets often share a set: one physical copy
      per distinct content. *)
   let target_classes =
-    classify ~keep_empty:keep_undetectable_targets ~copy:false
-      (Array.length stuck_sets) (Array.get stuck_sets)
+    classify_sets ~keep_empty:keep_undetectable_targets stuck_sets
   in
   let targets = Array.map (Array.get stuck_list) target_classes.kept in
   let target_sets =
@@ -330,17 +332,15 @@ let memoized_index cell build_fn =
    nmin only depends on the set contents, so duplicates are counted
    once. *)
 let layout_of_sets sets =
-  let f_count = Array.length sets in
-  let canon : int Bitvec.Tbl.t = Bitvec.Tbl.create (2 * f_count) in
+  let index = Bitvec.Index.create (Array.length sets) in
   let reps = ref [] and rows = ref 0 in
-  for fi = 0 to f_count - 1 do
-    let set = sets.(fi) in
-    if not (Bitvec.Tbl.mem canon set) then begin
-      Bitvec.Tbl.replace canon set !rows;
-      reps := fi :: !reps;
-      incr rows
-    end
-  done;
+  Array.iteri
+    (fun fi set ->
+      if Bitvec.Index.add index set = !rows then begin
+        reps := fi :: !reps;
+        incr rows
+      end)
+    sets;
   let rep = Array.of_list (List.rev !reps) in
   let ns = Array.map (fun fi -> Bitvec.count sets.(fi)) rep in
   let order = Array.init !rows Fun.id in

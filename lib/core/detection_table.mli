@@ -195,6 +195,14 @@ val debug_flip_aggressor : bool ref
     ({!Ndetect_check.Campaign.check_net} arms it under [mutate]). Always
     [false] in production. *)
 
+val debug_trust_hash : bool ref
+(** Test-only sabotage hook: when set, {!bridge_classes} builds its
+    content index with [Bitvec.Index.create ~debug_trust_hash:true],
+    which trusts a 4-bit hash without comparing words, so distinct
+    bridge products share a class. The campaign's [T(g)] cells must
+    report it ({!Ndetect_check.Campaign.check_net} arms it under
+    [mutate]). Always [false] in production. *)
+
 (** {2 Persistence} *)
 
 val restore_parts :

@@ -122,34 +122,15 @@ let scan_groups per_set unique group =
   ( Array.map (fun u -> fst results.(u)) group,
     Array.map (fun u -> snd results.(u)) group )
 
-(* Plain set arrays are grouped by content hash + equality — no key
-   strings. *)
-let scan_range per_set untargeted_set ~lo ~hi =
-  let len = hi - lo in
-  let groups : int Bitvec.Tbl.t = Bitvec.Tbl.create (2 * len) in
-  let unique = ref [] and unique_count = ref 0 in
-  let group =
-    Array.init len (fun i ->
-        let set = untargeted_set (lo + i) in
-        match Bitvec.Tbl.find_opt groups set with
-        | Some u -> u
-        | None ->
-          let u = !unique_count in
-          Bitvec.Tbl.replace groups set u;
-          unique := set :: !unique;
-          incr unique_count;
-          u)
-  in
-  scan_groups per_set (Array.of_list (List.rev !unique)) group
+(* Plain set arrays are grouped by the content index. *)
+let scan_sets per_set sets =
+  let index = Bitvec.Index.create 1024 in
+  let group = Array.map (Bitvec.Index.add index) sets in
+  scan_groups per_set (Bitvec.Index.to_array index) group
 
 (* A table already knows its distinct sets: the faults of the range are
    grouped by class, renumbered in first-seen order, with no hashing. *)
-let scan_table cancel table ~lo ~hi =
-  let per_set =
-    make_scanner ~tally:true cancel
-      (Detection_table.target_layout table)
-      (Detection_table.target_set table)
-  in
+let scan_classes per_set table ~lo ~hi =
   let local = Array.make (Detection_table.untargeted_class_count table) (-1) in
   let unique = ref [] and unique_count = ref 0 in
   let group =
@@ -164,16 +145,27 @@ let scan_table cancel table ~lo ~hi =
   in
   scan_groups per_set (Array.of_list (List.rev !unique)) group
 
+let scan_table cancel table ~lo ~hi =
+  let per_set =
+    make_scanner ~tally:true cancel
+      (Detection_table.target_layout table)
+      (Detection_table.target_set table)
+  in
+  scan_classes per_set table ~lo ~hi
+
+let plain_scanner cancel target_sets =
+  make_scanner ~tally:false cancel
+    (Detection_table.layout_of_sets target_sets)
+    (Array.get target_sets)
+
 let nmin_of_sets ?(cancel = Ndetect_util.Cancel.none) ~target_sets
     ~untargeted_sets () =
-  let per_set =
-    make_scanner ~tally:false cancel
-      (Detection_table.layout_of_sets target_sets)
-      (Array.get target_sets)
-  in
+  fst (scan_sets (plain_scanner cancel target_sets) untargeted_sets)
+
+let nmin_of_classes ?(cancel = Ndetect_util.Cancel.none) ~target_sets table =
   fst
-    (scan_range per_set (Array.get untargeted_sets) ~lo:0
-       ~hi:(Array.length untargeted_sets))
+    (scan_classes (plain_scanner cancel target_sets) table ~lo:0
+       ~hi:(Detection_table.untargeted_count table))
 
 let compute ?(cancel = Ndetect_util.Cancel.none) table =
   let g_count = Detection_table.untargeted_count table in

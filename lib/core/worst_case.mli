@@ -30,6 +30,16 @@ val nmin_of_sets :
     table scans only); [cancel] is polled once per distinct untargeted
     set. *)
 
+val nmin_of_classes :
+  ?cancel:Ndetect_util.Cancel.token ->
+  target_sets:Ndetect_util.Bitvec.t array -> Detection_table.t -> int array
+(** [nmin(g_j)] for every untargeted fault of the table against
+    [target_sets] (plain sets of the table's universe, not necessarily
+    the table's own): each untargeted class is scanned once, as
+    {!compute} does, with no span and no [worst.*] counts, as
+    {!nmin_of_sets} does. The sampled estimator scans its table this
+    way. *)
+
 val compute_slice :
   ?cancel:Ndetect_util.Cancel.token ->
   Detection_table.t -> lo:int -> hi:int -> int array

@@ -77,17 +77,24 @@ let check_inputs ~name net =
 (* 2^bits exactly (bits <= 61, so this is an exact float). *)
 let universe_float bits = Float.ldexp 1.0 bits
 
-let scan ?(cancel = Cancel.none) ~target_sets ~untargeted_sets () =
+(* The estimator's one reduction, over either input form: nmin from the
+   worst-case scanner, inside an [est.scan] span, as dmin = nmin - 1. *)
+let scan_span ~targets ~untargeted nmin =
   Telemetry.with_span "est.scan"
     ~args:
       [
-        ("targets", string_of_int (Array.length target_sets));
-        ("untargeted", string_of_int (Array.length untargeted_sets));
+        ("targets", string_of_int targets);
+        ("untargeted", string_of_int untargeted);
       ]
   @@ fun () ->
   Array.map
     (fun n -> if n = Worst_case.unbounded then -1 else n - 1)
-    (Worst_case.nmin_of_sets ~cancel ~target_sets ~untargeted_sets ())
+    (nmin ())
+
+let scan ?(cancel = Cancel.none) ~target_sets ~untargeted_sets () =
+  scan_span ~targets:(Array.length target_sets)
+    ~untargeted:(Array.length untargeted_sets) (fun () ->
+      Worst_case.nmin_of_sets ~cancel ~target_sets ~untargeted_sets ())
 
 let debug_corrupt_scan = ref false
 
@@ -111,11 +118,15 @@ let corrupt_scan_input target_sets untargeted_sets =
     sets
   | _ -> target_sets
 
+let target_sets table =
+  Array.init
+    (Detection_table.target_count table)
+    (Detection_table.target_set table)
+
 let table_sets table =
-  ( Array.init (Detection_table.target_count table) (fun i ->
-        Detection_table.target_set table i),
-    Array.init (Detection_table.untargeted_count table) (fun j ->
-        Detection_table.untargeted_set table j) )
+  ( target_sets table,
+    Array.init (Detection_table.untargeted_count table)
+      (Detection_table.untargeted_set table) )
 
 (* Sampled tables keep every fault — a set empty in the sample need not
    be empty in truth, and the calibration oracle indexes faults
@@ -140,12 +151,24 @@ let analyze ?(cancel = Cancel.none) ~spec ~seed ~name net =
   let strata = effective_strata ~spec ~universe_bits in
   let vectors = draw_counted ~universe_bits ~spec ~seed ~lo:0 ~hi:strata in
   let table = build_sampled_table ~cancel ~vectors net in
-  let target_sets, untargeted_sets = table_sets table in
+  let target_sets = target_sets table in
   let scanned_sets =
-    if !debug_corrupt_scan then corrupt_scan_input target_sets untargeted_sets
+    if !debug_corrupt_scan then
+      (* The first class meeting the victim condition holds the first
+         such fault: classes are numbered in first-seen order. *)
+      corrupt_scan_input target_sets
+        (Array.init
+           (Detection_table.untargeted_class_count table)
+           (Detection_table.untargeted_class_set table))
     else target_sets
   in
-  let dmin = scan ~cancel ~target_sets:scanned_sets ~untargeted_sets () in
+  (* [scan] by the table's untargeted classes: each distinct set is
+     scanned once, and no per-fault set array is built. *)
+  let dmin =
+    scan_span ~targets:(Array.length target_sets)
+      ~untargeted:(Detection_table.untargeted_count table) (fun () ->
+        Worst_case.nmin_of_classes ~cancel ~target_sets:scanned_sets table)
+  in
   {
     name;
     spec;

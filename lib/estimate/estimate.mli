@@ -61,9 +61,12 @@ val analyze :
   ?cancel:Ndetect_util.Cancel.token ->
   spec:Spec.t -> seed:int -> name:string -> Netlist.t -> t
 (** Draw the stratified sample, build the sampled detection table and
-    {!scan} it. The result is identical for every [--domains] value. Fails
-    (ordinary [Failure], caught by the supervised harness) when the
-    circuit has no inputs or more than {!Sampler.max_inputs} of them. *)
+    {!scan} it by its untargeted classes
+    ({!Ndetect_core.Worst_case.nmin_of_classes}: one scan per distinct
+    set, no per-fault set array). The result is identical for every
+    [--domains] value. Fails (ordinary [Failure], caught by the
+    supervised harness) when the circuit has no inputs or more than
+    {!Sampler.max_inputs} of them. *)
 
 val name : t -> string
 val spec : t -> Spec.t
@@ -101,8 +104,9 @@ val hard_faults : t -> nmax:int -> int array
 (** {2 The shared scan}
 
     [scan] is the estimator's one reduction: {!analyze} runs it on the
-    freshly built table and the campaign merge on reassembled set
-    slices, so the two agree by construction. *)
+    freshly built table's classes and the campaign merge on reassembled
+    set slices (slices from different processes share no class
+    numbering), so the two agree by construction. *)
 
 val scan :
   ?cancel:Ndetect_util.Cancel.token ->

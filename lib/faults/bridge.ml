@@ -45,37 +45,33 @@ let enumerate net =
   let n = Array.length nodes in
   (* Reuse reachability: reach.(i) is the transitive fanout of nodes.(i). *)
   let reach = Array.map (fun u -> Netlist.transitive_fanout net u) nodes in
-  let acc = ref [] in
+  let non_feedback i j =
+    not (reach.(i).(nodes.(j)) || reach.(j).(nodes.(i)))
+  in
+  let pairs = ref 0 in
   for i = 0 to n - 1 do
     for j = i + 1 to n - 1 do
-      let u = nodes.(i) and v = nodes.(j) in
-      if not (reach.(i).(v) || reach.(j).(u)) then
-        acc :=
-          {
-            victim = v;
-            victim_value = true;
-            aggressor = u;
-            aggressor_value = false;
-          }
-          :: {
-               victim = u;
-               victim_value = true;
-               aggressor = v;
-               aggressor_value = false;
-             }
-          :: {
-               victim = v;
-               victim_value = false;
-               aggressor = u;
-               aggressor_value = true;
-             }
-          :: {
-               victim = u;
-               victim_value = false;
-               aggressor = v;
-               aggressor_value = true;
-             }
-          :: !acc
+      if non_feedback i j then incr pairs
     done
   done;
-  Array.of_list (List.rev !acc)
+  let placeholder =
+    { victim = 0; victim_value = false; aggressor = 0; aggressor_value = false }
+  in
+  let faults = Array.make (4 * !pairs) placeholder in
+  let k = ref 0 in
+  let emit victim victim_value aggressor aggressor_value =
+    faults.(!k) <- { victim; victim_value; aggressor; aggressor_value };
+    incr k
+  in
+  for i = 0 to n - 1 do
+    for j = i + 1 to n - 1 do
+      if non_feedback i j then begin
+        let u = nodes.(i) and v = nodes.(j) in
+        emit u false v true;
+        emit v false u true;
+        emit u true v false;
+        emit v true u false
+      end
+    done
+  done;
+  faults

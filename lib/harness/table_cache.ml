@@ -141,18 +141,8 @@ let store ~dir ~key table =
      and re-shared on load via the index indirection. Untargeted faults
      take their pool index from their class, so only the table's
      distinct sets are hashed. *)
-  let canon : int Bitvec.Tbl.t = Bitvec.Tbl.create (2 * t_count) in
-  let pool_rev = ref [] and pool_n = ref 0 in
-  let pool_index set =
-    match Bitvec.Tbl.find_opt canon set with
-    | Some i -> i
-    | None ->
-      let i = !pool_n in
-      Bitvec.Tbl.replace canon set i;
-      pool_rev := set :: !pool_rev;
-      incr pool_n;
-      i
-  in
+  let pool = Bitvec.Index.create t_count in
+  let pool_index = Bitvec.Index.add pool in
   let tindex =
     Array.init t_count (fun i -> pool_index (Detection_table.target_set table i))
   in
@@ -167,7 +157,7 @@ let store ~dir ~key table =
             pool_index (Detection_table.untargeted_class_set table c);
         class_index.(c))
   in
-  let pool = Array.of_list (List.rev !pool_rev) in
+  let pool = Bitvec.Index.to_array pool in
   let pool_count = Array.length pool in
   let nwords = (pool_count + rows) * wpr in
   let buf =

@@ -112,16 +112,9 @@ let is_empty t =
 let same_len a b =
   if a.len <> b.len then invalid_arg "Bitvec: length mismatch"
 
-(* Explicit word loop: polymorphic compare on the buffers would walk the
-   same words but through the generic runtime path. *)
-let equal a b =
-  a.len = b.len
-  &&
-  let n = A1.dim a.buf in
-  let rec go i =
-    i >= n || (A1.unsafe_get a.buf i = A1.unsafe_get b.buf i && go (i + 1))
-  in
-  go 0
+(* Equal lengths mean equal word counts, so one kernel [memcmp] over
+   the payload words decides. *)
+let equal a b = a.len = b.len && Kernel.equal_words a.buf b.buf (A1.dim a.buf)
 
 let compare a b =
   let c = Int.compare a.len b.len in
@@ -138,17 +131,9 @@ let compare a b =
     go 0
   end
 
-(* FNV-1a-style mix over (length, words); equal vectors (and hence equal
-   content_keys) hash identically. *)
-let hash t =
-  let h = ref (0x811C9DC5 lxor t.len) in
-  let mix v = h := (!h lxor v) * 0x01000193 land max_int in
-  for i = 0 to A1.dim t.buf - 1 do
-    let w = A1.unsafe_get t.buf i in
-    mix (w land 0x7FFFFFFF);
-    mix (w lsr 31)
-  done;
-  !h land max_int
+(* The kernel's content hash over the backing words (their count
+   included, the bit length not: {!equal} compares that anyway). *)
+let hash t = Kernel.hash_words t.buf (A1.dim t.buf)
 
 let inter_count a b =
   same_len a b;
@@ -187,12 +172,10 @@ let union_in_place a b =
     A1.unsafe_set a.buf i (A1.unsafe_get a.buf i lor A1.unsafe_get b.buf i)
   done
 
-let inter_into dst a b =
+let inter_hash_into dst a b =
   same_len dst a;
   same_len a b;
-  for i = 0 to A1.dim a.buf - 1 do
-    A1.unsafe_set dst.buf i (A1.unsafe_get a.buf i land A1.unsafe_get b.buf i)
-  done
+  Kernel.inter_hash_into dst.buf a.buf b.buf (A1.dim a.buf)
 
 let intersects a b =
   same_len a b;
@@ -286,21 +269,91 @@ let nth_set t k =
     raise Not_found
   with Found i -> i
 
-let content_key t =
-  let words = A1.dim t.buf in
-  let bytes = Bytes.create (8 * (words + 1)) in
-  Bytes.set_int64_le bytes 0 (Int64.of_int t.len);
-  for i = 0 to words - 1 do
-    Bytes.set_int64_le bytes (8 * (i + 1)) (Int64.of_int (A1.get t.buf i))
-  done;
-  Bytes.unsafe_to_string bytes
+(* Open addressing with linear probing: slot [i] holds a class id
+   ([-1] = empty) and the hash it was added with. A probe compares the
+   stored hash first and the words only on a hash match, so equal
+   hashes alone never merge two classes. The load stays at most 1/2;
+   growing rehashes from the stored hashes. *)
+module Index = struct
+  type vec = t
 
-module Tbl = Hashtbl.Make (struct
-  type nonrec t = t
+  type t = {
+    mutable mask : int;
+    mutable hashes : int array;
+    mutable ids : int array;
+    mutable sets : vec array;  (* class id -> representative *)
+    mutable classes : int;
+    trust : bool;  (* the sabotage: 4-bit hashes, no word check *)
+  }
 
-  let equal = equal
-  let hash = hash
-end)
+  let placeholder = { len = 0; buf = alloc_words 0 }
+
+  let create ?(debug_trust_hash = false) hint =
+    let cap = ref 16 in
+    while !cap < 2 * hint do
+      cap := 2 * !cap
+    done;
+    {
+      mask = !cap - 1;
+      hashes = Array.make !cap 0;
+      ids = Array.make !cap (-1);
+      sets = Array.make 16 placeholder;
+      classes = 0;
+      trust = debug_trust_hash;
+    }
+
+  let classes t = t.classes
+  let to_array t = Array.sub t.sets 0 t.classes
+
+  let rehash t =
+    let cap = 2 * (t.mask + 1) in
+    let mask = cap - 1 in
+    let hashes = Array.make cap 0 and ids = Array.make cap (-1) in
+    Array.iteri
+      (fun slot id ->
+        if id >= 0 then begin
+          let h = t.hashes.(slot) in
+          let i = ref (h land mask) in
+          while ids.(!i) >= 0 do
+            i := (!i + 1) land mask
+          done;
+          hashes.(!i) <- h;
+          ids.(!i) <- id
+        end)
+      t.ids;
+    t.mask <- mask;
+    t.hashes <- hashes;
+    t.ids <- ids
+
+  let insert t slot hash v =
+    let c = t.classes in
+    if c = Array.length t.sets then begin
+      let sets = Array.make (2 * c) placeholder in
+      Array.blit t.sets 0 sets 0 c;
+      t.sets <- sets
+    end;
+    t.sets.(c) <- v;
+    t.hashes.(slot) <- hash;
+    t.ids.(slot) <- c;
+    t.classes <- c + 1;
+    if 2 * t.classes > t.mask + 1 then rehash t;
+    c
+
+  let add ?copy:(copying = false) ?hash:h t v =
+    let trust = t.trust in
+    let h = match h with Some h -> h | None -> hash v in
+    let h = if trust then h land 15 else h in
+    let rec probe i =
+      let id = Array.unsafe_get t.ids i in
+      if id < 0 then insert t i h (if copying then copy v else v)
+      else if
+        Array.unsafe_get t.hashes i = h
+        && (trust || equal (Array.unsafe_get t.sets id) v)
+      then id
+      else probe ((i + 1) land t.mask)
+    in
+    probe (h land t.mask)
+end
 
 (* Cache-blocked, word-major storage for a family of equal-length vectors:
    rows are grouped into blocks of [block_size], and inside a block word

@@ -61,16 +61,17 @@ val count : t -> int
 (** Number of set bits. *)
 
 val equal : t -> t -> bool
-(** Structural equality by explicit word comparison (no polymorphic
-    compare). *)
+(** Structural equality: equal lengths and equal words
+    ({!Kernel.equal_words}; no polymorphic compare). *)
 
 val compare : t -> t -> int
 (** Total order consistent with {!equal}: by length, then lexicographic
     on the word arrays. *)
 
 val hash : t -> int
-(** Content hash; {!equal} vectors (equivalently, vectors with equal
-    {!content_key}s) hash identically. *)
+(** Content hash ({!Kernel.hash_words} over the backing words):
+    {!equal} vectors hash identically. Non-negative, well mixed in its
+    low bits (the bits {!Index} masks), and never stored on disk. *)
 
 val unsafe_get : t -> int -> bool
 (** {!get} without the bounds check — the hot sparse-membership probe.
@@ -112,9 +113,11 @@ val diff : t -> t -> t
 val union_in_place : t -> t -> unit
 (** [union_in_place a b] sets [a := a OR b]. *)
 
-val inter_into : t -> t -> t -> unit
-(** [inter_into dst a b] overwrites [dst] with [a AND b] without
-    allocating. All three lengths must agree. *)
+val inter_hash_into : t -> t -> t -> int
+(** [inter_hash_into dst a b] overwrites [dst] with [a AND b] and
+    hashes it in the same pass ({!Kernel.inter_hash_into}): [-1] when
+    the product is empty, otherwise [hash dst]. All three lengths must
+    agree. *)
 
 val intersects : t -> t -> bool
 (** [intersects a b] iff [a] and [b] share a set bit. *)
@@ -153,14 +156,42 @@ val nth_diff : t -> t -> int -> int
 val pp : Format.formatter -> t -> unit
 (** Prints as a set of indices, e.g. [{1; 4; 7}]. *)
 
-val content_key : t -> string
-(** A compact byte string determined exactly by (length, contents); equal
-    vectors give equal keys. Used to group faults with identical
-    detection sets. *)
+(** The content index: classes of equal vectors, numbered in first-seen
+    order. Every content dedup of the analysis goes through it: bridge
+    products, the table's stuck-at sets, the deduplicated target
+    layout, plain-array nmin scans, the table cache's pool and the
+    differential campaign's memo. Open addressing over arrays of
+    hashes and class ids; a probe compares stored hashes first and then
+    always the words, so equal hashes alone never merge two classes. *)
+module Index : sig
+  type vec := t
+  type t
 
-module Tbl : Hashtbl.S with type key = t
-(** Hash tables keyed by vector {e content} ({!equal} + {!hash}), without
-    materializing a {!content_key} string per probe. *)
+  val create : ?debug_trust_hash:bool -> int -> t
+  (** [create n] is an empty index sized for about [n] classes; it
+      grows as needed. [debug_trust_hash] (default [false]) is a
+      test-only sabotage: the index cuts every hash to 4 bits and
+      trusts a hash match without comparing words, so distinct
+      contents merge. *)
+
+  val add : ?copy:bool -> ?hash:int -> t -> vec -> int
+  (** The class of the vector's content. A content not seen before
+      opens class [classes t] (first-seen numbering) and is kept as its
+      representative: the vector itself, or a copy when [copy]
+      (default [false]; a caller reusing a scratch buffer sets it).
+      [hash] defaults to {!hash} of the vector; the bridge build passes
+      the one {!inter_hash_into} returned, which is the same. Equal
+      contents must always come with equal hashes, or they may open two
+      classes; unequal contents never share a class, whatever the
+      hashes (a constant one only costs probes). *)
+
+  val classes : t -> int
+  (** Number of classes so far. [add] returned a known class iff the
+      count did not grow. *)
+
+  val to_array : t -> vec array
+  (** Every representative, by class id. *)
+end
 
 (** Cache-blocked, word-major storage for a family of equal-length
     vectors. Rows are grouped into blocks; within a block, word [w] of

@@ -35,6 +35,15 @@ external inter_counts_block : buf -> buf -> int -> int -> int array -> unit
   = "ndetect_c_inter_counts_block"
 [@@noalloc]
 
+external hash_words : buf -> int -> int = "ndetect_c_hash_words" [@@noalloc]
+
+external inter_hash_into : buf -> buf -> buf -> int -> int
+  = "ndetect_c_inter_hash_into"
+[@@noalloc]
+
+external equal_words : buf -> buf -> int -> bool = "ndetect_c_equal_words"
+[@@noalloc]
+
 let current_name () = "c"
 
 (* Every trace must report a kernel.backend gauge (bin/validate_trace

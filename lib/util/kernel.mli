@@ -63,6 +63,34 @@ external inter_counts_block : buf -> buf -> int -> int -> int array -> unit
     [0 .. words-1]) against each row. Zero probe words skip their whole
     stripe. *)
 
+(** {2 Content hashing}
+
+    The hash behind {!Bitvec.hash} and the content index
+    ({!Bitvec.Index}). Word [i] feeds lane [i mod 4] through a
+    rotate-xor-multiply round, so the four lanes are independent
+    dependency chains; the lanes and the word count fold into one value
+    that murmur3's fmix64 avalanches, because the index masks the
+    {e low} bits of the hash. Results are 62-bit, non-negative. Hashes
+    are never written to disk, so the function may change freely. Its
+    OCaml twin is [Ndetect_check.Ref_kernel.inter_hash_into]. *)
+
+external hash_words : buf -> int -> int = "ndetect_c_hash_words" [@@noalloc]
+(** [hash_words b n] is the content hash of words [0 .. n-1]. *)
+
+external inter_hash_into : buf -> buf -> buf -> int -> int
+  = "ndetect_c_inter_hash_into"
+[@@noalloc]
+(** [inter_hash_into dst a b n] writes [a AND b] into words
+    [0 .. n-1] of [dst] and, in the same pass, hashes it: [-1] when the
+    product is all zero, otherwise [hash_words dst n]. [dst] may be [a]
+    or [b]. *)
+
+external equal_words : buf -> buf -> int -> bool = "ndetect_c_equal_words"
+[@@noalloc]
+(** [equal_words a b n] iff words [0 .. n-1] of [a] and [b] agree
+    ([memcmp]): {!Bitvec.equal}, and so the index's word check on every
+    hash match. *)
+
 val current_name : unit -> string
 (** ["c"], always. Benchmark records carry it as their kernel stamp; the
     ["kernel.backend"] telemetry gauge is fixed at 1 for the same

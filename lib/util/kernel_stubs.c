@@ -23,6 +23,7 @@
 #include <caml/memory.h>
 #include <caml/bigarray.h>
 #include <stdint.h>
+#include <string.h>
 
 #if defined(__AVX2__)
 #include <immintrin.h>
@@ -252,4 +253,118 @@ CAMLprim value ndetect_c_verify_region(value vb, value voff, value vn) {
   vsome = caml_alloc_small(1, Tag_some);
   Field(vsome, 0) = vdigest;
   CAMLreturn(vsome);
+}
+
+/* Content hash (Bitvec.hash, Kernel.inter_hash_into). Word i feeds lane
+ * i mod 4 through a rotate-xor-multiply round, every step a bijection
+ * of the lane state, so the four lanes run as independent dependency
+ * chains. The lanes and the word count fold into one value that
+ * murmur3's fmix64 avalanches: the content index masks the LOW bits of
+ * the hash, and a bare xor-multiply chain only carries differences
+ * upwards, so without the final mix vectors differing in high bits
+ * would share their low bits. The result is cut to 62 bits, a
+ * non-negative OCaml int. Hashes are never written to disk; the OCaml
+ * twin is Ndetect_check.Ref_kernel.inter_hash_into. */
+
+#define NDETECT_HASH_P1 UINT64_C(0x9E3779B185EBCA87)
+#define NDETECT_HASH_P2 UINT64_C(0xC2B2AE3D27D4EB4F)
+#define NDETECT_HASH_P3 UINT64_C(0x165667B19E3779F9)
+
+static inline uint64_t ndetect_hash_round(uint64_t h, uint64_t w) {
+  h ^= w * NDETECT_HASH_P2;
+  h = (h << 31) | (h >> 33);
+  return h * NDETECT_HASH_P1;
+}
+
+static inline uint64_t ndetect_fmix64(uint64_t k) {
+  k ^= k >> 33;
+  k *= UINT64_C(0xff51afd7ed558ccd);
+  k ^= k >> 33;
+  k *= UINT64_C(0xc4ceb9fe1a85ec53);
+  k ^= k >> 33;
+  return k;
+}
+
+#define NDETECT_HASH_INIT                                                     \
+  uint64_t h0 = NDETECT_HASH_P1, h1 = NDETECT_HASH_P2;                        \
+  uint64_t h2 = NDETECT_HASH_P3, h3 = NDETECT_HASH_P1 ^ NDETECT_HASH_P2
+
+static inline intnat ndetect_hash_finish(uint64_t h0, uint64_t h1,
+                                         uint64_t h2, uint64_t h3,
+                                         intnat n) {
+  uint64_t h = (uint64_t)n * NDETECT_HASH_P3;
+  h = (h ^ h0) * NDETECT_HASH_P1;
+  h = (h ^ h1) * NDETECT_HASH_P1;
+  h = (h ^ h2) * NDETECT_HASH_P1;
+  h = (h ^ h3) * NDETECT_HASH_P1;
+  return (intnat)(ndetect_fmix64(h) & UINT64_C(0x3FFFFFFFFFFFFFFF));
+}
+
+static inline void ndetect_hash_lane(uint64_t *h0, uint64_t *h1,
+                                     uint64_t *h2, uint64_t *h3, intnat i,
+                                     uint64_t w) {
+  switch (i & 3) {
+  case 0: *h0 = ndetect_hash_round(*h0, w); break;
+  case 1: *h1 = ndetect_hash_round(*h1, w); break;
+  case 2: *h2 = ndetect_hash_round(*h2, w); break;
+  default: *h3 = ndetect_hash_round(*h3, w); break;
+  }
+}
+
+CAMLprim value ndetect_c_hash_words(value vb, value vn) {
+  const uint64_t *a = (const uint64_t *)Caml_ba_data_val(vb);
+  intnat n = Long_val(vn);
+  intnat i = 0;
+  NDETECT_HASH_INIT;
+  for (; i + 4 <= n; i += 4) {
+    h0 = ndetect_hash_round(h0, a[i]);
+    h1 = ndetect_hash_round(h1, a[i + 1]);
+    h2 = ndetect_hash_round(h2, a[i + 2]);
+    h3 = ndetect_hash_round(h3, a[i + 3]);
+  }
+  for (; i < n; i++) ndetect_hash_lane(&h0, &h1, &h2, &h3, i, a[i]);
+  return Val_long(ndetect_hash_finish(h0, h1, h2, h3, n));
+}
+
+/* dst = a AND b over n words, hashed in the same pass: -1 when the
+ * product is empty, else the hash ndetect_c_hash_words gives dst. Each
+ * group of four words is loaded before it is stored, so dst may be a
+ * or b. */
+CAMLprim value ndetect_c_inter_hash_into(value vdst, value va, value vb,
+                                         value vn) {
+  uint64_t *d = (uint64_t *)Caml_ba_data_val(vdst);
+  const uint64_t *a = (const uint64_t *)Caml_ba_data_val(va);
+  const uint64_t *b = (const uint64_t *)Caml_ba_data_val(vb);
+  intnat n = Long_val(vn);
+  intnat i = 0;
+  uint64_t seen = 0;
+  NDETECT_HASH_INIT;
+  for (; i + 4 <= n; i += 4) {
+    uint64_t w0 = a[i] & b[i], w1 = a[i + 1] & b[i + 1];
+    uint64_t w2 = a[i + 2] & b[i + 2], w3 = a[i + 3] & b[i + 3];
+    d[i] = w0;
+    d[i + 1] = w1;
+    d[i + 2] = w2;
+    d[i + 3] = w3;
+    seen |= w0 | w1 | w2 | w3;
+    h0 = ndetect_hash_round(h0, w0);
+    h1 = ndetect_hash_round(h1, w1);
+    h2 = ndetect_hash_round(h2, w2);
+    h3 = ndetect_hash_round(h3, w3);
+  }
+  for (; i < n; i++) {
+    uint64_t w = a[i] & b[i];
+    d[i] = w;
+    seen |= w;
+    ndetect_hash_lane(&h0, &h1, &h2, &h3, i, w);
+  }
+  if (seen == 0) return Val_long(-1);
+  return Val_long(ndetect_hash_finish(h0, h1, h2, h3, n));
+}
+
+/* Word equality over n words: the content index's check after a hash
+ * match, a full pass over both vectors on every dedup hit. */
+CAMLprim value ndetect_c_equal_words(value va, value vb, value vn) {
+  return Val_bool(memcmp(Caml_ba_data_val(va), Caml_ba_data_val(vb),
+                         (size_t)Long_val(vn) * sizeof(uint64_t)) == 0);
 }

@@ -9,11 +9,13 @@
 # binary actually runs on this host (compile host = run host here, so
 # an illegal-instruction trap is caught at probe time, not in the
 # analysis). Any failure falls back to portable -O2 — the stubs then
-# build without __AVX2__ and use plain __builtin_popcountll.
+# build without __AVX2__ and use plain __builtin_popcountll. Both
+# branches add -Wall -Wextra -Werror: the stubs must compile cleanly.
 set -eu
 
 cc=${1:-cc}
 out=${2:-c_flags.sexp}
+warnings='-Wall -Wextra -Werror'
 
 tmpdir=$(mktemp -d)
 trap 'rm -rf "$tmpdir"' EXIT
@@ -36,7 +38,7 @@ EOF
 
 if $cc -O2 -march=native -o "$tmpdir/probe" "$tmpdir/probe.c" \
     >/dev/null 2>&1 && "$tmpdir/probe" >/dev/null 2>&1; then
-  printf '(-O2 -march=native)\n' > "$out"
+  printf '(-O2 -march=native %s)\n' "$warnings" > "$out"
 else
-  printf '(-O2)\n' > "$out"
+  printf '(-O2 %s)\n' "$warnings" > "$out"
 fi

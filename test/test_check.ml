@@ -275,6 +275,36 @@ let test_aggressor_flip_caught () =
   Alcotest.(check bool)
     "hook disarmed afterwards" false !Detection_table.debug_flip_aggressor
 
+(* The content index's self-test: trusting a 4-bit hash without the
+   word check merges distinct bridge products, which the bridge-set
+   cells against Ref_table must report. The hook is armed on its own
+   here before each clean check, which builds with it and disarms it
+   afterwards; [mutate] arms it together with the others. *)
+let test_trusted_hash_caught () =
+  let rng = Ndetect_util.Rng.create ~seed:11 in
+  let specs =
+    List.init 6 (fun _ ->
+        Random_circuit.draw_spec rng ~max_inputs:5 ~max_gates:16)
+  in
+  let cells =
+    List.concat_map
+      (fun spec ->
+        Detection_table.debug_trust_hash := true;
+        List.map (fun d -> d.Campaign.cell) (Campaign.check_spec spec))
+      specs
+  in
+  Alcotest.(check bool)
+    "T(g) cells diverge" true
+    (List.exists (String.starts_with ~prefix:"T(g") cells);
+  Alcotest.(check bool)
+    "hook disarmed after a clean run" false !Detection_table.debug_trust_hash;
+  List.iter
+    (fun spec -> ignore (Campaign.check_spec ~mutate:true spec))
+    specs;
+  Alcotest.(check bool)
+    "hook disarmed after a mutate run" false
+    !Detection_table.debug_trust_hash
+
 (* Random-circuit property: a clean campaign finds no divergences. Kept
    small; the runtest rule on the CLI runs a larger one and the full
    campaign is `ndetect check --circuits 200 --seed 42`. *)
@@ -459,6 +489,8 @@ let () =
             test_lane_mutation_caught;
           Alcotest.test_case "flipped aggressor row is caught" `Quick
             test_aggressor_flip_caught;
+          Alcotest.test_case "trusted truncated hash is caught" `Quick
+            test_trusted_hash_caught;
           Alcotest.test_case "shrink rejects clean specs" `Quick
             test_shrink_requires_divergence;
         ] );

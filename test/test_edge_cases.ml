@@ -179,17 +179,16 @@ let test_rng_float_range () =
     Alcotest.(check bool) "in [0,1)" true (f >= 0.0 && f < 1.0)
   done
 
-let test_bitvec_content_key () =
+let test_bitvec_equal_hash () =
   let a = Bitvec.of_list 100 [ 1; 63 ] in
   let b = Bitvec.of_list 100 [ 1; 63 ] in
   let c = Bitvec.of_list 100 [ 1; 62 ] in
   let d = Bitvec.of_list 101 [ 1; 63 ] in
-  Alcotest.(check string) "equal contents equal keys"
-    (Bitvec.content_key a) (Bitvec.content_key b);
-  Alcotest.(check bool) "different contents differ" true
-    (Bitvec.content_key a <> Bitvec.content_key c);
-  Alcotest.(check bool) "different lengths differ" true
-    (Bitvec.content_key a <> Bitvec.content_key d)
+  Alcotest.(check bool) "equal contents equal" true (Bitvec.equal a b);
+  Alcotest.(check int) "equal contents equal hashes" (Bitvec.hash a)
+    (Bitvec.hash b);
+  Alcotest.(check bool) "different contents differ" false (Bitvec.equal a c);
+  Alcotest.(check bool) "different lengths differ" false (Bitvec.equal a d)
 
 let () =
   Alcotest.run "edge-cases"
@@ -230,7 +229,7 @@ let () =
           Alcotest.test_case "partition single block" `Quick
             test_partition_single_block;
           Alcotest.test_case "rng float range" `Quick test_rng_float_range;
-          Alcotest.test_case "bitvec content key" `Quick
-            test_bitvec_content_key;
+          Alcotest.test_case "bitvec equal and hash" `Quick
+            test_bitvec_equal_hash;
         ] );
     ]

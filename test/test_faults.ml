@@ -139,6 +139,34 @@ let prop_bridge_no_feedback_pairs =
              not (Bridge.is_feedback net f.Bridge.victim f.Bridge.aggressor))
            (Bridge.enumerate net)))
 
+(* The list-built enumeration the array fill replaced: four records
+   consed per non-feedback pair, reversed at the end. *)
+let naive_bridges net =
+  let nodes = Bridge.candidate_nodes net in
+  let n = Array.length nodes in
+  let acc = ref [] in
+  for i = 0 to n - 1 do
+    for j = i + 1 to n - 1 do
+      let u = nodes.(i) and v = nodes.(j) in
+      if not (Bridge.is_feedback net u v) then
+        let b victim victim_value aggressor aggressor_value =
+          { Bridge.victim; victim_value; aggressor; aggressor_value }
+        in
+        acc :=
+          b v true u false :: b u true v false :: b v false u true
+          :: b u false v true :: !acc
+    done
+  done;
+  List.rev !acc
+
+let prop_bridge_enumerate_naive =
+  QCheck.Test.make ~name:"enumerate = naive list-built order" ~count:60
+    Helpers.circuit_arbitrary
+    (Helpers.apply_circuit (fun net ->
+         List.equal Bridge.equal
+           (Array.to_list (Bridge.enumerate net))
+           (naive_bridges net)))
+
 let test_stuck_to_string () =
   let net = Example.circuit () in
   let fault = { Stuck.line = Line.Stem 4; value = true } in
@@ -168,5 +196,6 @@ let () =
             test_bridge_excludes_single_input_gates;
           Helpers.qcheck prop_bridge_four_per_pair;
           Helpers.qcheck prop_bridge_no_feedback_pairs;
+          Helpers.qcheck prop_bridge_enumerate_naive;
         ] );
     ]

@@ -498,12 +498,11 @@ let prop_equal_compare_hash =
         (List.length x2))
     QCheck.Gen.(pair (QCheck.gen bitvec_gen) (QCheck.gen bitvec_gen))
   |> fun arb ->
-  QCheck.Test.make ~name:"equal/compare/hash/content_key consistent" ~count:300
+  QCheck.Test.make ~name:"equal/compare/hash consistent" ~count:300
     arb (fun ((l1, x1), (l2, x2)) ->
       let a = Bitvec.of_list l1 x1 and b = Bitvec.of_list l2 x2 in
       let eq = Bitvec.equal a b in
       eq = (Bitvec.compare a b = 0)
-      && eq = (Bitvec.content_key a = Bitvec.content_key b)
       && ((not eq) || Bitvec.hash a = Bitvec.hash b))
 
 let prop_equal_reflexive =
@@ -710,6 +709,128 @@ let test_record_versions () =
     | _ -> false
     | exception Invalid_argument _ -> true)
 
+(* The fused AND+hash kernel against its OCaml twin, on 1-70 words with
+   every tail length mod 4, and on products that are empty because one
+   operand is empty or the operands are complements. *)
+let hash_case_gen =
+  QCheck.make
+    ~print:(fun (words, tail, mode, sa, sb) ->
+      Printf.sprintf "words=%d tail=%d mode=%d seeds=%d/%d" words tail mode sa
+        sb)
+    QCheck.Gen.(
+      map
+        (fun ((words, tail, mode), (sa, sb)) -> (words, tail, mode, sa, sb))
+        (pair
+           (triple (int_range 1 70) (int_range 1 62) (int_bound 3))
+           (pair (int_bound 10_000) (int_bound 10_000))))
+
+let prop_inter_hash_twin =
+  QCheck.Test.make ~name:"inter_hash_into = Ref_kernel twin = hash dst"
+    ~count:400 hash_case_gen (fun (words, tail, mode, sa, sb) ->
+      let len = (62 * (words - 1)) + tail in
+      let a = dense_of_seed len sa in
+      let b =
+        match mode with
+        | 0 -> Bitvec.create len
+        | 1 ->
+          let c = Bitvec.create len in
+          for i = 0 to len - 1 do
+            if not (Bitvec.get a i) then Bitvec.set c i
+          done;
+          c
+        | _ -> dense_of_seed len sb
+      in
+      let dst = Bitvec.create len and ref_dst = Bitvec.create len in
+      let h = Bitvec.inter_hash_into dst a b in
+      let ref_h = Ref_kernel.inter_hash_into ref_dst a b in
+      Bitvec.equal dst ref_dst
+      && Bitvec.equal dst (Bitvec.inter a b)
+      && h = ref_h
+      &&
+      if Bitvec.is_empty dst then h = -1
+      else h = Bitvec.hash dst && h >= 0)
+
+(* Class ids from the index, against first-seen numbering by a linear
+   scan with [Bitvec.equal]. A small content pool makes repeats common. *)
+let index_case_gen =
+  QCheck.make
+    ~print:(fun xs -> Printf.sprintf "%d vectors" (List.length xs))
+    QCheck.Gen.(
+      list_size (int_range 0 200)
+        (list_size (int_range 0 3) (int_range 0 69)))
+
+let naive_classes vecs =
+  let seen = ref [] in
+  List.map
+    (fun v ->
+      let rec find i = function
+        | [] ->
+          seen := !seen @ [ v ];
+          i
+        | w :: rest -> if Bitvec.equal v w then i else find (i + 1) rest
+      in
+      find 0 !seen)
+    vecs,
+  seen
+
+let prop_index_first_seen =
+  QCheck.Test.make ~name:"Index classes = naive first-seen (forced hashes)"
+    ~count:200 index_case_gen (fun xs ->
+      let vecs = List.map (Bitvec.of_list 70) xs in
+      let expected, distinct = naive_classes vecs in
+      let classes_with add =
+        let index = Bitvec.Index.create 4 in
+        let ids = List.map (add index) vecs in
+        ( ids,
+          Array.to_list (Bitvec.Index.to_array index),
+          Bitvec.Index.classes index )
+      in
+      let agrees (ids, reps, count) =
+        ids = expected
+        && List.equal Bitvec.equal reps !distinct
+        && count = List.length !distinct
+      in
+      agrees (classes_with (fun index -> Bitvec.Index.add index))
+      && agrees (classes_with (fun index -> Bitvec.Index.add ~hash:0 index))
+      && agrees (classes_with (fun index -> Bitvec.Index.add ~hash:(-1) index)))
+
+let test_index_copy_on_miss () =
+  let index = Bitvec.Index.create 1 in
+  let scratch = Bitvec.of_list 70 [ 3 ] in
+  let c = Bitvec.Index.add ~copy:true index scratch in
+  Bitvec.set scratch 5;
+  Alcotest.(check (list int))
+    "representative is a copy" [ 3 ]
+    (Bitvec.to_list (Bitvec.Index.to_array index).(c));
+  Alcotest.(check int) "new content, new class" 1
+    (Bitvec.Index.add ~copy:true index scratch)
+
+(* The index masks the low bits of the hash, so vectors differing only
+   in bits 14-30 of one word must still spread over the low 10 bits.
+   A serial FNV chain carries differences only upwards and puts all of
+   these in one bucket. *)
+let test_hash_spread () =
+  let buckets_of ~words ~word =
+    let seen = Hashtbl.create 1024 in
+    for i = 0 to 2047 do
+      let v = Bitvec.create (62 * words) in
+      for w = 0 to words - 1 do
+        Bitvec.unsafe_set_word v w 0x2A5
+      done;
+      Bitvec.unsafe_set_word v word (0x2A5 lor ((i * 37 land 0x1FFFF) lsl 14));
+      Hashtbl.replace seen (Bitvec.hash v land 1023) ()
+    done;
+    Hashtbl.length seen
+  in
+  List.iter
+    (fun (words, word) ->
+      let buckets = buckets_of ~words ~word in
+      Alcotest.(check bool)
+        (Printf.sprintf "2048 vectors, word %d of %d: %d of 1024 buckets" word
+           words buckets)
+        true (buckets >= 700))
+    [ (1, 0); (5, 2); (9, 8) ]
+
 let () =
   Alcotest.run "util"
     [
@@ -772,6 +893,14 @@ let () =
             Alcotest.test_case "swar and c agree on edge inputs" `Quick
               test_kernels_agree;
           ] );
+      ( "content index",
+        [
+          Helpers.qcheck prop_inter_hash_twin;
+          Helpers.qcheck prop_index_first_seen;
+          Alcotest.test_case "copy on miss" `Quick test_index_copy_on_miss;
+          Alcotest.test_case "hash spreads high-bit differences" `Quick
+            test_hash_spread;
+        ] );
       ( "parallel",
         [
           Alcotest.test_case "matches sequential" `Quick
