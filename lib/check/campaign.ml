@@ -344,7 +344,13 @@ let check_net_counted ?(mutate = false) ?proc_mode ~seed net =
     let cfg =
       { Procedure1.seed; set_count = proc_set_count; nmax = proc_nmax; mode }
     in
-    let opt = Procedure1.run table cfg in
+    let opt =
+      Fun.protect
+        ~finally:(fun () -> Procedure1.debug_stale_count := false)
+        (fun () ->
+          if mutate then Procedure1.debug_stale_count := true;
+          Procedure1.run table cfg)
+    in
     let refo = Ref_procedure1.run rt cfg in
     for n = 1 to cfg.nmax do
       for gj = 0 to g_count - 1 do

@@ -15,10 +15,12 @@ type config = { seed : int; set_count : int; nmax : int; mode : mode }
 let default_config =
   { seed = 1; set_count = 1000; nmax = 10; mode = Definition1 }
 
+(* The per-fault arrays after [def1_counts] serve the strict modes only
+   and are [||] in a Definition 1 run, which never reads them. *)
 type test_set = {
   members : Bitvec.t;  (* membership over the universe *)
   mutable added : (int * int) list;  (* (vector, iteration), reverse order *)
-  def1_counts : int array;  (* per target fault *)
+  def1_counts : int array;  (* per target fault: |T(f) ∩ Tk| *)
   chains : int list array;  (* strict-mode counted detections, reversed *)
   chain_lens : int array;  (* |chains.(fi)|, maintained incrementally so
                               the inner loop never pays List.length *)
@@ -63,6 +65,7 @@ type shared = {
   cfg : config;
   universe : int;
   f_count : int;
+  target_n : int array;  (* N(f) = |T(f)| *)
   report_len : int;
   report_detectors : int array array;  (* vector -> report positions *)
   target_detectors : int array array;  (* vector -> target fault indices *)
@@ -78,10 +81,20 @@ let observing_mask sh fi v =
     sets;
   !mask
 
-let pick_uniform_diff rng tf members =
-  let available = Bitvec.diff_count tf members in
+let debug_stale_count = ref false
+
+(* [available] is |T(f) - Tk|, which the caller reads off its detection
+   count as N(f) - |T(f) ∩ Tk|; the armed [debug_stale_count] shrinks it
+   by one whenever the count is positive. *)
+let pick_uniform_diff rng tf members ~available =
   if available = 0 then None
   else Some (Bitvec.nth_diff tf members (Rng.int rng ~bound:available))
+
+let unused_count sh s fi =
+  let count = s.def1_counts.(fi) in
+  let available = sh.target_n.(fi) - count in
+  if !debug_stale_count && count > 0 && available > 0 then available - 1
+  else available
 
 (* Uniform draw from the candidates of T(fi) - Tk satisfying [accepts]:
    a few rejection samples first, then a scan of the unused tests in a
@@ -91,11 +104,11 @@ let pick_uniform_diff rng tf members =
    symmetry), and the permutation scan only pays for the full set when
    no candidate exists at all. [first] is that scan: the first
    acceptable element of the shuffled unused tests. *)
-let pick_candidate rng ~accepts ~first s tf =
+let pick_candidate rng ~accepts ~first ~available s tf =
   let rec sample attempts =
     if attempts = 0 then None
     else
-      match pick_uniform_diff rng tf s.members with
+      match pick_uniform_diff rng tf s.members ~available with
       | None -> None
       | Some v -> if accepts v then Some v else sample (attempts - 1)
   in
@@ -116,16 +129,19 @@ let pick_candidate rng ~accepts ~first s tf =
    detected that fault (0 = never) — the global d(n, g) counters are
    aggregated from these after the fan-out. *)
 let run_one cancel sh def2 rng =
+  let strict x =
+    if sh.cfg.mode = Definition1 then [||] else Array.make sh.f_count x
+  in
   let s =
     {
       members = Bitvec.create sh.universe;
       added = [];
       def1_counts = Array.make sh.f_count 0;
-      chains = Array.make sh.f_count [];
-      chain_lens = Array.make sh.f_count 0;
-      output_masks = Array.make sh.f_count 0;
-      chain_masks = Array.make sh.f_count 0;
-      strict_exhausted = Array.make sh.f_count false;
+      chains = strict [];
+      chain_lens = strict 0;
+      output_masks = strict 0;
+      chain_masks = strict 0;
+      strict_exhausted = strict false;
     }
   in
   let first_detected = Array.make sh.report_len 0 in
@@ -152,10 +168,17 @@ let run_one cancel sh def2 rng =
           end)
         open_
     | None -> ());
-    Array.iter
-      (fun fi ->
-        s.def1_counts.(fi) <- s.def1_counts.(fi) + 1;
-        if sh.cfg.mode = Multi_output then begin
+    (* Each vector is added once and raises exactly the counts of the
+       faults it detects, so def1_counts.(fi) = |T(f) ∩ Tk| holds in
+       every mode: the draws take their range from it. *)
+    let counts = s.def1_counts in
+    for i = 0 to Array.length detected - 1 do
+      let fi = detected.(i) in
+      counts.(fi) <- counts.(fi) + 1
+    done;
+    if sh.cfg.mode = Multi_output then
+      Array.iter
+        (fun fi ->
           (* A test joins the fault's counted chain iff it observes the
              fault on an output the chain has not covered yet, so the
              count stays a number of distinct tests. *)
@@ -168,62 +191,62 @@ let run_one cancel sh def2 rng =
             s.chains.(fi) <- v :: s.chains.(fi);
             s.chain_lens.(fi) <- s.chain_lens.(fi) + 1;
             s.chain_masks.(fi) <- s.chain_masks.(fi) lor m
-          end
-        end)
-      detected;
+          end)
+        detected;
     Array.iter
       (fun pos ->
         if first_detected.(pos) = 0 then first_detected.(pos) <- iteration)
       sh.report_detectors.(v)
   in
+  (* Also the strict modes' fallback when the stricter count cannot
+     reach n, so the fault is not left far below n. *)
+  let def1_step ~n fi =
+    if s.def1_counts.(fi) < n then (
+      let tf = Detection_table.target_set sh.table fi in
+      match
+        pick_uniform_diff rng tf s.members ~available:(unused_count sh s fi)
+      with
+      | Some v -> add_test ~iteration:n v
+      | None -> ())
+  in
   for n = 1 to sh.cfg.nmax do
     for fi = 0 to sh.f_count - 1 do
       if fi land 63 = 0 then Ndetect_util.Cancel.poll cancel;
-      let tf = Detection_table.target_set sh.table fi in
-      let fallback_def1 () =
-        (* The stricter count cannot reach n: fall back to the standard
-           definition so the fault is not left far below n. *)
-        if s.def1_counts.(fi) < n then (
-          match pick_uniform_diff rng tf s.members with
-          | Some v -> add_test ~iteration:n v
-          | None -> ())
-      in
       match sh.cfg.mode with
-      | Definition1 ->
-        if s.def1_counts.(fi) < n then (
-          match pick_uniform_diff rng tf s.members with
-          | Some v -> add_test ~iteration:n v
-          | None -> ())
+      | Definition1 -> def1_step ~n fi
       | Definition2 ->
         if s.chain_lens.(fi) < n then
-          if s.strict_exhausted.(fi) then fallback_def1 ()
+          if s.strict_exhausted.(fi) then def1_step ~n fi
           else begin
+            let tf = Detection_table.target_set sh.table fi in
             let def2 = Option.get def2 and chain = s.chains.(fi) in
             match
               pick_candidate rng
                 ~accepts:(Definition2.chain_extend def2 ~fi ~chain)
                 ~first:(Definition2.first_extending def2 ~fi ~chain)
-                s tf
+                ~available:(unused_count sh s fi) s tf
             with
             | Some v -> add_test ~iteration:n v
             | None ->
               s.strict_exhausted.(fi) <- true;
-              fallback_def1 ()
+              def1_step ~n fi
           end
       | Multi_output ->
         if s.chain_lens.(fi) < n then
-          if s.strict_exhausted.(fi) then fallback_def1 ()
+          if s.strict_exhausted.(fi) then def1_step ~n fi
           else begin
+            let tf = Detection_table.target_set sh.table fi in
             let accepts v =
               observing_mask sh fi v land lnot s.chain_masks.(fi) <> 0
             in
             match
-              pick_candidate rng ~accepts ~first:(Array.find_opt accepts) s tf
+              pick_candidate rng ~accepts ~first:(Array.find_opt accepts)
+                ~available:(unused_count sh s fi) s tf
             with
             | Some v -> add_test ~iteration:n v
             | None ->
               s.strict_exhausted.(fi) <- true;
-              fallback_def1 ()
+              def1_step ~n fi
           end
     done
   done;
@@ -258,6 +281,7 @@ let make_shared ?report_faults table config =
       cfg = config;
       universe;
       f_count;
+      target_n = Array.init f_count (Detection_table.target_n table);
       report_len = Array.length report;
       report_detectors;
       target_detectors = Detection_table.detectors_of_vector table;
@@ -418,6 +442,12 @@ let test_set_at o ~n ~k =
 
 let detection_count_def1 o ~k ~fi = o.sets.(k).def1_counts.(fi)
 
-let chain_def2 o ~k ~fi = List.rev o.sets.(k).chains.(fi)
+let chain_def2 o ~k ~fi =
+  match o.config.mode with
+  | Definition1 -> []
+  | Definition2 | Multi_output -> List.rev o.sets.(k).chains.(fi)
 
-let output_mask o ~k ~fi = o.sets.(k).output_masks.(fi)
+let output_mask o ~k ~fi =
+  match o.config.mode with
+  | Definition1 -> 0
+  | Definition2 | Multi_output -> o.sets.(k).output_masks.(fi)

@@ -81,12 +81,23 @@ val test_set_at : outcome -> n:int -> k:int -> int list
 (** The prefix of set [k] present at the end of iteration [n]. *)
 
 val detection_count_def1 : outcome -> k:int -> fi:int -> int
-(** Distinct tests of the final set [k] detecting target [fi]. *)
+(** Distinct tests of the final set [k] detecting target [fi]:
+    [|T(f) ∩ test_set o ~k|], in every mode. The construction keeps this
+    count as it adds tests and takes each uniform draw's range,
+    [|T(f) - Tk| = N(f) - count], from it. *)
 
 val chain_def2 : outcome -> k:int -> fi:int -> int list
 (** Counted detections in the final set [k] (Definition 2 and
-    Multi_output runs). *)
+    Multi_output runs; [[]] in a Definition 1 run). *)
 
 val output_mask : outcome -> k:int -> fi:int -> int
 (** Bitmask of primary outputs on which the final set [k] observes target
-    [fi] (Multi_output runs only). *)
+    [fi] (Multi_output runs only; [0] otherwise). *)
+
+val debug_stale_count : bool ref
+(** Test-only sabotage hook: when set, a draw for a fault with a
+    positive count takes its range as [N(f) - count - 1], so it never
+    picks the last unused test of [T(f) - Tk] — the stale count a broken
+    invariant would leave. The campaign's Procedure 1 cells must report
+    it ({!Ndetect_check.Campaign.check_net} arms it under [mutate]).
+    Always [false] in production. *)

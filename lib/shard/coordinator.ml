@@ -108,8 +108,12 @@ let run cfg campaign =
             match Hashtbl.find_opt tbl uid with
             | None -> ()
             | Some u ->
+              (* Read before the release: once the claim is gone another
+                 worker may resolve the unit at once, and a claim that
+                 was stranded still counts as reassigned. *)
+              let unresolved = not (Ledger.resolved ledger u) in
               Ledger.release ledger u;
-              if not (Ledger.resolved ledger u) then (
+              if unresolved then (
                 Telemetry.Counter.incr c_reassigned;
                 if attribute_crash then
                   Ledger.record_failure ledger ~worker:wid u reason))
@@ -237,9 +241,9 @@ let run cfg campaign =
               match Hashtbl.find_opt tbl uid with
               | None -> ()
               | Some u ->
+                let unresolved = not (Ledger.resolved ledger u) in
                 Ledger.release ledger u;
-                if not (Ledger.resolved ledger u) then
-                  Telemetry.Counter.incr c_reassigned)
+                if unresolved then Telemetry.Counter.incr c_reassigned)
         (Ledger.claims ledger)
     in
 
@@ -396,6 +400,16 @@ let run cfg campaign =
                  Ledger.seal ledger ~total_gens:gens))
     in
 
+    (* Block until [pid], just sent SIGSTOP, has stopped or died. *)
+    let rec wait_stopped pid =
+      match Unix.waitpid [ Unix.WUNTRACED ] pid with
+      | _, Unix.WSTOPPED _ -> `Stopped
+      | _, status -> `Exited status
+      | exception Unix.Unix_error (Unix.EINTR, _, _) -> wait_stopped pid
+      | exception Unix.Unix_error (Unix.ECHILD, _, _) ->
+        `Exited (Unix.WEXITED 0)
+    in
+
     let chaos_tick now =
       if cfg.chaos then (
         List.iter
@@ -422,37 +436,44 @@ let run cfg campaign =
             let w = Rng.pick rng (Array.of_list candidates) in
             (* Freeze first, then decide while the victim cannot finish
                its unit under us: a kill is only worth its name if it
-               provably strands a claim for reassignment. *)
+               provably strands a claim for reassignment. The stop lands
+               asynchronously, so wait until it has: a worker that exited
+               in the meantime goes down the ordinary death path. *)
             kill_quiet w.pid Sys.sigstop;
-            let held =
-              List.filter_map
-                (fun (uid, worker, _) ->
-                  if worker = w.wid then Some uid else None)
-                (Ledger.claims ledger)
-            in
-            let tbl = unit_by_id () in
-            let unresolved_held =
-              List.exists
-                (fun uid ->
-                  match Hashtbl.find_opt tbl uid with
-                  | Some u -> not (Ledger.resolved ledger u)
-                  | None -> false)
-                held
-            in
-            if not unresolved_held then kill_quiet w.pid Sys.sigcont
-            else if !chaos_kills > 0 && Rng.float rng < 0.3 then (
-              (* Stall: hold it frozen past its lease so the hung path
-                 fires too; its claims reassign immediately. *)
-              w.stopped_until <- now +. (1.5 *. cfg.lease_secs);
-              release_holdings ~attribute_crash:false ~reason:"" w.wid;
-              cfg.log
-                (Printf.sprintf "campaign: chaos stalled worker %s" w.wid))
-            else (
-              w.chaos_killed <- true;
-              incr chaos_kills;
-              kill_quiet w.pid Sys.sigkill;
-              cfg.log
-                (Printf.sprintf "campaign: chaos killed worker %s" w.wid))))
+            match wait_stopped w.pid with
+            | `Exited status ->
+              fleet := List.filter (fun x -> x != w) !fleet;
+              handle_death w status
+            | `Stopped ->
+              let held =
+                List.filter_map
+                  (fun (uid, worker, _) ->
+                    if worker = w.wid then Some uid else None)
+                  (Ledger.claims ledger)
+              in
+              let tbl = unit_by_id () in
+              let unresolved_held =
+                List.exists
+                  (fun uid ->
+                    match Hashtbl.find_opt tbl uid with
+                    | Some u -> not (Ledger.resolved ledger u)
+                    | None -> false)
+                  held
+              in
+              if not unresolved_held then kill_quiet w.pid Sys.sigcont
+              else if !chaos_kills > 0 && Rng.float rng < 0.3 then (
+                (* Stall: hold it frozen past its lease so the hung path
+                   fires too; its claims reassign immediately. *)
+                w.stopped_until <- now +. (1.5 *. cfg.lease_secs);
+                release_holdings ~attribute_crash:false ~reason:"" w.wid;
+                cfg.log
+                  (Printf.sprintf "campaign: chaos stalled worker %s" w.wid))
+              else (
+                w.chaos_killed <- true;
+                incr chaos_kills;
+                kill_quiet w.pid Sys.sigkill;
+                cfg.log
+                  (Printf.sprintf "campaign: chaos killed worker %s" w.wid))))
     in
 
     let pending_exists () =

@@ -228,16 +228,6 @@ let choose t =
     None
   with Found i -> Some i
 
-let diff_count a b =
-  same_len a b;
-  let acc = ref 0 in
-  for i = 0 to A1.dim a.buf - 1 do
-    acc :=
-      !acc
-      + popcount_word (A1.unsafe_get a.buf i land lnot (A1.unsafe_get b.buf i))
-  done;
-  !acc
-
 let nth_diff a b k =
   same_len a b;
   if k < 0 then raise Not_found;

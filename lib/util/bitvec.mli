@@ -144,9 +144,6 @@ val nth_set : t -> int -> int
     [Not_found] when fewer than [k+1] bits are set. Used for uniform random
     choice out of a detection set. *)
 
-val diff_count : t -> t -> int
-(** [diff_count a b] is [count (diff a b)] without allocating. *)
-
 val nth_diff : t -> t -> int -> int
 (** [nth_diff a b k] is the index of the [k]-th set bit of [diff a b],
     without allocating; word-skipping, O(words). Raises [Not_found] when

@@ -305,6 +305,40 @@ let test_trusted_hash_caught () =
     "hook disarmed after a mutate run" false
     !Detection_table.debug_trust_hash
 
+(* Procedure 1's self-test: a draw range one short of N(f) - count
+   (Procedure1.debug_stale_count) must show in the Procedure 1 cells
+   against Ref_procedure1, which counts the unused tests on its own.
+   Armed alone before each clean check, which runs Procedure 1 with it
+   and disarms it afterwards; [mutate] arms it together with the
+   others. *)
+let test_stale_count_caught () =
+  let rng = Ndetect_util.Rng.create ~seed:11 in
+  let specs =
+    List.init 6 (fun _ ->
+        Random_circuit.draw_spec rng ~max_inputs:5 ~max_gates:16)
+  in
+  let cells =
+    List.concat_map
+      (fun spec ->
+        Procedure1.debug_stale_count := true;
+        List.map (fun d -> d.Campaign.cell) (Campaign.check_spec spec))
+      specs
+  in
+  Alcotest.(check bool)
+    "test_set or d(n, g) cells diverge" true
+    (List.exists
+       (fun c ->
+         String.starts_with ~prefix:"test_set(" c
+         || String.starts_with ~prefix:"d(" c)
+       cells);
+  Alcotest.(check bool)
+    "hook disarmed after a clean run" false !Procedure1.debug_stale_count;
+  List.iter
+    (fun spec -> ignore (Campaign.check_spec ~mutate:true spec))
+    specs;
+  Alcotest.(check bool)
+    "hook disarmed after a mutate run" false !Procedure1.debug_stale_count
+
 (* Random-circuit property: a clean campaign finds no divergences. Kept
    small; the runtest rule on the CLI runs a larger one and the full
    campaign is `ndetect check --circuits 200 --seed 42`. *)
@@ -491,6 +525,8 @@ let () =
             test_aggressor_flip_caught;
           Alcotest.test_case "trusted truncated hash is caught" `Quick
             test_trusted_hash_caught;
+          Alcotest.test_case "stale draw range is caught" `Quick
+            test_stale_count_caught;
           Alcotest.test_case "shrink rejects clean specs" `Quick
             test_shrink_requires_divergence;
         ] );

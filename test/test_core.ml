@@ -402,6 +402,41 @@ let prop_procedure1_sets_valid =
          done;
          !ok))
 
+(* The invariant every draw's range rests on: the count Procedure 1
+   keeps per target is |T(f) ∩ Tk| of the final set, in every mode. *)
+let prop_procedure1_count_invariant =
+  QCheck.Test.make
+    ~name:"detection_count_def1 = |T(f) ∩ test set| (every mode)" ~count:10
+    Helpers.circuit_arbitrary
+    (Helpers.apply_circuit (fun net ->
+         let table = Detection_table.build net in
+         let modes =
+           Procedure1.[ Definition1; Definition2 ]
+           @
+           if Detection_table.output_count table > 62 then []
+           else [ Procedure1.Multi_output ]
+         in
+         List.for_all
+           (fun mode ->
+             let config =
+               { Procedure1.seed = 23; set_count = 4; nmax = 4; mode }
+             in
+             let outcome = Procedure1.run table config in
+             List.for_all
+               (fun k ->
+                 let member =
+                   Bitvec.of_list (Detection_table.universe table)
+                     (Procedure1.test_set outcome ~k)
+                 in
+                 List.for_all
+                   (fun fi ->
+                     Procedure1.detection_count_def1 outcome ~k ~fi
+                     = Bitvec.inter_count member
+                         (Detection_table.target_set table fi))
+                   (List.init (Detection_table.target_count table) Fun.id))
+               (List.init config.Procedure1.set_count Fun.id))
+           modes))
+
 let prop_procedure1_multi_output_valid =
   QCheck.Test.make
     ~name:"Multi_output sets remain Definition-1 n-detection sets" ~count:10
@@ -721,6 +756,7 @@ let () =
             test_output_sets_partition_detection;
           Helpers.qcheck prop_procedure1_sets_valid;
           Helpers.qcheck prop_procedure1_multi_output_valid;
+          Helpers.qcheck prop_procedure1_count_invariant;
           Helpers.qcheck prop_procedure1_monotone;
         ] );
       ( "definition2",

@@ -127,7 +127,6 @@ let prop_diff_and_union =
       let u = Bitvec.union va vb and d = Bitvec.diff va vb in
       Bitvec.count u + Bitvec.inter_count va vb
       = Bitvec.count va + Bitvec.count vb
-      && Bitvec.count d = Bitvec.diff_count va vb
       && Bitvec.subset d va
       && (not (Bitvec.intersects d vb)) )
 
