@@ -308,8 +308,15 @@ let check_net_counted ?(mutate = false) ?proc_mode ~seed net =
       done
     done;
     (* Worst case: the blocked early-exit scan against the direct
-       definition, plus witness consistency. *)
-    let wc = Worst_case.compute table in
+       definition, plus witness consistency. [mutate] makes the scan
+       skip its first block. *)
+    let wc =
+      Fun.protect
+        ~finally:(fun () -> Worst_case.debug_skip_first_block := false)
+        (fun () ->
+          if mutate then Worst_case.debug_skip_first_block := true;
+          Worst_case.compute table)
+    in
     for gj = 0 to g_count - 1 do
       let expected = Ref_worst.nmin rt gj in
       check_int
@@ -589,9 +596,23 @@ let check_table ?(mutate = false) ~site net =
           (Printf.sprintf "T(g%d)" gj)
           ~expected:tg
           ~actual:(Detection_table.untargeted_set table gj);
+        let expected = nmin_of tg in
         check_int
           (Printf.sprintf "nmin(g%d)" gj)
-          ~expected:(nmin_of tg) ~actual:(Worst_case.nmin wc gj))
+          ~expected ~actual:(Worst_case.nmin wc gj);
+        let cell = Printf.sprintf "nmin_witness(g%d)" gj in
+        match Worst_case.nmin_witness wc gj with
+        | Some fi ->
+          let m = Ref_kernel.inter_count (snd targets.(fi)) tg in
+          if m = 0 then
+            emit cell (string_of_int expected)
+              (Printf.sprintf "witness f%d has M=0" fi)
+          else if ns.(fi) - m + 1 <> expected then
+            emit cell (string_of_int expected)
+              (Printf.sprintf "witness f%d gives %d" fi (ns.(fi) - m + 1))
+        | None ->
+          if expected <> Ref_worst.unbounded then
+            emit cell (string_of_int expected) "no witness")
       bridges
   end;
   result ()

@@ -27,26 +27,50 @@ let inter_count a b =
 let inter_count_upto ~limit a b = min (inter_count a b) limit
 let inter_count_many a targets = Array.map (inter_count a) targets
 
-(* Block [b] starts at row [b * block_size]; inside it word [w] of row
-   [r] sits at [w * k + r], [k] being the block's row count. *)
-let blocked_inter_counts_into t ~block probe dst =
-  let k = Bitvec.Blocked.rows_in_block t block in
+(* The scan of kernel_stubs.c, row by row: block [b] starts at row
+   [b * block_size], inside it word [w] of row [r] sits at
+   [base * words + w * k + r], [k] being the block's row count; the
+   exit rule is tested before every block. *)
+let blocked_scan t ~row_n ~probe_count probe out =
+  let rows = Bitvec.Blocked.rows t and bs = Bitvec.Blocked.block_size t in
   let words = Bitvec.Blocked.words_per_row t in
-  let base = block * Bitvec.Blocked.block_size t * words in
   let data = Bitvec.Blocked.raw t in
-  if Bitvec.word_length probe < words then
+  if rows > 0 && Bitvec.length probe <> Bitvec.Blocked.length t then
     invalid_arg "Ref_kernel: length mismatch";
-  for r = 0 to k - 1 do
+  let row_count base k r =
     let acc = ref 0 in
     for w = 0 to words - 1 do
       acc :=
         !acc
         + popcount_word
-            (Bitvec.unsafe_get_word probe w land A1.get data (base + (w * k) + r))
+            (Bitvec.unsafe_get_word probe w
+            land A1.get data ((base * words) + (w * k) + r))
     done;
-    dst.(r) <- !acc
-  done;
-  k
+    !acc
+  in
+  let rec go block best witness =
+    let base = block * bs in
+    if base >= rows then (best, witness, block, 0)
+    else if best = 1 || row_n.(base) - probe_count + 1 >= best then
+      (best, witness, block, 1)
+    else begin
+      let k = min bs (rows - base) in
+      let best = ref best and witness = ref witness in
+      for r = 0 to k - 1 do
+        let m = row_count base k r in
+        if m > 0 && row_n.(base + r) - m + 1 < !best then begin
+          best := row_n.(base + r) - m + 1;
+          witness := base + r
+        end
+      done;
+      go (block + 1) !best !witness
+    end
+  in
+  let best, witness, blocks, exited = go 0 max_int (-1) in
+  out.(0) <- best;
+  out.(1) <- witness;
+  out.(2) <- blocks;
+  out.(3) <- exited
 
 (* The content hash in boxed 64-bit arithmetic, step for step as
    kernel_stubs.c: word [i] feeds lane [i mod 4] through

@@ -1,7 +1,8 @@
 (** Reference for the C kernel ({!Ndetect_util.Kernel}): the same
     counts as the {!Ndetect_util.Bitvec} bulk operations, computed by a
     pure-OCaml SWAR word loop over the same words (no C, no SIMD, no
-    early exit), and the same fused AND+hash. [test/test_util.ml]
+    early exit inside a count), the same blocked worst-case scan and
+    the same fused AND+hash. [test/test_util.ml]
     compares every {!Ndetect_util.Bitvec} count against it, and
     {!Campaign.check_suite} recounts every [N(f)] and [nmin(g)] of the
     small-tier tables with it. *)
@@ -21,10 +22,13 @@ val inter_count_upto : limit:int -> Bitvec.t -> Bitvec.t -> int
 val inter_count_many : Bitvec.t -> Bitvec.t array -> int array
 (** One {!inter_count} per target, as {!Bitvec.inter_count_many}. *)
 
-val blocked_inter_counts_into :
-  Bitvec.Blocked.t -> block:int -> Bitvec.t -> int array -> int
-(** As {!Bitvec.Blocked.inter_counts_into}, read straight from the
-    packed buffer ({!Bitvec.Blocked.raw}) by the layout's offsets. *)
+val blocked_scan :
+  Bitvec.Blocked.t ->
+  row_n:int array -> probe_count:int -> Bitvec.t -> int array -> unit
+(** As {!Bitvec.Blocked.scan}: the same four results from per-row
+    counts read straight from the packed buffer
+    ({!Bitvec.Blocked.raw}) by the layout's offsets, with the same exit
+    rule before every block. *)
 
 val inter_hash_into : Bitvec.t -> Bitvec.t -> Bitvec.t -> int
 (** As {!Bitvec.inter_hash_into}: [dst := a AND b], then [-1] for an

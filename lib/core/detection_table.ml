@@ -111,11 +111,11 @@ let debug_trust_hash = ref false
 (* T(v, a1, u, a2) = T(v stuck-at NOT a1) AND {t : good(u, t) = a2}:
    the bridge is activated on fault-free values, where it forces the
    victim exactly as the stuck-at fault does, and every lane is
-   simulated on its own. So one traced sweep over the victims' stem
-   faults, one good-value row per (aggressor, value) and one fused
-   AND+hash pass per bridge give every set; only distinct products are
-   kept. *)
-let bridge_classes ?(keep_undetectable = false)
+   simulated on its own. So the victims' stem sets, one good-value row
+   per (aggressor, value) and one fused AND+hash pass per bridge give
+   every set; only distinct products are kept. [stem_set] supplies the
+   stem sets already known; one traced sweep covers the rest. *)
+let bridge_classes ?(keep_undetectable = false) ?(stem_set = fun _ -> None)
     ?(cancel = Ndetect_util.Cancel.none) good bridges =
   let nodes = Netlist.node_count (Good.net good) in
   let universe = Good.universe good in
@@ -135,10 +135,20 @@ let bridge_classes ?(keep_undetectable = false)
         incr victim_count
       end)
     bridges;
-  let victim_sets =
-    Fault_sim.stuck_detection_sets ~cancel good
-      (Array.of_list (List.rev !victims))
+  let victims = Array.of_list (List.rev !victims) in
+  let known = Array.map stem_set victims in
+  let missing =
+    Array.of_list
+      (List.filter
+         (fun i -> Option.is_none known.(i))
+         (List.init !victim_count Fun.id))
   in
+  let swept =
+    Fault_sim.stuck_detection_sets ~cancel good
+      (Array.map (Array.get victims) missing)
+  in
+  Array.iteri (fun k i -> known.(i) <- Some swept.(k)) missing;
+  let victim_sets = Array.map Option.get known in
   let rows = Array.make (2 * nodes) None in
   let flip = ref !debug_flip_aggressor in
   let row node value =
@@ -183,7 +193,13 @@ let build ?(keep_undetectable_targets = false)
   in
   Ndetect_util.Cancel.check_deadline cancel;
   let universe = Good.universe good in
-  let stuck_list = if collapse then Stuck.collapse net else Stuck.all net in
+  (* Each target with the faults it stands for: its equivalence class
+     under collapsing, else itself. *)
+  let stuck_classes =
+    if collapse then Stuck.classes net
+    else Array.map (fun f -> (f, [ f ])) (Stuck.all net)
+  in
+  let stuck_list = Array.map fst stuck_classes in
   (* "table.sim" is the fault simulation, including the bridge products
      and their classes; "table.finalize" assembles the table. *)
   let stuck_sets, (all_untargeted, untargeted_classes) =
@@ -199,6 +215,16 @@ let build ?(keep_undetectable_targets = false)
     let untargeted =
       match model with
       | Four_way ->
+        (* A victim's stem fault is a member of some target's class, so
+           structurally equivalent to it: it has the target's set. *)
+        let target_of = Hashtbl.create (2 * Array.length stuck_sets) in
+        Array.iteri
+          (fun i (_, members) ->
+            List.iter (fun f -> Hashtbl.replace target_of f i) members)
+          stuck_classes;
+        let stem_set f =
+          Option.map (Array.get stuck_sets) (Hashtbl.find_opt target_of f)
+        in
         let bridges = Bridge.enumerate net in
         let is_victim = Array.make (Netlist.node_count net) false in
         Array.iter
@@ -217,7 +243,7 @@ let build ?(keep_undetectable_targets = false)
             ~end_args:classes_args
             (fun () ->
               bridge_classes ~keep_undetectable:keep_undetectable_untargeted
-                ~cancel good bridges) )
+                ~stem_set ~cancel good bridges) )
       | Wired semantics ->
         let wired = Wired.enumerate net semantics in
         ( Array.map (fun w -> Wired_fault w) wired,

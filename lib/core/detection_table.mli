@@ -162,12 +162,16 @@ type classes = {
 
 val bridge_classes :
   ?keep_undetectable:bool ->
+  ?stem_set:(Stuck.t -> Bitvec.t option) ->
   ?cancel:Ndetect_util.Cancel.token ->
   Ndetect_sim.Good.t -> Bridge.t array -> classes
 (** The four-way bridges' detection sets, factored and deduplicated:
     [T(v, a1, u, a2) = T(v stuck-at (not a1)) ∩ {t : good(u, t) = a2}].
-    One traced sweep ({!Ndetect_sim.Fault_sim.stuck_detection_sets})
-    covers the victims' stem faults; each bridge's product is formed
+    [stem_set] (default: none known) returns a victim stem fault's
+    detection set when the caller already has it; {!build} passes the
+    set of the target whose equivalence class holds the fault. One
+    traced sweep ({!Ndetect_sim.Fault_sim.stuck_detection_sets})
+    covers the victims it misses; each bridge's product is formed
     in a scratch buffer, dropped when empty (unless
     [keep_undetectable], default [false]), and copied into [distinct]
     only when its content is new. Each bridge's set equals

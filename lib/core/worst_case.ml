@@ -1,9 +1,8 @@
 module Bitvec = Ndetect_util.Bitvec
 module Telemetry = Ndetect_util.Telemetry
 
-(* Kernel calls = intersection sweeps actually performed (sparse row
-   probes plus dense block popcounts); early exits = scans cut short by
-   the N-ascending bound. Both are per-unique-detection-set totals, so
+(* Kernel calls = blocks swept; early exits = scans cut short by the
+   N-ascending bound. Both are per-unique-detection-set totals, so
    they are identical for every domain count. Only table scans (the
    [worst.compute*] spans) count: e2ebench divides these totals by the
    faults those spans cover, so scans of plain set arrays stay out. *)
@@ -17,102 +16,52 @@ type t = {
 }
 
 let unbounded = max_int
+let debug_skip_first_block = ref false
+
+(* The layout without its first block: what the scan sees when the
+   self-test hook is armed. *)
+let drop_first_block (l : Detection_table.target_layout) =
+  let bs = Bitvec.Blocked.block_size l.blocked in
+  let skip = min bs l.rows in
+  let words = Bitvec.Blocked.words_per_row l.blocked in
+  let raw = Bitvec.Blocked.raw l.blocked in
+  let rows = l.rows - skip in
+  {
+    Detection_table.rows;
+    rep = Array.sub l.rep skip rows;
+    row_n = Array.sub l.row_n skip rows;
+    blocked =
+      Bitvec.Blocked.of_buffer ~block_size:bs
+        ~len:(Bitvec.Blocked.length l.blocked)
+        ~rows
+        (Bigarray.Array1.sub raw (skip * words)
+           (Bigarray.Array1.dim raw - (skip * words)));
+  }
 
 (* nmin(g) = min over f of N(f) - M(g, f) + 1, computed over the
    deduplicated, N-ascending, cache-blocked target layout
-   ({!Detection_table.target_layout}): identical T(f) rows are counted
-   once, and scanning rows in increasing N(f) admits a strong early
-   exit — M(g, f) <= |T(g)|, so once N(f) - |T(g)| + 1 is at least the
-   best candidate found, no later row can improve it (checked at block
-   granularity on the dense path); and M(g, f) <= N(f), so a best of 1
-   cannot be improved at all. Untargeted faults with small
-   detection sets (the interesting, hard ones) use a sparse membership
-   intersection instead of the blocked popcount sweep. *)
-let sparse_threshold = 64
-
-(* The per-untargeted-set scan over [layout], whose [rep] indexes
-   [target_set]: a pure read, so any partition of the untargeted sets
-   yields the same nmin values. [tally] says whether it adds to the
-   [worst.*] counters. *)
-let make_scanner ~tally cancel (layout : Detection_table.target_layout)
-    target_set =
-  let rows = layout.rows in
-  let row_n = layout.row_n in
-  let rep = layout.rep in
-  let blocked = layout.blocked in
-  let block_size = Bitvec.Blocked.block_size blocked in
-  let block_count = Bitvec.Blocked.block_count blocked in
-  let early_exit () = if tally then Telemetry.Counter.incr c_early_exits in
-  let add_kernels k = if tally then Telemetry.Counter.add c_kernel_calls k in
-  (* Per-untargeted-set scans are independent pure reads, so they run on
-     parallel domains; the counts scratch is per-call, never shared. *)
-  let per_set tg =
-    Ndetect_util.Cancel.poll cancel;
-    let tg_count = Bitvec.count tg in
-    if tg_count <= sparse_threshold then begin
-      (* Sparse path: membership probes, row-granular early exit. *)
-      let vectors = Bitvec.to_list tg in
-      let kernels = ref 0 in
-      let rec scan row best best_witness =
-        if row >= rows then (best, best_witness)
-        else if best = 1 || row_n.(row) - tg_count + 1 >= best then begin
-          early_exit ();
-          (best, best_witness)
-        end
-        else begin
-          incr kernels;
-          let set = target_set rep.(row) in
-          let m =
-            List.fold_left
-              (fun acc v -> if Bitvec.unsafe_get set v then acc + 1 else acc)
-              0 vectors
-          in
-          let best, best_witness =
-            if m > 0 && row_n.(row) - m + 1 < best then
-              (row_n.(row) - m + 1, rep.(row))
-            else (best, best_witness)
-          in
-          scan (row + 1) best best_witness
-        end
-      in
-      let result = scan 0 unbounded (-1) in
-      add_kernels !kernels;
-      result
-    end
-    else begin
-      (* Dense path: one word-major sweep per block of rows, early exit
-         at block granularity (rows are N-ascending, so the first row of
-         a block bounds the whole tail). *)
-      let counts = Array.make block_size 0 in
-      let best = ref unbounded and best_witness = ref (-1) in
-      let block = ref 0 and stop = ref false in
-      let kernels = ref 0 in
-      while (not !stop) && !block < block_count do
-        let base = !block * block_size in
-        if !best = 1 || row_n.(base) - tg_count + 1 >= !best then begin
-          early_exit ();
-          stop := true
-        end
-        else begin
-          incr kernels;
-          let k =
-            Bitvec.Blocked.inter_counts_into blocked ~block:!block tg counts
-          in
-          for r = 0 to k - 1 do
-            let m = counts.(r) in
-            if m > 0 && row_n.(base + r) - m + 1 < !best then begin
-              best := row_n.(base + r) - m + 1;
-              best_witness := rep.(base + r)
-            end
-          done;
-          incr block
-        end
-      done;
-      add_kernels !kernels;
-      (!best, !best_witness)
-    end
+   ({!Detection_table.target_layout}) by one C call per untargeted set
+   ({!Bitvec.Blocked.scan}): identical T(f) rows are counted once, and
+   since M(g, f) <= |T(g)| the scan stops at the first block whose
+   first row has N(f) - |T(g)| + 1 at least the best candidate found;
+   a best of 1 cannot be improved at all. The scan is a pure read, so
+   any partition of the untargeted sets yields the same nmin values,
+   and the sets run on parallel domains. [tally] says whether it adds
+   to the [worst.*] counters. *)
+let make_scanner ~tally cancel (layout : Detection_table.target_layout) =
+  let layout =
+    if !debug_skip_first_block then drop_first_block layout else layout
   in
-  per_set
+  fun tg ->
+    Ndetect_util.Cancel.poll cancel;
+    let out = Array.make 4 0 in
+    Bitvec.Blocked.scan layout.blocked ~row_n:layout.row_n
+      ~probe_count:(Bitvec.count tg) tg out;
+    if tally then begin
+      Telemetry.Counter.add c_kernel_calls out.(2);
+      if out.(3) = 1 then Telemetry.Counter.incr c_early_exits
+    end;
+    (out.(0), if out.(1) < 0 then -1 else layout.rep.(out.(1)))
 
 (* nmin depends on T(g) alone, so each distinct set is scanned once:
    [group.(i)] indexes [unique] for the [i]-th fault of the range, and
@@ -147,16 +96,12 @@ let scan_classes per_set table ~lo ~hi =
 
 let scan_table cancel table ~lo ~hi =
   let per_set =
-    make_scanner ~tally:true cancel
-      (Detection_table.target_layout table)
-      (Detection_table.target_set table)
+    make_scanner ~tally:true cancel (Detection_table.target_layout table)
   in
   scan_classes per_set table ~lo ~hi
 
 let plain_scanner cancel target_sets =
-  make_scanner ~tally:false cancel
-    (Detection_table.layout_of_sets target_sets)
-    (Array.get target_sets)
+  make_scanner ~tally:false cancel (Detection_table.layout_of_sets target_sets)
 
 let nmin_of_sets ?(cancel = Ndetect_util.Cancel.none) ~target_sets
     ~untargeted_sets () =

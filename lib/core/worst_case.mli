@@ -50,6 +50,13 @@ val compute_slice :
     any partition of [0, untargeted_count) rebuilds the full
     distribution bit for bit. *)
 
+val debug_skip_first_block : bool ref
+(** Test-only sabotage hook: when set, every scan starts at the second
+    block of the target layout, so the rows of the first block never
+    count. The differential campaign's [nmin] cells must report it
+    ({!Ndetect_check.Campaign.check_net} arms it under [mutate]).
+    Always [false] in production. *)
+
 val table : t -> Detection_table.t
 
 val nmin_pair : t -> gj:int -> fi:int -> int option

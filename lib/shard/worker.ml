@@ -39,6 +39,15 @@ let try_claim ledger ~worker u =
   | Ok claimed -> claimed
   | Error _ -> false
 
+(* The seal and the generation count are read before the units: a unit
+   list read earlier can predate the last generation, whose open units
+   it would not show. *)
+let drained ledger =
+  match Ledger.sealed_gens ledger with
+  | Some gens when Ledger.generations ledger >= gens ->
+    List.for_all (Ledger.resolved ledger) (Ledger.units ledger)
+  | _ -> false
+
 let run ?(retries = 2) ?(lease_secs = default_lease_secs)
     ?(poll_interval = 0.05) ~dir ~worker_id () =
   Supervise.install_sigterm ();
@@ -92,13 +101,10 @@ let run ?(retries = 2) ?(lease_secs = default_lease_secs)
           units;
         if !sigterm || Supervise.terminating () then
           finish Supervise.sigterm_exit_code
-        else
-          let drained = List.for_all (Ledger.resolved ledger) units in
-          match Ledger.sealed_gens ledger with
-          | Some gens when drained && Ledger.generations ledger >= gens ->
-            finish 0
-          | _ ->
-            if not !progressed then Unix.sleepf poll_interval;
-            loop ()
+        else if drained ledger then finish 0
+        else begin
+          if not !progressed then Unix.sleepf poll_interval;
+          loop ()
+        end
     in
     loop ()

@@ -27,6 +27,12 @@ val execute :
     is recorded against the unit. The coordinator's in-process
     degradation path calls this directly. *)
 
+val drained : Ledger.t -> bool
+(** The ledger is sealed, every sealed generation is readable, and
+    every unit of them is resolved: a worker may exit. The seal and the
+    generation count are read before the unit list, so the list holds
+    every sealed generation. *)
+
 val run :
   ?retries:int ->
   ?lease_secs:float ->

@@ -63,9 +63,6 @@ let get t i =
   check t i;
   A1.get t.buf (i / bits_per_word) lsr (i mod bits_per_word) land 1 = 1
 
-let unsafe_get t i =
-  A1.unsafe_get t.buf (i / bits_per_word) lsr (i mod bits_per_word) land 1 = 1
-
 let set t i =
   check t i;
   let w = i / bits_per_word in
@@ -365,23 +362,13 @@ module Blocked = struct
     block_size : int;
     words : int;  (* words per row; 0 iff rows = 0 *)
     data : buf;  (* contiguous, [rows * words] payload words *)
-    subs : buf array;  (* per-block views into [data] *)
   }
 
-  let block_count t = Array.length t.subs
   let rows t = t.rows
+  let length t = t.len
   let block_size t = t.block_size
   let raw t = t.data
   let words_per_row t = t.words
-
-  let rows_in_block t b = min t.block_size (t.rows - (b * t.block_size))
-
-  let make_subs ~rows ~block_size ~words data =
-    let block_count = (rows + block_size - 1) / block_size in
-    Array.init block_count (fun b ->
-        let base = b * block_size in
-        let k = min block_size (rows - base) in
-        A1.sub data (base * words) (k * words))
 
   let of_buffer ?(block_size = 8) ~len ~rows data =
     if block_size < 1 then
@@ -391,14 +378,7 @@ module Blocked = struct
     let words = if rows = 0 then 0 else max 1 (word_count len) in
     if A1.dim data < rows * words then
       invalid_arg "Bitvec.Blocked.of_buffer: buffer too small";
-    {
-      len;
-      rows;
-      block_size;
-      words;
-      data;
-      subs = make_subs ~rows ~block_size ~words data;
-    }
+    { len; rows; block_size; words; data }
 
   let pack ?(block_size = 8) (vectors : vec array) =
     if block_size < 1 then invalid_arg "Bitvec.Blocked.pack: block_size < 1";
@@ -422,28 +402,17 @@ module Blocked = struct
         done
       done
     done;
-    {
-      len;
-      rows;
-      block_size;
-      words;
-      data;
-      subs = make_subs ~rows ~block_size ~words data;
-    }
+    { len; rows; block_size; words; data }
 
-  (* Intersection counts of [probe] against every row of block [b],
-     written into [dst.(0 .. k-1)]; returns [k]. One kernel call per
-     block. *)
-  let inter_counts_into t ~block probe dst =
-    if len_of probe <> t.len then
-      invalid_arg "Bitvec.Blocked.inter_counts_into: length mismatch";
-    let k = rows_in_block t block in
-    if Array.length dst < k then
-      invalid_arg "Bitvec.Blocked.inter_counts_into: dst too small";
-    Kernel.inter_counts_block (buf_of probe)
-      (Array.unsafe_get t.subs block)
-      k t.words dst;
-    k
+  let scan t ~row_n ~probe_count probe out =
+    if t.rows > 0 && len_of probe <> t.len then
+      invalid_arg "Bitvec.Blocked.scan: length mismatch";
+    if Array.length row_n <> t.rows then
+      invalid_arg "Bitvec.Blocked.scan: row_n length mismatch";
+    if Array.length out < 4 then
+      invalid_arg "Bitvec.Blocked.scan: out too small";
+    Kernel.blocked_scan (buf_of probe) t.data row_n t.block_size t.words
+      probe_count out
 end
 
 let pp ppf t =

@@ -73,10 +73,6 @@ val hash : t -> int
     {!equal} vectors hash identically. Non-negative, well mixed in its
     low bits (the bits {!Index} masks), and never stored on disk. *)
 
-val unsafe_get : t -> int -> bool
-(** {!get} without the bounds check — the hot sparse-membership probe.
-    The index must be in [0 .. length - 1]. *)
-
 val word_length : t -> int
 (** Number of backing words ([ceil (length / 62)], at least 1). *)
 
@@ -101,7 +97,7 @@ val inter_count_many : t -> t array -> int array
 (** [inter_count_many a targets] is
     [Array.map (inter_count a) targets] in one call: the probe's words
     stay hot in cache across the whole block of target sets. For the
-    word-major cache-blocked variant see {!Blocked}. *)
+    blocked worst-case scan see {!Blocked}. *)
 
 val inter : t -> t -> t
 
@@ -194,8 +190,8 @@ end
     vectors. Rows are grouped into blocks; within a block, word [w] of
     every row is contiguous, so one pass over a probe vector's words
     scans a short stripe per word and skips stripes whose probe word is
-    zero. This is the layout behind the worst-case analysis's batched
-    [M(g, f)] counting. *)
+    zero. This is the layout the worst-case scan ({!Blocked.scan})
+    walks. *)
 module Blocked : sig
   type vec := t
   type t
@@ -223,15 +219,24 @@ module Blocked : sig
   val words_per_row : t -> int
 
   val rows : t -> int
+
+  val length : t -> int
+  (** The rows' length in bits. *)
+
   val block_size : t -> int
-  val block_count : t -> int
 
-  val rows_in_block : t -> int -> int
-  (** Rows in block [b]: [block_size] except possibly the last block. *)
-
-  val inter_counts_into : t -> block:int -> vec -> int array -> int
-  (** [inter_counts_into t ~block probe dst] stores
-      [inter_count probe row] for every row of the block into
-      [dst.(0 ..)] (rows in pack order) and returns the number of rows
-      written. [dst] must hold at least {!rows_in_block} entries. *)
+  val scan : t -> row_n:int array -> probe_count:int -> vec -> int array -> unit
+  (** [scan t ~row_n ~probe_count probe out] is the worst-case scan of
+      one probe over every row, in one {!Kernel.blocked_scan} call.
+      [row_n.(r)] is row [r]'s own count, N-ascending for the early
+      exit to be sound, and [probe_count] is [|probe|]. Before each
+      block the scan stops once the best value is 1 or
+      [row_n.(base) - probe_count + 1] reaches it. It writes
+      [out.(0)] = the smallest [row_n.(r) - |probe ∩ row r| + 1] over
+      the rows it counted with a nonzero intersection ([max_int] if
+      none), [out.(1)] = the first row attaining it ([-1] if none),
+      [out.(2)] = the blocks it counted, and [out.(3)] = 1 if it
+      stopped before the last block, else 0. Raises [Invalid_argument]
+      unless [probe] has the rows' length (any length scans zero
+      rows), [row_n] one entry per row and [out] at least four. *)
 end

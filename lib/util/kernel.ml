@@ -31,8 +31,9 @@ external inter_count_many : buf -> buf array -> int -> int array -> unit
   = "ndetect_c_inter_count_many"
 [@@noalloc]
 
-external inter_counts_block : buf -> buf -> int -> int -> int array -> unit
-  = "ndetect_c_inter_counts_block"
+external blocked_scan :
+  buf -> buf -> int array -> int -> int -> int -> int array -> unit
+  = "ndetect_c_blocked_scan_byte" "ndetect_c_blocked_scan"
 [@@noalloc]
 
 external hash_words : buf -> int -> int = "ndetect_c_hash_words" [@@noalloc]

@@ -1,7 +1,7 @@
 (** The intersection/popcount kernel.
 
     Every hot counting primitive of the analysis — [N(f)] popcounts,
-    [M(g, f)] intersection sizes, the cache-blocked sweeps under
+    [M(g, f)] intersection sizes, the blocked worst-case scan under
     {!Ndetect_core.Worst_case} — reduces to a handful of bulk operations
     over raw 62-bit word buffers. They are C stubs over
     [__builtin_popcountll], compiled with an AVX2 inner loop when the
@@ -54,14 +54,25 @@ external inter_count_many : buf -> buf array -> int -> int array -> unit
     [inter_count probe targets.(j) n] into [dst.(j)] for every [j].
     [dst] has at least [Array.length targets] entries. *)
 
-external inter_counts_block : buf -> buf -> int -> int -> int array -> unit
-  = "ndetect_c_inter_counts_block"
+external blocked_scan :
+  buf -> buf -> int array -> int -> int -> int -> int array -> unit
+  = "ndetect_c_blocked_scan_byte" "ndetect_c_blocked_scan"
 [@@noalloc]
-(** Blocked word-major sweep: [inter_counts_block probe data k words dst]
-    reads [k] rows interleaved as [data.(w * k + r)] and {e overwrites}
-    [dst.(0 .. k-1)] with the intersection count of [probe] (words
-    [0 .. words-1]) against each row. Zero probe words skip their whole
-    stripe. *)
+(** The worst-case scan over a blocked layout, in one call:
+    [blocked_scan probe data row_n block_size words probe_count out].
+    [data] holds [Array.length row_n] rows of [words] words in blocks of
+    [block_size] rows; inside a block of [k] rows, word [w] of row [r]
+    is at [base * words + w * k + r], [base] being the block's first
+    row. Before each block the scan stops when the best value so far is
+    1 or [row_n.(base) - probe_count + 1] reaches it; otherwise it
+    counts [|probe ∩ row|] for the block's rows and keeps the first row
+    with the smallest [row_n.(r) - count + 1] among rows with a nonzero
+    count. It writes [out.(0)] = that value ([max_int] if none),
+    [out.(1)] = its row ([-1] if none), [out.(2)] = blocks counted and
+    [out.(3)] = 1 if the scan stopped before the last block, else 0.
+    Full 8-row blocks run two 256-bit stripes on AVX2 hosts; other
+    blocks, and hosts without AVX2, a scalar loop. Zero probe words
+    skip their whole stripe. *)
 
 (** {2 Content hashing}
 

@@ -43,18 +43,23 @@ static inline int ndetect_have_avx2(void) {
   return ndetect_avx2_state;
 }
 
-/* Per-64-bit-lane popcount of a 256-bit vector: nibble lookup + psadbw
- * horizontal byte sums (Mula). */
-static inline __m256i ndetect_popcnt256(__m256i v) {
+/* Per-byte popcount of a 256-bit vector (0..8 per byte): nibble
+ * lookup (Mula). */
+static inline __m256i ndetect_bytecount256(__m256i v) {
   const __m256i lookup =
       _mm256_setr_epi8(0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4, 0, 1,
                        1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4);
   const __m256i low_mask = _mm256_set1_epi8(0x0f);
   __m256i lo = _mm256_and_si256(v, low_mask);
   __m256i hi = _mm256_and_si256(_mm256_srli_epi32(v, 4), low_mask);
-  __m256i cnt = _mm256_add_epi8(_mm256_shuffle_epi8(lookup, lo),
-                                _mm256_shuffle_epi8(lookup, hi));
-  return _mm256_sad_epu8(cnt, _mm256_setzero_si256());
+  return _mm256_add_epi8(_mm256_shuffle_epi8(lookup, lo),
+                         _mm256_shuffle_epi8(lookup, hi));
+}
+
+/* Per-64-bit-lane popcount of a 256-bit vector: byte counts + psadbw
+ * horizontal byte sums. */
+static inline __m256i ndetect_popcnt256(__m256i v) {
+  return _mm256_sad_epu8(ndetect_bytecount256(v), _mm256_setzero_si256());
 }
 
 static inline intnat ndetect_hsum256(__m256i acc) {
@@ -140,48 +145,125 @@ CAMLprim value ndetect_c_inter_count_many(value vprobe, value vtargets,
   return Val_unit;
 }
 
-/* Blocked word-major sweep: data holds k rows interleaved as
- * data[w * k + r]; overwrite dst[0 .. k-1] with the per-row
- * intersection counts. Stripes are short (k = block_size, 8 by
- * default), so this stays scalar; the win is the contiguous stripe
- * access plus the hardware popcount. Counts accumulate in a stack
- * buffer to avoid per-update tag/untag churn on the OCaml array. */
-#define NDETECT_BLOCK_STACK 64
+/* The worst-case scan (Bitvec.Blocked.scan): one call walks every
+ * block of an N-ascending blocked layout for one probe. Inside block b
+ * (base row b * bs, k rows) word w of row r sits at
+ * data[base * words + w * k + r]. Before each block the scan stops
+ * when best = 1 or row_n[base] - probe_count + 1 >= best, since
+ * M <= |probe| and rows are N-ascending, no later row can improve on
+ * best; otherwise it counts the block's rows and keeps the first row
+ * with the smallest row_n[r] - M + 1 over rows with M > 0. Counts live
+ * in a stack buffer, NDETECT_SCAN_ROWS rows at a time (a wider block
+ * sweeps the probe once per chunk). */
+#define NDETECT_SCAN_ROWS 64
 
-CAMLprim value ndetect_c_inter_counts_block(value vprobe, value vdata,
-                                            value vk, value vwords,
-                                            value vdst) {
-  const uint64_t *p = (const uint64_t *)Caml_ba_data_val(vprobe);
-  const uint64_t *d = (const uint64_t *)Caml_ba_data_val(vdata);
-  intnat k = Long_val(vk);
-  intnat words = Long_val(vwords);
+/* cnt[r] = popcount(probe AND row r0 + r) for r < kk over the block's
+ * k interleaved rows. Zero probe words skip their whole stripe. */
+static void ndetect_rows_scalar(const uint64_t *p, const uint64_t *d,
+                                intnat k, intnat r0, intnat kk,
+                                intnat words, intnat *cnt) {
   intnat w, r;
-  if (k <= NDETECT_BLOCK_STACK) {
-    intnat tmp[NDETECT_BLOCK_STACK];
-    for (r = 0; r < k; r++) tmp[r] = 0;
-    for (w = 0; w < words; w++) {
-      uint64_t a = p[w];
-      if (a) {
-        const uint64_t *row = d + (size_t)w * (size_t)k;
-        for (r = 0; r < k; r++) tmp[r] += __builtin_popcountll(a & row[r]);
-      }
+  for (r = 0; r < kk; r++) cnt[r] = 0;
+  for (w = 0; w < words; w++) {
+    uint64_t a = p[w];
+    if (a) {
+      const uint64_t *row = d + (size_t)w * (size_t)k + r0;
+      for (r = 0; r < kk; r++) cnt[r] += __builtin_popcountll(a & row[r]);
     }
-    for (r = 0; r < k; r++) Field(vdst, r) = Val_long(tmp[r]);
-  } else {
-    /* Oversized blocks (never hit by the default layout): accumulate
-     * straight into the OCaml int array. */
-    for (r = 0; r < k; r++) Field(vdst, r) = Val_long(0);
-    for (w = 0; w < words; w++) {
-      uint64_t a = p[w];
-      if (a) {
-        const uint64_t *row = d + (size_t)w * (size_t)k;
-        for (r = 0; r < k; r++)
-          Field(vdst, r) = Val_long(Long_val(Field(vdst, r)) +
-                                    __builtin_popcountll(a & row[r]));
+  }
+}
+
+#if defined(__AVX2__)
+/* A full 8-row block: the 8 row words of one probe word are contiguous,
+ * two 256-bit stripes of four rows each. Nibble-LUT byte counts (at
+ * most 8 per byte per word) accumulate in bytes and are flushed to the
+ * per-row 64-bit lanes by _mm256_sad_epu8 every 31 nonzero probe words,
+ * before a byte could pass 255. */
+static void ndetect_rows8_avx2(const uint64_t *p, const uint64_t *d,
+                               intnat words, intnat *cnt) {
+  const __m256i zero = _mm256_setzero_si256();
+  __m256i acc0 = zero, acc1 = zero, bytes0 = zero, bytes1 = zero;
+  int pending = 0;
+  intnat w;
+  uint64_t out[8];
+  for (w = 0; w < words; w++) {
+    uint64_t a = p[w];
+    if (a) {
+      const __m256i va = _mm256_set1_epi64x((long long)a);
+      const __m256i *row = (const __m256i *)(d + (size_t)w * 8);
+      bytes0 = _mm256_add_epi8(
+          bytes0, ndetect_bytecount256(
+                      _mm256_and_si256(_mm256_loadu_si256(row), va)));
+      bytes1 = _mm256_add_epi8(
+          bytes1, ndetect_bytecount256(
+                      _mm256_and_si256(_mm256_loadu_si256(row + 1), va)));
+      if (++pending == 31) {
+        acc0 = _mm256_add_epi64(acc0, _mm256_sad_epu8(bytes0, zero));
+        acc1 = _mm256_add_epi64(acc1, _mm256_sad_epu8(bytes1, zero));
+        bytes0 = bytes1 = zero;
+        pending = 0;
       }
     }
   }
+  acc0 = _mm256_add_epi64(acc0, _mm256_sad_epu8(bytes0, zero));
+  acc1 = _mm256_add_epi64(acc1, _mm256_sad_epu8(bytes1, zero));
+  _mm256_storeu_si256((__m256i *)out, acc0);
+  _mm256_storeu_si256((__m256i *)(out + 4), acc1);
+  for (w = 0; w < 8; w++) cnt[w] = (intnat)out[w];
+}
+#endif
+
+CAMLprim value ndetect_c_blocked_scan(value vprobe, value vdata, value vrow_n,
+                                      value vblock_size, value vwords,
+                                      value vprobe_count, value vout) {
+  const uint64_t *p = (const uint64_t *)Caml_ba_data_val(vprobe);
+  const uint64_t *data = (const uint64_t *)Caml_ba_data_val(vdata);
+  intnat rows = (intnat)Wosize_val(vrow_n);
+  intnat bs = Long_val(vblock_size);
+  intnat words = Long_val(vwords);
+  intnat probe_count = Long_val(vprobe_count);
+  intnat best = Max_long, witness = -1, blocks = 0, exited = 0;
+  intnat cnt[NDETECT_SCAN_ROWS];
+  intnat base, r0, r;
+  for (base = 0; base < rows; base += bs) {
+    intnat k = rows - base < bs ? rows - base : bs;
+    const uint64_t *d = data + (size_t)base * (size_t)words;
+    if (best == 1 || Long_val(Field(vrow_n, base)) - probe_count + 1 >= best) {
+      exited = 1;
+      break;
+    }
+    blocks++;
+    for (r0 = 0; r0 < k; r0 += NDETECT_SCAN_ROWS) {
+      intnat kk = k - r0 < NDETECT_SCAN_ROWS ? k - r0 : NDETECT_SCAN_ROWS;
+#if defined(__AVX2__)
+      if (k == 8 && ndetect_have_avx2())
+        ndetect_rows8_avx2(p, d, words, cnt);
+      else
+#endif
+        ndetect_rows_scalar(p, d, k, r0, kk, words, cnt);
+      for (r = 0; r < kk; r++) {
+        intnat m = cnt[r];
+        if (m > 0) {
+          intnat c = Long_val(Field(vrow_n, base + r0 + r)) - m + 1;
+          if (c < best) {
+            best = c;
+            witness = base + r0 + r;
+          }
+        }
+      }
+    }
+  }
+  Field(vout, 0) = Val_long(best);
+  Field(vout, 1) = Val_long(witness);
+  Field(vout, 2) = Val_long(blocks);
+  Field(vout, 3) = Val_long(exited);
   return Val_unit;
+}
+
+CAMLprim value ndetect_c_blocked_scan_byte(value *argv, int argn) {
+  (void)argn;
+  return ndetect_c_blocked_scan(argv[0], argv[1], argv[2], argv[3], argv[4],
+                                argv[5], argv[6]);
 }
 
 /* File verification (not backend-dispatched; used by the table-cache

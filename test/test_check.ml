@@ -339,6 +339,36 @@ let test_stale_count_caught () =
   Alcotest.(check bool)
     "hook disarmed after a mutate run" false !Procedure1.debug_stale_count
 
+(* A worst-case scan that skips its first block of target rows
+   (Worst_case.debug_skip_first_block) must show in the nmin cells
+   against Ref_worst. Armed alone before each clean check, which runs
+   the scan with it and disarms it afterwards; [mutate] arms it
+   together with the others. *)
+let test_skipped_block_caught () =
+  let rng = Ndetect_util.Rng.create ~seed:13 in
+  let specs =
+    List.init 6 (fun _ ->
+        Random_circuit.draw_spec rng ~max_inputs:5 ~max_gates:16)
+  in
+  let cells =
+    List.concat_map
+      (fun spec ->
+        Worst_case.debug_skip_first_block := true;
+        List.map (fun d -> d.Campaign.cell) (Campaign.check_spec spec))
+      specs
+  in
+  Alcotest.(check bool)
+    "nmin cells diverge" true
+    (List.exists (String.starts_with ~prefix:"nmin(") cells);
+  Alcotest.(check bool)
+    "hook disarmed after a clean run" false !Worst_case.debug_skip_first_block;
+  List.iter
+    (fun spec -> ignore (Campaign.check_spec ~mutate:true spec))
+    specs;
+  Alcotest.(check bool)
+    "hook disarmed after a mutate run" false
+    !Worst_case.debug_skip_first_block
+
 (* Random-circuit property: a clean campaign finds no divergences. Kept
    small; the runtest rule on the CLI runs a larger one and the full
    campaign is `ndetect check --circuits 200 --seed 42`. *)
@@ -527,6 +557,8 @@ let () =
             test_trusted_hash_caught;
           Alcotest.test_case "stale draw range is caught" `Quick
             test_stale_count_caught;
+          Alcotest.test_case "skipped scan block is caught" `Quick
+            test_skipped_block_caught;
           Alcotest.test_case "shrink rejects clean specs" `Quick
             test_shrink_requires_divergence;
         ] );

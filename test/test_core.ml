@@ -291,6 +291,38 @@ let prop_factored_bridge_sets =
               ~vector_of:(Array.get vectors)
          && classes_well_formed sampled))
 
+(* [build] takes the victims' stem sets from its target sweep (each
+   victim stem fault is equivalent to some target); a bare
+   [bridge_classes] call sweeps them all. Both give the same kept
+   bridges, the same classes and the same sets, collapsed or not. *)
+let prop_bridge_victims_from_targets =
+  QCheck.Test.make
+    ~name:"bridge classes from target sets == swept victims (collapse on/off)"
+    ~count:20 Helpers.circuit_arbitrary
+    (Helpers.apply_circuit (fun net ->
+         let bridges = Bridge.enumerate net in
+         let swept =
+           Detection_table.bridge_classes (Good.compute net) bridges
+         in
+         List.for_all
+           (fun collapse ->
+             let table = Detection_table.build ~collapse net in
+             let count = Detection_table.untargeted_count table in
+             count = Array.length swept.Detection_table.kept
+             && Detection_table.untargeted_class_count table
+                = Array.length swept.distinct
+             && List.for_all
+                  (fun gj ->
+                    Detection_table.untargeted_fault table gj
+                    = Detection_table.Bridge_fault bridges.(swept.kept.(gj))
+                    && Detection_table.untargeted_class table gj
+                       = swept.class_of.(gj)
+                    && Bitvec.equal
+                         (Detection_table.untargeted_set table gj)
+                         swept.distinct.(swept.class_of.(gj)))
+                  (List.init count Fun.id))
+           [ true; false ]))
+
 (* A redundant circuit: out1 = OR(AND(a, b), a) = a, so the AND's
    stuck-at-0 is undetectable and every bridge that victimizes the AND
    at value 1 must be dropped, while keep_undetectable_untargeted keeps
@@ -727,6 +759,7 @@ let () =
           Alcotest.test_case "overlapping targets" `Quick
             test_overlapping_targets;
           Helpers.qcheck prop_factored_bridge_sets;
+          Helpers.qcheck prop_bridge_victims_from_targets;
           Alcotest.test_case "redundant victim dropped" `Quick
             test_redundant_victim_dropped;
           Alcotest.test_case "bridge span reports victims and classes"

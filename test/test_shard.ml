@@ -424,6 +424,27 @@ let test_worker_execute () =
       | _ -> Alcotest.fail "plan result recorded");
       Alcotest.(check bool) "claim released" true (Ledger.claimant led u = None))
 
+(* A worker may exit only when every sealed generation is readable and
+   resolved: generation 0 resolved with generation 1 open, or with
+   generation 1 not yet written, is not drained under a seal at 2. *)
+let test_worker_drained () =
+  with_temp_dir (fun dir ->
+      let c = tiny_campaign () in
+      let led = Result.get_ok (Ledger.create ~dir c) in
+      let plan = unit_of_id c "plan-mc" in
+      ignore (Ledger.claim led ~worker:"w0" plan);
+      ignore (Worker.execute led ~worker:"w0" plan);
+      Alcotest.(check bool) "unsealed" false (Worker.drained led);
+      Ledger.seal led ~total_gens:2;
+      Alcotest.(check bool) "generation 1 unwritten" false
+        (Worker.drained led);
+      let worst = Spec.worst_units c ~circuit:"mc" ~untargeted:100 in
+      Ledger.write_units led ~gen:1 worst;
+      Alcotest.(check bool) "generation 1 open" false (Worker.drained led);
+      List.iter (fun u -> Ledger.poison led u ~reasons:[ "test" ]) worst;
+      Alcotest.(check bool) "every generation resolved" true
+        (Worker.drained led))
+
 (* Every spawn fails (the worker binary does not exist), so the
    coordinator must degrade to in-process execution and still complete
    the campaign — with the same report a pure in-process run yields. *)
@@ -497,6 +518,8 @@ let () =
       ( "coordinator",
         [
           Alcotest.test_case "worker execute" `Quick test_worker_execute;
+          Alcotest.test_case "worker drained reads every sealed generation"
+            `Quick test_worker_drained;
           Alcotest.test_case "degrades to in-process" `Quick
             test_coordinator_degrades_in_process;
         ] );

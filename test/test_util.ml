@@ -231,25 +231,35 @@ let prop_inter_count_many =
       Bitvec.inter_count_many p targets
       = Array.map (Bitvec.inter_count p) targets)
 
-let prop_blocked_inter_counts =
+(* Per-row counts through the worst-case scan: scanning with row [r]'s
+   own count 0 and every other row's 2L + 2 (L the length) makes row
+   [r] the witness exactly when it meets the probe, with nmin 1 - |p ∩
+   r|. A probe count of 4L + 4 keeps the exit bound below every
+   reachable best, so the scan counts every block. *)
+let row_counts scan packed probe =
+  let rows = Bitvec.Blocked.rows packed and len = Bitvec.length probe in
+  let out = Array.make 4 0 in
+  List.init rows (fun r ->
+      let row_n =
+        Array.init rows (fun j -> if j = r then 0 else (2 * len) + 2)
+      in
+      scan packed ~row_n ~probe_count:((4 * len) + 4) probe out;
+      if out.(1) = r then 1 - out.(0) else 0)
+
+let prop_blocked_row_counts =
   QCheck.make
     ~print:(fun ((len, _, rows), bs) ->
       Printf.sprintf "len=%d rows=%d block_size=%d" len (List.length rows) bs)
     QCheck.Gen.(pair (QCheck.gen family_gen) (int_range 1 9))
   |> fun arb ->
-  QCheck.Test.make ~name:"Blocked.inter_counts_into = per-row inter_count"
+  QCheck.Test.make ~name:"Blocked.scan row counts = per-row inter_count"
     ~count:200 arb (fun ((len, probe, rows), block_size) ->
       let p = Bitvec.of_list len probe in
       let vecs = Array.of_list (List.map (Bitvec.of_list len) rows) in
       let packed = Bitvec.Blocked.pack ~block_size vecs in
-      let got = Array.make (Array.length vecs) (-1) in
-      let dst = Array.make block_size 0 in
-      for b = 0 to Bitvec.Blocked.block_count packed - 1 do
-        let k = Bitvec.Blocked.inter_counts_into packed ~block:b p dst in
-        Array.blit dst 0 got (b * block_size) k
-      done;
       Bitvec.Blocked.rows packed = Array.length vecs
-      && got = Array.map (Bitvec.inter_count p) vecs)
+      && row_counts Bitvec.Blocked.scan packed p
+         = Array.to_list (Array.map (Bitvec.inter_count p) vecs))
 
 (* Dense differential oracles: the sparse list generators above rarely
    fill whole words, so the SWAR fast paths and the ragged-last-word
@@ -302,7 +312,9 @@ type kernel = {
   inter_count : Bitvec.t -> Bitvec.t -> int;
   inter_count_upto : limit:int -> Bitvec.t -> Bitvec.t -> int;
   inter_count_many : Bitvec.t -> Bitvec.t array -> int array;
-  blocked : Bitvec.Blocked.t -> block:int -> Bitvec.t -> int array -> int;
+  scan :
+    Bitvec.Blocked.t ->
+    row_n:int array -> probe_count:int -> Bitvec.t -> int array -> unit;
 }
 
 let c_kernel =
@@ -311,7 +323,7 @@ let c_kernel =
     inter_count = Bitvec.inter_count;
     inter_count_upto = Bitvec.inter_count_upto;
     inter_count_many = Bitvec.inter_count_many;
-    blocked = Bitvec.Blocked.inter_counts_into;
+    scan = Bitvec.Blocked.scan;
   }
 
 let ref_kernel =
@@ -320,7 +332,7 @@ let ref_kernel =
     inter_count = Ref_kernel.inter_count;
     inter_count_upto = Ref_kernel.inter_count_upto;
     inter_count_many = Ref_kernel.inter_count_many;
-    blocked = Ref_kernel.blocked_inter_counts_into;
+    scan = Ref_kernel.blocked_scan;
   }
 
 (* Labelled as the test names have always read: "c" is the C kernel,
@@ -376,19 +388,11 @@ let dense_blocked_gen =
       quad (oneofa ragged_lengths) (int_bound 10_000) (int_range 0 12)
         (int_range 1 9))
 
-(* Every block's counts, in row order. *)
-let blocked_counts k packed probe =
-  List.concat
-    (List.init (Bitvec.Blocked.block_count packed) (fun block ->
-         let dst = Array.make (Bitvec.Blocked.block_size packed) (-1) in
-         let n = k.blocked packed ~block probe dst in
-         Array.to_list (Array.sub dst 0 n)))
-
 let dense_blocked_body k (len, sp, rows, block_size) =
   let p = dense_of_seed len sp in
   let vecs = Array.init rows (fun r -> dense_of_seed len (r + 31)) in
   let packed = Bitvec.Blocked.pack ~block_size vecs in
-  blocked_counts k packed p
+  row_counts k.scan packed p
   = Array.to_list (Array.map (naive_inter_count len p) vecs)
 
 let prop_dense_blocked =
@@ -422,12 +426,16 @@ let test_intersection_kernels_empty_sets k () =
         [| 0; 0 |]
         (k.inter_count_many empty [| dense; empty |]);
       let packed = Bitvec.Blocked.pack ~block_size:2 [| empty; dense |] in
-      let dst = Array.make 2 (-1) in
-      let rows = k.blocked packed ~block:0 empty dst in
-      Alcotest.(check int) (Printf.sprintf "blocked rows len=%d" len) 2 rows;
-      Alcotest.(check (array int))
+      Alcotest.(check (list int))
         (Printf.sprintf "blocked vs empty probe len=%d" len)
-        [| 0; 0 |] dst)
+        [ 0; 0 ]
+        (row_counts k.scan packed empty);
+      let out = Array.make 4 (-1) in
+      k.scan packed ~row_n:[| 0; Bitvec.count dense |] ~probe_count:0 empty
+        out;
+      Alcotest.(check (array int))
+        (Printf.sprintf "scan of an empty probe len=%d" len)
+        [| max_int; -1; 1; 0 |] out)
     ragged_lengths;
   (* No rows at all: nothing to count, nothing to pack. *)
   Alcotest.(check (array int))
@@ -472,11 +480,16 @@ let test_kernels_agree () =
           let run k =
             let targets = [| q; p; empty; full |] in
             let packed = Bitvec.Blocked.pack ~block_size:3 targets in
+            let out = Array.make 4 0 in
+            k.scan packed
+              ~row_n:(Array.map k.count targets)
+              ~probe_count:(k.count p) p out;
             ( k.count p,
               k.inter_count p q,
               k.inter_count_upto ~limit:7 p q,
               k.inter_count_many p targets,
-              blocked_counts k packed p )
+              row_counts k.scan packed p,
+              out )
           in
           Alcotest.(check bool)
             (Printf.sprintf "%s len=%d" label len)
@@ -489,6 +502,106 @@ let test_kernels_agree () =
           ("full∩full", full, full);
         ])
     ragged_lengths
+
+(* The C scan against its SWAR twin on N-ascending layouts: rows of
+   1 to 75 words, every block size from 1 to 9 (full 8-row blocks take
+   the AVX2 stripes, the others the scalar loop), up to 40 rows, and
+   probes with runs of zero words. Rows are random of any density, or
+   the probe plus one or two bits (N - M + 1 is 2 or 3 and N ties
+   often, so a block's bound often equals the best), or, in half the
+   cases, also the probe less a few bits (N - M + 1 = 1 with N below
+   |probe|, where only the best-of-1 rule stops the scan). *)
+let scan_layout_gen =
+  QCheck.make
+    ~print:(fun (words, bs, rows, seed) ->
+      Printf.sprintf "words=%d block_size=%d rows=%d seed=%d" words bs rows
+        seed)
+    QCheck.Gen.(
+      quad (int_range 1 75) (int_range 1 9) (int_range 0 40)
+        (int_bound 100_000))
+
+let random_row rng len ~zero_words =
+  let density = Rng.int rng ~bound:17 in
+  let v = Bitvec.create len in
+  for i = 0 to len - 1 do
+    if Rng.int rng ~bound:16 < density then Bitvec.set v i
+  done;
+  if zero_words then
+    for w = 0 to Bitvec.word_length v - 1 do
+      if Rng.bool rng then Bitvec.unsafe_set_word v w 0
+    done;
+  v
+
+let prop_scan_twin =
+  QCheck.Test.make ~name:"Blocked.scan = SWAR twin (ragged, exit rule)"
+    ~count:200 scan_layout_gen (fun (words, block_size, rows, seed) ->
+      let rng = Rng.create ~seed in
+      let len = ((words - 1) * 62) + 1 + Rng.int rng ~bound:62 in
+      let probe = random_row rng len ~zero_words:true in
+      let members = Array.of_list (Bitvec.to_list probe) in
+      let kinds = 2 + Rng.int rng ~bound:2 in
+      let vecs =
+        Array.init rows (fun _ ->
+            let v = Bitvec.copy probe in
+            match Rng.int rng ~bound:kinds with
+            | 0 -> random_row rng len ~zero_words:false
+            | 1 ->
+              for _ = 0 to Rng.int rng ~bound:2 do
+                Bitvec.set v (Rng.int rng ~bound:len)
+              done;
+              v
+            | _ ->
+              if Array.length members > 0 then
+                for _ = 0 to Rng.int rng ~bound:3 do
+                  Bitvec.clear v
+                    members.(Rng.int rng ~bound:(Array.length members))
+                done;
+              v)
+      in
+      Array.stable_sort
+        (fun a b -> Int.compare (Bitvec.count a) (Bitvec.count b))
+        vecs;
+      let packed = Bitvec.Blocked.pack ~block_size vecs in
+      let run scan =
+        let out = Array.make 4 (-1) in
+        scan packed
+          ~row_n:(Array.map Bitvec.count vecs)
+          ~probe_count:(Bitvec.count probe) probe out;
+        out
+      in
+      run Bitvec.Blocked.scan = run Ref_kernel.blocked_scan)
+
+(* All-ones probes against all-ones rows: every byte of the AVX2 byte
+   counters gains 8 per word, so a missed flush (every 31 nonzero
+   words) would wrap past 255. One row per block size is cleared in a
+   few words so the rows' counts differ. *)
+let test_scan_flush () =
+  List.iter
+    (fun (words, ragged) ->
+      let len = (words * 62) - ragged in
+      let ones = Bitvec.of_list len (List.init len Fun.id) in
+      let vecs =
+        Array.init 16 (fun r ->
+            let v = Bitvec.copy ones in
+            for w = 0 to r - 1 do
+              Bitvec.unsafe_set_word v (w * 3) 0
+            done;
+            v)
+      in
+      List.iter
+        (fun block_size ->
+          let packed = Bitvec.Blocked.pack ~block_size vecs in
+          let expected = Array.to_list (Array.map Bitvec.count vecs) in
+          List.iter
+            (fun (name, scan) ->
+              Alcotest.(check (list int))
+                (Printf.sprintf "%s words=%d block_size=%d" name words
+                   block_size)
+                expected
+                (row_counts scan packed ones))
+            [ ("c", Bitvec.Blocked.scan); ("swar", Ref_kernel.blocked_scan) ])
+        [ 8; 5 ])
+    [ (64, 0); (65, 7); (100, 0) ]
 
 let prop_equal_compare_hash =
   QCheck.make
@@ -867,11 +980,14 @@ let () =
           Helpers.qcheck prop_iter_set_order;
           Helpers.qcheck prop_inter_count_upto;
           Helpers.qcheck prop_inter_count_many;
-          Helpers.qcheck prop_blocked_inter_counts;
+          Helpers.qcheck prop_blocked_row_counts;
           Helpers.qcheck prop_dense_inter_count;
           Helpers.qcheck prop_dense_inter_count_upto;
           Helpers.qcheck prop_dense_inter_count_many;
           Helpers.qcheck prop_dense_blocked;
+          Helpers.qcheck prop_scan_twin;
+          Alcotest.test_case "Blocked.scan all-ones flush" `Quick
+            test_scan_flush;
           Alcotest.test_case "empty sets (all kernels)" `Quick
             (test_intersection_kernels_empty_sets c_kernel);
           Helpers.qcheck prop_equal_compare_hash;
