@@ -1,8 +1,8 @@
 (* ndetect: command-line interface to the n-detection analysis library.
 
    Subcommands: list, analyze, average, atpg, tables, check, synth,
-   dot, evaluate, partition, transition, equiv, scoap, campaign,
-   worker, serve, client. *)
+   dot, evaluate, partition, transition, equiv, scoap, serve,
+   client. *)
 
 module Netlist = Ndetect_circuit.Netlist
 module Dot = Ndetect_circuit.Dot
@@ -29,9 +29,6 @@ module Telemetry = Ndetect_util.Telemetry
 module Campaign = Ndetect_check.Campaign
 module Ref_estimate = Ndetect_check.Ref_estimate
 module Supervise = Ndetect_util.Supervise
-module Shard_spec = Ndetect_shard.Spec
-module Coordinator = Ndetect_shard.Coordinator
-module Shard_worker = Ndetect_shard.Worker
 open Cmdliner
 
 (* A circuit argument is a suite name or a .bench / .kiss2 / .pla /
@@ -108,6 +105,12 @@ let usage_error message =
   prerr_endline message;
   exit 2
 
+(* A count the library rejects below 1 (with an Invalid_argument), as a
+   usage error naming the flag, before any work starts. *)
+let require_positive flag n =
+  if n < 1 then
+    usage_error (Printf.sprintf "%s expects an integer >= 1, got %d" flag n)
+
 (* [validate]'s error names a request field; [flags] maps each field to
    the flag that set it, so the usage error names what the user
    typed. *)
@@ -152,7 +155,7 @@ let domains_arg =
     & opt (some int) None
     & info [ "domains" ] ~docv:"N" ~doc:"Procedure-1 worker domains.")
 
-(* Sampled-universe mode, shared by analyze/average/campaign/client
+(* Sampled-universe mode, shared by analyze/average/client
    through [universe_of_flags]. *)
 let samples_arg =
   Arg.(
@@ -264,6 +267,7 @@ let average_cmd =
 (* atpg *)
 
 let atpg_run spec scheme n seed =
+  require_positive "-n" n;
   match load_circuit ~scheme spec with
   | Error message ->
     prerr_endline message;
@@ -332,6 +336,7 @@ let read_vectors net path =
       Array.of_list (List.rev !vectors))
 
 let evaluate_run spec scheme vectors_path n def2 =
+  require_positive "-n" n;
   match load_circuit ~scheme spec with
   | Error message ->
     prerr_endline message;
@@ -413,6 +418,7 @@ let evaluate_cmd =
 (* partition *)
 
 let partition_run spec scheme max_inputs =
+  require_positive "--max-inputs" max_inputs;
   match load_circuit ~scheme spec with
   | Error message ->
     prerr_endline message;
@@ -627,7 +633,13 @@ let check_run circuits seed max_pi mutate estimate samples confidence =
   end
   else begin
     (* The paper's small-tier circuits first, then the random campaign;
-       --mutate must be caught by both. *)
+       --mutate must be caught by both. The campaign's bounds are checked
+       before the sweep, not after it. *)
+    require_positive "--circuits" circuits;
+    if max_pi < 1 || max_pi > Campaign.max_pi_limit then
+      usage_error
+        (Printf.sprintf "--max-pi expects an integer in 1..%d, got %d"
+           Campaign.max_pi_limit max_pi);
     let suite = Campaign.check_suite ~mutate () in
     print_string (Campaign.render_suite suite);
     let report =
@@ -785,225 +797,6 @@ let dot_cmd =
   Cmd.v
     (Cmd.info "dot" ~doc)
     Term.(const dot_run $ circuit_arg $ scheme_arg $ out)
-
-(* campaign / worker *)
-
-(* The campaign checks its own flags (worker and lease bounds, the
-   chaos/workers cross-check, the injection spec); the sampled-mode
-   flags share [universe_of_flags] with analyze and average. *)
-let campaign_run tier k seed nmax fault_block set_chunk circuits workers
-    lease_secs max_unit_retries chaos ledger inject quiet max_wall samples
-    strata confidence =
-  let tier =
-    match Registry.tier_of_string tier with
-    | Some tier -> tier
-    | None ->
-      usage_error
-        (Printf.sprintf "unknown tier %S (small, medium or large)" tier)
-  in
-  if workers < 1 then
-    usage_error
-      (Printf.sprintf "--workers expects an integer >= 1, got %d" workers);
-  if not (lease_secs >= 1.0) then
-    usage_error
-      (Printf.sprintf "--lease-secs expects a number of seconds >= 1, got %g"
-         lease_secs);
-  if max_unit_retries < 1 then
-    usage_error
-      (Printf.sprintf "--max-unit-retries expects an integer >= 1, got %d"
-         max_unit_retries);
-  (* Chaos kills workers mid-campaign; with fewer than two there is
-     nothing left to make progress while the victim is down. *)
-  if chaos && workers < 2 then usage_error "--chaos requires --workers >= 2";
-  Option.iter
-    (fun spec ->
-      match Supervise.parse_injection_spec spec with
-      | Ok plan -> Supervise.set_injection plan
-      | Error message -> usage_error ("--inject: " ^ message))
-    inject;
-  ignore (universe_of_flags samples strata confidence : Api.Request.universe);
-  let campaign =
-    try
-      Shard_spec.make_campaign ~fault_block
-        ?set_chunk:(if set_chunk > 0 then Some set_chunk else None)
-        ?circuits:
-          (match circuits with
-          | None -> None
-          | Some names ->
-            Some (String.split_on_char ',' names |> List.map String.trim))
-        ~nmax ?samples ?strata ?confidence ~tier ~seed ~set_count:k ()
-    with Invalid_argument message -> usage_error message
-  in
-  let base = Coordinator.default_config ~ledger_dir:ledger in
-  let config =
-    {
-      base with
-      Coordinator.workers;
-      lease_secs;
-      max_unit_retries;
-      chaos;
-      chaos_seed = seed;
-      inject;
-      max_wall_secs = max_wall;
-      log = (if quiet then fun _ -> () else base.Coordinator.log);
-    }
-  in
-  match Coordinator.run config campaign with
-  | Ok outcome ->
-    print_string outcome.Coordinator.report;
-    Printf.eprintf
-      "campaign counters: reassigned=%d speculative_wins=%d poisoned=%d \
-       ledger_corrupt=%d spawn_failures=%d chaos_kills=%d \
-       workers_spawned=%d\n%!"
-      outcome.Coordinator.reassigned outcome.Coordinator.speculative_wins
-      outcome.Coordinator.poisoned_count outcome.Coordinator.ledger_corrupt
-      outcome.Coordinator.spawn_failures outcome.Coordinator.chaos_kills
-      outcome.Coordinator.workers_spawned;
-    if outcome.Coordinator.poisoned_units <> [] then exit 3
-  | Error message ->
-    prerr_endline ("campaign: " ^ message);
-    if Supervise.terminating () then exit Supervise.sigterm_exit_code
-    else exit 1
-
-let campaign_cmd =
-  let tier =
-    Arg.(
-      value & opt string "medium"
-      & info [ "tier" ] ~docv:"TIER" ~doc:"small, medium or large.")
-  in
-  let k =
-    Arg.(
-      value & opt int 1000
-      & info [ "k"; "sets" ] ~docv:"K" ~doc:"Procedure-1 test sets.")
-  in
-  let nmax =
-    Arg.(
-      value & opt int 10
-      & info [ "nmax" ] ~docv:"N" ~doc:"Largest number of detections.")
-  in
-  let fault_block =
-    Arg.(
-      value & opt int 256
-      & info [ "fault-block" ] ~docv:"N"
-          ~doc:"Untargeted faults per worst-case work unit.")
-  in
-  let set_chunk =
-    Arg.(
-      value & opt int 0
-      & info [ "set-chunk" ] ~docv:"N"
-          ~doc:"Test sets per average-case work unit (0 = K/8).")
-  in
-  let circuits =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "circuits" ] ~docv:"NAMES"
-          ~doc:"Comma-separated subset of the tier's circuits.")
-  in
-  let workers =
-    Arg.(
-      value & opt int 2
-      & info [ "workers" ] ~docv:"N" ~doc:"Worker subprocesses (>= 1).")
-  in
-  let lease_secs =
-    Arg.(
-      value & opt float Shard_worker.default_lease_secs
-      & info [ "lease-secs" ] ~docv:"SECS"
-          ~doc:"Heartbeat lease before a worker is presumed dead.")
-  in
-  let max_unit_retries =
-    Arg.(
-      value & opt int 3
-      & info [ "max-unit-retries" ] ~docv:"N"
-          ~doc:"Failed attempts before a unit is poisoned.")
-  in
-  let chaos =
-    Arg.(
-      value & flag
-      & info [ "chaos" ]
-          ~doc:
-            "Chaos mode: randomly SIGKILL and stall workers mid-campaign. \
-             The merged report must stay byte-identical.")
-  in
-  let ledger =
-    Arg.(
-      required
-      & opt (some string) None
-      & info [ "ledger" ] ~docv:"DIR" ~doc:"Work-ledger directory.")
-  in
-  let inject =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "inject" ] ~docv:"SPEC"
-          ~doc:"Fault-injection plan, forwarded to every worker.")
-  in
-  let quiet =
-    Arg.(value & flag & info [ "quiet" ] ~doc:"Suppress progress lines.")
-  in
-  let max_wall =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "max-wall-secs" ] ~docv:"SECS"
-          ~doc:"Abort (resumably) past this wall-clock budget.")
-  in
-  let doc =
-    "Fault-tolerant sharded reproduction: decompose the suite into \
-     ledger work units, farm them to supervised worker subprocesses, \
-     and merge a report byte-identical to a single-process run."
-  in
-  Cmd.v
-    (Cmd.info "campaign" ~doc)
-    Term.(
-      const campaign_run $ tier $ k $ seed_arg $ nmax $ fault_block
-      $ set_chunk $ circuits $ workers $ lease_secs $ max_unit_retries
-      $ chaos $ ledger $ inject $ quiet $ max_wall $ samples_arg
-      $ strata_arg $ confidence_arg)
-
-let worker_run ledger worker_id lease_secs inject =
-  (match inject with
-  | None -> ()
-  | Some spec -> (
-    match Supervise.parse_injection_spec spec with
-    | Ok plan -> Supervise.set_injection plan
-    | Error message ->
-      prerr_endline message;
-      exit 2));
-  exit (Shard_worker.run ~lease_secs ~dir:ledger ~worker_id ())
-
-let worker_cmd =
-  let ledger =
-    Arg.(
-      required
-      & opt (some string) None
-      & info [ "ledger" ] ~docv:"DIR" ~doc:"Work-ledger directory.")
-  in
-  let worker_id =
-    Arg.(
-      required
-      & opt (some string) None
-      & info [ "worker-id" ] ~docv:"ID" ~doc:"Ledger identity of this worker.")
-  in
-  let lease_secs =
-    Arg.(
-      value & opt float Shard_worker.default_lease_secs
-      & info [ "lease-secs" ] ~docv:"SECS" ~doc:"Heartbeat lease.")
-  in
-  let inject =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "inject" ] ~docv:"SPEC" ~doc:"Fault-injection plan.")
-  in
-  let doc =
-    "Campaign worker subprocess (normally spawned by $(b,ndetect \
-     campaign)): claim, compute and record ledger work units until the \
-     campaign drains."
-  in
-  Cmd.v
-    (Cmd.info "worker" ~doc)
-    Term.(const worker_run $ ledger $ worker_id $ lease_secs $ inject)
 
 (* serve / client *)
 
@@ -1383,7 +1176,7 @@ let main_cmd =
     [
       list_cmd; analyze_cmd; average_cmd; atpg_cmd; tables_cmd; check_cmd;
       synth_cmd; dot_cmd; evaluate_cmd; partition_cmd; transition_cmd;
-      equiv_cmd; scoap_cmd; campaign_cmd; worker_cmd; serve_cmd; client_cmd;
+      equiv_cmd; scoap_cmd; serve_cmd; client_cmd;
     ]
 
 let () =

@@ -458,10 +458,15 @@ let shrink ?mutate spec0 =
     in
     go spec0 d0
 
+let max_pi_limit = 12
+
 let run ?(mutate = false) ~circuits ~seed ~max_pi () =
   if circuits < 1 then invalid_arg "Campaign.run: circuits < 1";
-  if max_pi < 1 || max_pi > 12 then
-    invalid_arg "Campaign.run: max_pi must be in 1..12 (exhaustive oracle)";
+  if max_pi < 1 || max_pi > max_pi_limit then
+    invalid_arg
+      (Printf.sprintf
+         "Campaign.run: max_pi must be in 1..%d (exhaustive oracle)"
+         max_pi_limit);
   let rng = Rng.create ~seed in
   let failures = ref [] in
   for _ = 1 to circuits do

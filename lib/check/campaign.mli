@@ -76,10 +76,15 @@ val shrink :
     then a smaller seed) while it keeps diverging. Raises
     [Invalid_argument] if the spec does not diverge. *)
 
+val max_pi_limit : int
+(** [12]: the largest [max_pi] {!run} accepts (the oracle is
+    exhaustive). *)
+
 val run :
   ?mutate:bool -> circuits:int -> seed:int -> max_pi:int -> unit -> report
 (** Run a campaign of [circuits] random circuits with at most [max_pi]
-    primary inputs. Deterministic in [seed]. *)
+    primary inputs. Deterministic in [seed]. Raises [Invalid_argument]
+    unless [circuits >= 1] and [1 <= max_pi <= max_pi_limit]. *)
 
 val render : report -> string
 (** Human-readable summary (campaign size, each failing spec with its

@@ -44,42 +44,6 @@ let summary_of_worst ~name worst =
     hard_histogram = Worst_case.histogram worst ~min_value:11;
   }
 
-(* The same summary computed from a bare nmin distribution (the form a
-   sharded campaign merges from fault-block slices): must agree with
-   [summary_of_worst] field for field, which the test suite pins. *)
-let summary_of_nmin ~name ~target_faults nmin =
-  let total = Array.length nmin in
-  let count_below n0 =
-    Array.fold_left (fun acc v -> if v <= n0 then acc + 1 else acc) 0 nmin
-  in
-  let count_at_least n0 =
-    Array.fold_left (fun acc v -> if v >= n0 then acc + 1 else acc) 0 nmin
-  in
-  let percent count =
-    if total = 0 then 0.0 else 100.0 *. float_of_int count /. float_of_int total
-  in
-  {
-    circuit = name;
-    untargeted_faults = total;
-    target_faults;
-    percent_below =
-      List.map
-        (fun n0 -> (n0, percent (count_below n0)))
-        worst_thresholds_below;
-    count_at_least =
-      List.map
-        (fun n0 -> (n0, count_at_least n0, percent (count_at_least n0)))
-        worst_thresholds_at_least;
-    max_finite_nmin =
-      Array.fold_left
-        (fun acc v ->
-          if v = Worst_case.unbounded then acc
-          else match acc with None -> Some v | Some m -> Some (max m v))
-        None nmin;
-    unbounded_count = count_at_least Worst_case.unbounded;
-    hard_histogram = Worst_case.histogram_of_nmin nmin ~min_value:11;
-  }
-
 let analyze ?(cancel = Ndetect_util.Cancel.none) ?build ~name net =
   let table =
     match build with

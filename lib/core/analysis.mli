@@ -48,13 +48,6 @@ val analyze :
 
 val summary_of_worst : name:string -> Worst_case.t -> worst_summary
 
-val summary_of_nmin :
-  name:string -> target_faults:int -> int array -> worst_summary
-(** The same summary computed from a bare nmin distribution (e.g. one
-    merged from {!Worst_case.compute_slice} fault blocks) plus the
-    target-fault count. Agrees with {!summary_of_worst} field for field
-    when given [Worst_case.distribution]. *)
-
 val hard_faults : t -> nmax:int -> int array
 (** Indices of untargeted faults with [nmin > nmax] — the population of
     Tables 3, 5 and 6 (for nmax = 10: nmin >= 11). *)

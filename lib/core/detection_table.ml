@@ -215,25 +215,35 @@ let build ?(keep_undetectable_targets = false)
     let untargeted =
       match model with
       | Four_way ->
-        (* A victim's stem fault is a member of some target's class, so
-           structurally equivalent to it: it has the target's set. *)
-        let target_of = Hashtbl.create (2 * Array.length stuck_sets) in
-        Array.iteri
-          (fun i (_, members) ->
-            List.iter (fun f -> Hashtbl.replace target_of f i) members)
-          stuck_classes;
-        let stem_set f =
-          Option.map (Array.get stuck_sets) (Hashtbl.find_opt target_of f)
+        (* "table.sim.bridges" lists the faults: the bridges, the
+           victims' stem-set lookup and the boxed fault array. *)
+        let faults, bridges, stem_set, victims =
+          Telemetry.with_span "table.sim.bridges" @@ fun () ->
+          (* A victim's stem fault is a member of some target's class,
+             so structurally equivalent to it: it has the target's
+             set. *)
+          let target_of = Hashtbl.create (2 * Array.length stuck_sets) in
+          Array.iteri
+            (fun i (_, members) ->
+              List.iter (fun f -> Hashtbl.replace target_of f i) members)
+            stuck_classes;
+          let stem_set f =
+            Option.map (Array.get stuck_sets) (Hashtbl.find_opt target_of f)
+          in
+          let bridges = Bridge.enumerate net in
+          let is_victim = Array.make (Netlist.node_count net) false in
+          Array.iter
+            (fun (b : Bridge.t) -> is_victim.(b.victim) <- true)
+            bridges;
+          let victims =
+            Array.fold_left (fun n v -> n + Bool.to_int v) 0 is_victim
+          in
+          ( Array.map (fun b -> Bridge_fault b) bridges,
+            bridges,
+            stem_set,
+            victims )
         in
-        let bridges = Bridge.enumerate net in
-        let is_victim = Array.make (Netlist.node_count net) false in
-        Array.iter
-          (fun (b : Bridge.t) -> is_victim.(b.victim) <- true)
-          bridges;
-        let victims =
-          Array.fold_left (fun n v -> n + Bool.to_int v) 0 is_victim
-        in
-        ( Array.map (fun b -> Bridge_fault b) bridges,
+        ( faults,
           Telemetry.with_span "table.sim.untargeted"
             ~args:
               [

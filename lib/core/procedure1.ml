@@ -299,8 +299,7 @@ let make_shared ?report_faults table config =
 (* One pre-split stream per set, split in set order (explicit loop:
    Array.init's evaluation order is unspecified): the root generator
    never crosses domains, and stream k is the same whatever the
-   chunking — or, for the sharded campaign, whatever process computes
-   it. *)
+   chunking. *)
 let split_streams ~seed ~count =
   let root = Rng.create ~seed in
   let rngs = Array.make count root in
@@ -310,9 +309,7 @@ let split_streams ~seed ~count =
   rngs
 
 (* d(n, g) = #sets whose first detection of g happened at iteration
-   <= n: bucket the first-detection iterations, then prefix-sum. Both
-   steps are additive over any partition of the sets, which is what
-   makes the campaign's K-chunk merge exact. *)
+   <= n: bucket the first-detection iterations, then prefix-sum. *)
 let aggregate_detected ~nmax ~report_len per_set =
   let detected = Array.init nmax (fun _ -> Array.make report_len 0) in
   Array.iter
@@ -387,36 +384,6 @@ let run ?(cancel = Ndetect_util.Cancel.none) ?domains ?report_faults table
       per_set
   in
   { config; report; report_pos; detected; sets }
-
-let run_slice ?(cancel = Ndetect_util.Cancel.none) ?report_faults table
-    config ~lo ~hi =
-  if config.set_count < 1 || config.nmax < 1 then
-    invalid_arg "Procedure1.run_slice: bad config";
-  if lo < 0 || hi < lo || hi > config.set_count then
-    invalid_arg "Procedure1.run_slice: bad range";
-  Telemetry.with_span "procedure1.slice"
-    ~args:
-      [
-        ("lo", string_of_int lo);
-        ("hi", string_of_int hi);
-        ("mode", mode_name config.mode);
-      ]
-  @@ fun () ->
-  let sh, report, _report_pos = make_shared ?report_faults table config in
-  (* Stream k is obtained by splitting the root k + 1 times, so a slice
-     only needs the prefix of splits up to [hi] — set k's set is then
-     bit-identical whichever process (or chunking) computes it. *)
-  let rngs = split_streams ~seed:config.seed ~count:hi in
-  let def2 =
-    match config.mode with
-    | Definition2 -> Some (Definition2.create table)
-    | Definition1 | Multi_output -> None
-  in
-  let per_set =
-    Array.init (hi - lo) (fun i -> run_one cancel sh def2 rngs.(lo + i))
-  in
-  aggregate_detected ~nmax:config.nmax ~report_len:(Array.length report)
-    per_set
 
 let config o = o.config
 let report_faults o = Array.copy o.report

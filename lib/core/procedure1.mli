@@ -51,19 +51,6 @@ val run :
     outcome is bit-identical for every [domains] value, including the
     sequential [domains = 1] path. *)
 
-val run_slice :
-  ?cancel:Ndetect_util.Cancel.token ->
-  ?report_faults:int array ->
-  Detection_table.t -> config -> lo:int -> hi:int -> int array array
-(** The K-chunk work unit of the sharded campaign runner: construct
-    only sets [lo <= k < hi] (from the same per-set split streams as
-    {!run} with [config.set_count] = K) and return their detection
-    matrix [d] with [d.(n - 1).(pos)] = how many of these sets detect
-    report fault [pos] within n iterations. Summing the matrices of any
-    partition of [0, K) elementwise equals the full run's
-    {!detected_count} table exactly, so a multi-process merge is
-    bit-identical to a single {!run}. *)
-
 val config : outcome -> config
 val report_faults : outcome -> int array
 

@@ -4,8 +4,9 @@ module Telemetry = Ndetect_util.Telemetry
 (* Kernel calls = blocks swept; early exits = scans cut short by the
    N-ascending bound. Both are per-unique-detection-set totals, so
    they are identical for every domain count. Only table scans (the
-   [worst.compute*] spans) count: e2ebench divides these totals by the
-   faults those spans cover, so scans of plain set arrays stay out. *)
+   [worst.compute] span) count: e2ebench divides these totals by the
+   faults that span covers, so scans against other target sets stay
+   out. *)
 let c_kernel_calls = Telemetry.Counter.create "worst.kernel_calls"
 let c_early_exits = Telemetry.Counter.create "worst.early_exits"
 
@@ -63,28 +64,16 @@ let make_scanner ~tally cancel (layout : Detection_table.target_layout) =
     end;
     (out.(0), if out.(1) < 0 then -1 else layout.rep.(out.(1)))
 
-(* nmin depends on T(g) alone, so each distinct set is scanned once:
-   [group.(i)] indexes [unique] for the [i]-th fault of the range, and
-   the results are expanded back to one per fault. *)
-let scan_groups per_set unique group =
-  let results = Ndetect_util.Parallel.map_array per_set unique in
-  ( Array.map (fun u -> fst results.(u)) group,
-    Array.map (fun u -> snd results.(u)) group )
-
-(* Plain set arrays are grouped by the content index. *)
-let scan_sets per_set sets =
-  let index = Bitvec.Index.create 1024 in
-  let group = Array.map (Bitvec.Index.add index) sets in
-  scan_groups per_set (Bitvec.Index.to_array index) group
-
-(* A table already knows its distinct sets: the faults of the range are
-   grouped by class, renumbered in first-seen order, with no hashing. *)
-let scan_classes per_set table ~lo ~hi =
+(* nmin depends on T(g) alone, and a table already knows its distinct
+   sets: each untargeted class is scanned once, with the classes
+   renumbered in first-seen order, and the results are expanded back to
+   one per fault. *)
+let scan_classes per_set table =
   let local = Array.make (Detection_table.untargeted_class_count table) (-1) in
   let unique = ref [] and unique_count = ref 0 in
   let group =
-    Array.init (hi - lo) (fun i ->
-        let c = Detection_table.untargeted_class table (lo + i) in
+    Array.init (Detection_table.untargeted_count table) (fun gj ->
+        let c = Detection_table.untargeted_class table gj in
         if local.(c) < 0 then begin
           local.(c) <- !unique_count;
           unique := Detection_table.untargeted_class_set table c :: !unique;
@@ -92,41 +81,29 @@ let scan_classes per_set table ~lo ~hi =
         end;
         local.(c))
   in
-  scan_groups per_set (Array.of_list (List.rev !unique)) group
+  let results =
+    Ndetect_util.Parallel.map_array per_set (Array.of_list (List.rev !unique))
+  in
+  ( Array.map (fun u -> fst results.(u)) group,
+    Array.map (fun u -> snd results.(u)) group )
 
-let scan_table cancel table ~lo ~hi =
+let nmin_of_classes ?(cancel = Ndetect_util.Cancel.none) ~target_sets table =
+  let per_set =
+    make_scanner ~tally:false cancel
+      (Detection_table.layout_of_sets target_sets)
+  in
+  fst (scan_classes per_set table)
+
+let compute ?(cancel = Ndetect_util.Cancel.none) table =
+  Telemetry.with_span "worst.compute"
+    ~args:
+      [ ("untargeted", string_of_int (Detection_table.untargeted_count table)) ]
+  @@ fun () ->
   let per_set =
     make_scanner ~tally:true cancel (Detection_table.target_layout table)
   in
-  scan_classes per_set table ~lo ~hi
-
-let plain_scanner cancel target_sets =
-  make_scanner ~tally:false cancel (Detection_table.layout_of_sets target_sets)
-
-let nmin_of_sets ?(cancel = Ndetect_util.Cancel.none) ~target_sets
-    ~untargeted_sets () =
-  fst (scan_sets (plain_scanner cancel target_sets) untargeted_sets)
-
-let nmin_of_classes ?(cancel = Ndetect_util.Cancel.none) ~target_sets table =
-  fst
-    (scan_classes (plain_scanner cancel target_sets) table ~lo:0
-       ~hi:(Detection_table.untargeted_count table))
-
-let compute ?(cancel = Ndetect_util.Cancel.none) table =
-  let g_count = Detection_table.untargeted_count table in
-  Telemetry.with_span "worst.compute"
-    ~args:[ ("untargeted", string_of_int g_count) ]
-  @@ fun () ->
-  let nmin, witness = scan_table cancel table ~lo:0 ~hi:g_count in
+  let nmin, witness = scan_classes per_set table in
   { table; nmin; witness }
-
-let compute_slice ?(cancel = Ndetect_util.Cancel.none) table ~lo ~hi =
-  let g_count = Detection_table.untargeted_count table in
-  if lo < 0 || hi < lo || hi > g_count then
-    invalid_arg "Worst_case.compute_slice: bad range";
-  Telemetry.with_span "worst.compute_slice"
-    ~args:[ ("lo", string_of_int lo); ("hi", string_of_int hi) ]
-  @@ fun () -> if lo = hi then [||] else fst (scan_table cancel table ~lo ~hi)
 
 let table t = t.table
 

@@ -18,37 +18,15 @@ val compute : ?cancel:Ndetect_util.Cancel.token -> Detection_table.t -> t
 (** Scans each untargeted class ({!Detection_table.untargeted_class})
     once. [cancel] is polled once per class. *)
 
-val nmin_of_sets :
-  ?cancel:Ndetect_util.Cancel.token ->
-  target_sets:Ndetect_util.Bitvec.t array ->
-  untargeted_sets:Ndetect_util.Bitvec.t array -> unit -> int array
-(** [nmin(g_j)] for every [untargeted_sets.(j)] against [target_sets]:
-    the scan {!compute} runs, over plain set arrays (all of one length)
-    instead of a table — the sampled estimator and the campaign merge
-    scan the sets of a sample. Opens no span and leaves the
-    [worst.kernel_calls]/[worst.early_exits] counters alone (those count
-    table scans only); [cancel] is polled once per distinct untargeted
-    set. *)
-
 val nmin_of_classes :
   ?cancel:Ndetect_util.Cancel.token ->
   target_sets:Ndetect_util.Bitvec.t array -> Detection_table.t -> int array
 (** [nmin(g_j)] for every untargeted fault of the table against
-    [target_sets] (plain sets of the table's universe, not necessarily
-    the table's own): each untargeted class is scanned once, as
-    {!compute} does, with no span and no [worst.*] counts, as
-    {!nmin_of_sets} does. The sampled estimator scans its table this
-    way. *)
-
-val compute_slice :
-  ?cancel:Ndetect_util.Cancel.token ->
-  Detection_table.t -> lo:int -> hi:int -> int array
-(** [nmin(g_j)] for the untargeted faults [lo <= g_j < hi] only —
-    exactly [Array.sub (distribution (compute table)) lo (hi - lo)],
-    since each scan is a pure read of the table. The fault-block work
-    unit of the sharded campaign runner: concatenating the slices of
-    any partition of [0, untargeted_count) rebuilds the full
-    distribution bit for bit. *)
+    [target_sets] (plain sets of the table's universe, all of one
+    length, not necessarily the table's own): each untargeted class is
+    scanned once, as {!compute} does, but with no span and no
+    [worst.*] counts (those count table scans only). [cancel] is polled
+    once per class. The sampled estimator scans its table this way. *)
 
 val debug_skip_first_block : bool ref
 (** Test-only sabotage hook: when set, every scan starts at the second
@@ -94,8 +72,8 @@ val histogram : t -> min_value:int -> (int * int) list
     Figure 2. *)
 
 val histogram_of_nmin : int array -> min_value:int -> (int * int) list
-(** {!histogram} of a bare nmin distribution (e.g. one merged from
-    {!compute_slice} blocks). *)
+(** {!histogram} of a bare nmin distribution (e.g. the concatenated
+    distributions of a partition's blocks). *)
 
 val distribution : t -> int array
 (** All [nmin(g_j)] values, indexed by [g_j]. *)

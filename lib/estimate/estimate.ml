@@ -77,25 +77,6 @@ let check_inputs ~name net =
 (* 2^bits exactly (bits <= 61, so this is an exact float). *)
 let universe_float bits = Float.ldexp 1.0 bits
 
-(* The estimator's one reduction, over either input form: nmin from the
-   worst-case scanner, inside an [est.scan] span, as dmin = nmin - 1. *)
-let scan_span ~targets ~untargeted nmin =
-  Telemetry.with_span "est.scan"
-    ~args:
-      [
-        ("targets", string_of_int targets);
-        ("untargeted", string_of_int untargeted);
-      ]
-  @@ fun () ->
-  Array.map
-    (fun n -> if n = Worst_case.unbounded then -1 else n - 1)
-    (nmin ())
-
-let scan ?(cancel = Cancel.none) ~target_sets ~untargeted_sets () =
-  scan_span ~targets:(Array.length target_sets)
-    ~untargeted:(Array.length untargeted_sets) (fun () ->
-      Worst_case.nmin_of_sets ~cancel ~target_sets ~untargeted_sets ())
-
 let debug_corrupt_scan = ref false
 
 (* The sabotage [debug_corrupt_scan] arms: give a private copy of the
@@ -123,11 +104,6 @@ let target_sets table =
     (Detection_table.target_count table)
     (Detection_table.target_set table)
 
-let table_sets table =
-  ( target_sets table,
-    Array.init (Detection_table.untargeted_count table)
-      (Detection_table.untargeted_set table) )
-
 (* Sampled tables keep every fault — a set empty in the sample need not
    be empty in truth, and the calibration oracle indexes faults
    positionally against an exhaustive table built with the same
@@ -136,20 +112,14 @@ let build_sampled_table ~cancel ~vectors net =
   Detection_table.build ~keep_undetectable_targets:true
     ~keep_undetectable_untargeted:true ~cancel ~vectors net
 
-let draw_counted ~universe_bits ~spec ~seed ~lo ~hi =
-  let vectors =
-    Sampler.draw_range ~universe_bits ~samples:spec.Spec.samples
-      ~strata:(effective_strata ~spec ~universe_bits)
-      ~seed ~lo ~hi
-  in
-  Telemetry.Counter.add c_samples (Array.length vectors);
-  Telemetry.Counter.add c_strata (hi - lo);
-  vectors
-
 let analyze ?(cancel = Cancel.none) ~spec ~seed ~name net =
   let universe_bits = check_inputs ~name net in
   let strata = effective_strata ~spec ~universe_bits in
-  let vectors = draw_counted ~universe_bits ~spec ~seed ~lo:0 ~hi:strata in
+  let vectors =
+    Sampler.draw ~universe_bits ~samples:spec.Spec.samples ~strata ~seed
+  in
+  Telemetry.Counter.add c_samples (Array.length vectors);
+  Telemetry.Counter.add c_strata strata;
   let table = build_sampled_table ~cancel ~vectors net in
   let target_sets = target_sets table in
   let scanned_sets =
@@ -162,12 +132,21 @@ let analyze ?(cancel = Cancel.none) ~spec ~seed ~name net =
            (Detection_table.untargeted_class_set table))
     else target_sets
   in
-  (* [scan] by the table's untargeted classes: each distinct set is
-     scanned once, and no per-fault set array is built. *)
+  (* dmin = nmin - 1 from the worst-case scan of the table's untargeted
+     classes: each distinct set is scanned once, and no per-fault set
+     array is built. *)
   let dmin =
-    scan_span ~targets:(Array.length target_sets)
-      ~untargeted:(Detection_table.untargeted_count table) (fun () ->
-        Worst_case.nmin_of_classes ~cancel ~target_sets:scanned_sets table)
+    Telemetry.with_span "est.scan"
+      ~args:
+        [
+          ("targets", string_of_int (Array.length target_sets));
+          ( "untargeted",
+            string_of_int (Detection_table.untargeted_count table) );
+        ]
+    @@ fun () ->
+    Array.map
+      (fun n -> if n = Worst_case.unbounded then -1 else n - 1)
+      (Worst_case.nmin_of_classes ~cancel ~target_sets:scanned_sets table)
   in
   {
     name;
@@ -232,8 +211,8 @@ type summary = {
   unbounded_count : int;
 }
 
-let summary_of_scan ~name ~spec ~universe_bits ~target_faults ~dmin =
-  let z = Interval.z_of_confidence spec.Spec.confidence in
+let summary (t : t) =
+  let { name; spec; universe_bits; dmin; z; target_k; _ } = t in
   let u = universe_float universe_bits in
   let samples = spec.Spec.samples in
   let total = Array.length dmin in
@@ -263,72 +242,9 @@ let summary_of_scan ~name ~spec ~universe_bits ~target_faults ~dmin =
     spec;
     universe_bits;
     strata_used = effective_strata ~spec ~universe_bits;
-    target_faults;
+    target_faults = Array.length target_k;
     untargeted_faults = total;
     percent_below;
     unbounded_count =
       Array.fold_left (fun acc d -> if d < 0 then acc + 1 else acc) 0 dmin;
   }
-
-let summary t =
-  summary_of_scan ~name:t.name ~spec:t.spec ~universe_bits:t.universe_bits
-    ~target_faults:(Array.length t.target_k) ~dmin:t.dmin
-
-type slice = {
-  slice_lo : int;
-  slice_hi : int;
-  positions : int;
-  slice_target_sets : Bitvec.t array;
-  slice_untargeted_sets : Bitvec.t array;
-}
-
-let stratum_slice ?(cancel = Cancel.none) ~spec ~seed ~lo ~hi net =
-  let universe_bits = check_inputs ~name:"stratum_slice" net in
-  let vectors = draw_counted ~universe_bits ~spec ~seed ~lo ~hi in
-  let table = build_sampled_table ~cancel ~vectors net in
-  let slice_target_sets, slice_untargeted_sets = table_sets table in
-  {
-    slice_lo = lo;
-    slice_hi = hi;
-    positions = Array.length vectors;
-    slice_target_sets;
-    slice_untargeted_sets;
-  }
-
-let concat_slices ~spec slices =
-  let fail fmt = Printf.ksprintf invalid_arg ("Estimate.concat_slices: " ^^ fmt) in
-  match slices with
-  | [] -> fail "no slices"
-  | first :: rest ->
-    let tcount = Array.length first.slice_target_sets in
-    let gcount = Array.length first.slice_untargeted_sets in
-    let _ =
-      List.fold_left
-        (fun expected_lo s ->
-          if s.slice_lo <> expected_lo then
-            fail "stratum ranges not contiguous (gap or overlap at %d)"
-              s.slice_lo;
-          if
-            Array.length s.slice_target_sets <> tcount
-            || Array.length s.slice_untargeted_sets <> gcount
-          then fail "slices disagree on fault counts";
-          s.slice_hi)
-        first.slice_lo (first :: rest)
-    in
-    let total = List.fold_left (fun acc s -> acc + s.positions) 0 slices in
-    if total <> spec.Spec.samples then
-      fail "slices hold %d positions, expected %d samples" total
-        spec.Spec.samples;
-    let concat count get =
-      Array.init count (fun i ->
-          let full = Bitvec.create total in
-          let offset = ref 0 in
-          List.iter
-            (fun s ->
-              Bitvec.iter_set (get s i) (fun v -> Bitvec.set full (!offset + v));
-              offset := !offset + s.positions)
-            slices;
-          full)
-    in
-    ( concat tcount (fun s i -> s.slice_target_sets.(i)),
-      concat gcount (fun s i -> s.slice_untargeted_sets.(i)) )

@@ -18,10 +18,10 @@
     The sampled detection table is an ordinary {!Detection_table.t}
     whose universe is the sample (sets indexed by sample position), so
     Procedure 1 and the rest of the average-case machinery run on it
-    unchanged. Sampling is deterministic per seed and shardable by
-    stratum range; tables are built with both [keep_undetectable_*]
-    flags so fault indices align with an exhaustive table of the same
-    netlist (the calibration oracle relies on this). *)
+    unchanged. Sampling is deterministic per seed; tables are built
+    with both [keep_undetectable_*] flags so fault indices align with
+    an exhaustive table of the same netlist (the calibration oracle
+    relies on this). *)
 
 module Netlist = Ndetect_circuit.Netlist
 module Bitvec = Ndetect_util.Bitvec
@@ -52,8 +52,7 @@ end
 val effective_strata : spec:Spec.t -> universe_bits:int -> int
 (** [min spec.strata 2^universe_bits]: a stratum must hold at least one
     vector, so tiny circuits clamp the stratum count (deterministically —
-    the clamp depends only on the spec and the PI count). Every consumer
-    (direct analysis, campaign unit enumeration, merge) uses this. *)
+    the clamp depends only on the spec and the PI count). *)
 
 type t
 
@@ -61,9 +60,10 @@ val analyze :
   ?cancel:Ndetect_util.Cancel.token ->
   spec:Spec.t -> seed:int -> name:string -> Netlist.t -> t
 (** Draw the stratified sample, build the sampled detection table and
-    {!scan} it by its untargeted classes
+    scan it by its untargeted classes with the worst-case scanner
     ({!Ndetect_core.Worst_case.nmin_of_classes}: one scan per distinct
-    set, no per-fault set array). The result is identical for every
+    set, N-ascending early exit, blocked kernel, no per-fault set
+    array) inside an [est.scan] span. The result is identical for every
     [--domains] value. Fails (ordinary [Failure], caught by the
     supervised harness) when the circuit has no inputs or more than
     {!Sampler.max_inputs} of them. *)
@@ -101,25 +101,6 @@ val hard_faults : t -> nmax:int -> int array
     sample cannot bound included) — the report population handed to
     Procedure 1, mirroring [Analysis.hard_faults]. *)
 
-(** {2 The shared scan}
-
-    [scan] is the estimator's one reduction: {!analyze} runs it on the
-    freshly built table's classes and the campaign merge on reassembled
-    set slices (slices from different processes share no class
-    numbering), so the two agree by construction. *)
-
-val scan :
-  ?cancel:Ndetect_util.Cancel.token ->
-  target_sets:Bitvec.t array -> untargeted_sets:Bitvec.t array -> unit ->
-  int array
-(** [dmin] per untargeted set: [min over f with m_gf > 0 of
-    (k_f - m_gf)], or [-1] when no target set intersects. Over the
-    sample this is the worst-case [nmin(g) - 1], so it runs the
-    worst-case scanner ({!Ndetect_core.Worst_case.nmin_of_sets}: dedup,
-    N-ascending early exit, blocked kernel) inside an [est.scan] span.
-    A pure read, parallel over distinct untargeted sets; the result is
-    identical for every [--domains] value. *)
-
 (** {2 Summaries} *)
 
 type summary = {
@@ -140,37 +121,4 @@ type summary = {
       (** Untargeted faults whose [nmin] the sample cannot bound. *)
 }
 
-val summary_of_scan :
-  name:string -> spec:Spec.t -> universe_bits:int -> target_faults:int ->
-  dmin:int array -> summary
-(** The summary from bare {!scan} output — the form the campaign merge
-    uses on reassembled slices; [summary] of an analysis equals it field
-    for field. *)
-
 val summary : t -> summary
-
-(** {2 Sharding} *)
-
-type slice = {
-  slice_lo : int;
-  slice_hi : int;  (** The stratum range this slice covers. *)
-  positions : int;  (** Vectors drawn — [sum (allocation lo..hi-1)]. *)
-  slice_target_sets : Bitvec.t array;
-  slice_untargeted_sets : Bitvec.t array;
-}
-(** The campaign work unit's product: detection-set slices over this
-    stratum range's vectors, in sample-position order. Plain data
-    ([Bitvec.t] marshals), carried in ledger records. *)
-
-val stratum_slice :
-  ?cancel:Ndetect_util.Cancel.token ->
-  spec:Spec.t -> seed:int -> lo:int -> hi:int -> Netlist.t -> slice
-(** Draw only strata [lo <= i < hi] and build their sampled table.
-    Same input validation as {!analyze}. *)
-
-val concat_slices : spec:Spec.t -> slice list -> Bitvec.t array * Bitvec.t array
-(** Reassemble full-sample [(target_sets, untargeted_sets)] from
-    slices in ascending contiguous stratum order (shifting each slice
-    by the positions before it). Raises [Invalid_argument] on gaps,
-    overlaps, shape mismatches or a total position count differing from
-    [spec.samples] — a merge-integrity failure, not a user error. *)

@@ -8,9 +8,8 @@
     what {!Interval} assumes. Each stratum draws from its own
     {!Ndetect_util.Rng.split} stream (split in stratum order from the
     base seed), so any contiguous range of strata can be drawn
-    independently of the rest: a campaign worker drawing strata
-    [lo..hi) produces exactly the vectors a single process would have
-    drawn for those strata. *)
+    independently of the rest: drawing strata [lo..hi) produces exactly
+    the vectors the full sample holds for those strata. *)
 
 val max_inputs : int
 (** [61]. Stratum bounds are OCaml ints, so the largest representable
@@ -32,9 +31,10 @@ val draw_range :
   universe_bits:int -> samples:int -> strata:int -> seed:int ->
   lo:int -> hi:int -> int array
 (** The vectors of strata [lo <= i < hi], concatenated in stratum
-    order — the sharded work unit. [draw_range ~lo:0 ~hi:strata] is the
-    full sample, and concatenating the results of any ascending
-    partition of [0, strata) reproduces it exactly. *)
+    order. [draw_range ~lo:0 ~hi:strata] is the full sample, and
+    concatenating the results of any ascending partition of
+    [0, strata) reproduces it exactly: this is what defines each
+    stratum's own stream. *)
 
 val draw : universe_bits:int -> samples:int -> strata:int -> seed:int ->
   int array

@@ -385,9 +385,6 @@ let load_source ?(scheme = Encode.Binary) source =
       friendly ~file:spec (Ndetect_netparse.Blif.parse_file_result spec)
     else friendly ~file:spec (Bench_format.parse_file_result spec)
 
-let detection_table ~cache_dir ?cancel net =
-  Table_cache.table ~dir:cache_dir ?cancel net
-
 let table_builder ~cache_dir =
   Option.map
     (fun dir -> fun ~cancel net -> Table_cache.table ~dir ~cancel net)

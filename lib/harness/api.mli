@@ -174,14 +174,6 @@ val table_builder :
 (** The cache-aware builder {!Analysis.analyze} takes: [None] without a
     cache directory (build by fault simulation every time). *)
 
-val detection_table :
-  cache_dir:string ->
-  ?cancel:Ndetect_util.Cancel.token ->
-  Netlist.t ->
-  Detection_table.t
-(** Load-or-build through the cache — the one-stop shop for callers
-    outside [run] (the sharded campaign's workers use this). *)
-
 val run :
   ?build:
     (cancel:Ndetect_util.Cancel.token -> Netlist.t -> Detection_table.t) ->

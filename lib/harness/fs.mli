@@ -1,5 +1,5 @@
 (** Crash-safe filesystem helpers shared by the on-disk stores
-    ({!Checkpoint}, {!Table_cache}, the shard ledger) and CSV output. *)
+    ({!Checkpoint}, {!Table_cache}) and CSV output. *)
 
 val mkdir_recursive : string -> unit
 (** [mkdir -p]: creates missing ancestors; concurrent creation of the

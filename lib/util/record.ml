@@ -83,10 +83,10 @@ let hex64 s =
 
 (* Every check but the digest, over [prefix] — the record's first
    bytes, at least through the pad when the record is well formed — of
-   a record [size] bytes long. [key_ok] vets the header's key. The
-   version is read first and alone: a newer version may have changed
-   everything after it. *)
-let parse ~kind ~key_ok ~size prefix =
+   a record [size] bytes long, bound to [key]. The version is read
+   first and alone: a newer version may have changed everything after
+   it. *)
+let parse ~kind ~key ~size prefix =
   let m = magic kind in
   let mlen = String.length m in
   if not (String.starts_with ~prefix:m prefix) then Error Damaged
@@ -104,7 +104,7 @@ let parse ~kind ~key_ok ~size prefix =
         match String.split_on_char ' ' (String.sub prefix mlen (nl - mlen)) with
         | [ _; k; len; hex ] -> (
           match (count len, hex64 hex) with
-          | Some len, Some digest when key_ok k ->
+          | Some len, Some digest when String.equal k key ->
             let off = align8 (nl + 1) in
             if size < off || size - off <> len || String.length prefix < off
             then Error Damaged
@@ -112,23 +112,18 @@ let parse ~kind ~key_ok ~size prefix =
               String.exists (( <> ) '\000')
                 (String.sub prefix (nl + 1) (off - nl - 1))
             then Error Damaged
-            else Ok (k, { off; len; digest })
+            else Ok { off; len; digest }
           | _ -> Error Damaged)
         | _ -> Error Damaged))
     | _ -> Error Damaged
 
-let decode_with ~kind ~key_ok raw =
-  match parse ~kind ~key_ok ~size:(String.length raw) raw with
-  | Error _ as e -> e
-  | Ok (key, { off; len; digest }) ->
-    if Int64.equal (digest_sub raw ~off ~len) digest then
-      Ok (key, String.sub raw off len)
-    else Error Damaged
-
 let decode ~kind ~key raw =
-  Result.map snd (decode_with ~kind ~key_ok:(String.equal key) raw)
-
-let decode_keyed ~kind raw = decode_with ~kind ~key_ok:(( <> ) "") raw
+  match parse ~kind ~key ~size:(String.length raw) raw with
+  | Error _ as e -> e
+  | Ok { off; len; digest } ->
+    if Int64.equal (digest_sub raw ~off ~len) digest then
+      Ok (String.sub raw off len)
+    else Error Damaged
 
 let locate ~kind ~key ic =
   (* A well-formed header and pad fit in this many bytes: magic, key,
@@ -138,6 +133,5 @@ let locate ~kind ~key ic =
     let size = in_channel_length ic in
     (size, really_input_string ic (min size bound))
   with
-  | size, prefix ->
-    Result.map snd (parse ~kind ~key_ok:(String.equal key) ~size prefix)
+  | size, prefix -> parse ~kind ~key ~size prefix
   | exception (Sys_error _ | End_of_file) -> Error Damaged

@@ -1,6 +1,5 @@
 (** The one checksummed record container behind every persisted file:
-    table-cache entries ([.tbl]), checkpoint entries ([.ckpt]) and
-    campaign-ledger records ([.rec]).
+    table-cache entries ([.tbl]) and checkpoint entries ([.ckpt]).
 
     {v
     "ndetect-<kind>\n"
@@ -9,9 +8,9 @@
     payload (len bytes)
     v}
 
-    [kind] names what the payload is (["table"], ["checkpoint"],
-    ["units"], ...), [key] binds the record to its owner (a content
-    fingerprint or an entry name), and the digest is {!digest} of the
+    [kind] names what the payload is (["table"] or ["checkpoint"]),
+    [key] binds the record to its owner (a content fingerprint or an
+    entry name), and the digest is {!digest} of the
     payload. The pad puts the payload at an 8-byte-aligned file offset,
     so a reader can map it and verify it in one C pass
     ({!Kernel.verify_region}). This module is the only code that writes
@@ -47,10 +46,6 @@ val decode : kind:string -> key:string -> string -> (string, error) result
 (** The payload of a record's full bytes, after checking magic and kind,
     version, key, exact size, zero pad and digest, in that order. Never
     raises. *)
-
-val decode_keyed : kind:string -> string -> (string * string, error) result
-(** {!decode} for a reader that learns the key from the record itself:
-    [Ok (key, payload)], any non-empty key accepted. *)
 
 type span = { off : int; len : int; digest : int64 }
 (** Where a record's payload lies in its file, and its declared

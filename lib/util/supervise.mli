@@ -53,9 +53,9 @@ val run :
     A cooperative process-wide shutdown flag. {!install_sigterm}
     installs a handler that sets the flag and cancels the tokens of
     every in-flight {!run}, so the current unit of work unwinds at its
-    next poll point; already-persisted checkpoint / ledger records are
-    never lost because all stores are atomic. Long-running drivers
-    (the reproduction driver, campaign workers) consult {!terminating}
+    next poll point; already-persisted checkpoint records are never
+    lost because all stores are atomic. Long-running drivers (the
+    reproduction driver, the serve daemon) consult {!terminating}
     between units and exit with {!sigterm_exit_code}. *)
 
 val sigterm_exit_code : int
@@ -72,8 +72,7 @@ val terminating : unit -> bool
 
 val request_termination : unit -> unit
 (** Set the flag and cancel in-flight supervised tokens, exactly as
-    the signal handler does (exposed for tests and for coordinators
-    relaying a shutdown to their own loop). *)
+    the signal handler does (exposed for tests). *)
 
 (** {2 Deterministic fault injection}
 
@@ -81,12 +80,10 @@ val request_termination : unit -> unit
     calls {!inject} with its site name; with no plan installed (the
     default) this is a no-op costing one list lookup on an empty list.
     The reproduction driver names its sites ["analyze:<circuit>"],
-    ["table5:<circuit>"] and ["table6:<circuit>"]; the sharded campaign
-    runner adds ["unit:<unit-id>"] around each work unit and
-    ["ledger:claim"] / ["ledger:result"] / ["ledger:units"] /
-    ["checkpoint:store"] on its persistence paths, so I/O failures
-    (ENOSPC, EACCES, ...) can be injected end to end, not just compute
-    crashes. *)
+    ["table5:<circuit>"] and ["table6:<circuit>"], and the checkpoint
+    store adds ["checkpoint:store"] on its persistence path, so I/O
+    failures (ENOSPC, EACCES, ...) can be injected end to end, not just
+    compute crashes. *)
 
 type injection =
   | Inject_crash  (** Raise {!Injected} at the site. *)
@@ -116,4 +113,4 @@ val parse_injection_spec :
 (** Parse a command-line plan: comma-separated items, each
     ["crash=SITE"], ["stall=SITE:SECONDS"] or ["io=SITE:ERROR[:COUNT]"]
     (ERROR one of [enospc], [eacces], [eio], [eintr]; COUNT defaults to
-    1), e.g. ["crash=analyze:mc,io=ledger:result:enospc:2"]. *)
+    1), e.g. ["crash=analyze:mc,io=checkpoint:store:enospc:2"]. *)

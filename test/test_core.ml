@@ -154,12 +154,14 @@ let prop_nmin_guarantee =
          done;
          !ok))
 
-(* Random set arrays shaped to reach every branch of the shared
-   scanner: lengths of 1, 61-65 (word edges) and a few thousand, empty
-   sets, duplicate rows (shared and copied), and |T(g)| on both sides
-   of the sparse threshold. Drawn from one seed so a failure prints
-   compactly. *)
-let random_set_arrays seed =
+(* A random circuit's table over a random vector list, and random
+   target arrays over the same universe, shaped to reach every branch
+   of the table scan: universes of 1 vector, 61-65 (word edges) and a
+   few thousand, empty targets, duplicate rows (shared and copied, some
+   of them the table's own sets), sparse and dense rows, and empty
+   untargeted sets (the table keeps every fault). Drawn from one seed
+   so a failure prints compactly. *)
+let random_targets_and_table seed =
   let st = Random.State.make [| seed |] in
   let int bound = Random.State.int st bound in
   let len =
@@ -168,12 +170,19 @@ let random_set_arrays seed =
     | 1 | 2 -> 61 + int 5
     | _ -> 2000 + int 2000
   in
+  let inputs = 2 + int 5 in
+  let net = Helpers.random_circuit ~seed ~inputs ~gates:(1 + int 6) in
+  let table =
+    Detection_table.build ~keep_undetectable_targets:true
+      ~keep_undetectable_untargeted:true
+      ~vectors:(Array.init len (fun _ -> int (1 lsl inputs)))
+      net
+  in
   let fresh () =
     let v = Bitvec.create len in
     (match int 4 with
     | 0 -> ()
     | 1 ->
-      (* About the sparse threshold (64) once collisions are counted. *)
       for _ = 1 to 60 + int 12 do
         Bitvec.set v (int len)
       done
@@ -188,7 +197,16 @@ let random_set_arrays seed =
       done);
     v
   in
-  let pool = ref [||] in
+  let pool =
+    ref
+      (Array.append
+         (Array.init
+            (Detection_table.target_count table)
+            (Detection_table.target_set table))
+         (Array.init
+            (Detection_table.untargeted_class_count table)
+            (Detection_table.untargeted_class_set table)))
+  in
   let draw _ =
     if Array.length !pool > 0 && int 4 = 0 then
       let v = !pool.(int (Array.length !pool)) in
@@ -199,34 +217,34 @@ let random_set_arrays seed =
       v
     end
   in
-  let target_sets = Array.init (int 30) draw in
-  let untargeted_sets = Array.init (int 30) draw in
-  (target_sets, untargeted_sets)
+  (Array.init (int 30) draw, table)
 
-let prop_nmin_of_sets_naive =
-  QCheck.Test.make ~name:"nmin_of_sets = naive double loop" ~count:300
+let untargeted_sets table =
+  Array.init
+    (Detection_table.untargeted_count table)
+    (Detection_table.untargeted_set table)
+
+let prop_nmin_of_classes_naive =
+  QCheck.Test.make ~name:"nmin_of_classes = naive double loop" ~count:300
     (QCheck.make ~print:string_of_int QCheck.Gen.(int_bound 1_000_000))
     (fun seed ->
-      let target_sets, untargeted_sets = random_set_arrays seed in
-      Worst_case.nmin_of_sets ~target_sets ~untargeted_sets ()
-      = Ndetect_check.Ref_worst.nmin_of_sets ~target_sets ~untargeted_sets)
+      let target_sets, table = random_targets_and_table seed in
+      Worst_case.nmin_of_classes ~target_sets table
+      = Ndetect_check.Ref_worst.nmin_of_sets ~target_sets
+          ~untargeted_sets:(untargeted_sets table))
 
-let prop_compute_is_nmin_of_sets =
-  QCheck.Test.make ~name:"compute = nmin_of_sets on the table's sets"
+let prop_compute_is_nmin_of_classes =
+  QCheck.Test.make ~name:"compute = nmin_of_classes on the table's sets"
     ~count:25 Helpers.circuit_arbitrary
     (Helpers.apply_circuit (fun net ->
          let table = Detection_table.build net in
          Worst_case.distribution (Worst_case.compute table)
-         = Worst_case.nmin_of_sets
+         = Worst_case.nmin_of_classes
              ~target_sets:
                (Array.init
                   (Detection_table.target_count table)
                   (Detection_table.target_set table))
-             ~untargeted_sets:
-               (Array.init
-                  (Detection_table.untargeted_count table)
-                  (Detection_table.untargeted_set table))
-             ()))
+             table))
 
 (* Factored bridge sets: every kept T(g) of a table equals both
    per-fault twins (cone simulation over the table's own universe, and
@@ -772,8 +790,8 @@ let () =
           Alcotest.test_case "counters" `Quick test_worst_case_counters;
           Helpers.qcheck prop_nmin_adversarial_bound;
           Helpers.qcheck prop_nmin_guarantee;
-          Helpers.qcheck prop_nmin_of_sets_naive;
-          Helpers.qcheck prop_compute_is_nmin_of_sets;
+          Helpers.qcheck prop_nmin_of_classes_naive;
+          Helpers.qcheck prop_compute_is_nmin_of_classes;
         ] );
       ( "procedure1",
         [

@@ -1,10 +1,9 @@
 (* Tests for the sampled-universe estimation subsystem: the interval
    arithmetic against hand-computed values, the stratified sampler's
    determinism and partition invariance, the estimator's spec
-   validation and degenerate cases, the slice/merge identity the
-   campaign relies on, and the statistical calibration of the reported
-   intervals against the exhaustive oracle (>= 200 random circuits,
-   with the biased-sampler self-test). *)
+   validation and degenerate cases, and the statistical calibration of
+   the reported intervals against the exhaustive oracle (>= 200 random
+   circuits, with the biased-sampler self-test). *)
 
 module Interval = Ndetect_estimate.Interval
 module Sampler = Ndetect_estimate.Sampler
@@ -305,44 +304,6 @@ let test_analyze_interval_shapes () =
       expected_hard (List.mem gj hard)
   done
 
-let test_slice_merge_identity () =
-  (* The campaign identity: concatenating stratum slices and running the
-     shared scan reproduces the single-process summary exactly. *)
-  let spec = spec_of 160 8 in
-  let net = mc () in
-  let e = Estimate.analyze ~spec ~seed:6 ~name:"mc" net in
-  List.iter
-    (fun cuts ->
-      let slices =
-        List.map
-          (fun (lo, hi) -> Estimate.stratum_slice ~spec ~seed:6 ~lo ~hi net)
-          cuts
-      in
-      let target_sets, untargeted_sets = Estimate.concat_slices ~spec slices in
-      let dmin = Estimate.scan ~target_sets ~untargeted_sets () in
-      let merged =
-        Estimate.summary_of_scan ~name:"mc" ~spec
-          ~universe_bits:(Estimate.universe_bits e)
-          ~target_faults:(Array.length target_sets) ~dmin
-      in
-      Alcotest.(check bool) "merged summary identical" true
-        (merged = Estimate.summary e))
-    [ [ (0, 8) ]; [ (0, 3); (3, 8) ]; [ (0, 1); (1, 4); (4, 8) ] ];
-  (* Gaps and overlaps are merge-integrity failures. *)
-  let slice lo hi = Estimate.stratum_slice ~spec ~seed:6 ~lo ~hi net in
-  List.iter
-    (fun (label, slices) ->
-      Alcotest.(check bool) label true
-        (try
-           ignore (Estimate.concat_slices ~spec slices);
-           false
-         with Invalid_argument _ -> true))
-    [
-      ("gap rejected", [ slice 0 3; slice 4 8 ]);
-      ("overlap rejected", [ slice 0 5; slice 4 8 ]);
-      ("missing tail rejected", [ slice 0 4 ]);
-    ]
-
 let test_analyze_rejects_wide_circuits () =
   let wide = Random_circuit.generate ~seed:1 ~inputs:62 ~gates:70 () in
   let spec = spec_of 50 4 in
@@ -488,8 +449,6 @@ let () =
             test_analyze_degenerate_strata;
           Alcotest.test_case "interval shapes" `Quick
             test_analyze_interval_shapes;
-          Alcotest.test_case "slice merge identity" `Quick
-            test_slice_merge_identity;
           Alcotest.test_case "rejects wide circuits" `Quick
             test_analyze_rejects_wide_circuits;
         ] );

@@ -129,10 +129,11 @@ let test_parse_args_rejects_contradictions () =
     "--k: ";
   expect_error "resume without checkpoint" [ "--resume" ]
     "--resume requires --checkpoint";
-  (* The campaign's flags belong to ndetect campaign alone. *)
+  (* Flags reproduce does not own are unknown arguments, not values
+     parsed and then ignored. *)
   List.iter
     (fun flag ->
-      expect_error ("campaign flag " ^ flag) [ flag ] "unknown argument")
+      expect_error ("foreign flag " ^ flag) [ flag ] "unknown argument")
     [ "--workers"; "--lease-secs"; "--max-unit-retries"; "--chaos";
       "--ledger"; "--samples"; "--strata"; "--confidence" ];
   (* Case-insensitivity and the valid spellings stay accepted. *)

@@ -770,7 +770,6 @@ let prop_record_roundtrip =
     (QCheck.make record_gen) (fun (kind, key, payload, _) ->
       let raw = Record.encode ~kind ~key payload in
       Record.decode ~kind ~key raw = Ok payload
-      && Record.decode_keyed ~kind raw = Ok (key, payload)
       && Record.decode ~kind:(kind ^ "x") ~key raw = Error Record.Damaged
       && Record.decode ~kind ~key:(key ^ "x") raw = Error Record.Damaged)
 
