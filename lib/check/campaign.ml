@@ -111,10 +111,12 @@ let check_net_counted ?(mutate = false) ?proc_mode ~seed net =
   let table =
     Fun.protect
       ~finally:(fun () ->
+        Bridge.debug_drop_pair := false;
         Detection_table.debug_flip_aggressor := false;
         Detection_table.debug_trust_hash := false)
       (fun () ->
         if mutate then begin
+          Bridge.debug_drop_pair := true;
           Detection_table.debug_flip_aggressor := true;
           Detection_table.debug_trust_hash := true
         end;
@@ -537,7 +539,7 @@ let check_table ?(mutate = false) ~site net =
   in
   let targets = detected Fault_sim.stuck_detection_set (Stuck.collapse net) in
   let bridges =
-    detected Fault_sim.bridge_detection_set (Bridge.enumerate net)
+    detected Fault_sim.bridge_detection_set (Ref_table.bridges net)
   in
   let f_count = Array.length targets and g_count = Array.length bridges in
   check_int "targets kept" ~expected:f_count

@@ -14,7 +14,10 @@
 
     [mutate] flips one bit of one optimized detection set right after
     the table is built ({!Ndetect_core.Detection_table.corrupt_target_set}),
-    inverts one aggressor row of the factored bridge build
+    drops the first non-feedback pair from the bridge list
+    ({!Ndetect_faults.Bridge.debug_drop_pair}; the reference enumerates
+    with {!Ndetect_faults.Bridge.is_feedback}), inverts one aggressor row
+    of the factored bridge build
     ({!Ndetect_core.Detection_table.debug_flip_aggressor}), makes the
     bridge content index trust a truncated hash
     ({!Ndetect_core.Detection_table.debug_trust_hash}), corrupts
@@ -96,7 +99,8 @@ val render : report -> string
     [Small]), through the production table build (batched stem-region
     simulation, C kernel) against the per-fault references: each kept
     fault and detection set against {!Ndetect_sim.Fault_sim.stuck_detection_set}
-    / {!Ndetect_sim.Fault_sim.bridge_detection_set}, each [N(f)]
+    / {!Ndetect_sim.Fault_sim.bridge_detection_set} (bridges listed
+    by {!Ref_table.bridges}), each [N(f)]
     against {!Ref_kernel.count} of the reference set, and each
     [nmin(g)] of {!Ndetect_core.Worst_case.compute} against a double
     loop of {!Ref_kernel} counts over the reference sets. [ndetect

@@ -26,6 +26,27 @@ let keep_detectable faults sets =
   let kept = Array.of_list (List.rev !kept) in
   (Array.map fst kept, Array.map snd kept, !dropped)
 
+(* The definition, pair by pair: every candidate pair in lexicographic
+   order of position, kept unless {!Bridge.is_feedback}, four bridges
+   each in the documented order. *)
+let bridges net =
+  let nodes = Bridge.candidate_nodes net in
+  let n = Array.length nodes in
+  let acc = ref [] in
+  for i = 0 to n - 1 do
+    for j = i + 1 to n - 1 do
+      let u = nodes.(i) and v = nodes.(j) in
+      if not (Bridge.is_feedback net u v) then
+        let b victim victim_value aggressor aggressor_value =
+          { Bridge.victim; victim_value; aggressor; aggressor_value }
+        in
+        acc :=
+          b v true u false :: b u true v false :: b v false u true
+          :: b u false v true :: !acc
+    done
+  done;
+  Array.of_list (List.rev !acc)
+
 let build net =
   let universe = Netlist.universe_size net in
   let set_of detects =
@@ -40,7 +61,7 @@ let build net =
   let targets, target_sets, undetectable_targets =
     keep_detectable targets0 target_sets0
   in
-  let untargeted0 = Bridge.enumerate net in
+  let untargeted0 = bridges net in
   let untargeted_sets0 =
     Array.map
       (fun fault -> set_of (fun v -> Ref_eval.detects_bridge net fault v))

@@ -6,15 +6,21 @@
     untargeted faults, undetectable faults dropped) but shares none of
     its machinery: detection sets are plain [bool array]s filled by
     {!Ref_eval}, and [N]/[M] are literal counting loops over them. The
-    fault lists themselves come from [Ndetect_faults] — fault
-    {e enumeration} is a shared definition, fault {e simulation} is
-    what is being cross-checked. *)
+    stuck-at list comes from [Ndetect_faults]; the bridge list is
+    {!bridges}, which tests every candidate pair with
+    {!Bridge.is_feedback} instead of sharing {!Bridge.pairs}' sweep. *)
 
 module Netlist = Ndetect_circuit.Netlist
 module Stuck = Ndetect_faults.Stuck
 module Bridge = Ndetect_faults.Bridge
 
 type t
+
+val bridges : Netlist.t -> Bridge.t array
+(** The four-way bridges by definition: every pair of
+    {!Bridge.candidate_nodes} in lexicographic order of position that
+    {!Bridge.is_feedback} does not reject, contributing
+    [(u,0,v,1); (v,0,u,1); (u,1,v,0); (v,1,u,0)]. *)
 
 val build : Netlist.t -> t
 

@@ -26,13 +26,72 @@ type classes = {
   distinct : Bitvec.t array;
 }
 
+(* One untargeted fault in one int: bit 0 the tag (0 bridge, 1 wired),
+   bit 1 the victim's value (wired: 1 for OR), bit 2 the aggressor's
+   value, then two node fields of [node_bits] each (victim and
+   aggressor, or a and b). *)
+module Packed = struct
+  let node_bits = 29
+  let max_nodes = 1 lsl node_bits
+  let node_mask = max_nodes - 1
+
+  let make ~tag ~first ~first_value ~second ~second_value =
+    tag
+    lor (Bool.to_int first_value lsl 1)
+    lor (Bool.to_int second_value lsl 2)
+    lor (first lsl 3)
+    lor (second lsl (3 + node_bits))
+
+  let bridge ~victim ~victim_value ~aggressor ~aggressor_value =
+    make ~tag:0 ~first:victim ~first_value:victim_value ~second:aggressor
+      ~second_value:aggressor_value
+
+  let wired ~a ~b semantics =
+    let is_or =
+      match semantics with Wired.Wired_or -> true | Wired.Wired_and -> false
+    in
+    make ~tag:1 ~first:a ~first_value:is_or ~second:b ~second_value:false
+
+  let is_wired c = c land 1 = 1
+  let first c = (c lsr 3) land node_mask
+  let second c = (c lsr (3 + node_bits)) land node_mask
+  let first_value c = c land 2 <> 0
+  let second_value c = c land 4 <> 0
+
+  let decode c =
+    if is_wired c then
+      Wired_fault
+        {
+          Wired.a = first c;
+          b = second c;
+          semantics =
+            (if first_value c then Wired.Wired_or else Wired.Wired_and);
+        }
+    else
+      Bridge_fault
+        {
+          Bridge.victim = first c;
+          victim_value = first_value c;
+          aggressor = second c;
+          aggressor_value = second_value c;
+        }
+end
+
+let check_node_count fn net =
+  if Netlist.node_count net > Packed.max_nodes then
+    invalid_arg
+      (Printf.sprintf
+         "Detection_table.%s: %d nodes exceed the %d a packed fault holds" fn
+         (Netlist.node_count net) Packed.max_nodes)
+
 type t = {
   net : Netlist.t;
   universe : int;
   targets : Stuck.t array;
   target_sets : Bitvec.t array;
   undetectable_targets : int;
-  untargeted : untargeted_fault array;
+  (* One {!Packed} int per kept untargeted fault. *)
+  untargeted : int array;
   (* T(g_j) is [untargeted_distinct.(untargeted_class.(j))]: one set per
      distinct content, classes numbered in first-seen order. *)
   untargeted_class : int array;
@@ -53,9 +112,9 @@ type t = {
      first use (reports are the only consumer) instead of being paid on
      every build or cache restore — the mmap load path stays free of
      per-fault string formatting. Same Atomic publication scheme as the
-     inverted indices. *)
+     inverted indices. Untargeted labels are formatted per call: reports
+     name one or two of them. *)
   target_labels : string array option Atomic.t;
-  untargeted_labels : string array option Atomic.t;
   memo_lock : Mutex.t;
   output_sets : (int, Bitvec.t array) Hashtbl.t;
 }
@@ -91,11 +150,9 @@ let classify ?debug_trust_hash ~keep_empty ~copy n ~form ~current =
       incr k
     end
   done;
-  {
-    kept = Array.sub kept 0 !k;
-    class_of = Array.sub class_of 0 !k;
-    distinct = Bitvec.Index.to_array index;
-  }
+  let trim a = if !k = n then a else Array.sub a 0 !k in
+  { kept = trim kept; class_of = trim class_of;
+    distinct = Bitvec.Index.to_array index }
 
 (* [classify] over an array of finished sets. *)
 let classify_sets ~keep_empty sets =
@@ -116,25 +173,28 @@ let debug_trust_hash = ref false
    every set; only distinct products are kept. [stem_set] supplies the
    stem sets already known; one traced sweep covers the rest. *)
 let bridge_classes ?(keep_undetectable = false) ?(stem_set = fun _ -> None)
-    ?(cancel = Ndetect_util.Cancel.none) good bridges =
+    ?(cancel = Ndetect_util.Cancel.none) good pairs =
   let nodes = Netlist.node_count (Good.net good) in
   let universe = Good.universe good in
+  let bridges = Bridge.count pairs in
   (* Victim stem faults and aggressor rows are both keyed by
      [2 * node + value]; victim slots are numbered in first-use order. *)
+  let victim_key j =
+    (2 * Bridge.victim pairs j) + Bool.to_int (Bridge.victim_value j)
+  in
   let victim_slot = Array.make (2 * nodes) (-1) in
   let victims = ref [] and victim_count = ref 0 in
-  Array.iter
-    (fun (b : Bridge.t) ->
-      let key = (2 * b.victim) + Bool.to_int b.victim_value in
-      if victim_slot.(key) < 0 then begin
-        victim_slot.(key) <- !victim_count;
-        victims :=
-          { Stuck.line = Ndetect_circuit.Line.Stem b.victim;
-            value = not b.victim_value }
-          :: !victims;
-        incr victim_count
-      end)
-    bridges;
+  for j = 0 to bridges - 1 do
+    let key = victim_key j in
+    if victim_slot.(key) < 0 then begin
+      victim_slot.(key) <- !victim_count;
+      victims :=
+        { Stuck.line = Ndetect_circuit.Line.Stem (key lsr 1);
+          value = key land 1 = 0 }
+        :: !victims;
+      incr victim_count
+    end
+  done;
   let victims = Array.of_list (List.rev !victims) in
   let known = Array.map stem_set victims in
   let missing =
@@ -168,21 +228,20 @@ let bridge_classes ?(keep_undetectable = false) ?(stem_set = fun _ -> None)
       r
   in
   let scratch = Bitvec.create universe in
-  Telemetry.Counter.add c_sets (Array.length bridges);
+  Telemetry.Counter.add c_sets bridges;
   classify ~debug_trust_hash:!debug_trust_hash ~keep_empty:keep_undetectable
-    ~copy:true (Array.length bridges)
+    ~copy:true bridges
     ~form:(fun j ->
-      let b = bridges.(j) in
-      let victim = (2 * b.victim) + Bool.to_int b.victim_value in
       Bitvec.inter_hash_into scratch
-        victim_sets.(victim_slot.(victim))
-        (row b.aggressor b.aggressor_value))
+        victim_sets.(victim_slot.(victim_key j))
+        (row (Bridge.aggressor pairs j) (Bridge.aggressor_value j)))
     ~current:(fun _ -> scratch)
 
 let build ?(keep_undetectable_targets = false)
     ?(keep_undetectable_untargeted = false) ?(collapse = true)
     ?(model = Four_way) ?(cancel = Ndetect_util.Cancel.none) ?vectors net =
   Telemetry.Counter.incr c_builds;
+  check_node_count "build" net;
   Telemetry.with_span "table.build"
     ~args:[ ("inputs", string_of_int (Netlist.input_count net)) ]
   @@ fun () ->
@@ -202,7 +261,7 @@ let build ?(keep_undetectable_targets = false)
   let stuck_list = Array.map fst stuck_classes in
   (* "table.sim" is the fault simulation, including the bridge products
      and their classes; "table.finalize" assembles the table. *)
-  let stuck_sets, (all_untargeted, untargeted_classes) =
+  let stuck_sets, (all_untargeted, packed, untargeted_classes) =
     Telemetry.with_span "table.sim" @@ fun () ->
     let stuck_sets =
       Telemetry.with_span "table.sim.targets"
@@ -215,9 +274,9 @@ let build ?(keep_undetectable_targets = false)
     let untargeted =
       match model with
       | Four_way ->
-        (* "table.sim.bridges" lists the faults: the bridges, the
-           victims' stem-set lookup and the boxed fault array. *)
-        let faults, bridges, stem_set, victims =
+        (* "table.sim.bridges" lists the faults: the pair sweep and the
+           victims' stem-set lookup. *)
+        let pairs, stem_set, victims =
           Telemetry.with_span "table.sim.bridges" @@ fun () ->
           (* A victim's stem fault is a member of some target's class,
              so structurally equivalent to it: it has the target's
@@ -230,33 +289,41 @@ let build ?(keep_undetectable_targets = false)
           let stem_set f =
             Option.map (Array.get stuck_sets) (Hashtbl.find_opt target_of f)
           in
-          let bridges = Bridge.enumerate net in
+          let pairs = Bridge.pairs net in
           let is_victim = Array.make (Netlist.node_count net) false in
-          Array.iter
-            (fun (b : Bridge.t) -> is_victim.(b.victim) <- true)
-            bridges;
+          Array.iter (fun u -> is_victim.(u) <- true) pairs.Bridge.first;
+          Array.iter (fun v -> is_victim.(v) <- true) pairs.Bridge.second;
           let victims =
             Array.fold_left (fun n v -> n + Bool.to_int v) 0 is_victim
           in
-          ( Array.map (fun b -> Bridge_fault b) bridges,
-            bridges,
-            stem_set,
-            victims )
+          (pairs, stem_set, victims)
         in
-        ( faults,
+        let pack j =
+          Packed.bridge ~victim:(Bridge.victim pairs j)
+            ~victim_value:(Bridge.victim_value j)
+            ~aggressor:(Bridge.aggressor pairs j)
+            ~aggressor_value:(Bridge.aggressor_value j)
+        in
+        ( Bridge.count pairs,
+          pack,
           Telemetry.with_span "table.sim.untargeted"
             ~args:
               [
-                ("faults", string_of_int (Array.length bridges));
+                ("faults", string_of_int (Bridge.count pairs));
                 ("victims", string_of_int victims);
               ]
             ~end_args:classes_args
             (fun () ->
               bridge_classes ~keep_undetectable:keep_undetectable_untargeted
-                ~stem_set ~cancel good bridges) )
+                ~stem_set ~cancel good pairs) )
       | Wired semantics ->
         let wired = Wired.enumerate net semantics in
-        ( Array.map (fun w -> Wired_fault w) wired,
+        let pack k =
+          let w = wired.(k) in
+          Packed.wired ~a:w.Wired.a ~b:w.Wired.b w.Wired.semantics
+        in
+        ( Array.length wired,
+          pack,
           Telemetry.with_span "table.sim.untargeted"
             ~args:[ ("faults", string_of_int (Array.length wired)) ]
             ~end_args:classes_args
@@ -282,17 +349,16 @@ let build ?(keep_undetectable_targets = false)
     targets;
     target_sets;
     undetectable_targets = Array.length stuck_list - Array.length targets;
-    untargeted = Array.map (Array.get all_untargeted) untargeted_classes.kept;
+    untargeted = Array.map packed untargeted_classes.kept;
     untargeted_class = untargeted_classes.class_of;
     untargeted_distinct = untargeted_classes.distinct;
     undetectable_untargeted =
-      Array.length all_untargeted - Array.length untargeted_classes.kept;
+      all_untargeted - Array.length untargeted_classes.kept;
     good;
     inverted = Atomic.make None;
     untargeted_inverted = Atomic.make None;
     layout = Atomic.make None;
     target_labels = Atomic.make None;
-    untargeted_labels = Atomic.make None;
     memo_lock = Mutex.create ();
     output_sets = Hashtbl.create 64;
   }
@@ -305,16 +371,13 @@ let target_set t i = t.target_sets.(i)
 let target_n t i = Bitvec.count t.target_sets.(i)
 let undetectable_target_count t = t.undetectable_targets
 let untargeted_count t = Array.length t.untargeted
-let untargeted_fault t j = t.untargeted.(j)
+let untargeted_fault t j = Packed.decode t.untargeted.(j)
+let untargeted_packed t j = t.untargeted.(j)
 let untargeted_set t j = t.untargeted_distinct.(t.untargeted_class.(j))
 let untargeted_class t j = t.untargeted_class.(j)
 let untargeted_class_count t = Array.length t.untargeted_distinct
 let untargeted_class_set t c = t.untargeted_distinct.(c)
 let undetectable_untargeted_count t = t.undetectable_untargeted
-
-let untargeted_label_of net = function
-  | Bridge_fault b -> Bridge.to_string net b
-  | Wired_fault w -> Wired.to_string net w
 
 (* Racing domains compute identical arrays; the first CAS wins and the
    loser's copy (same content) is returned directly. *)
@@ -330,12 +393,12 @@ let target_labels t =
   memo_labels t.target_labels (fun () ->
       Array.map (Stuck.to_string t.net) t.targets)
 
-let untargeted_labels t =
-  memo_labels t.untargeted_labels (fun () ->
-      Array.map (untargeted_label_of t.net) t.untargeted)
-
 let target_label t i = (target_labels t).(i)
-let untargeted_label t j = (untargeted_labels t).(j)
+
+let untargeted_label t j =
+  match untargeted_fault t j with
+  | Bridge_fault b -> Bridge.to_string t.net b
+  | Wired_fault w -> Wired.to_string t.net w
 
 let m t ~gj ~fi = Bitvec.inter_count t.target_sets.(fi) (untargeted_set t gj)
 
@@ -438,6 +501,7 @@ let restore_parts net ~universe ~targets ~target_sets ~undetectable_targets
     ~untargeted ~untargeted_class ~untargeted_distinct ~undetectable_untargeted
     ?layout () =
   Telemetry.Counter.incr c_restores;
+  check_node_count "restore_parts" net;
   let good = Good.compute net in
   if Good.universe good <> universe then
     invalid_arg "Detection_table.restore_parts: universe mismatch";
@@ -486,7 +550,6 @@ let restore_parts net ~universe ~targets ~target_sets ~undetectable_targets
     untargeted_inverted = Atomic.make None;
     layout = Atomic.make layout;
     target_labels = Atomic.make None;
-    untargeted_labels = Atomic.make None;
     memo_lock = Mutex.create ();
     output_sets = Hashtbl.create 64;
   }
@@ -508,18 +571,13 @@ let find_untargeted t ~victim ~victim_value ~aggressor ~aggressor_value =
     | Some id -> id
     | None -> invalid_arg ("Detection_table.find_untargeted: " ^ name)
   in
-  let v = node victim and a = node aggressor in
-  let matches = function
-    | Bridge_fault (b : Bridge.t) ->
-      b.victim = v
-      && Bool.equal b.victim_value victim_value
-      && b.aggressor = a
-      && Bool.equal b.aggressor_value aggressor_value
-    | Wired_fault _ -> false
+  let code =
+    Packed.bridge ~victim:(node victim) ~victim_value
+      ~aggressor:(node aggressor) ~aggressor_value
   in
   let rec find j =
     if j >= Array.length t.untargeted then None
-    else if matches t.untargeted.(j) then Some j
+    else if t.untargeted.(j) = code then Some j
     else find (j + 1)
   in
   find 0

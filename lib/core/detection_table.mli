@@ -21,6 +21,33 @@ type untargeted_fault =
   | Bridge_fault of Bridge.t
   | Wired_fault of Wired.t
 
+(** Untargeted faults packed in one int each: the table holds one
+    such int per kept fault, and {!untargeted_fault} decodes on demand.
+    Bit 0 is the tag (0 bridge, 1 wired), bit 1 the victim's value
+    (wired: 1 for wired-OR), bit 2 the aggressor's value, then two node
+    ids of 29 bits each (victim and aggressor, or [a] and [b]), so
+    {!build} and {!restore_parts} refuse a netlist of more than [2^29]
+    nodes ([Invalid_argument]). *)
+module Packed : sig
+  val bridge :
+    victim:int -> victim_value:bool -> aggressor:int -> aggressor_value:bool ->
+    int
+
+  val wired : a:int -> b:int -> Wired.semantics -> int
+  (** Node ids must lie in [0 .. 2^29 - 1]; they are not checked. *)
+
+  val is_wired : int -> bool
+  val first : int -> int  (** Victim, or [a]. *)
+
+  val second : int -> int  (** Aggressor, or [b]. *)
+
+  val first_value : int -> bool
+  (** Victim value, or [true] for wired-OR. *)
+
+  val second_value : int -> bool
+  (** Aggressor value; [false] for a wired fault. *)
+end
+
 type t
 
 val build :
@@ -74,6 +101,11 @@ val undetectable_target_count : t -> int
 
 val untargeted_count : t -> int
 val untargeted_fault : t -> int -> untargeted_fault
+(** [g_j], decoded from its packed int (a fresh value per call). *)
+
+val untargeted_packed : t -> int -> int
+(** [g_j] as its {!Packed} int. *)
+
 val untargeted_set : t -> int -> Bitvec.t
 (** [T(g_j)], the set of [g_j]'s class: faults of one class share one
     physical set. *)
@@ -90,6 +122,8 @@ val untargeted_class_set : t -> int -> Bitvec.t
 (** The detection set of a class. *)
 
 val untargeted_label : t -> int -> string
+(** Formatted per call from {!untargeted_fault}. *)
+
 val undetectable_untargeted_count : t -> int
 (** Bridging faults dropped because [T(g) = ∅]. *)
 
@@ -147,13 +181,16 @@ val untargeted_detectors_of_vector : t -> int array array
 val find_untargeted :
   t -> victim:string -> victim_value:bool -> aggressor:string ->
   aggressor_value:bool -> int option
-(** Index of a bridging fault by node names, for the worked example. *)
+(** Index of a bridging fault by node names, for the worked example: a
+    scan of the packed ints for the bridge's code. Raises
+    [Invalid_argument] on an unknown node name. *)
 
 (** {2 Untargeted classes} *)
 
 type classes = {
   kept : int array;
-      (** Indices of the kept faults in the list given, ascending. *)
+      (** Indices of the kept faults in the list given (for
+          {!bridge_classes}, bridge indices of the pairs), ascending. *)
   class_of : int array;
       (** [class_of.(k)] is the class of kept fault [k]. *)
   distinct : Bitvec.t array;
@@ -164,8 +201,9 @@ val bridge_classes :
   ?keep_undetectable:bool ->
   ?stem_set:(Stuck.t -> Bitvec.t option) ->
   ?cancel:Ndetect_util.Cancel.token ->
-  Ndetect_sim.Good.t -> Bridge.t array -> classes
-(** The four-way bridges' detection sets, factored and deduplicated:
+  Ndetect_sim.Good.t -> Bridge.pairs -> classes
+(** The detection sets of the four-way bridges over the pairs (bridge
+    [j] is {!Bridge.nth}[ pairs j]), factored and deduplicated:
     [T(v, a1, u, a2) = T(v stuck-at (not a1)) ∩ {t : good(u, t) = a2}].
     [stem_set] (default: none known) returns a victim stem fault's
     detection set when the caller already has it; {!build} passes the
@@ -215,7 +253,7 @@ val restore_parts :
   targets:Stuck.t array ->
   target_sets:Bitvec.t array ->
   undetectable_targets:int ->
-  untargeted:untargeted_fault array ->
+  untargeted:int array ->
   untargeted_class:int array ->
   untargeted_distinct:Bitvec.t array ->
   undetectable_untargeted:int ->
@@ -225,7 +263,9 @@ val restore_parts :
 (** Rebuild a table from its parts, for external decoders (the table
     cache's mmap loader), without any fault simulation: runs the
     (cheap, fault-free) exhaustive good simulation for [net] and adopts
-    the given arrays directly: [untargeted_class.(j)] indexes
+    the given arrays directly: [untargeted.(j)] is [g_j]'s {!Packed}
+    int, whose node ids the caller has checked against [net], and
+    [untargeted_class.(j)] indexes
     [untargeted_distinct], as {!untargeted_class} does. The detection
     sets may be zero-copy
     {!Bitvec.of_view}s into a mapped file. Labels and lazy memos

@@ -16,7 +16,10 @@ type target = {
 type t = {
   net : Netlist.t;
   targets : target array;
-  untargeted_labels : string array;
+  (* The kept bridges, as indices into [pairs]; labels are formatted
+     per call. *)
+  pairs : Bridge.pairs;
+  kept : int array;
   nmin : int array;
 }
 
@@ -42,13 +45,8 @@ let compute net =
            else Some { fault; init; detect })
     |> Array.of_list
   in
-  let bridges = Bridge.enumerate net in
-  let classes = Detection_table.bridge_classes good bridges in
-  let untargeted_labels =
-    Array.map
-      (fun j -> Bridge.to_string net bridges.(j))
-      classes.Detection_table.kept
-  in
+  let pairs = Bridge.pairs net in
+  let classes = Detection_table.bridge_classes good pairs in
   (* nmin over the pair universe, using the factorized counts, once per
      distinct bridge set. *)
   let class_nmin =
@@ -70,7 +68,7 @@ let compute net =
   let nmin =
     Array.map (Array.get class_nmin) classes.Detection_table.class_of
   in
-  { net; targets; untargeted_labels; nmin }
+  { net; targets; pairs; kept = classes.Detection_table.kept; nmin }
 
 let net t = t.net
 let target_count t = Array.length t.targets
@@ -79,8 +77,10 @@ let target_fault t i = t.targets.(i).fault
 let target_n t i =
   Bitvec.count t.targets.(i).init * Bitvec.count t.targets.(i).detect
 
-let untargeted_count t = Array.length t.untargeted_labels
-let untargeted_label t j = t.untargeted_labels.(j)
+let untargeted_count t = Array.length t.kept
+
+let untargeted_label t j =
+  Bridge.to_string t.net (Bridge.nth t.pairs t.kept.(j))
 let nmin t j = t.nmin.(j)
 
 let percent_below t n0 =

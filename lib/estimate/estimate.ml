@@ -220,20 +220,28 @@ let summary (t : t) =
     if total = 0 then 0.0
     else 100.0 *. float_of_int count /. float_of_int total
   in
+  (* The interval depends on dmin alone, and dmin <= |T(f)| <= the
+     table's universe: count the faults per value and take each
+     distinct value's interval once per threshold. *)
+  let faults_with = Array.make (Detection_table.universe t.table + 1) 0 in
+  Array.iter
+    (fun d -> if d >= 0 then faults_with.(d) <- faults_with.(d) + 1)
+    dmin;
   let percent_below =
     List.map
       (fun n0 ->
         let bound = float_of_int n0 in
         let guaranteed = ref 0 and point_count = ref 0 and optimistic = ref 0 in
-        Array.iter
-          (fun d ->
-            match nmin_interval_of ~z ~samples ~universe:u d with
-            | None -> ()
-            | Some (lo, point, hi) ->
-              if hi <= bound then incr guaranteed;
-              if point <= bound then incr point_count;
-              if lo <= bound then incr optimistic)
-          dmin;
+        Array.iteri
+          (fun d faults ->
+            if faults > 0 then
+              match nmin_interval_of ~z ~samples ~universe:u d with
+              | None -> ()
+              | Some (lo, point, hi) ->
+                if hi <= bound then guaranteed := !guaranteed + faults;
+                if point <= bound then point_count := !point_count + faults;
+                if lo <= bound then optimistic := !optimistic + faults)
+          faults_with;
         (n0, percent !guaranteed, percent !point_count, percent !optimistic))
       Analysis.worst_thresholds_below
   in

@@ -40,38 +40,86 @@ let is_feedback net u v =
   (Netlist.transitive_fanout net u).(v)
   || (Netlist.transitive_fanout net v).(u)
 
-let enumerate net =
+type pairs = { first : int array; second : int array }
+
+let debug_drop_pair = ref false
+let bits = Sys.int_size
+
+let pairs net =
   let nodes = candidate_nodes net in
   let n = Array.length nodes in
-  (* Reuse reachability: reach.(i) is the transitive fanout of nodes.(i). *)
-  let reach = Array.map (fun u -> Netlist.transitive_fanout net u) nodes in
-  let non_feedback i j =
-    not (reach.(i).(nodes.(j)) || reach.(j).(nodes.(i)))
+  let words = (n + bits - 1) / bits in
+  let index = Array.make (Netlist.node_count net) (-1) in
+  Array.iteri (fun i u -> index.(u) <- i) nodes;
+  (* reach.(node * words ..) holds the candidate indices in the
+     transitive fanout of [node], itself included; consumers come later
+     in topological order, so one reverse sweep fills every row. *)
+  let reach = Array.make (Netlist.node_count net * words) 0 in
+  let topo = Netlist.topo_order net in
+  for k = Array.length topo - 1 downto 0 do
+    let node = topo.(k) in
+    let row = node * words in
+    Array.iter
+      (fun (consumer, _) ->
+        let src = consumer * words in
+        for w = 0 to words - 1 do
+          reach.(row + w) <- reach.(row + w) lor reach.(src + w)
+        done)
+      (Netlist.fanouts net node);
+    let i = index.(node) in
+    if i >= 0 then begin
+      let w = row + (i / bits) in
+      reach.(w) <- reach.(w) lor (1 lsl (i mod bits))
+    end
+  done;
+  let reaches i j =
+    reach.((nodes.(i) * words) + (j / bits)) land (1 lsl (j mod bits)) <> 0
   in
-  let pairs = ref 0 in
+  let non_feedback i j = not (reaches i j || reaches j i) in
+  let total = ref 0 in
   for i = 0 to n - 1 do
     for j = i + 1 to n - 1 do
-      if non_feedback i j then incr pairs
+      if non_feedback i j then incr total
     done
   done;
-  let placeholder =
-    { victim = 0; victim_value = false; aggressor = 0; aggressor_value = false }
-  in
-  let faults = Array.make (4 * !pairs) placeholder in
-  let k = ref 0 in
-  let emit victim victim_value aggressor aggressor_value =
-    faults.(!k) <- { victim; victim_value; aggressor; aggressor_value };
-    incr k
-  in
+  let skip = if !debug_drop_pair && !total > 0 then 1 else 0 in
+  let first = Array.make (!total - skip) 0
+  and second = Array.make (!total - skip) 0 in
+  let p = ref (-skip) in
   for i = 0 to n - 1 do
     for j = i + 1 to n - 1 do
       if non_feedback i j then begin
-        let u = nodes.(i) and v = nodes.(j) in
-        emit u false v true;
-        emit v false u true;
-        emit u true v false;
-        emit v true u false
+        if !p >= 0 then begin
+          first.(!p) <- nodes.(i);
+          second.(!p) <- nodes.(j)
+        end;
+        incr p
       end
     done
   done;
-  faults
+  { first; second }
+
+let count p = 4 * Array.length p.first
+
+(* Variant [j mod 4]: bit 0 swaps the roles of the pair, bit 1 is the
+   victim's value. *)
+let victim p j =
+  if j land 1 = 0 then p.first.(j lsr 2) else p.second.(j lsr 2)
+
+let aggressor p j =
+  if j land 1 = 0 then p.second.(j lsr 2) else p.first.(j lsr 2)
+
+let victim_value j = j land 2 <> 0
+let aggressor_value j = j land 2 = 0
+
+let nth p j =
+  {
+    victim = victim p j;
+    victim_value = victim_value j;
+    aggressor = aggressor p j;
+    aggressor_value = aggressor_value j;
+  }
+
+let enumerate net =
+  let p = pairs net in
+  Array.init (count p) (nth p)

@@ -18,15 +18,7 @@ let to_string net f =
 let pp net ppf f = Format.pp_print_string ppf (to_string net f)
 
 let enumerate net semantics =
-  let nodes = Bridge.candidate_nodes net in
-  let n = Array.length nodes in
-  let reach = Array.map (fun u -> Netlist.transitive_fanout net u) nodes in
-  let acc = ref [] in
-  for i = 0 to n - 1 do
-    for j = i + 1 to n - 1 do
-      let u = nodes.(i) and v = nodes.(j) in
-      if not (reach.(i).(v) || reach.(j).(u)) then
-        acc := { a = min u v; b = max u v; semantics } :: !acc
-    done
-  done;
-  Array.of_list (List.rev !acc)
+  let { Bridge.first; second } = Bridge.pairs net in
+  Array.init (Array.length first) (fun p ->
+      let u = first.(p) and v = second.(p) in
+      { a = min u v; b = max u v; semantics })

@@ -28,5 +28,4 @@ val to_string : Netlist.t -> t -> string
 val pp : Netlist.t -> Format.formatter -> t -> unit
 
 val enumerate : Netlist.t -> semantics -> t array
-(** All non-feedback pairs of multi-input gate outputs, in the same pair
-    order as {!Bridge.enumerate}. *)
+(** One fault per pair of {!Bridge.pairs}, in its order. *)

@@ -3,13 +3,13 @@ module Netlist = Ndetect_circuit.Netlist
 module Gate = Ndetect_circuit.Gate
 module Line = Ndetect_circuit.Line
 module Stuck = Ndetect_faults.Stuck
-module Bridge = Ndetect_faults.Bridge
 module Wired = Ndetect_faults.Wired
 module Bitvec = Ndetect_util.Bitvec
 module Kernel = Ndetect_util.Kernel
 module Record = Ndetect_util.Record
 module Telemetry = Ndetect_util.Telemetry
 module A1 = Bigarray.Array1
+module Packed = Detection_table.Packed
 
 (* On-disk format: one {!Record} of kind "table" per table, keyed by
    {!key} and named [key ^ ".tbl"]. Its payload is
@@ -190,19 +190,21 @@ let store ~dir ~key table =
   done;
   Array.iter add tindex;
   for j = 0 to g_count - 1 do
-    match Detection_table.untargeted_fault table j with
-    | Detection_table.Bridge_fault b ->
-      add 0;
-      add b.Bridge.victim;
-      add (Bool.to_int b.Bridge.victim_value);
-      add b.Bridge.aggressor;
-      add (Bool.to_int b.Bridge.aggressor_value)
-    | Detection_table.Wired_fault w ->
+    let c = Detection_table.untargeted_packed table j in
+    if Packed.is_wired c then begin
       add 1;
-      add w.Wired.a;
-      add w.Wired.b;
-      add (match w.Wired.semantics with Wired.Wired_and -> 0 | Wired.Wired_or -> 1);
+      add (Packed.first c);
+      add (Packed.second c);
+      add (Bool.to_int (Packed.first_value c));
       add 0
+    end
+    else begin
+      add 0;
+      add (Packed.first c);
+      add (Bool.to_int (Packed.first_value c));
+      add (Packed.second c);
+      add (Bool.to_int (Packed.second_value c))
+    end
   done;
   Array.iter add uindex;
   Array.iter add layout.Detection_table.rep;
@@ -269,6 +271,14 @@ let decode ~map ~words net =
     v
   in
   let bool_of = function 0 -> false | 1 -> true | _ -> raise Bad_meta in
+  (* Every node id and pin must name a line of [net]: labels and the
+     packed untargeted ints are built from them. *)
+  let nodes = Netlist.node_count net in
+  let node () =
+    let v = next_int () in
+    if v >= nodes then raise Bad_meta;
+    v
+  in
   let universe = next_int () in
   let wpr = next_int () in
   let t_count = next_int () in
@@ -294,13 +304,15 @@ let decode ~map ~words net =
   let targets =
     Array.init t_count (fun _ ->
         let tag = next_int () in
-        let a = next_int () in
+        let a = node () in
         let b = next_int () in
         let value = bool_of (next_int ()) in
         let line =
           match tag with
           | 0 -> Line.Stem a
-          | 1 -> Line.Branch { gate = a; pin = b }
+          | 1 ->
+            if b >= Array.length (Netlist.fanins net a) then raise Bad_meta;
+            Line.Branch { gate = a; pin = b }
           | _ -> raise Bad_meta
         in
         { Stuck.line; value })
@@ -311,19 +323,19 @@ let decode ~map ~words net =
     i
   in
   let tindex = Array.init t_count (fun _ -> pool_idx ()) in
+  (* Validated and packed in one pass: no record per fault. *)
   let untargeted =
     Array.init g_count (fun _ ->
         match next_int () with
         | 0 ->
-          let victim = next_int () in
+          let victim = node () in
           let victim_value = bool_of (next_int ()) in
-          let aggressor = next_int () in
+          let aggressor = node () in
           let aggressor_value = bool_of (next_int ()) in
-          Detection_table.Bridge_fault
-            { Bridge.victim; victim_value; aggressor; aggressor_value }
+          Packed.bridge ~victim ~victim_value ~aggressor ~aggressor_value
         | 1 ->
-          let a = next_int () in
-          let b = next_int () in
+          let a = node () in
+          let b = node () in
           let semantics =
             match next_int () with
             | 0 -> Wired.Wired_and
@@ -331,7 +343,7 @@ let decode ~map ~words net =
             | _ -> raise Bad_meta
           in
           if next_int () <> 0 then raise Bad_meta;
-          Detection_table.Wired_fault { Wired.a; b; semantics }
+          Packed.wired ~a ~b semantics
         | _ -> raise Bad_meta)
   in
   let uindex = Array.init g_count (fun _ -> pool_idx ()) in

@@ -305,6 +305,42 @@ let test_trusted_hash_caught () =
     "hook disarmed after a mutate run" false
     !Detection_table.debug_trust_hash
 
+(* The pair sweep's self-test: leaving out the first non-feedback pair
+   (Bridge.debug_drop_pair) must show against Ref_table, which lists
+   the pairs with Bridge.is_feedback: the kept-bridge count, or a
+   bridge set looked up by fault. Armed alone before each clean check,
+   which builds with it and disarms it afterwards; [mutate] arms it
+   together with the others. *)
+let test_dropped_pair_caught () =
+  let rng = Ndetect_util.Rng.create ~seed:11 in
+  let specs =
+    List.init 6 (fun _ ->
+        Random_circuit.draw_spec rng ~max_inputs:5 ~max_gates:16)
+  in
+  let cells =
+    List.concat_map
+      (fun spec ->
+        Ndetect_faults.Bridge.debug_drop_pair := true;
+        List.map (fun d -> d.Campaign.cell) (Campaign.check_spec spec))
+      specs
+  in
+  Alcotest.(check bool)
+    "untargeted count or T(g) cells diverge" true
+    (List.exists
+       (fun c ->
+         String.starts_with ~prefix:"untargeted kept" c
+         || String.starts_with ~prefix:"T(g" c)
+       cells);
+  Alcotest.(check bool)
+    "hook disarmed after a clean run" false
+    !Ndetect_faults.Bridge.debug_drop_pair;
+  List.iter
+    (fun spec -> ignore (Campaign.check_spec ~mutate:true spec))
+    specs;
+  Alcotest.(check bool)
+    "hook disarmed after a mutate run" false
+    !Ndetect_faults.Bridge.debug_drop_pair
+
 (* Procedure 1's self-test: a draw range one short of N(f) - count
    (Procedure1.debug_stale_count) must show in the Procedure 1 cells
    against Ref_procedure1, which counts the unused tests on its own.
@@ -555,6 +591,8 @@ let () =
             test_aggressor_flip_caught;
           Alcotest.test_case "trusted truncated hash is caught" `Quick
             test_trusted_hash_caught;
+          Alcotest.test_case "dropped bridge pair is caught" `Quick
+            test_dropped_pair_caught;
           Alcotest.test_case "stale draw range is caught" `Quick
             test_stale_count_caught;
           Alcotest.test_case "skipped scan block is caught" `Quick

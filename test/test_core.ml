@@ -318,10 +318,8 @@ let prop_bridge_victims_from_targets =
     ~name:"bridge classes from target sets == swept victims (collapse on/off)"
     ~count:20 Helpers.circuit_arbitrary
     (Helpers.apply_circuit (fun net ->
-         let bridges = Bridge.enumerate net in
-         let swept =
-           Detection_table.bridge_classes (Good.compute net) bridges
-         in
+         let pairs = Bridge.pairs net in
+         let swept = Detection_table.bridge_classes (Good.compute net) pairs in
          List.for_all
            (fun collapse ->
              let table = Detection_table.build ~collapse net in
@@ -332,7 +330,8 @@ let prop_bridge_victims_from_targets =
              && List.for_all
                   (fun gj ->
                     Detection_table.untargeted_fault table gj
-                    = Detection_table.Bridge_fault bridges.(swept.kept.(gj))
+                    = Detection_table.Bridge_fault
+                        (Bridge.nth pairs swept.kept.(gj))
                     && Detection_table.untargeted_class table gj
                        = swept.class_of.(gj)
                     && Bitvec.equal

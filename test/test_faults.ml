@@ -139,33 +139,52 @@ let prop_bridge_no_feedback_pairs =
              not (Bridge.is_feedback net f.Bridge.victim f.Bridge.aggressor))
            (Bridge.enumerate net)))
 
-(* The list-built enumeration the array fill replaced: four records
-   consed per non-feedback pair, reversed at the end. *)
-let naive_bridges net =
-  let nodes = Bridge.candidate_nodes net in
-  let n = Array.length nodes in
-  let acc = ref [] in
-  for i = 0 to n - 1 do
-    for j = i + 1 to n - 1 do
-      let u = nodes.(i) and v = nodes.(j) in
-      if not (Bridge.is_feedback net u v) then
-        let b victim victim_value aggressor aggressor_value =
-          { Bridge.victim; victim_value; aggressor; aggressor_value }
-        in
-        acc :=
-          b v true u false :: b u true v false :: b v false u true
-          :: b u false v true :: !acc
-    done
-  done;
-  List.rev !acc
-
 let prop_bridge_enumerate_naive =
   QCheck.Test.make ~name:"enumerate = naive list-built order" ~count:60
     Helpers.circuit_arbitrary
     (Helpers.apply_circuit (fun net ->
-         List.equal Bridge.equal
-           (Array.to_list (Bridge.enumerate net))
-           (naive_bridges net)))
+         let reference = Ndetect_check.Ref_table.bridges net in
+         let bridges = Bridge.enumerate net in
+         Array.length bridges = Array.length reference
+         && Array.for_all2 Bridge.equal bridges reference))
+
+(* Up to 150 gates, so the candidate bitsets of the pair sweep span
+   several words. *)
+let wide_circuit_arbitrary =
+  QCheck.make
+    ~print:(fun (seed, inputs, gates) ->
+      Printf.sprintf "seed=%d inputs=%d gates=%d" seed inputs gates)
+    QCheck.Gen.(
+      triple (int_bound 1_000_000) (int_range 2 8) (int_range 1 150))
+
+(* The sweep against the reference enumeration, which tests each
+   candidate pair with [is_feedback]: the same pairs in the same order
+   (bridge [4p] of the reference is pair [p]'s (u,0,v,1)). *)
+let pairs_match_reference net =
+  let p = Bridge.pairs net in
+  let reference = Ndetect_check.Ref_table.bridges net in
+  Array.length reference = Bridge.count p
+  && List.for_all
+       (fun k ->
+         let b = reference.(4 * k) in
+         b.Bridge.victim = p.Bridge.first.(k)
+         && b.Bridge.aggressor = p.Bridge.second.(k))
+       (List.init (Array.length p.Bridge.first) Fun.id)
+
+let prop_pairs_reference =
+  QCheck.Test.make ~name:"pairs = reference non-feedback pairs" ~count:60
+    wide_circuit_arbitrary
+    (Helpers.apply_circuit pairs_match_reference)
+
+let test_pairs_reference_suite () =
+  List.iter
+    (fun name ->
+      let net =
+        Ndetect_suite.Registry.circuit
+          (Option.get (Ndetect_suite.Registry.find name))
+      in
+      Alcotest.(check bool) name true (pairs_match_reference net))
+    [ "mc"; "bbara"; "log" ]
 
 let test_stuck_to_string () =
   let net = Example.circuit () in
@@ -197,5 +216,8 @@ let () =
           Helpers.qcheck prop_bridge_four_per_pair;
           Helpers.qcheck prop_bridge_no_feedback_pairs;
           Helpers.qcheck prop_bridge_enumerate_naive;
+          Helpers.qcheck prop_pairs_reference;
+          Alcotest.test_case "pairs = reference on suite circuits" `Quick
+            test_pairs_reference_suite;
         ] );
     ]

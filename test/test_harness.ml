@@ -374,6 +374,149 @@ let test_table_cache_classes_roundtrip () =
         in
         Alcotest.(check string) "same report" (report cold) (report warm))
 
+(* Warm load against cold build, fault by fault: the packed untargeted
+   faults decode to the same faults and labels, and [find_untargeted]
+   finds every 17th bridge (a scan each) at the same index. Four-way on
+   mc and bbara, and a wired-AND table. *)
+let test_table_cache_untargeted_roundtrip () =
+  let module Wired = Ndetect_faults.Wired in
+  let check ?model name =
+    with_temp_dir (fun dir ->
+        let net = Registry.circuit (Option.get (Registry.find name)) in
+        let cold = Table_cache.table ~dir ?model net in
+        match Table_cache.load ~dir ~key:(Table_cache.key ?model net) net with
+        | None -> Alcotest.fail "expected a cache hit"
+        | Some warm ->
+          let count = Detection_table.untargeted_count cold in
+          Alcotest.(check int)
+            (name ^ " untargeted count") count
+            (Detection_table.untargeted_count warm);
+          Alcotest.(check bool)
+            (name ^ " has untargeted faults") true (count > 0);
+          for gj = 0 to count - 1 do
+            let fault = Detection_table.untargeted_fault cold gj in
+            Alcotest.(check bool)
+              (Printf.sprintf "%s g%d fault" name gj)
+              true
+              (fault = Detection_table.untargeted_fault warm gj);
+            Alcotest.(check string)
+              (Printf.sprintf "%s g%d label" name gj)
+              (Detection_table.untargeted_label cold gj)
+              (Detection_table.untargeted_label warm gj);
+            match fault with
+            | Detection_table.Wired_fault _ -> ()
+            | Detection_table.Bridge_fault _ when gj mod 17 <> 0 -> ()
+            | Detection_table.Bridge_fault b ->
+              let find t =
+                Detection_table.find_untargeted t
+                  ~victim:(Ndetect_circuit.Netlist.name net b.victim)
+                  ~victim_value:b.victim_value
+                  ~aggressor:(Ndetect_circuit.Netlist.name net b.aggressor)
+                  ~aggressor_value:b.aggressor_value
+              in
+              Alcotest.(check (option int))
+                (Printf.sprintf "%s g%d found" name gj)
+                (Some gj) (find cold);
+              Alcotest.(check (option int))
+                (Printf.sprintf "%s g%d found warm" name gj)
+                (Some gj) (find warm)
+          done)
+  in
+  check "mc";
+  check "bbara";
+  check ~model:(Detection_table.Wired Wired.Wired_and) "bbara"
+
+(* The loader checks every node id and pin against the netlist. Each
+   record below carries a checksum that holds (re-sealed with
+   [Record.encode]) but names a line outside [net]: a stem node, a
+   branch gate or pin, a bridge victim or aggressor, a wired node. It
+   must load as a corrupt miss, not as a table whose labels raise. *)
+let test_table_cache_rejects_out_of_range_lines () =
+  let module Record = Ndetect_util.Record in
+  let module Wired = Ndetect_faults.Wired in
+  let module Netlist = Ndetect_circuit.Netlist in
+  let net = Registry.circuit (Option.get (Registry.find "mc")) in
+  let nodes = Netlist.node_count net in
+  let tampered ?model label patch =
+    with_temp_dir (fun dir ->
+        let key = Table_cache.key ?model net in
+        let path = Filename.concat dir (key ^ ".tbl") in
+        Table_cache.store ~dir ~key (Detection_table.build ?model net);
+        let payload =
+          Result.get_ok
+            (Record.decode ~kind:"table" ~key
+               (In_channel.with_open_bin path In_channel.input_all))
+        in
+        let field i = Int64.to_int (String.get_int64_le payload (8 * i)) in
+        let t_count = field 2 in
+        (* Meta offsets: ten fixed fields, then four per target, one pool
+           index per target, then five per untargeted fault. *)
+        let target k = 10 + (4 * k)
+        and untargeted j = 10 + (5 * t_count) + (5 * j) in
+        let at, value = patch ~field ~target ~untargeted in
+        let bytes = Bytes.of_string payload in
+        Bytes.set_int64_le bytes (8 * at) (Int64.of_int value);
+        Fs.write_atomic ~path
+          (Record.encode ~kind:"table" ~key (Bytes.to_string bytes));
+        let corrupt_before = Telemetry.counter_value "table_cache.corrupt" in
+        Alcotest.(check bool)
+          (label ^ " is a miss") true
+          (Table_cache.load ~dir ~key net = None);
+        Alcotest.(check int)
+          (label ^ " counted as corrupt") (corrupt_before + 1)
+          (Telemetry.counter_value "table_cache.corrupt"))
+  in
+  (* The first target whose line tag is [tag] (0 stem, 1 branch). *)
+  let first_target ~field ~target tag =
+    let rec go k = if field (target k) = tag then k else go (k + 1) in
+    go 0
+  in
+  tampered "stem node" (fun ~field ~target ~untargeted:_ ->
+      (target (first_target ~field ~target 0) + 1, nodes));
+  tampered "branch gate" (fun ~field ~target ~untargeted:_ ->
+      (target (first_target ~field ~target 1) + 1, nodes));
+  tampered "branch pin" (fun ~field ~target ~untargeted:_ ->
+      let k = first_target ~field ~target 1 in
+      ( target k + 2,
+        Array.length (Netlist.fanins net (field (target k + 1))) ));
+  tampered "bridge victim" (fun ~field:_ ~target:_ ~untargeted ->
+      (untargeted 0 + 1, nodes));
+  tampered "bridge aggressor" (fun ~field:_ ~target:_ ~untargeted ->
+      (untargeted 0 + 3, nodes));
+  let model = Detection_table.Wired Wired.Wired_and in
+  tampered ~model "wired node a" (fun ~field:_ ~target:_ ~untargeted ->
+      (untargeted 0 + 1, nodes));
+  tampered ~model "wired node b" (fun ~field:_ ~target:_ ~untargeted ->
+      (untargeted 0 + 2, nodes))
+
+(* Transition_analysis keeps its bridges as indices into the pair
+   sweep: its labels are the detectable bridges of the reference
+   enumeration, in order. *)
+let test_transition_labels_unchanged () =
+  let module Transition_analysis = Ndetect_core.Transition_analysis in
+  let module Bridge = Ndetect_faults.Bridge in
+  let module Good = Ndetect_sim.Good in
+  let module Fault_sim = Ndetect_sim.Fault_sim in
+  List.iter
+    (fun name ->
+      let net = Registry.circuit (Option.get (Registry.find name)) in
+      let good = Good.compute net in
+      let expected =
+        List.filter_map
+          (fun b ->
+            if Bitvec.is_empty (Fault_sim.bridge_detection_set good b) then
+              None
+            else Some (Bridge.to_string net b))
+          (Array.to_list (Ndetect_check.Ref_table.bridges net))
+      in
+      let t = Transition_analysis.compute net in
+      Alcotest.(check (list string))
+        (name ^ " labels") expected
+        (List.init
+           (Transition_analysis.untargeted_count t)
+           (Transition_analysis.untargeted_label t)))
+    [ "mc"; "bbara" ]
+
 let test_table_cache_corruption () =
   with_temp_dir (fun dir ->
       let net = Registry.circuit (Option.get (Registry.find "lion")) in
@@ -1018,6 +1161,12 @@ let () =
             test_table_cache_roundtrip;
           Alcotest.test_case "classes survive store and warm load" `Quick
             test_table_cache_classes_roundtrip;
+          Alcotest.test_case "untargeted faults survive store and warm load"
+            `Quick test_table_cache_untargeted_roundtrip;
+          Alcotest.test_case "out-of-range lines rejected" `Quick
+            test_table_cache_rejects_out_of_range_lines;
+          Alcotest.test_case "transition labels unchanged" `Quick
+            test_transition_labels_unchanged;
           Alcotest.test_case "corruption tolerated" `Quick
             test_table_cache_corruption;
           Alcotest.test_case "damage sweep: truncations and bit flips" `Quick

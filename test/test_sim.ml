@@ -84,8 +84,8 @@ let prop_bridge_sim_matches_naive =
    rows, deduplicated into classes) must agree fault-for-fault with the
    independent single-fault simulations, which in turn match naive full
    re-simulation above. *)
-let factored_bridge_sets good faults =
-  let c = Detection_table.bridge_classes ~keep_undetectable:true good faults in
+let factored_bridge_sets good pairs =
+  let c = Detection_table.bridge_classes ~keep_undetectable:true good pairs in
   Array.map (Array.get c.Detection_table.distinct) c.Detection_table.class_of
 
 let prop_bridge_batch_matches_singles =
@@ -93,8 +93,9 @@ let prop_bridge_batch_matches_singles =
     Helpers.circuit_arbitrary
     (Helpers.apply_circuit (fun net ->
          let good = Good.compute net in
-         let faults = Bridge.enumerate net in
-         let batch = factored_bridge_sets good faults in
+         let pairs = Bridge.pairs net in
+         let faults = Array.init (Bridge.count pairs) (Bridge.nth pairs) in
+         let batch = factored_bridge_sets good pairs in
          Array.length batch = Array.length faults
          && Array.for_all2
               (fun set fault ->
@@ -270,10 +271,11 @@ let prop_bridge_stem_matches_cone =
     Helpers.circuit_arbitrary
     (Helpers.apply_circuit (fun net ->
          let good = Good.compute net in
-         let faults = Bridge.enumerate net in
+         let pairs = Bridge.pairs net in
+         let faults = Array.init (Bridge.count pairs) (Bridge.nth pairs) in
          let cone = Array.map (Fault_sim.bridge_detection_set good) faults in
          (* The default build drops exactly the empty sets. *)
-         let c = Detection_table.bridge_classes good faults in
+         let c = Detection_table.bridge_classes good pairs in
          let nonempty =
            List.filter
              (fun j -> not (Bitvec.is_empty cone.(j)))

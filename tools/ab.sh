@@ -11,11 +11,15 @@
 # then A (A, B, B, A, ...), so a slow spell of the host lands on both
 # sides. Every workload of BENCHMARK.json, or only those named with
 # --workload, is measured for 10 pairs of the benchmark's run_seconds,
-# the fixed shape a claimed gain is judged on. Last,
-# e2ebench/compare.exe (built from this tree) compares the two record
-# sets under BENCHMARK.json; its exit status is the script's. Records
-# are kept in DIR/parent and DIR/change (DIR defaults to a new
-# temporary directory).
+# the fixed shape a claimed gain is judged on. Then each side runs every
+# workload once more with `--trace 1`, on seed N + 10 (a seed no pair
+# used). Last, e2ebench/compare.exe (built from this tree) compares the
+# untraced record sets under BENCHMARK.json, and tools/layers.exe
+# prints the traced runs' per_layer metrics side by side, so a verdict
+# and its layer explanation come from one invocation; compare.exe's exit
+# status is the script's. Records are kept in DIR/parent and DIR/change,
+# the traced ones in DIR/parent-trace and DIR/change-trace (DIR defaults
+# to a new temporary directory).
 set -euo pipefail
 
 usage() {
@@ -61,18 +65,20 @@ commit=$(git rev-parse --verify "$rev^{commit}")
 [ -n "$out" ] || out=$(mktemp -d "${TMPDIR:-/tmp}/ndetect-ab.XXXXXX")
 parent_tree=$(mktemp -d "${TMPDIR:-/tmp}/ndetect-ab-tree.XXXXXX")
 trap 'rm -rf "$parent_tree"' EXIT
-mkdir -p "$out/parent" "$out/change"
+mkdir -p "$out/parent" "$out/change" "$out/parent-trace" "$out/change-trace"
 git archive "$commit" | tar -x -C "$parent_tree"
 
 echo "ab: parent $commit vs working tree; ${workloads[*]}; $pairs pairs of ${seconds}s runs, seeds $first_seed-$((first_seed + pairs - 1)); records in $out" >&2
 
-run() { # side tree workload seed
-  local json="$out/$1/$3-seed$4.json"
-  echo "ab: $1 $3 seed $4" >&2
+run() { # side tree workload seed [trace]
+  local trace=${5:-0} dir=$1
+  [ "$trace" = 0 ] || dir=$1-trace
+  local json="$out/$dir/$3-seed$4.json"
+  echo "ab: $dir $3 seed $4" >&2
   # A run that fails still leaves its record (correct: false), which
   # the comparator reports; a missing record is the error here.
   bash "$2/e2ebench/run.sh" --workload "$3" --seed "$4" --seconds "$seconds" \
-    --trace 0 --json "$json" > /dev/null || true
+    --trace "$trace" --json "$json" > /dev/null || true
   [ -s "$json" ] || { echo "ab: $1 $3 seed $4 wrote no record" >&2; exit 1; }
 }
 
@@ -89,6 +95,18 @@ for ((i = 1; i <= pairs; i++)); do
   done
 done
 
-DUNE_CACHE=disabled dune build --root . --display quiet ./e2ebench/compare.exe 1>&2
+trace_seed=$((first_seed + pairs))
+for w in "${workloads[@]}"; do
+  run parent "$parent_tree" "$w" "$trace_seed" 1
+  run change "$root" "$w" "$trace_seed" 1
+done
+
+DUNE_CACHE=disabled dune build --root . --display quiet \
+  ./e2ebench/compare.exe ./tools/layers.exe 1>&2
+status=0
 ./_build/default/e2ebench/compare.exe --bench BENCHMARK.json \
-  "$out"/parent/*.json -- "$out"/change/*.json
+  "$out"/parent/*.json -- "$out"/change/*.json || status=$?
+echo
+./_build/default/tools/layers.exe --bench BENCHMARK.json \
+  "$out"/parent-trace/*.json -- "$out"/change-trace/*.json
+exit "$status"
