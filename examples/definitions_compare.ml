@@ -76,8 +76,9 @@ let () =
     done;
     !best
   in
-  let def1_count = Procedure1.detection_count_def1 def2 ~k:0 ~fi in
-  let chain = Procedure1.chain_def2 def2 ~k:0 ~fi in
+  let t0 = Procedure1.replay def2 ~k:0 in
+  let def1_count = Procedure1.detection_count_def1 t0 ~fi in
+  let chain = Procedure1.chain_def2 t0 ~fi in
   Printf.printf
     "Fault %s in set T0: %d detecting tests under Definition 1, but only %d \
      pairwise-different detections under Definition 2 (chain: %s)\n"

@@ -353,12 +353,15 @@ let check_net_counted ?(mutate = false) ?proc_mode ~seed net =
     let cfg =
       { Procedure1.seed; set_count = proc_set_count; nmax = proc_nmax; mode }
     in
-    let opt =
+    (* The sets are replayed while the hook is still armed: a replay
+       builds its set again, and must build the sabotaged run's. *)
+    let opt, sets =
       Fun.protect
         ~finally:(fun () -> Procedure1.debug_stale_count := false)
         (fun () ->
           if mutate then Procedure1.debug_stale_count := true;
-          Procedure1.run table cfg)
+          let opt = Procedure1.run table cfg in
+          (opt, Array.init cfg.set_count (fun k -> Procedure1.replay opt ~k)))
     in
     let refo = Ref_procedure1.run rt cfg in
     for n = 1 to cfg.nmax do
@@ -369,30 +372,31 @@ let check_net_counted ?(mutate = false) ?proc_mode ~seed net =
           ~actual:(Procedure1.detected_count opt ~n ~gj)
       done
     done;
-    for k = 0 to cfg.set_count - 1 do
-      check_list
-        (Printf.sprintf "test_set(k=%d)" k)
-        ~expected:(Ref_procedure1.test_set refo ~k)
-        ~actual:(Procedure1.test_set opt ~k);
-      for fi = 0 to f_count - 1 do
-        check_int
-          (Printf.sprintf "def1_count(k=%d,f%d)" k fi)
-          ~expected:(Ref_procedure1.detection_count_def1 refo ~k ~fi)
-          ~actual:(Procedure1.detection_count_def1 opt ~k ~fi);
-        (match mode with
-        | Procedure1.Definition2 | Procedure1.Multi_output ->
-          check_list
-            (Printf.sprintf "chain(k=%d,f%d)" k fi)
-            ~expected:(Ref_procedure1.chain_def2 refo ~k ~fi)
-            ~actual:(Procedure1.chain_def2 opt ~k ~fi)
-        | Procedure1.Definition1 -> ());
-        if mode = Procedure1.Multi_output then
+    Array.iteri
+      (fun k set ->
+        check_list
+          (Printf.sprintf "test_set(k=%d)" k)
+          ~expected:(Ref_procedure1.test_set refo ~k)
+          ~actual:(Procedure1.test_set set);
+        for fi = 0 to f_count - 1 do
           check_int
-            (Printf.sprintf "output_mask(k=%d,f%d)" k fi)
-            ~expected:(Ref_procedure1.output_mask refo ~k ~fi)
-            ~actual:(Procedure1.output_mask opt ~k ~fi)
-      done
-    done
+            (Printf.sprintf "def1_count(k=%d,f%d)" k fi)
+            ~expected:(Ref_procedure1.detection_count_def1 refo ~k ~fi)
+            ~actual:(Procedure1.detection_count_def1 set ~fi);
+          (match mode with
+          | Procedure1.Definition2 | Procedure1.Multi_output ->
+            check_list
+              (Printf.sprintf "chain(k=%d,f%d)" k fi)
+              ~expected:(Ref_procedure1.chain_def2 refo ~k ~fi)
+              ~actual:(Procedure1.chain_def2 set ~fi)
+          | Procedure1.Definition1 -> ());
+          if mode = Procedure1.Multi_output then
+            check_int
+              (Printf.sprintf "output_mask(k=%d,f%d)" k fi)
+              ~expected:(Ref_procedure1.output_mask refo ~k ~fi)
+              ~actual:(Procedure1.output_mask set ~fi)
+        done)
+      sets
   end
   else begin
     (* Fault lists of different lengths cannot be compared cell by

@@ -456,12 +456,22 @@ let layout_of_sets sets =
 let target_layout t =
   memoized_index t.layout (fun () -> layout_of_sets t.target_sets)
 
+(* Two passes over the sets, counting then filling, so the index is
+   built in its final arrays without a cons cell per (vector, set). *)
 let invert_sets ~universe sets =
-  let buckets = Array.make universe [] in
-  for i = Array.length sets - 1 downto 0 do
-    Bitvec.iter_set sets.(i) (fun v -> buckets.(v) <- i :: buckets.(v))
-  done;
-  Array.map Array.of_list buckets
+  let fill = Array.make universe 0 in
+  Array.iter
+    (fun set -> Bitvec.iter_set set (fun v -> fill.(v) <- fill.(v) + 1))
+    sets;
+  let index = Array.map (fun count -> Array.make count 0) fill in
+  Array.fill fill 0 universe 0;
+  Array.iteri
+    (fun i set ->
+      Bitvec.iter_set set (fun v ->
+          index.(v).(fill.(v)) <- i;
+          fill.(v) <- fill.(v) + 1))
+    sets;
+  index
 
 let detectors_of_vector t =
   memoized_index t.inverted (fun () ->

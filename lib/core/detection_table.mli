@@ -171,6 +171,10 @@ val detectors_of_vector : t -> int array array
     detected by vector [v]. Computed lazily once, cached, and published
     atomically — safe to call from concurrent domains. *)
 
+val invert_sets : universe:int -> Bitvec.t array -> int array array
+(** [invert_sets ~universe sets]: entry [v] lists, in ascending order,
+    the indices [i] with [v ∈ sets.(i)]. *)
+
 val untargeted_detectors_of_vector : t -> int array array
 (** Inverted index over untargeted faults: entry [v] lists the
     untargeted-fault indices [gj] with [v ∈ T(gj)]. Same lazy, atomic,

@@ -15,11 +15,17 @@ type config = { seed : int; set_count : int; nmax : int; mode : mode }
 let default_config =
   { seed = 1; set_count = 1000; nmax = 10; mode = Definition1 }
 
-(* The per-fault arrays after [def1_counts] serve the strict modes only
-   and are [||] in a Definition 1 run, which never reads them. *)
-type test_set = {
+(* One test set under construction. A chunk of [run] builds all of its
+   sets in one [set] (cleared by [reset] before each), and [replay]
+   builds one in a fresh [set]. The per-fault arrays after [def1_counts]
+   serve the strict modes only and are [||] in a Definition 1 run, which
+   never reads them. *)
+type set = {
+  mode : mode;
   members : Bitvec.t;  (* membership over the universe *)
-  mutable added : (int * int) list;  (* (vector, iteration), reverse order *)
+  mutable vectors : int array;  (* tests in insertion order; [len] valid *)
+  mutable len : int;
+  ends : int array;  (* ends.(n-1) = len at the end of iteration n *)
   def1_counts : int array;  (* per target fault: |T(f) ∩ Tk| *)
   chains : int list array;  (* strict-mode counted detections, reversed *)
   chain_lens : int array;  (* |chains.(fi)|, maintained incrementally so
@@ -31,30 +37,12 @@ type test_set = {
   strict_exhausted : bool array;
 }
 
-type outcome = {
-  config : config;
-  report : int array;
-  report_pos : (int, int) Hashtbl.t;  (* gj -> position in report *)
-  detected : int array array;  (* detected.(n-1).(pos) = d(n, g) *)
-  sets : test_set array;
-}
-
-let build_report_index table report =
-  let universe = Detection_table.universe table in
-  let buckets = Array.make universe [] in
-  Array.iteri
-    (fun pos gj ->
-      Bitvec.iter_set
-        (Detection_table.untargeted_set table gj)
-        (fun v -> buckets.(v) <- pos :: buckets.(v)))
-    report;
-  Array.map Array.of_list buckets
-
-(* The K test sets are mutually independent: each is constructed from its
-   own pre-split RNG stream against shared read-only tables. [run] fans
-   the sets out over domains in contiguous chunks; because stream
-   [rngs.(k)] fully determines set [k], the outcome is bit-identical for
-   every domain count (including the sequential domains = 1 path). *)
+(* The K test sets are mutually independent: set [k] is constructed from
+   its own RNG stream ({!Rng.stream} [~seed k]) against shared read-only
+   tables. [run] fans the sets out over domains in contiguous chunks and
+   keeps only integer tallies of them, so the outcome is bit-identical
+   for every domain count (including the sequential domains = 1 path),
+   and [replay] rebuilds any one set from its stream. *)
 
 (* Everything a set-construction worker reads, all of it immutable or
    domain-safe: the detection table memos are published atomically /
@@ -70,6 +58,13 @@ type shared = {
   report_detectors : int array array;  (* vector -> report positions *)
   target_detectors : int array array;  (* vector -> target fault indices *)
   output_sets : Bitvec.t array array;  (* Multi_output only; fi -> per-output *)
+}
+
+type outcome = {
+  shared : shared;  (* what [replay] runs against *)
+  report : int array;
+  report_pos : (int, int) Hashtbl.t;  (* gj -> position in report *)
+  detected : int array array;  (* detected.(n-1).(pos) = d(n, g) *)
 }
 
 (* Outputs observing target [fi] under vector [v], as a bitmask. *)
@@ -123,31 +118,51 @@ let pick_candidate rng ~accepts ~first ~available s tf =
     Rng.shuffle_in_place rng unused;
     first unused
 
-(* Construct one complete n-detection test set from its own RNG stream.
-   [def2] is the (chunk-local) Definition-2 oracle; [first_detected]
-   records, per report position, the iteration at which the set first
-   detected that fault (0 = never) — the global d(n, g) counters are
-   aggregated from these after the fan-out. *)
-let run_one cancel sh def2 rng =
+let make_set sh =
   let strict x =
     if sh.cfg.mode = Definition1 then [||] else Array.make sh.f_count x
   in
-  let s =
-    {
-      members = Bitvec.create sh.universe;
-      added = [];
-      def1_counts = Array.make sh.f_count 0;
-      chains = strict [];
-      chain_lens = strict 0;
-      output_masks = strict 0;
-      chain_masks = strict 0;
-      strict_exhausted = strict false;
-    }
-  in
-  let first_detected = Array.make sh.report_len 0 in
-  let add_test ~iteration v =
+  {
+    mode = sh.cfg.mode;
+    members = Bitvec.create sh.universe;
+    vectors = Array.make 16 0;
+    len = 0;
+    ends = Array.make sh.cfg.nmax 0;
+    def1_counts = Array.make sh.f_count 0;
+    chains = strict [];
+    chain_lens = strict 0;
+    output_masks = strict 0;
+    chain_masks = strict 0;
+    strict_exhausted = strict false;
+  }
+
+(* Back to the empty set: a set's members are exactly its vectors. *)
+let reset s =
+  for i = 0 to s.len - 1 do
+    Bitvec.clear s.members s.vectors.(i)
+  done;
+  s.len <- 0;
+  Array.fill s.def1_counts 0 (Array.length s.def1_counts) 0;
+  Array.fill s.chains 0 (Array.length s.chains) [];
+  Array.fill s.chain_lens 0 (Array.length s.chain_lens) 0;
+  Array.fill s.output_masks 0 (Array.length s.output_masks) 0;
+  Array.fill s.chain_masks 0 (Array.length s.chain_masks) 0;
+  Array.fill s.strict_exhausted 0 (Array.length s.strict_exhausted) false
+
+(* Construct one complete n-detection test set in [s] from its own RNG
+   stream. [def2] is the Definition-2 oracle (one per chunk, or one per
+   replay). *)
+let run_one cancel sh def2 rng s =
+  reset s;
+  let add_test v =
     Bitvec.set s.members v;
-    s.added <- (v, iteration) :: s.added;
+    if s.len = Array.length s.vectors then begin
+      let grown = Array.make (2 * s.len) 0 in
+      Array.blit s.vectors 0 grown 0 s.len;
+      s.vectors <- grown
+    end;
+    s.vectors.(s.len) <- v;
+    s.len <- s.len + 1;
     let detected = sh.target_detectors.(v) in
     (match def2 with
     | Some def2 ->
@@ -192,11 +207,7 @@ let run_one cancel sh def2 rng =
             s.chain_lens.(fi) <- s.chain_lens.(fi) + 1;
             s.chain_masks.(fi) <- s.chain_masks.(fi) lor m
           end)
-        detected;
-    Array.iter
-      (fun pos ->
-        if first_detected.(pos) = 0 then first_detected.(pos) <- iteration)
-      sh.report_detectors.(v)
+        detected
   in
   (* Also the strict modes' fallback when the stricter count cannot
      reach n, so the fault is not left far below n. *)
@@ -206,7 +217,7 @@ let run_one cancel sh def2 rng =
       match
         pick_uniform_diff rng tf s.members ~available:(unused_count sh s fi)
       with
-      | Some v -> add_test ~iteration:n v
+      | Some v -> add_test v
       | None -> ())
   in
   for n = 1 to sh.cfg.nmax do
@@ -226,7 +237,7 @@ let run_one cancel sh def2 rng =
                 ~first:(Definition2.first_extending def2 ~fi ~chain)
                 ~available:(unused_count sh s fi) s tf
             with
-            | Some v -> add_test ~iteration:n v
+            | Some v -> add_test v
             | None ->
               s.strict_exhausted.(fi) <- true;
               def1_step ~n fi
@@ -243,19 +254,40 @@ let run_one cancel sh def2 rng =
               pick_candidate rng ~accepts ~first:(Array.find_opt accepts)
                 ~available:(unused_count sh s fi) s tf
             with
-            | Some v -> add_test ~iteration:n v
+            | Some v -> add_test v
             | None ->
               s.strict_exhausted.(fi) <- true;
               def1_step ~n fi
           end
-    done
-  done;
-  (s, first_detected)
+    done;
+    s.ends.(n - 1) <- s.len
+  done
+
+(* Fold a finished set into a chunk's tallies: [hist.((n-1) * report_len
+   + pos)] counts the sets whose first detection of the report fault at
+   [pos] came at iteration [n]. [seen.(pos) = stamp] marks the faults
+   this set has already detected; [stamp] is distinct per set of the
+   chunk, so [seen] is never cleared. *)
+let tally sh s ~stamp seen hist =
+  let start = ref 0 in
+  for n = 1 to sh.cfg.nmax do
+    let row = (n - 1) * sh.report_len in
+    for i = !start to s.ends.(n - 1) - 1 do
+      Array.iter
+        (fun pos ->
+          if seen.(pos) <> stamp then begin
+            seen.(pos) <- stamp;
+            hist.(row + pos) <- hist.(row + pos) + 1
+          end)
+        sh.report_detectors.(s.vectors.(i))
+    done;
+    start := s.ends.(n - 1)
+  done
 
 (* Shared setup of the read-only tables behind a run: everything
    [run_one] consults, fully determined by the table, the config and the
    report choice. *)
-let make_shared ?report_faults table config =
+let make_shared ?report_faults table (config : config) =
   let universe = Detection_table.universe table in
   let f_count = Detection_table.target_count table in
   let report =
@@ -271,7 +303,9 @@ let make_shared ?report_faults table config =
        table-wide memoized inversion is the report index — rebuilding it
        per run was the dominant cost of repeated small-K runs. *)
     | None -> Detection_table.untargeted_detectors_of_vector table
-    | Some _ -> build_report_index table report
+    | Some _ ->
+      Detection_table.invert_sets ~universe
+        (Array.map (Detection_table.untargeted_set table) report)
   in
   if config.mode = Multi_output && Detection_table.output_count table > 62
   then invalid_arg "Procedure1.run: Multi_output limited to 62 outputs";
@@ -296,29 +330,24 @@ let make_shared ?report_faults table config =
   in
   (sh, report, report_pos)
 
-(* One pre-split stream per set, split in set order (explicit loop:
-   Array.init's evaluation order is unspecified): the root generator
-   never crosses domains, and stream k is the same whatever the
-   chunking. *)
-let split_streams ~seed ~count =
-  let root = Rng.create ~seed in
-  let rngs = Array.make count root in
-  for k = 0 to count - 1 do
-    rngs.(k) <- Rng.split root
-  done;
-  rngs
+(* A Definition-2 oracle's scratch rails are mutable, so each chunk (and
+   each replay) makes its own; verdicts are pure, so per-chunk instances
+   do not affect the outcome. *)
+let oracle sh =
+  match sh.cfg.mode with
+  | Definition2 -> Some (Definition2.create sh.table)
+  | Definition1 | Multi_output -> None
 
 (* d(n, g) = #sets whose first detection of g happened at iteration
-   <= n: bucket the first-detection iterations, then prefix-sum. *)
-let aggregate_detected ~nmax ~report_len per_set =
-  let detected = Array.init nmax (fun _ -> Array.make report_len 0) in
-  Array.iter
-    (fun (_, first_detected) ->
-      Array.iteri
-        (fun pos n ->
-          if n > 0 then detected.(n - 1).(pos) <- detected.(n - 1).(pos) + 1)
-        first_detected)
-    per_set;
+   <= n: sum the chunks' first-detection histograms, then prefix-sum. *)
+let aggregate_detected ~nmax ~report_len hists =
+  let detected =
+    Array.init nmax (fun n0 ->
+        Array.init report_len (fun pos ->
+            Array.fold_left
+              (fun acc hist -> acc + hist.((n0 * report_len) + pos))
+              0 hists))
+  in
   for n = 1 to nmax - 1 do
     let prev = detected.(n - 1) and cur = detected.(n) in
     for pos = 0 to report_len - 1 do
@@ -328,7 +357,7 @@ let aggregate_detected ~nmax ~report_len per_set =
   detected
 
 let run ?(cancel = Ndetect_util.Cancel.none) ?domains ?report_faults table
-    config =
+    (config : config) =
   if config.set_count < 1 || config.nmax < 1 then
     invalid_arg "Procedure1.run: bad config";
   Telemetry.with_span "procedure1.run"
@@ -340,52 +369,40 @@ let run ?(cancel = Ndetect_util.Cancel.none) ?domains ?report_faults table
       ]
   @@ fun () ->
   let sh, report, report_pos = make_shared ?report_faults table config in
-  let rngs = split_streams ~seed:config.seed ~count:config.set_count in
   let domains =
     match domains with
     | Some d -> max 1 d
     | None -> Parallel.default_domains ()
   in
-  let chunk_count = if domains <= 1 then 1 else min config.set_count (2 * domains) in
-  let chunk = (config.set_count + chunk_count - 1) / chunk_count in
+  let set_count = config.set_count in
+  let chunk_count = if domains <= 1 then 1 else min set_count (2 * domains) in
+  (* Chunk c holds sets [c K / C, (c + 1) K / C): none is empty. *)
   let bounds =
     Array.init chunk_count (fun c ->
-        (c * chunk, min config.set_count ((c + 1) * chunk) - 1))
+        (c * set_count / chunk_count, ((c + 1) * set_count / chunk_count) - 1))
   in
-  let chunk_results =
+  let hists =
     Parallel.map_array ~domains
       (fun (lo, hi) ->
-        if lo > hi then [||]
-        else
-          Telemetry.with_span "procedure1.chunk"
-            ~args:
-              [ ("lo", string_of_int lo); ("hi", string_of_int hi) ]
-          @@ fun () ->
-          begin
-          (* One Definition-2 oracle per chunk: its scratch rails are
-             mutable, so they must not cross domains; verdicts are pure,
-             so per-chunk instances do not affect the outcome. *)
-          let def2 =
-            match config.mode with
-            | Definition2 -> Some (Definition2.create table)
-            | Definition1 | Multi_output -> None
-          in
-          Array.init
-            (hi - lo + 1)
-            (fun i -> run_one cancel sh def2 rngs.(lo + i))
-        end)
+        Telemetry.with_span "procedure1.chunk"
+          ~args:[ ("lo", string_of_int lo); ("hi", string_of_int hi) ]
+        @@ fun () ->
+        let def2 = oracle sh and s = make_set sh in
+        let seen = Array.make sh.report_len 0 in
+        let hist = Array.make (config.nmax * sh.report_len) 0 in
+        for k = lo to hi do
+          run_one cancel sh def2 (Rng.stream ~seed:config.seed k) s;
+          tally sh s ~stamp:(k + 1) seen hist
+        done;
+        hist)
       bounds
   in
-  let per_set = Array.concat (Array.to_list chunk_results) in
-  assert (Array.length per_set = config.set_count);
-  let sets = Array.map fst per_set in
   let detected =
-    aggregate_detected ~nmax:config.nmax ~report_len:(Array.length report)
-      per_set
+    aggregate_detected ~nmax:config.nmax ~report_len:sh.report_len hists
   in
-  { config; report; report_pos; detected; sets }
+  { shared = sh; report; report_pos; detected }
 
-let config o = o.config
+let config o = o.shared.cfg
 let report_faults o = Array.copy o.report
 
 let pos_of o gj =
@@ -394,27 +411,38 @@ let pos_of o gj =
   | None -> invalid_arg "Procedure1: fault not tracked in report_faults"
 
 let detected_count o ~n ~gj =
-  if n < 1 || n > o.config.nmax then invalid_arg "Procedure1: n out of range";
+  if n < 1 || n > o.shared.cfg.nmax then
+    invalid_arg "Procedure1: n out of range";
   o.detected.(n - 1).(pos_of o gj)
 
 let probability o ~n ~gj =
-  float_of_int (detected_count o ~n ~gj) /. float_of_int o.config.set_count
+  float_of_int (detected_count o ~n ~gj)
+  /. float_of_int o.shared.cfg.set_count
 
-let test_set o ~k = List.rev_map fst o.sets.(k).added
+let replay o ~k =
+  let sh = o.shared in
+  if k < 0 || k >= sh.cfg.set_count then
+    invalid_arg "Procedure1.replay: k out of range";
+  let s = make_set sh in
+  run_one Ndetect_util.Cancel.none sh (oracle sh)
+    (Rng.stream ~seed:sh.cfg.seed k) s;
+  s
 
-let test_set_at o ~n ~k =
-  List.filter_map
-    (fun (v, it) -> if it <= n then Some v else None)
-    (List.rev o.sets.(k).added)
+let test_set s = List.init s.len (fun i -> s.vectors.(i))
 
-let detection_count_def1 o ~k ~fi = o.sets.(k).def1_counts.(fi)
+let test_set_at s ~n =
+  if n < 1 || n > Array.length s.ends then
+    invalid_arg "Procedure1: n out of range";
+  List.init s.ends.(n - 1) (fun i -> s.vectors.(i))
 
-let chain_def2 o ~k ~fi =
-  match o.config.mode with
+let detection_count_def1 s ~fi = s.def1_counts.(fi)
+
+let chain_def2 s ~fi =
+  match s.mode with
   | Definition1 -> []
-  | Definition2 | Multi_output -> List.rev o.sets.(k).chains.(fi)
+  | Definition2 | Multi_output -> List.rev s.chains.(fi)
 
-let output_mask o ~k ~fi =
-  match o.config.mode with
+let output_mask s ~fi =
+  match s.mode with
   | Definition1 -> 0
-  | Definition2 | Multi_output -> o.sets.(k).output_masks.(fi)
+  | Definition2 | Multi_output -> s.output_masks.(fi)

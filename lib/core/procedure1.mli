@@ -34,6 +34,11 @@ val default_config : config
 (** [seed = 1; set_count = 1000; nmax = 10; mode = Definition1]. *)
 
 type outcome
+(** The tallies of a run: [d(n, g)] for every [n <= nmax] and every
+    reported fault, plus the read-only tables [replay] needs (the
+    detection table and its per-vector fault lists, shared with the
+    table itself). No test set survives {!run}: an outcome's size does
+    not depend on K. *)
 
 val run :
   ?cancel:Ndetect_util.Cancel.token ->
@@ -44,12 +49,16 @@ val run :
     probabilities are tracked (default: all of them). [cancel] is polled
     throughout the construction loops.
 
-    The K sets are mutually independent, each drawn from its own
-    pre-split RNG stream ({!Ndetect_util.Rng.split}, split in set order
-    from [config.seed]), and are constructed in parallel over [domains]
-    domains (default {!Ndetect_util.Parallel.default_domains}). The
-    outcome is bit-identical for every [domains] value, including the
-    sequential [domains = 1] path. *)
+    The K sets are mutually independent: set [k] is drawn from its own
+    RNG stream, [Ndetect_util.Rng.stream ~seed:config.seed k] (the
+    [(k+1)]-th {!Ndetect_util.Rng.split} of [config.seed]). They are
+    constructed in parallel over [domains] domains (default
+    {!Ndetect_util.Parallel.default_domains}) in contiguous chunks. A
+    chunk builds its sets one at a time in one scratch set and folds
+    each finished set into its first-detection histogram; [run] sums
+    the histograms. The outcome is bit-identical for every [domains]
+    value, including the sequential [domains = 1] path, and the memory
+    a run holds is per chunk, not per set. *)
 
 val config : outcome -> config
 val report_faults : outcome -> int array
@@ -61,25 +70,37 @@ val detected_count : outcome -> n:int -> gj:int -> int
 val probability : outcome -> n:int -> gj:int -> float
 (** [p(n, g_j) = d(n, g_j) / K]. *)
 
-val test_set : outcome -> k:int -> int list
-(** Final (n = nmax) test set [k], in insertion order. *)
+type set
+(** One test set of a run, rebuilt by {!replay}. *)
 
-val test_set_at : outcome -> n:int -> k:int -> int list
-(** The prefix of set [k] present at the end of iteration [n]. *)
+val replay : outcome -> k:int -> set
+(** [replay o ~k] constructs test set [k] of [o]'s run again: the same
+    construction on the same stream (with a fresh Definition 2 oracle),
+    so it is the set the run tallied, while [debug_stale_count] reads
+    the same. It costs what building that one set cost in {!run}, plus
+    a Definition 2 oracle's cones in a Definition 2 run; replaying every
+    set costs a sequential run. Requires [0 <= k < K]. *)
 
-val detection_count_def1 : outcome -> k:int -> fi:int -> int
-(** Distinct tests of the final set [k] detecting target [fi]:
-    [|T(f) ∩ test_set o ~k|], in every mode. The construction keeps this
-    count as it adds tests and takes each uniform draw's range,
-    [|T(f) - Tk| = N(f) - count], from it. *)
+val test_set : set -> int list
+(** The final (n = nmax) test set, in insertion order. *)
 
-val chain_def2 : outcome -> k:int -> fi:int -> int list
-(** Counted detections in the final set [k] (Definition 2 and
+val test_set_at : set -> n:int -> int list
+(** The prefix of the set present at the end of iteration [n]
+    ([1 <= n <= nmax]). *)
+
+val detection_count_def1 : set -> fi:int -> int
+(** Distinct tests of the set detecting target [fi]: [|T(f) ∩ test_set
+    s|], in every mode. The construction keeps this count as it adds
+    tests and takes each uniform draw's range, [|T(f) - Tk| = N(f) -
+    count], from it. *)
+
+val chain_def2 : set -> fi:int -> int list
+(** Counted detections of target [fi] in the set (Definition 2 and
     Multi_output runs; [[]] in a Definition 1 run). *)
 
-val output_mask : outcome -> k:int -> fi:int -> int
-(** Bitmask of primary outputs on which the final set [k] observes target
-    [fi] (Multi_output runs only; [0] otherwise). *)
+val output_mask : set -> fi:int -> int
+(** Bitmask of primary outputs on which the set observes target [fi]
+    (Multi_output runs only; [0] otherwise). *)
 
 val debug_stale_count : bool ref
 (** Test-only sabotage hook: when set, a draw for a fault with a
@@ -87,4 +108,7 @@ val debug_stale_count : bool ref
     picks the last unused test of [T(f) - Tk] — the stale count a broken
     invariant would leave. The campaign's Procedure 1 cells must report
     it ({!Ndetect_check.Campaign.check_net} arms it under [mutate]).
+    It is read as each set is built, by {!run} and by {!replay} alike,
+    so sets meant to match a sabotaged run must be replayed while it is
+    still set.
     Always [false] in production. *)

@@ -50,13 +50,6 @@ let draw_range ~universe_bits ~samples ~strata ~seed ~lo ~hi =
     invalid_arg
       (Printf.sprintf "Sampler: stratum range [%d, %d) outside [0, %d)" lo hi
          strata);
-  let base = Rng.create ~seed in
-  (* Stratum i's stream is the (i+1)-th split of the base generator;
-     skipping the first [lo] splits costs O(lo) but keeps the streams
-     identical no matter how the strata are partitioned into units. *)
-  for _ = 1 to lo do
-    ignore (Rng.split base : Rng.t)
-  done;
   let total = ref 0 in
   for i = lo to hi - 1 do
     total := !total + alloc.(i)
@@ -64,7 +57,9 @@ let draw_range ~universe_bits ~samples ~strata ~seed ~lo ~hi =
   let out = Array.make (max 1 !total) 0 in
   let k = ref 0 in
   for i = lo to hi - 1 do
-    let stream = Rng.split base in
+    (* Stratum i's stream is the (i+1)-th split of [create ~seed], the
+       same whichever range of strata this call draws. *)
+    let stream = Rng.stream ~seed i in
     let slo, shi = bounds.(i) in
     let width = shi - slo in
     for _ = 1 to alloc.(i) do

@@ -9,6 +9,7 @@ module Paper_tables = Ndetect_report.Paper_tables
 module Supervise = Ndetect_util.Supervise
 module Telemetry = Ndetect_util.Telemetry
 module Cancel = Ndetect_util.Cancel
+module Parallel = Ndetect_util.Parallel
 module Encode = Ndetect_synth.Encode
 module Kiss2 = Ndetect_netparse.Kiss2
 module Bench_format = Ndetect_netparse.Bench_format
@@ -121,7 +122,13 @@ module Request = struct
     let* () = at_least_one "k2" t.k2 in
     let* () = at_least_one "nmax" t.nmax in
     let* () =
-      Option.fold ~none:(Ok ()) ~some:(at_least_one "domains") t.domains
+      match t.domains with
+      | Some d when d > Parallel.max_domains ->
+        Error
+          (Printf.sprintf "request field \"domains\" must be <= %d"
+             Parallel.max_domains)
+      | Some d -> at_least_one "domains" d
+      | None -> Ok ()
     in
     let* () =
       match t.deadline with

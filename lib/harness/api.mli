@@ -91,7 +91,8 @@ module Request : sig
 
   val validate : t -> (t, string) result
   (** The request bounds, in one place: [k], [k2] and [nmax] >= 1,
-      [domains] >= 1, [deadline] > 0, and a sampled universe through
+      [domains] in 1 .. {!Ndetect_util.Parallel.max_domains} (64),
+      [deadline] > 0, and a sampled universe through
       {!Ndetect_estimate.Estimate.Spec.validate}. [Error] is
       [request field "NAME" ...], naming the first field out of
       bounds, so a front end can map it back to the flag that set

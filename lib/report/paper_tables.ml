@@ -225,9 +225,10 @@ let table4 outcome =
   let config = Procedure1.config outcome in
   let rows =
     List.init config.Procedure1.set_count (fun k ->
+        let set = Procedure1.replay outcome ~k in
         string_of_int k
         :: List.init config.Procedure1.nmax (fun n0 ->
-               Procedure1.test_set_at outcome ~n:(n0 + 1) ~k
+               Procedure1.test_set_at set ~n:(n0 + 1)
                |> List.sort Int.compare |> List.map string_of_int
                |> String.concat " "))
   in

@@ -1,6 +1,8 @@
 let default_domains () =
   min 8 (max 1 (Domain.recommended_domain_count () - 1))
 
+let max_domains = 64
+
 (* Shared chunked runner. [f] is wrapped so a per-item exception (with
    its backtrace) lands in that item's slot instead of poisoning the
    whole array: a worker domain always runs its chunk to completion and
@@ -29,11 +31,20 @@ let map_captured ?domains f arr =
         results.(i) <- Some (capture f arr.(i))
       done
     in
-    let spawned =
-      List.init (domains - 1) (fun d -> Domain.spawn (worker (d + 1)))
-    in
+    (* A spawn can fail (the runtime caps the live domains); the ones
+       already running are joined before the failure is re-raised, so
+       none outlives the call. *)
+    let spawned = ref [] in
+    (try
+       for d = 1 to domains - 1 do
+         spawned := Domain.spawn (worker d) :: !spawned
+       done
+     with e ->
+       let backtrace = Printexc.get_raw_backtrace () in
+       List.iter Domain.join !spawned;
+       Printexc.raise_with_backtrace e backtrace);
     worker 0 ();
-    List.iter Domain.join spawned;
+    List.iter Domain.join !spawned;
     Array.map
       (function
         | Some v -> v

@@ -8,6 +8,14 @@
 val default_domains : unit -> int
 (** [max 1 (recommended_domain_count - 1)], capped at 8. *)
 
+val max_domains : int
+(** 64: the most domains a request may ask for
+    ({!Ndetect_harness.Api.Request.validate} rejects more). One call
+    runs at most [max_domains - 1] spawned domains next to the caller's,
+    well inside the runtime's limit on live domains. If a spawn fails
+    anyway (say, several calls at once), the call joins the domains it
+    already spawned and re-raises the failure. *)
+
 val try_map_array :
   ?domains:int -> ('a -> 'b) -> 'a array -> ('b, Error.t) result array
 (** Crash-isolated variant: an exception raised while mapping item [i]

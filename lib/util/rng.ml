@@ -23,6 +23,18 @@ let split t =
   let seed64 = next_int64 t in
   { state = seed64 }
 
+(* [split] adds one golden-gamma step to the root's state and takes the
+   mixed result as the new state, so the (k+1)-th split of [create ~seed]
+   starts at [mix (seed + (k + 1) * gamma)] (mod 2^64). *)
+let stream ~seed k =
+  if k < 0 then invalid_arg "Rng.stream: negative index";
+  {
+    state =
+      mix
+        (Int64.add (Int64.of_int seed)
+           (Int64.mul (Int64.of_int (k + 1)) golden_gamma));
+  }
+
 let bool t = Int64.compare (Int64.logand (next_int64 t) 1L) 0L <> 0
 
 let float t =

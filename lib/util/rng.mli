@@ -18,6 +18,11 @@ val split : t -> t
 (** [split t] advances [t] and returns a new generator whose stream is
     statistically independent of the remainder of [t]'s stream. *)
 
+val stream : seed:int -> int -> t
+(** [stream ~seed k] is the generator the [(k+1)]-th {!split} of
+    [create ~seed] returns (so [k = 0] is the first split), computed in
+    O(1) without the root. Requires [k >= 0]. *)
+
 val next_int64 : t -> int64
 (** Next raw 64-bit output. *)
 

@@ -437,8 +437,9 @@ let prop_procedure1_sets_valid =
          let outcome = Procedure1.run table config in
          let ok = ref true in
          for k = 0 to config.Procedure1.set_count - 1 do
+           let set = Procedure1.replay outcome ~k in
            for n = 1 to config.Procedure1.nmax do
-             let tests = Procedure1.test_set_at outcome ~n ~k in
+             let tests = Procedure1.test_set_at set ~n in
              let member = Bitvec.of_list (Detection_table.universe table) tests in
              for fi = 0 to Detection_table.target_count table - 1 do
                let detections =
@@ -473,13 +474,14 @@ let prop_procedure1_count_invariant =
              let outcome = Procedure1.run table config in
              List.for_all
                (fun k ->
+                 let set = Procedure1.replay outcome ~k in
                  let member =
                    Bitvec.of_list (Detection_table.universe table)
-                     (Procedure1.test_set outcome ~k)
+                     (Procedure1.test_set set)
                  in
                  List.for_all
                    (fun fi ->
-                     Procedure1.detection_count_def1 outcome ~k ~fi
+                     Procedure1.detection_count_def1 set ~fi
                      = Bitvec.inter_count member
                          (Detection_table.target_set table fi))
                    (List.init (Detection_table.target_count table) Fun.id))
@@ -501,7 +503,7 @@ let prop_procedure1_multi_output_valid =
            let outcome = Procedure1.run table config in
            let ok = ref true in
            for k = 0 to config.Procedure1.set_count - 1 do
-             let tests = Procedure1.test_set outcome ~k in
+             let tests = Procedure1.test_set (Procedure1.replay outcome ~k) in
              let member =
                Bitvec.of_list (Detection_table.universe table) tests
              in
@@ -546,8 +548,9 @@ let test_procedure1_deterministic () =
   in
   let a = Procedure1.run table config and b = Procedure1.run table config in
   for k = 0 to 9 do
-    Alcotest.(check (list int)) "same sets" (Procedure1.test_set a ~k)
-      (Procedure1.test_set b ~k)
+    Alcotest.(check (list int)) "same sets"
+      (Procedure1.test_set (Procedure1.replay a ~k))
+      (Procedure1.test_set (Procedure1.replay b ~k))
   done
 
 let test_procedure1_table4_shape () =
@@ -559,8 +562,9 @@ let test_procedure1_table4_shape () =
   in
   let outcome = Procedure1.run table config in
   for k = 0 to 9 do
-    let t1 = Procedure1.test_set_at outcome ~n:1 ~k in
-    let t2 = Procedure1.test_set_at outcome ~n:2 ~k in
+    let set = Procedure1.replay outcome ~k in
+    let t1 = Procedure1.test_set_at set ~n:1 in
+    let t2 = Procedure1.test_set_at set ~n:2 in
     Alcotest.(check bool) "t1 subset of t2" true
       (List.for_all (fun v -> List.mem v t2) t1);
     Alcotest.(check bool) "t1 nonempty" true (t1 <> []);
@@ -641,7 +645,8 @@ let test_procedure1_def2_runs () =
   (* Sets are still valid Definition-1 n-detection sets thanks to the
      fallback rule. *)
   for k = 0 to 9 do
-    let tests = Procedure1.test_set outcome ~k in
+    let set = Procedure1.replay outcome ~k in
+    let tests = Procedure1.test_set set in
     let member = Bitvec.of_list 16 tests in
     for fi = 0 to Detection_table.target_count table - 1 do
       let detections =
@@ -650,7 +655,7 @@ let test_procedure1_def2_runs () =
       Alcotest.(check bool) "fallback keeps Def1 validity" true
         (detections >= min 3 (Detection_table.target_n table fi));
       (* Chains contain only pairwise-different, detecting tests. *)
-      let chain = Procedure1.chain_def2 outcome ~k ~fi in
+      let chain = Procedure1.chain_def2 set ~fi in
       Alcotest.(check bool) "chain within T(f)" true
         (List.for_all
            (fun v -> Bitvec.get (Detection_table.target_set table fi) v)
@@ -689,7 +694,8 @@ let test_procedure1_multi_output () =
   in
   let outcome = Procedure1.run table config in
   for k = 0 to config.Procedure1.set_count - 1 do
-    let tests = Procedure1.test_set outcome ~k in
+    let set = Procedure1.replay outcome ~k in
+    let tests = Procedure1.test_set set in
     let member = Bitvec.of_list 16 tests in
     for fi = 0 to Detection_table.target_count table - 1 do
       (* Fallback keeps Definition-1 validity. *)
@@ -709,14 +715,14 @@ let test_procedure1_multi_output () =
             sets)
         tests;
       Alcotest.(check int) "output mask" !expected_mask
-        (Procedure1.output_mask outcome ~k ~fi)
+        (Procedure1.output_mask set ~fi)
     done
   done;
   (* Fault 2/0 can reach 2 distinct outputs: with n >= 2 every set must
      cover both. *)
   for k = 0 to config.Procedure1.set_count - 1 do
     Alcotest.(check int) "2/0 covers both outputs" 0b011
-      (Procedure1.output_mask outcome ~k ~fi:1)
+      (Procedure1.output_mask (Procedure1.replay outcome ~k) ~fi:1)
   done
 
 let test_average_case_thresholds () =

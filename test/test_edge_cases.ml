@@ -51,7 +51,7 @@ let test_empty_untargeted_analysis () =
         mode = Procedure1.Definition1 }
   in
   Alcotest.(check bool) "sets nonempty" true
-    (Procedure1.test_set outcome ~k:0 <> [])
+    (Procedure1.test_set (Procedure1.replay outcome ~k:0) <> [])
 
 let test_collapse_inverter_chain () =
   let net = inverter_chain () in

@@ -124,6 +124,8 @@ let test_parse_args_rejects_contradictions () =
     "--k2: request field \"k2\" must be >= 1";
   expect_error "zero domains" [ "--domains"; "0" ]
     "--domains: request field \"domains\" must be >= 1";
+  expect_error "domains above the cap" [ "--domains"; "1000" ]
+    "--domains: request field \"domains\" must be <= 64";
   expect_error "bounds hold without a suite section"
     [ "--only"; "table4"; "--k"; "0" ]
     "--k: ";

@@ -99,8 +99,9 @@ let test_procedure1_modes_deterministic () =
       in
       let a = run () and b = run () in
       for k = 0 to 4 do
-        Alcotest.(check (list int)) "same sets" (Procedure1.test_set a ~k)
-          (Procedure1.test_set b ~k)
+        Alcotest.(check (list int)) "same sets"
+          (Procedure1.test_set (Procedure1.replay a ~k))
+          (Procedure1.test_set (Procedure1.replay b ~k))
       done)
     [ Procedure1.Definition1; Procedure1.Definition2;
       Procedure1.Multi_output ]

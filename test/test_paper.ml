@@ -135,9 +135,10 @@ let test_procedure1_def2_chain_on_benchmark () =
         mode = Procedure1.Definition2 }
   in
   for k = 0 to 11 do
+    let set = Procedure1.replay outcome ~k in
     for fi = 0 to Detection_table.target_count table - 1 do
-      let chain = Procedure1.chain_def2 outcome ~k ~fi in
-      let def1 = Procedure1.detection_count_def1 outcome ~k ~fi in
+      let chain = Procedure1.chain_def2 set ~fi in
+      let def1 = Procedure1.detection_count_def1 set ~fi in
       Alcotest.(check bool) "chain <= def1 count" true
         (List.length chain <= def1);
       List.iter
@@ -158,8 +159,9 @@ let test_def2_chain_pairwise_different () =
         mode = Procedure1.Definition2 }
   in
   for k = 0 to 5 do
+    let set = Procedure1.replay outcome ~k in
     for fi = 0 to Detection_table.target_count table - 1 do
-      let chain = Procedure1.chain_def2 outcome ~k ~fi in
+      let chain = Procedure1.chain_def2 set ~fi in
       let rec pairwise = function
         | [] -> true
         | v :: rest ->

@@ -2,8 +2,11 @@
    the cone-cached fault simulator:
 
    - [Procedure1.run] must produce bit-identical outcomes for every
-     [domains] value (the K sets each own a pre-split RNG stream, so the
-     chunking cannot matter) and across two runs with the same seed.
+     [domains] value (the K sets each own an RNG stream, so the chunking
+     cannot matter) and across two runs with the same seed. An outcome
+     keeps only the d(n, g) tallies, which are the part the parallel
+     path computes; the sets are rebuilt by [Procedure1.replay].
+   - An outcome's size does not grow with K.
    - The incrementally maintained chain-length counters must agree with
      the chains themselves: re-deriving every Definition-2 / Multi_output
      chain from the insertion-order test set must reproduce [chain_def2].
@@ -35,15 +38,18 @@ let fingerprint table outcome =
   let report = Procedure1.report_faults outcome in
   let sets =
     List.init cfg.Procedure1.set_count (fun k ->
-        let tests = Procedure1.test_set outcome ~k in
+        let set = Procedure1.replay outcome ~k in
         let per_fault =
           List.init f_count (fun fi ->
-              ( Procedure1.detection_count_def1 outcome ~k ~fi,
-                Procedure1.chain_def2 outcome ~k ~fi,
-                Procedure1.output_mask outcome ~k ~fi ))
+              ( Procedure1.detection_count_def1 set ~fi,
+                Procedure1.chain_def2 set ~fi,
+                Procedure1.output_mask set ~fi ))
         in
-        (tests, per_fault))
+        (Procedure1.test_set set, per_fault))
   in
+  (* Over every untargeted fault of the table ([run]'s default report):
+     the tallies are the only part of the fingerprint that [run]'s
+     parallel chunks compute. *)
   let detected =
     List.init cfg.Procedure1.nmax (fun i ->
         Array.to_list
@@ -107,7 +113,8 @@ let test_def2_chain_regression () =
   let def2 = Definition2.create table in
   let f_count = Detection_table.target_count table in
   for k = 0 to config.Procedure1.set_count - 1 do
-    let tests = Procedure1.test_set outcome ~k in
+    let set = Procedure1.replay outcome ~k in
+    let tests = Procedure1.test_set set in
     for fi = 0 to f_count - 1 do
       let expected =
         replay_def2_chain table def2 ~nmax:config.Procedure1.nmax ~fi tests
@@ -115,7 +122,7 @@ let test_def2_chain_regression () =
       Alcotest.(check (list int))
         (Printf.sprintf "def2 chain k=%d fi=%d" k fi)
         expected
-        (Procedure1.chain_def2 outcome ~k ~fi)
+        (Procedure1.chain_def2 set ~fi)
     done
   done
 
@@ -132,7 +139,8 @@ let test_multi_output_chain_regression () =
   let outcome = Procedure1.run table config in
   let f_count = Detection_table.target_count table in
   for k = 0 to config.Procedure1.set_count - 1 do
-    let tests = Procedure1.test_set outcome ~k in
+    let set = Procedure1.replay outcome ~k in
+    let tests = Procedure1.test_set set in
     for fi = 0 to f_count - 1 do
       let tf = Detection_table.target_set table fi in
       let output_sets = Detection_table.target_output_sets table ~fi in
@@ -154,13 +162,30 @@ let test_multi_output_chain_regression () =
       Alcotest.(check (list int))
         (Printf.sprintf "multi-output chain k=%d fi=%d" k fi)
         (List.rev !chain)
-        (Procedure1.chain_def2 outcome ~k ~fi);
+        (Procedure1.chain_def2 set ~fi);
       Alcotest.(check int)
         (Printf.sprintf "output mask k=%d fi=%d" k fi)
         !out_mask
-        (Procedure1.output_mask outcome ~k ~fi)
+        (Procedure1.output_mask set ~fi)
     done
   done
+
+(* No per-set state survives [run]: an outcome holds the tallies and the
+   tables replay reads, so its reachable size is the same for K = 10 and
+   K = 500. Both outcomes are measured after both runs, so the lazily
+   filled memos of the shared detection table count the same in each. *)
+let test_outcome_size_independent_of_k mode () =
+  let table = example_table () in
+  let run set_count =
+    Procedure1.run ~domains:2 table
+      { Procedure1.seed = 5; set_count; nmax = 4; mode }
+  in
+  let small = run 10 and large = run 500 in
+  Alcotest.(check int)
+    (Printf.sprintf "%s: reachable words, K = 10 vs K = 500"
+       (mode_name mode))
+    (Obj.reachable_words (Obj.repr small))
+    (Obj.reachable_words (Obj.repr large))
 
 (* The cone cache keyed by (Good.id, seed) must never change results:
    a cold call (fresh Good, fresh cache entries), a warm call (cached
@@ -204,6 +229,15 @@ let () =
                 `Quick
                 (test_repeat_run_identical mode))
             modes );
+      ( "procedure1 memory",
+        List.map
+          (fun mode ->
+            Alcotest.test_case
+              (Printf.sprintf "%s outcome size independent of K"
+                 (mode_name mode))
+              `Quick
+              (test_outcome_size_independent_of_k mode))
+          modes );
       ( "chain regression",
         [
           Alcotest.test_case "definition2 chains from replay" `Quick

@@ -6,6 +6,7 @@
 
 module Api = Ndetect_harness.Api
 module Rpc = Ndetect_harness.Rpc
+module Parallel = Ndetect_util.Parallel
 module Serve = Ndetect_harness.Serve
 module Driver = Ndetect_harness.Driver
 module Supervise = Ndetect_util.Supervise
@@ -521,6 +522,8 @@ let test_request_validate () =
       ("k2", { base with k2 = 0 });
       ("nmax", { base with nmax = 0 });
       ("domains", { base with domains = Some 0 });
+      ("domains", { base with domains = Some (Parallel.max_domains + 1) });
+      ("domains", { base with domains = Some 1000 });
       ("deadline", { base with deadline = Some 0.0 });
       ("deadline", { base with deadline = Some (-1.5) });
       ("universe", { base with universe = sampled 0 1 0.95 });
@@ -542,7 +545,11 @@ let test_request_validate () =
   Alcotest.(check bool) "edge values validate" true
     (Api.Request.validate edge = Ok edge);
   Alcotest.(check bool) "edge values decode" true
-    (Api.Request.of_json (Api.Request.to_json edge) = Ok edge)
+    (Api.Request.of_json (Api.Request.to_json edge) = Ok edge);
+  (* The cap is accepted, and validating runs nothing. *)
+  let cap = { base with domains = Some Parallel.max_domains } in
+  Alcotest.(check bool) "domains cap validates" true
+    (Api.Request.validate cap = Ok cap)
 
 (* in-process daemon *)
 

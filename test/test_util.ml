@@ -66,6 +66,24 @@ let test_rng_shuffle_permutation () =
   Array.sort Int.compare sorted;
   Alcotest.(check (array int)) "permutation" (Array.init 20 Fun.id) sorted
 
+(* Rng.stream is the closed form of a sequential split loop: stream i
+   is the (i+1)-th split of the root, for any seed (negative ones too),
+   checked at i = 0 and i = k. *)
+let prop_rng_stream_is_kth_split =
+  QCheck.Test.make ~name:"Rng.stream ~seed k = (k+1)-th Rng.split"
+    ~count:200
+    QCheck.(pair int (int_bound 300))
+    (fun (seed, k) ->
+      let root = Rng.create ~seed in
+      let splits = Array.make (k + 1) root in
+      for i = 0 to k do
+        splits.(i) <- Rng.split root
+      done;
+      let draws rng = List.init 4 (fun _ -> Rng.next_int64 rng) in
+      List.for_all
+        (fun i -> draws (Rng.copy splits.(i)) = draws (Rng.stream ~seed i))
+        [ 0; k ])
+
 let test_bitvec_basics () =
   let v = Bitvec.create 100 in
   Alcotest.(check int) "empty count" 0 (Bitvec.count v);
@@ -958,6 +976,7 @@ let () =
           Alcotest.test_case "copy" `Quick test_rng_copy;
           Alcotest.test_case "shuffle permutes" `Quick
             test_rng_shuffle_permutation;
+          Helpers.qcheck prop_rng_stream_is_kth_split;
         ] );
       ( "bitvec",
         [
