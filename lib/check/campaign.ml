@@ -357,9 +357,14 @@ let check_net_counted ?(mutate = false) ?proc_mode ~seed net =
        builds its set again, and must build the sabotaged run's. *)
     let opt, sets =
       Fun.protect
-        ~finally:(fun () -> Procedure1.debug_stale_count := false)
+        ~finally:(fun () ->
+          Procedure1.debug_stale_count := false;
+          Procedure1.debug_skip_open := false)
         (fun () ->
-          if mutate then Procedure1.debug_stale_count := true;
+          if mutate then begin
+            Procedure1.debug_stale_count := true;
+            Procedure1.debug_skip_open := true
+          end;
           let opt = Procedure1.run table cfg in
           (opt, Array.init cfg.set_count (fun k -> Procedure1.replay opt ~k)))
     in

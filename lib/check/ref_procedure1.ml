@@ -36,9 +36,9 @@ let pick_uniform_diff rng tf members =
   | unused -> Some (List.nth unused (Rng.int rng ~bound:(List.length unused)))
 
 (* Mirrors Procedure1.pick_candidate, including its RNG consumption: up
-   to eight rejection samples, then the unused tests collected in
-   DECREASING vector order (fold_set conses increasing visits) and
-   permuted by one shuffle_in_place. *)
+   to eight rejection samples, each judged before the next is drawn,
+   then the unused tests listed in DECREASING vector order (the order
+   of Bitvec.diff_desc_into) and permuted by one shuffle_in_place. *)
 let pick_candidate rng ~accepts members tf =
   let rec sample attempts =
     if attempts = 0 then None

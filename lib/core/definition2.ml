@@ -369,21 +369,22 @@ let extend_many t ~chains fis v =
       segs := 0
     end
   in
-  Array.iteri
-    (fun k fi ->
-      if verdict.(k) then
-        List.iter
-          (fun s ->
-            if !lanes = Word.width then flush ();
-            if !segs = 0 || t.seg_k.(!segs - 1) <> k then begin
-              t.seg_k.(!segs) <- k;
-              t.seg_lo.(!segs) <- !lanes;
-              incr segs
-            end;
-            t.b.(!lanes) <- s;
-            incr lanes)
-          chains.(fi))
-    fis;
+  let rec push k = function
+    | [] -> ()
+    | s :: rest ->
+      if !lanes = Word.width then flush ();
+      if !segs = 0 || t.seg_k.(!segs - 1) <> k then begin
+        t.seg_k.(!segs) <- k;
+        t.seg_lo.(!segs) <- !lanes;
+        incr segs
+      end;
+      t.b.(!lanes) <- s;
+      incr lanes;
+      push k rest
+  in
+  for k = 0 to Array.length fis - 1 do
+    if verdict.(k) then push k chains.(fis.(k))
+  done;
   flush ();
   verdict
 

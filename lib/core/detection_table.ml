@@ -457,20 +457,30 @@ let target_layout t =
   memoized_index t.layout (fun () -> layout_of_sets t.target_sets)
 
 (* Two passes over the sets, counting then filling, so the index is
-   built in its final arrays without a cons cell per (vector, set). *)
+   built in its final arrays without a cons cell per (vector, set). Each
+   pass takes one word block of 62 vectors across every set before the
+   next block, so the rows and counts it writes stay in cache. *)
 let invert_sets ~universe sets =
-  let fill = Array.make universe 0 in
-  Array.iter
-    (fun set -> Bitvec.iter_set set (fun v -> fill.(v) <- fill.(v) + 1))
-    sets;
-  let index = Array.map (fun count -> Array.make count 0) fill in
+  let fill = Array.make universe 0 and index = Array.make universe [||] in
+  (* [place]: write each entry at its vector's running count. *)
+  let sweep ~place =
+    for wi = 0 to Bitvec.word_count universe - 1 do
+      let base = wi * Bitvec.bits_per_word in
+      for i = 0 to Array.length sets - 1 do
+        let w = ref (Bitvec.unsafe_get_word sets.(i) wi) in
+        while !w <> 0 do
+          let v = base + Bitvec.lowest_bit !w in
+          if place then index.(v).(fill.(v)) <- i;
+          fill.(v) <- fill.(v) + 1;
+          w := !w land (!w - 1)
+        done
+      done
+    done
+  in
+  sweep ~place:false;
+  Array.iteri (fun v count -> index.(v) <- Array.make count 0) fill;
   Array.fill fill 0 universe 0;
-  Array.iteri
-    (fun i set ->
-      Bitvec.iter_set set (fun v ->
-          index.(v).(fill.(v)) <- i;
-          fill.(v) <- fill.(v) + 1))
-    sets;
+  sweep ~place:true;
   index
 
 let detectors_of_vector t =

@@ -35,6 +35,7 @@ type set = {
   (* Once no unused test can raise a fault's strict count, none ever will
      (chains and sets only grow), so the exhausted verdict is permanent. *)
   strict_exhausted : bool array;
+  samples : int array;  (* strict modes: [pick_candidate]'s scratch *)
 }
 
 (* The K test sets are mutually independent: set [k] is constructed from
@@ -77,6 +78,7 @@ let observing_mask sh fi v =
   !mask
 
 let debug_stale_count = ref false
+let debug_skip_open = ref false
 
 (* [available] is |T(f) - Tk|, which the caller reads off its detection
    count as N(f) - |T(f) ∩ Tk|; the armed [debug_stale_count] shrinks it
@@ -91,32 +93,63 @@ let unused_count sh s fi =
   if !debug_stale_count && count > 0 && available > 0 then available - 1
   else available
 
-(* Uniform draw from the candidates of T(fi) - Tk satisfying [accepts]:
-   a few rejection samples first, then a scan of the unused tests in a
-   uniformly random order, returning the first acceptable one. Both
-   phases draw uniformly over the candidate set (the first acceptable
-   element of a uniform permutation is uniform over acceptables, by
-   symmetry), and the permutation scan only pays for the full set when
-   no candidate exists at all. [first] is that scan: the first
-   acceptable element of the shuffled unused tests. *)
-let pick_candidate rng ~accepts ~first ~available s tf =
-  let rec sample attempts =
-    if attempts = 0 then None
-    else
-      match pick_uniform_diff rng tf s.members ~available with
-      | None -> None
-      | Some v -> if accepts v then Some v else sample (attempts - 1)
+let sample_count = 8
+
+(* Uniform draw from the candidates of T(fi) - Tk that [first] accepts:
+   [first cands] is the first acceptable element of [cands], in array
+   order. Up to [sample_count] rejection samples first, then a scan of
+   the unused tests in a uniformly random order, returning the first
+   acceptable one. Both phases draw uniformly over the candidate
+   set (the first acceptable element of a uniform permutation is uniform
+   over acceptables, by symmetry), and the permutation scan only pays
+   for the full set when no candidate exists at all.
+
+   The samples are drawn on a copy of the stream and judged in one
+   [first] call; the stream then advances by the draws one-at-a-time
+   sampling makes, j + 1 if sample j is the first accepted and all of
+   them if none is. Acceptance depends only on the sample, so the
+   verdicts, the pick and the stream are those of judging each sample
+   before drawing the next.
+
+   The scan lists every unused test, N(f) - count of them, whatever
+   range the samples took ([debug_stale_count] shrinks only that), so
+   an exhausted verdict is exact. *)
+let pick_candidate sh rng ~first s fi =
+  let tf = Detection_table.target_set sh.table fi in
+  let available = unused_count sh s fi in
+  let sampled =
+    if available = 0 then None
+    else begin
+      let probe = Rng.copy rng in
+      for j = 0 to sample_count - 1 do
+        s.samples.(j) <-
+          Bitvec.nth_diff tf s.members (Rng.int probe ~bound:available)
+      done;
+      let picked = first s.samples in
+      let draws =
+        match picked with
+        | None -> sample_count
+        | Some v ->
+          let j = ref 0 in
+          while s.samples.(!j) <> v do
+            incr j
+          done;
+          !j + 1
+      in
+      for _ = 1 to draws do
+        ignore (Rng.int rng ~bound:available)
+      done;
+      picked
+    end
   in
-  match sample 8 with
+  match sampled with
   | Some v -> Some v
   | None ->
-    let unused =
-      Bitvec.fold_set tf ~init:[] ~f:(fun acc v ->
-          if Bitvec.get s.members v then acc else v :: acc)
-      |> Array.of_list
-    in
-    Rng.shuffle_in_place rng unused;
-    first unused
+    (* Descending: the order the shuffle permutes, which fixes the pick. *)
+    let cands = Array.make (sh.target_n.(fi) - s.def1_counts.(fi)) 0 in
+    Bitvec.diff_desc_into tf s.members cands;
+    Rng.shuffle_in_place rng cands;
+    first cands
 
 let make_set sh =
   let strict x =
@@ -134,6 +167,8 @@ let make_set sh =
     output_masks = strict 0;
     chain_masks = strict 0;
     strict_exhausted = strict false;
+    samples =
+      (if sh.cfg.mode = Definition1 then [||] else Array.make sample_count 0);
   }
 
 (* Back to the empty set: a set's members are exactly its vectors. *)
@@ -154,6 +189,10 @@ let reset s =
    replay). *)
 let run_one cancel sh def2 rng s =
   reset s;
+  (* Whether the Definition 2 batch asks fault [fi] about a new test. *)
+  let is_open fi =
+    s.chain_lens.(fi) < sh.cfg.nmax && not s.strict_exhausted.(fi)
+  in
   let add_test v =
     Bitvec.set s.members v;
     if s.len = Array.length s.vectors then begin
@@ -167,21 +206,32 @@ let run_one cancel sh def2 rng s =
     (match def2 with
     | Some def2 ->
       (* Chains are per fault, so every open chain's verdict on [v] can
-         be taken in one batch before any of them grows. *)
+         be taken in one batch before any of them grows. An exhausted
+         fault's verdict is already known: its scan rejected every unused
+         test of T(f) against its chain, [v] was unused then, and the
+         chain has only grown since. *)
+      let count = ref 0 in
+      Array.iter (fun fi -> if is_open fi then incr count) detected;
+      let open_ = Array.make !count 0 and next = ref 0 in
+      Array.iter
+        (fun fi ->
+          if is_open fi then begin
+            open_.(!next) <- fi;
+            incr next
+          end)
+        detected;
       let open_ =
-        Array.of_seq
-          (Seq.filter
-             (fun fi -> s.chain_lens.(fi) < sh.cfg.nmax)
-             (Array.to_seq detected))
+        if !debug_skip_open && !count > 0 then Array.sub open_ 1 (!count - 1)
+        else open_
       in
       let extends = Definition2.extend_many def2 ~chains:s.chains open_ v in
-      Array.iteri
-        (fun k fi ->
-          if extends.(k) then begin
-            s.chains.(fi) <- v :: s.chains.(fi);
-            s.chain_lens.(fi) <- s.chain_lens.(fi) + 1
-          end)
-        open_
+      for k = 0 to Array.length open_ - 1 do
+        if extends.(k) then begin
+          let fi = open_.(k) in
+          s.chains.(fi) <- v :: s.chains.(fi);
+          s.chain_lens.(fi) <- s.chain_lens.(fi) + 1
+        end
+      done
     | None -> ());
     (* Each vector is added once and raises exactly the counts of the
        faults it detects, so def1_counts.(fi) = |T(f) ∩ Tk| holds in
@@ -229,13 +279,11 @@ let run_one cancel sh def2 rng s =
         if s.chain_lens.(fi) < n then
           if s.strict_exhausted.(fi) then def1_step ~n fi
           else begin
-            let tf = Detection_table.target_set sh.table fi in
             let def2 = Option.get def2 and chain = s.chains.(fi) in
             match
-              pick_candidate rng
-                ~accepts:(Definition2.chain_extend def2 ~fi ~chain)
+              pick_candidate sh rng
                 ~first:(Definition2.first_extending def2 ~fi ~chain)
-                ~available:(unused_count sh s fi) s tf
+                s fi
             with
             | Some v -> add_test v
             | None ->
@@ -246,13 +294,10 @@ let run_one cancel sh def2 rng s =
         if s.chain_lens.(fi) < n then
           if s.strict_exhausted.(fi) then def1_step ~n fi
           else begin
-            let tf = Detection_table.target_set sh.table fi in
             let accepts v =
               observing_mask sh fi v land lnot s.chain_masks.(fi) <> 0
             in
-            match
-              pick_candidate rng ~accepts ~first:(Array.find_opt accepts)
-                ~available:(unused_count sh s fi) s tf
+            match pick_candidate sh rng ~first:(Array.find_opt accepts) s fi
             with
             | Some v -> add_test v
             | None ->

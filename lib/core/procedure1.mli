@@ -9,7 +9,15 @@
     detection count is the greedy chain of pairwise-different tests, a new
     test must extend the chain, and when no test can extend it the
     procedure falls back to Definition 1 so that faults are not left far
-    below [n] detections. *)
+    below [n] detections.
+
+    The strict modes pick a candidate by up to eight uniform rejection
+    samples, judged together in one pass (the set's stream advances as
+    if each had been judged before the next was drawn), then by a
+    uniformly shuffled scan of every unused test. A fault whose scan
+    found no candidate is exhausted for the rest of the set: its chain
+    can never grow again, so Definition 2 does not simulate a test
+    added later against it. *)
 
 module Detection_table := Detection_table
 
@@ -111,4 +119,14 @@ val debug_stale_count : bool ref
     It is read as each set is built, by {!run} and by {!replay} alike,
     so sets meant to match a sabotaged run must be replayed while it is
     still set.
+    Always [false] in production. *)
+
+val debug_skip_open : bool ref
+(** Test-only sabotage hook: when set, the batch that takes the
+    Definition 2 verdicts of a newly added test leaves out the first
+    open fault it would ask (open: chain shorter than [nmax] and not
+    exhausted), so that chain misses a detection it should count. The
+    campaign's [chain(...)] and [test_set(...)] cells must report it
+    ({!Ndetect_check.Campaign.check_net} arms it under [mutate]); like
+    [debug_stale_count] it is read by {!run} and {!replay} alike.
     Always [false] in production. *)

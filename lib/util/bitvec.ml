@@ -99,6 +99,8 @@ let ctz_low low =
     + Array.unsafe_get ctz_table
         (((low lsr 32) * 0x077CB531 land 0xFFFFFFFF) lsr 27)
 
+let lowest_bit w = ctz_low (w land -w)
+
 let count t = Kernel.popcount_words t.buf (A1.dim t.buf)
 
 let is_empty t =
@@ -246,6 +248,20 @@ let nth_diff a b k =
     incr wi
   done;
   if !result < 0 then raise Not_found else !result
+
+let diff_desc_into a b dst =
+  same_len a b;
+  let n = Array.length dst and pos = ref 0 in
+  for wi = 0 to A1.dim a.buf - 1 do
+    let w = ref (A1.unsafe_get a.buf wi land lnot (A1.unsafe_get b.buf wi)) in
+    while !w <> 0 do
+      if !pos >= n then invalid_arg "Bitvec.diff_desc_into: array too short";
+      dst.(n - 1 - !pos) <- (wi * bits_per_word) + lowest_bit !w;
+      incr pos;
+      w := !w land (!w - 1)
+    done
+  done;
+  if !pos < n then invalid_arg "Bitvec.diff_desc_into: array too long"
 
 let nth_set t k =
   if k < 0 then raise Not_found;

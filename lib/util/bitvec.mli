@@ -85,6 +85,11 @@ val unsafe_set_word : t -> int -> int -> unit
     bits at or above [length] (bit-parallel callers pass masks already
     ANDed with the batch live mask). *)
 
+val lowest_bit : int -> int
+(** [lowest_bit w] is the position of the lowest set bit of a nonzero
+    payload word, so word [wi]'s bits are the vectors [62 wi +
+    lowest_bit w] as [w] loses its lowest bit ([w land (w - 1)]). *)
+
 val inter_count : t -> t -> int
 (** [inter_count a b] is [count (inter a b)] without allocating. Lengths
     must agree. *)
@@ -145,6 +150,12 @@ val nth_diff : t -> t -> int -> int
     without allocating; word-skipping, O(words). Raises [Not_found] when
     the difference has fewer than [k+1] bits. This is how Procedure 1
     draws a uniform test from [T(f) - Tk]. *)
+
+val diff_desc_into : t -> t -> int array -> unit
+(** [diff_desc_into a b dst] fills [dst] with the set bits of [diff a b]
+    in decreasing order, without allocating. Raises [Invalid_argument]
+    unless [dst] has exactly as many elements as the difference has
+    bits. Procedure 1's candidate scan lists [T(f) - Tk] this way. *)
 
 val pp : Format.formatter -> t -> unit
 (** Prints as a set of indices, e.g. [{1; 4; 7}]. *)

@@ -5,14 +5,16 @@
     reproducible from a seed. *)
 
 type t
-(** Mutable generator state. *)
+(** Mutable generator state: the 64-bit SplitMix state, kept unboxed in
+    8 bytes, so a draw allocates nothing. *)
 
 val create : seed:int -> t
 (** [create ~seed] makes a fresh generator. Equal seeds give equal
     streams. *)
 
 val copy : t -> t
-(** Independent copy of the current state. *)
+(** Independent copy of the current state: the copy draws what the
+    original would, without advancing it. *)
 
 val split : t -> t
 (** [split t] advances [t] and returns a new generator whose stream is
@@ -28,7 +30,7 @@ val next_int64 : t -> int64
 
 val int : t -> bound:int -> int
 (** [int t ~bound] draws uniformly from [0, bound). Requires [bound > 0].
-    Uses rejection sampling, hence exactly uniform. *)
+    Uses rejection sampling, hence exactly uniform. Allocates nothing. *)
 
 val bool : t -> bool
 (** Uniform coin flip. *)

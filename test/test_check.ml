@@ -378,6 +378,41 @@ let test_stale_count_caught () =
   Alcotest.(check bool)
     "hook disarmed after a mutate run" false !Procedure1.debug_stale_count
 
+(* Definition 2's batch of chain verdicts: leaving out its first open
+   fault (Procedure1.debug_skip_open) must show in the chain and test
+   set cells against Ref_procedure1, which asks every open fault. Run in
+   Definition 2 mode, with the hook armed alone before each clean
+   check; [mutate] arms it together with the others. *)
+let test_skipped_open_caught () =
+  let rng = Ndetect_util.Rng.create ~seed:17 in
+  let specs =
+    List.init 6 (fun _ ->
+        Random_circuit.draw_spec rng ~max_inputs:5 ~max_gates:16)
+  in
+  let check ?mutate spec =
+    Campaign.check_net ?mutate ~proc_mode:Procedure1.Definition2
+      ~seed:spec.Random_circuit.seed (Random_circuit.of_spec spec)
+  in
+  let cells =
+    List.concat_map
+      (fun spec ->
+        Procedure1.debug_skip_open := true;
+        List.map (fun d -> d.Campaign.cell) (check spec))
+      specs
+  in
+  List.iter
+    (fun prefix ->
+      Alcotest.(check bool)
+        (prefix ^ " cells diverge")
+        true
+        (List.exists (String.starts_with ~prefix) cells))
+    [ "chain("; "test_set(" ];
+  Alcotest.(check bool)
+    "hook disarmed after a clean run" false !Procedure1.debug_skip_open;
+  List.iter (fun spec -> ignore (check ~mutate:true spec)) specs;
+  Alcotest.(check bool)
+    "hook disarmed after a mutate run" false !Procedure1.debug_skip_open
+
 (* A worst-case scan that skips its first block of target rows
    (Worst_case.debug_skip_first_block) must show in the nmin cells
    against Ref_worst. Armed alone before each clean check, which runs
@@ -600,6 +635,8 @@ let () =
             test_stale_count_caught;
           Alcotest.test_case "skipped scan block is caught" `Quick
             test_skipped_block_caught;
+          Alcotest.test_case "skipped open chain is caught" `Quick
+            test_skipped_open_caught;
           Alcotest.test_case "shrink rejects clean specs" `Quick
             test_shrink_requires_divergence;
         ] );

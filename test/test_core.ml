@@ -280,6 +280,38 @@ let classes_well_formed table =
            (List.init classes Fun.id))
        (List.init classes Fun.id)
 
+(* The vector -> set index, against a membership loop: universes of one
+   to five word blocks, sets sparse to full, so rows of several blocks
+   and empty rows both occur. *)
+let prop_invert_sets =
+  QCheck.Test.make ~name:"invert_sets = membership loop" ~count:100
+    QCheck.(
+      pair (int_range 1 310)
+        (small_list (pair (int_range 0 4) (small_list small_nat))))
+    (fun (universe, specs) ->
+      let sets =
+        Array.of_list
+          (List.map
+             (fun (density, xs) ->
+               let v = Bitvec.create universe in
+               List.iter (fun x -> Bitvec.set v (x mod universe)) xs;
+               for u = 0 to universe - 1 do
+                 if density = 4 || (density > 0 && u mod (density + 1) = 0)
+                 then Bitvec.set v u
+               done;
+               v)
+             specs)
+      in
+      let index = Detection_table.invert_sets ~universe sets in
+      Array.length index = universe
+      && List.for_all
+           (fun u ->
+             Array.to_list index.(u)
+             = List.filter
+                 (fun i -> Bitvec.get sets.(i) u)
+                 (List.init (Array.length sets) Fun.id))
+           (List.init universe Fun.id))
+
 let prop_factored_bridge_sets =
   QCheck.Test.make
     ~name:"factored bridge sets == per-fault and naive (exhaustive, sampled)"
@@ -781,6 +813,7 @@ let () =
           Alcotest.test_case "M values" `Quick test_table_m_values;
           Alcotest.test_case "overlapping targets" `Quick
             test_overlapping_targets;
+          Helpers.qcheck prop_invert_sets;
           Helpers.qcheck prop_factored_bridge_sets;
           Helpers.qcheck prop_bridge_victims_from_targets;
           Alcotest.test_case "redundant victim dropped" `Quick

@@ -66,6 +66,59 @@ let test_rng_shuffle_permutation () =
   Array.sort Int.compare sorted;
   Alcotest.(check (array int)) "permutation" (Array.init 20 Fun.id) sorted
 
+(* The stream, pinned to literal values: per seed, the first three raw
+   outputs; one [int] draw per bound in order from a fresh generator;
+   and a 10-element shuffle from a fresh generator. *)
+let rng_pins =
+  [
+    ( 0,
+      [ -2152535657050944081L; 7960286522194355700L; 487617019471545679L ],
+      [ 0; 0; 0; 719; 154894754480; 4390466628494765097 ],
+      [| 9; 5; 4; 7; 1; 8; 0; 2; 6; 3 |] );
+    ( 1,
+      [ -7995527694508729151L; -4689498862643123097L; -534904783426661026L ],
+      [ 0; 1; 2; 366; 1099042209952; 4046056672035966761 ],
+      [| 5; 3; 8; 4; 1; 9; 6; 2; 7; 0 |] );
+    ( 42,
+      [ -4767286540954276203L; 2949826092126892291L; 5139283748462763858L ],
+      [ 0; 0; 5; 252; 543567132353; 1007216178194406231 ],
+      [| 8; 2; 6; 3; 1; 7; 9; 4; 0; 5 |] );
+    ( -1,
+      [ -1956407806741107680L; -1612297016619662647L; 4048727598324417001L ],
+      [ 0; 0; 2; 180; 874392853099; 3803126536585752268 ],
+      [| 0; 7; 5; 1; 6; 3; 4; 9; 2; 8 |] );
+  ]
+
+let test_rng_pinned () =
+  List.iter
+    (fun (seed, raw, ints, shuffled) ->
+      let name what = Printf.sprintf "seed %d: %s" seed what in
+      let rng = Rng.create ~seed in
+      Alcotest.(check (list int64))
+        (name "next_int64") raw
+        (List.init 3 (fun _ -> Rng.next_int64 rng));
+      let rng = Rng.create ~seed in
+      Alcotest.(check (list int))
+        (name "int") ints
+        (List.map
+           (fun bound -> Rng.int rng ~bound)
+           [ 1; 2; 7; 1000; 1 lsl 40; max_int ]);
+      let rng = Rng.create ~seed and arr = Array.init 10 Fun.id in
+      Rng.shuffle_in_place rng arr;
+      Alcotest.(check (array int)) (name "shuffle") shuffled arr)
+    rng_pins
+
+let test_rng_int_no_alloc () =
+  let rng = Rng.create ~seed:3 in
+  let before = Gc.minor_words () in
+  for _ = 1 to 10_000 do
+    ignore (Sys.opaque_identity (Rng.int rng ~bound:1000))
+  done;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check bool)
+    (Printf.sprintf "10 000 draws allocate %.0f minor words (< 100)" words)
+    true (words < 100.)
+
 (* Rng.stream is the closed form of a sequential split loop: stream i
    is the (i+1)-th split of the root, for any seed (negative ones too),
    checked at i = 0 and i = k. *)
@@ -163,6 +216,23 @@ let prop_nth_set =
       let v = Bitvec.of_list len xs in
       let expected = Bitvec.to_list v in
       List.mapi (fun k _ -> Bitvec.nth_set v k) expected = expected)
+
+let prop_diff_desc_into =
+  QCheck.Test.make ~name:"diff_desc_into lists diff in decreasing order"
+    ~count:200 bitvec_pair (fun (len, a, b) ->
+      let va = Bitvec.of_list len a and vb = Bitvec.of_list len b in
+      let expected = List.rev (Bitvec.to_list (Bitvec.diff va vb)) in
+      let n = List.length expected in
+      let dst = Array.make n (-1) in
+      Bitvec.diff_desc_into va vb dst;
+      let misfit size =
+        match Bitvec.diff_desc_into va vb (Array.make size 0) with
+        | () -> false
+        | exception Invalid_argument _ -> true
+      in
+      Array.to_list dst = expected
+      && misfit (n + 1)
+      && (n = 0 || misfit (n - 1)))
 
 let test_nth_diff_not_found () =
   let a = Bitvec.of_list 10 [ 1; 2 ] and b = Bitvec.of_list 10 [ 2 ] in
@@ -977,6 +1047,9 @@ let () =
           Alcotest.test_case "shuffle permutes" `Quick
             test_rng_shuffle_permutation;
           Helpers.qcheck prop_rng_stream_is_kth_split;
+          Alcotest.test_case "pinned stream" `Quick test_rng_pinned;
+          Alcotest.test_case "int allocates nothing" `Quick
+            test_rng_int_no_alloc;
         ] );
       ( "bitvec",
         [
@@ -990,6 +1063,7 @@ let () =
           Helpers.qcheck prop_inter_count;
           Helpers.qcheck prop_diff_and_union;
           Helpers.qcheck prop_nth_diff;
+          Helpers.qcheck prop_diff_desc_into;
           Helpers.qcheck prop_nth_set;
         ] );
       ( "bitvec kernels",
