@@ -12,10 +12,12 @@
 
    Exit codes: 0 on a clean run, 2 on a usage error, 3 when the run
    completed but one or more supervised per-circuit units timed out or
-   crashed (their rows render as "(timed out)" / "(crashed: ...)"),
-   4 when SIGTERM cut the run short (finished circuits are already
-   checkpointed; rerun with --resume). `ndetect tables` is the same
-   command. *)
+   crashed (their rows render as "(timed out)" / "(crashed: ...)") or a
+   --checkpoint entry or the --trace file could not be written (every
+   table still prints; stderr names each "checkpoint CIRCUIT" or the
+   "trace FILE"), 4 when SIGTERM cut the run short (finished circuits
+   are already checkpointed; rerun with --resume). `ndetect tables` is
+   the same command. *)
 
 let () =
   exit (Ndetect_harness.Driver.main (List.tl (Array.to_list Sys.argv)))

@@ -229,25 +229,13 @@ let validate_record lineno doc =
           check (name <> "") (where "empty counter name");
           match v with
           | Num f ->
-            (* Counters only ever count up, and the two gauges below are
-               fixed at 1. Nothing here may go negative. *)
+            (* Counters only ever count up and gauges hold sizes:
+               nothing here may go negative. *)
             check (f >= 0.0) (where ("counter " ^ name ^ " negative"))
           | _ -> raise (Bad (where ("counter " ^ name ^ " not a number"))))
         values;
-      (* Every process that writes a trace links the kernel and the
-         fault simulator, so both gauges must be reported: the
-         kernel.backend gauge (1 = the C kernel, the only one) and the
-         sim.strategy gauge below (1 = stem, the only strategy). They
-         are kept so traces from before and after the backend and
-         strategy switches were removed read alike. The mmap
-         accounting pair travels together: bytes without hits (or the
-         reverse) means the emitter dropped one. *)
-      check
-        (List.mem_assoc "kernel.backend" values)
-        (where "counters must include the kernel.backend gauge");
-      check
-        (List.mem_assoc "sim.strategy" values)
-        (where "counters must include the sim.strategy gauge");
+      (* The mmap accounting pair travels together: bytes without hits
+         (or the reverse) means the emitter dropped one. *)
       let has name =
         match List.assoc_opt name values with
         | Some (Num f) -> f > 0.0

@@ -16,9 +16,6 @@ type kind =
 
 let equal_kind (a : kind) (b : kind) = a = b
 
-let all_kinds =
-  [ Input; Const0; Const1; Buf; Not; And; Nand; Or; Nor; Xor; Xnor ]
-
 let to_string = function
   | Input -> "INPUT"
   | Const0 -> "CONST0"

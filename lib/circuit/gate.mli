@@ -16,8 +16,6 @@ type kind =
 
 val equal_kind : kind -> kind -> bool
 
-val all_kinds : kind list
-
 val to_string : kind -> string
 
 val of_string : string -> kind option

@@ -46,11 +46,6 @@ let wilson_interval ?(z = 1.96) ~detected ~trials () =
   in
   (max 0.0 (center -. spread), min 1.0 (center +. spread))
 
-let probability_interval ?z outcome ~n ~gj =
-  wilson_interval ?z
-    ~detected:(Procedure1.detected_count outcome ~n ~gj)
-    ~trials:(Procedure1.config outcome).Procedure1.set_count ()
-
 let summarize outcome ~n =
   let report = Procedure1.report_faults outcome in
   let probabilities =

@@ -35,7 +35,3 @@ val wilson_interval :
     estimate [d/K] ([z] defaults to 1.96, i.e. 95% confidence). Tells how
     trustworthy a Table 5 entry is at a given K: with K = 10000 (the
     paper's setting) a p = 0.5 entry carries roughly a +-0.01 interval. *)
-
-val probability_interval :
-  ?z:float -> Procedure1.outcome -> n:int -> gj:int -> float * float
-(** {!wilson_interval} applied to [d(n, g)] over the outcome's K sets. *)

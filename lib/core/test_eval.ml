@@ -60,8 +60,6 @@ let untargeted_count t = Array.length t.untargeted
 
 let detections_def1 t = Array.map Bitvec.count t.target_patterns
 
-let detecting_patterns t ~fi = t.target_patterns.(fi)
-
 let detections_def2 t =
   match t.def2_counts with
   | Some counts -> counts
@@ -80,8 +78,6 @@ let detections_def2 t =
     in
     t.def2_counts <- Some counts;
     counts
-
-let untargeted_detected t = Array.copy t.untargeted_hit
 
 let is_n_detection t ~n ~def2 =
   let counts = if def2 then detections_def2 t else detections_def1 t in

@@ -39,11 +39,6 @@ val detections_def2 : t -> int array
 (** Per-target greedy count of pairwise-different detections
     (Definition 2); computed on first use and cached. *)
 
-val detecting_patterns : t -> fi:int -> Bitvec.t
-(** Pattern positions (not vector values) detecting target [fi]. *)
-
-val untargeted_detected : t -> bool array
-
 val is_n_detection : t -> n:int -> def2:bool -> bool
 (** Whether every target reaches [n] detections under the chosen
     definition. Without exhaustive knowledge a target with {e zero}

@@ -1,7 +1,6 @@
 module Netlist = Ndetect_circuit.Netlist
 module Stuck = Ndetect_faults.Stuck
 module Bridge = Ndetect_faults.Bridge
-module Wired = Ndetect_faults.Wired
 module Eval = Ndetect_sim.Eval
 module Naive = Ndetect_sim.Naive
 
@@ -61,7 +60,6 @@ let respond_with t eval_faulty =
 
 let respond_stuck t f = respond_with t (Naive.eval_with_stuck t.net f)
 let respond_bridge t f = respond_with t (Naive.eval_with_bridge t.net f)
-let respond_wired t f = respond_with t (Naive.eval_with_wired t.net f)
 
 type verdict = { fault_index : int; score : float }
 

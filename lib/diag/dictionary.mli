@@ -12,7 +12,6 @@
 module Netlist = Ndetect_circuit.Netlist
 module Stuck = Ndetect_faults.Stuck
 module Bridge = Ndetect_faults.Bridge
-module Wired = Ndetect_faults.Wired
 
 type response = int array
 (** [response.(t)] is the failing-output mask of test [t] (bit [k] set iff
@@ -34,7 +33,6 @@ val response : t -> int -> response
 
 val respond_stuck : t -> Stuck.t -> response
 val respond_bridge : t -> Bridge.t -> response
-val respond_wired : t -> Wired.t -> response
 
 (** {2 Diagnosis} *)
 

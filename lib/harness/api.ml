@@ -415,7 +415,7 @@ let run ?build (req : Request.t) =
        driver hit the service path unchanged. *)
     let supervised ~label ~site f =
       let result =
-        Supervise.run ?deadline:req.Request.deadline ~retries:2
+        Supervise.run ?deadline:req.Request.deadline
           (fun cancel ->
             Telemetry.with_span label
               ~args:[ ("site", site) ]

@@ -181,10 +181,11 @@ val run :
   Request.t ->
   (Response.t, string) result
 (** Execute the request: load the source, run
-    each section as a supervised unit (deadline = [req.deadline],
-    bounded retries, injection sites ["analyze:<label>"],
-    ["table5:<label>"], ["table6:<label>"]) and snapshot the counter
-    delta. [build] overrides the table builder derived from the
+    each section once as a supervised unit (deadline = [req.deadline],
+    injection sites ["analyze:<label>"], ["table5:<label>"],
+    ["table6:<label>"]) and snapshot the counter delta. A unit that
+    times out or crashes is recorded in the response's [failures]; it is
+    never re-run. [build] overrides the table builder derived from the
     request's [cache_dir] — the daemon injects its resident store here.
     [Error] only for requests that cannot be attempted at all — an
     unloadable source. *)

@@ -38,9 +38,8 @@ let path_of t key =
 let kind = "checkpoint"
 
 let store t ~key (payload : Api.Response.t) =
-  (* Injection site for the checkpoint I/O path, so ENOSPC/EACCES-style
-     faults can be driven through the supervised retry policy
-     end to end (see Supervise.parse_injection_spec). *)
+  (* Injection site for the checkpoint write path: a crash here is a
+     failed write, which the driver records (see Driver.store_ck). *)
   Ndetect_util.Supervise.inject "checkpoint:store";
   Fs.write_atomic ~path:(path_of t key)
     (Record.encode ~kind ~key (Marshal.to_string (t.stamp, payload) []))

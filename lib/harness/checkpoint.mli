@@ -39,7 +39,10 @@ val dir : t -> string
 val store : t -> key:string -> Api.Response.t -> unit
 (** Persist an entry atomically. Passes the ["checkpoint:store"]
     injection site ({!Ndetect_util.Supervise.inject}) before writing, so
-    checkpoint I/O faults can be simulated and retried end to end. *)
+    a failed write can be simulated end to end. Raises [Sys_error] or
+    [Unix.Unix_error] when the write fails, and
+    {!Ndetect_util.Error.Injected_fault} at an injected crash; the
+    driver records either as a failure and keeps going. *)
 
 val load : t -> key:string -> Api.Response.t option
 (** Read an entry back; [None] when absent, unreadable, damaged, or

@@ -267,8 +267,18 @@ let failures t = List.rev t.failures
 
 let unit_metrics t = List.rev t.unit_metrics
 
+(* A failed write outside any supervised unit (a checkpoint entry, the
+   trace file) is recorded like a crashed unit, under [label]. *)
+let record_failure t label ?backtrace e =
+  t.failures <-
+    (label, Supervise.Crashed (Ndetect_util.Error.of_exn ?backtrace e))
+    :: t.failures
+
 let finish t =
-  Option.iter Telemetry.Jsonl.detach t.trace_sink;
+  (match Option.iter Telemetry.Jsonl.detach t.trace_sink with
+  | () -> ()
+  | exception (Sys_error _ as e) ->
+    record_failure t ("trace " ^ Option.value t.options.trace ~default:"") e);
   t.trace_sink <- None;
   Option.iter Telemetry.Memory.detach t.memory_sink;
   t.memory_sink <- None
@@ -280,13 +290,26 @@ let load_ck t key =
   | Some ck when t.options.resume -> Checkpoint.load ck ~key
   | Some _ | None -> None
 
-let store_ck t key payload =
-  Option.iter (fun ck -> Checkpoint.store ck ~key payload) t.checkpoint
+(* A failed write (an unusable directory, a full disk, the
+   "checkpoint:store" injection site) costs only the entry: it is
+   recorded as a ["checkpoint <circuit>"] failure and the run goes on
+   with the computed response. *)
+let store_ck t ~circuit key payload =
+  Option.iter
+    (fun ck ->
+      match Checkpoint.store ck ~key payload with
+      | () -> ()
+      | exception
+          ((Sys_error _ | Unix.Unix_error _ | Ndetect_util.Error.Injected_fault _)
+           as e) ->
+        let backtrace = Printexc.get_raw_backtrace () in
+        record_failure t ("checkpoint " ^ circuit) ~backtrace e)
+    t.checkpoint
 
 (* A circuit's one [Api.run] of the run, kept for every table that reads
    it. A failure-free response is checkpointed under the circuit and its
    section list, so a resumed run renders it without recomputation and
-   retries only the circuits that failed. *)
+   recomputes only the circuits that failed. *)
 let response t entry =
   Option.map
     (fun template ->
@@ -318,7 +341,7 @@ let response t entry =
             if t.options.metrics then
               t.unit_metrics <- (name, r.Api.Response.counters) :: t.unit_metrics;
             t.failures <- List.rev_append r.Api.Response.failures t.failures;
-            if r.Api.Response.failures = [] then store_ck t key r;
+            if r.Api.Response.failures = [] then store_ck t ~circuit:name key r;
             r
         in
         Hashtbl.replace t.responses name r;
@@ -545,7 +568,7 @@ let run_all t =
   if t.options.metrics then print_metrics t;
   finish t;
   if failures t <> [] then begin
-    Printf.eprintf "%d supervised unit(s) failed:\n" (List.length (failures t));
+    Printf.eprintf "%d unit(s) failed:\n" (List.length (failures t));
     List.iter
       (fun (label, failure) ->
         Printf.eprintf "  %s: %s\n" label (Supervise.describe failure))
@@ -562,6 +585,10 @@ let main args =
     match create options with
     | exception Failure message ->
       prerr_endline message;
+      2
+    | exception ((Sys_error _ | Unix.Unix_error _) as e) ->
+      (* An unusable --trace file or --checkpoint directory. *)
+      prerr_endline (Ndetect_util.Error.to_string (Ndetect_util.Error.of_exn e));
       2
     | t ->
       (* On SIGTERM the in-flight supervised unit unwinds at its next

@@ -16,12 +16,16 @@
     deterministic fault-injection sites [analyze:CIRCUIT],
     [table5:CIRCUIT] and [table6:CIRCUIT], and on failure is recorded
     in {!failures} while the tables render an explicit [(timed out)] /
-    [(crashed: ...)] row or footer instead of aborting the run. With
-    [--checkpoint DIR] each failure-free response is persisted
-    ({!Checkpoint.store}) under its circuit and section list;
-    [--resume] renders from those entries without recomputation and
-    retries only the circuits that failed or are missing. Without
-    [quiet], one timing line is printed per circuit request.
+    [(crashed: ...)] row or footer instead of aborting the run. No unit
+    is re-run within a run. With [--checkpoint DIR] each failure-free
+    response is persisted ({!Checkpoint.store}) under its circuit and
+    section list; a write that fails (an I/O error, or the
+    ["checkpoint:store"] injection site) keeps the computed response
+    and is recorded in {!failures} as ["checkpoint CIRCUIT"], so the
+    tables still print and the run exits 3. [--resume] renders from the
+    stored entries without recomputation and recomputes only the
+    circuits that failed or are missing. Without [quiet], one timing
+    line is printed per circuit request.
 
     No option picks a kernel or a simulation strategy: every run counts
     with the C kernel and simulates by stem-region tracing, and their
@@ -128,8 +132,10 @@ val create : options -> t
 val failures : t -> (string * Supervise.failure) list
 (** Supervised units that failed so far, in execution order, labelled
     as {!Api.run} labels them (["analyze CIRCUIT"] /
-    ["procedure1 CIRCUIT"] / ["procedure1-def2 CIRCUIT"]). Empty after a
-    fully clean run; {!main} exits 3 when non-empty. *)
+    ["procedure1 CIRCUIT"] / ["procedure1-def2 CIRCUIT"]), plus a
+    [Crashed] ["checkpoint CIRCUIT"] entry for each checkpoint write
+    that failed. Empty after a fully clean run; {!main} exits 3 when
+    non-empty. *)
 
 val unit_metrics : t -> (string * (string * int) list) list
 (** With [metrics] set: per circuit request (execution order, labelled
@@ -139,8 +145,10 @@ val unit_metrics : t -> (string * (string * int) list) list
 val finish : t -> unit
 (** Detach the driver's telemetry sinks: flushes and closes the [trace]
     JSONL file (writing its final counters record) and releases the
-    in-memory profile. Idempotent; [run_all] calls it. Only needed
-    directly when using the per-table entry points below. *)
+    in-memory profile. A trace write that failed (a full disk) is
+    recorded in {!failures} as ["trace FILE"]; it never fails a unit.
+    Idempotent; [run_all] calls it. Only needed directly when using the
+    per-table entry points below. *)
 
 val example_analysis : t -> Analysis.t
 (** The Figure 1 worked example (cached, not supervised). *)
@@ -166,6 +174,8 @@ val run_all : t -> unit
 val main : string list -> int
 (** The whole command behind [bin/reproduce] and [ndetect tables]:
     parse the arguments, {!create}, {!run_all}, and return the exit
-    code — 0 on a clean run, 2 on a usage error, 3 when some supervised
-    unit failed, {!Supervise.sigterm_exit_code} when SIGTERM cut the run
+    code — 0 on a clean run, 2 on a usage error (an unopenable [trace]
+    file or unusable [checkpoint_dir] included), 3 when some supervised
+    unit, checkpoint write or trace write failed, {!Supervise.sigterm_exit_code} when
+    SIGTERM cut the run
     short (finished circuits are already checkpointed). *)

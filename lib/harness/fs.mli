@@ -9,5 +9,6 @@ val mkdir_recursive : string -> unit
 val write_atomic : path:string -> string -> unit
 (** Write file contents via temp-file-plus-rename in the target's
     directory, so a kill at any instant leaves the old file or the new
-    one, never a torn one; the channel is closed (and the temp file
-    removed) on error paths. *)
+    one, never a torn one. A failed write or final flush raises
+    [Sys_error] before the rename; the channel is closed and the temp
+    file removed on every error path. *)

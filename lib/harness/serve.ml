@@ -211,8 +211,7 @@ let submit t (req : Api.Request.t) =
    mapping pins), a fresh fault-simulation build last. A fresh build is
    persisted and immediately re-loaded so the resident entry is backed
    by the shared mapping rather than the build's private heap. *)
-let builder t ~dir (req : Api.Request.t) ~cancel net =
-  ignore req;
+let builder t ~dir ~cancel net =
   let key = Table_cache.key net in
   match Resident.find t.resident ~key with
   | Some table -> table
@@ -227,7 +226,7 @@ let builder t ~dir (req : Api.Request.t) ~cancel net =
       | Some (table, bytes) -> adopt table bytes
       | None -> (
         let built = Detection_table.build ~cancel net in
-        (try Table_cache.store ~dir ~key built with Sys_error _ -> ());
+        Table_cache.store ~dir ~key built;
         match Table_cache.load_sized ~dir ~key net with
         | Some (table, bytes) -> adopt table bytes
         | None -> adopt built (8 * Obj.reachable_words (Obj.repr built))))
@@ -255,7 +254,7 @@ let process t job =
   let lines = ref [] in
   let sink = Telemetry.Jsonl.attach_writer (fun line -> lines := line :: !lines) in
   let response =
-    try Api.run ~build:(builder t ~dir:cache_dir req) req
+    try Api.run ~build:(builder t ~dir:cache_dir) req
     with exn -> Error (Printexc.to_string exn)
   in
   Telemetry.Jsonl.detach sink;

@@ -102,7 +102,6 @@ let c_misses = Telemetry.Counter.create "table_cache.misses"
 let c_corrupt = Telemetry.Counter.create "table_cache.corrupt"
 let c_mmap_hits = Telemetry.Counter.create "table.mmap_hits"
 let c_mmap_bytes = Telemetry.Counter.create "table.mmap_bytes"
-let c_mmap_reuse = Telemetry.Counter.create "table.mmap_reuse"
 let hits () = Telemetry.Counter.value c_hits
 let misses () = Telemetry.Counter.value c_misses
 
@@ -128,7 +127,7 @@ let misses () = Telemetry.Counter.value c_misses
 
 exception Bad_meta
 
-let store ~dir ~key table =
+let write ~dir ~key table =
   Fs.mkdir_recursive dir;
   let universe = Detection_table.universe table in
   let wpr = max 1 (Bitvec.word_count universe) in
@@ -223,6 +222,11 @@ let store ~dir ~key table =
   end;
   Fs.write_atomic ~path:(path ~dir ~key)
     (Record.encode ~kind ~key (Buffer.contents buf))
+
+(* Best-effort: an unusable cache directory (not a directory, read-only,
+   full) leaves the table unstored and never fails the caller. *)
+let store ~dir ~key table =
+  try write ~dir ~key table with Sys_error _ | Unix.Unix_error _ -> ()
 
 (* One private (copy-on-write) kind-int mapping covers the whole
    meta+words payload; verification and decoding both read through it.
@@ -446,49 +450,16 @@ let load_sized ~dir ~key net =
 
 let load ~dir ~key net = Option.map fst (load_sized ~dir ~key net)
 
-(* Single-slot resident mapping: [table] used to re-open and re-map the
-   same file on every warm lookup in one process (each Analysis of
-   the same circuit paid a fresh map + checksum pass). The last adopted
-   table is kept, keyed by (dir, key), and handed back physically shared
-   on a repeat lookup — counted on "table.mmap_reuse", never on
-   "table_cache.hits" (no load happened). The slot lives here, not in
-   {!load}, so direct load calls (tests, damage sweeps) keep their
-   exact hit/mmap accounting; a server wanting more than one hot table
-   layers its own store (see {!Serve}) over {!load_sized}. *)
-let slot : (string * string * Detection_table.t) option ref = ref None
-let slot_lock = Mutex.create ()
-
-let slot_find ~dir ~key =
-  Mutex.protect slot_lock (fun () ->
-      match !slot with
-      | Some (d, k, table) when String.equal d dir && String.equal k key ->
-        Some table
-      | Some _ | None -> None)
-
-let slot_keep ~dir ~key table =
-  Mutex.protect slot_lock (fun () -> slot := Some (dir, key, table))
-
 let table ~dir ?keep_undetectable_targets ?collapse ?model
     ?(cancel = Ndetect_util.Cancel.none) net =
   Telemetry.with_span "table_cache.lookup" @@ fun () ->
   let key = key ?keep_undetectable_targets ?collapse ?model net in
-  match slot_find ~dir ~key with
-  | Some table ->
-    Telemetry.Counter.incr c_mmap_reuse;
-    table
+  match load ~dir ~key net with
+  | Some table -> table
   | None ->
     let table =
-      match load ~dir ~key net with
-      | Some table -> table
-      | None ->
-        let table =
-          Detection_table.build ?keep_undetectable_targets ?collapse ?model
-            ~cancel net
-        in
-        (* Best-effort persistence: an unwritable cache directory must
-           not fail the analysis itself. *)
-        (try store ~dir ~key table with Sys_error _ -> ());
-        table
+      Detection_table.build ?keep_undetectable_targets ?collapse ?model
+        ~cancel net
     in
-    slot_keep ~dir ~key table;
+    store ~dir ~key table;
     table

@@ -57,20 +57,16 @@ val table :
   Netlist.t ->
   Detection_table.t
 (** Load the table for this netlist + parameters from [dir], or build it
-    and persist it there. Storing is best-effort: an unwritable
-    directory never fails the analysis.
-
-    A single-slot resident reuse sits in front of the disk lookup: the
-    most recently returned table is kept keyed by [(dir, key)], and a
-    repeat call with the same fingerprint in the same process hands the
-    resident table back physically shared — no re-open, no re-map, no
-    checksum pass. Reuses count on ["table.mmap_reuse"] (and {e not} on
-    ["table_cache.hits"]: no load happened). Servers holding more than
-    one table hot layer their own store over {!load_sized}. *)
+    and {!store} it there. Every call loads afresh; servers holding
+    tables hot layer their own store over {!load_sized}. *)
 
 val store : dir:string -> key:string -> Detection_table.t -> unit
-(** Persist a table under [dir] (created if needed). Forces the table's {!Detection_table.target_layout} so warm
-    loads adopt the blocked rows straight from the map. *)
+(** Persist a table under [dir] (created if needed). Forces the table's
+    {!Detection_table.target_layout} so warm loads adopt the blocked rows
+    straight from the map. Best-effort: an unusable directory (a path
+    through a regular file, no write permission, a full disk) leaves the
+    table unstored and raises nothing, so a cache can never fail the
+    analysis that feeds it. *)
 
 val load : dir:string -> key:string -> Netlist.t -> Detection_table.t option
 (** Restore a cached table; [None] is a cache miss (absent, invalid, or

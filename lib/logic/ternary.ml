@@ -29,9 +29,6 @@ let xor a b =
   | Zero, Zero | One, One -> Zero
   | Zero, One | One, Zero -> One
 
-let and_list = List.fold_left and_ One
-let or_list = List.fold_left or_ Zero
-
 let refines a b =
   match b with
   | X -> true

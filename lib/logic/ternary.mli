@@ -26,10 +26,6 @@ val or_ : t -> t -> t
 
 val xor : t -> t -> t
 
-val and_list : t list -> t
-
-val or_list : t list -> t
-
 val refines : t -> t -> bool
 (** [refines a b] iff [a] is compatible with [b] when [b] may be less
     specified: [refines v X = true], [refines v v = true]. Monotonicity of

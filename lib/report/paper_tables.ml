@@ -182,10 +182,6 @@ let est_entries ~confidence entries =
     (100.0 *. confidence)
     (Ascii_table.render ~header rows)
 
-let est_csv_entries entries =
-  let header, rows = est_rows entries in
-  Ascii_table.render_csv ~header rows
-
 let figure2_of_histogram hist ~min_value =
   let max_count =
     List.fold_left (fun acc (_, c) -> max acc c) 1 hist

@@ -54,8 +54,6 @@ val est_entries : confidence:float -> est_entry list -> string
     (lower-confidence) value and [hi] the optimistic one, plus a
     ["no-bound"] column counting faults the sample cannot bound. *)
 
-val est_csv_entries : est_entry list -> string
-
 val figure2 : Worst_case.t -> min_value:int -> string
 (** Figure 2: the distribution of nmin values at least [min_value], as an
     ASCII bar chart of (nmin, #faults). *)

@@ -137,11 +137,6 @@ let c_cpt_faults = Telemetry.Counter.create "sim.cpt_faults"
 let c_stem_fallbacks = Telemetry.Counter.create "sim.stem_fallbacks"
 let note_sets n = Telemetry.Counter.add c_sets n
 
-(* Every trace must report a sim.strategy gauge (bin/validate_trace
-   checks it); 1 is the value traces have always given stem-region
-   tracing. *)
-let () = Telemetry.Gauge.set (Telemetry.Gauge.create "sim.strategy") 1
-
 let cone_for good seed =
   cached
     ~key:(Good.id good, seed, -1)

@@ -10,10 +10,10 @@ type t = {
 let make ?(context = []) kind message =
   { kind; message; context; backtrace = None }
 
-let classifiers : (exn -> (kind * string) option) list ref = ref []
-let register f = classifiers := f :: !classifiers
+exception Injected_fault of string
 
-let builtin_classify = function
+let classify = function
+  | Injected_fault site -> (Injected, "at " ^ site)
   | Sys_error m -> (Io, m)
   | Unix.Unix_error (err, fn, arg) ->
     ( Io,
@@ -28,19 +28,13 @@ let builtin_classify = function
   | e -> (Internal, Printexc.to_string e)
 
 let of_exn ?backtrace e =
-  let kind, message =
-    match List.find_map (fun f -> f e) !classifiers with
-    | Some classified -> classified
-    | None -> builtin_classify e
-  in
+  let kind, message = classify e in
   {
     kind;
     message;
     context = [];
     backtrace = Option.map Printexc.raw_backtrace_to_string backtrace;
   }
-
-let retryable t = t.kind = Io
 
 let with_context frame t = { t with context = frame :: t.context }
 

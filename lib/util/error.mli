@@ -1,15 +1,14 @@
 (** Structured error values: the failure taxonomy shared by the
-    supervision layer, the crash-isolated parallel map and the harness.
+    supervision layer and the harness.
 
-    Converting an exception with {!of_exn} classifies it into a {!kind}
-    (which drives retry policy — only [Io] failures are retryable),
+    Converting an exception with {!of_exn} classifies it into a {!kind},
     keeps the message and optionally the backtrace, and lets callers
     stack human-readable context frames with {!with_context}. *)
 
 type kind =
   | Parse  (** Malformed input text or file. *)
   | Invalid_input  (** Bad argument, configuration or state. *)
-  | Io  (** Filesystem or operating-system error; retryable. *)
+  | Io  (** Filesystem or operating-system error. *)
   | Timeout  (** Cooperative cancellation / deadline exceeded. *)
   | Injected  (** Deliberate fault from {!Supervise.inject}. *)
   | Internal  (** Everything else (a genuine bug or resource limit). *)
@@ -21,23 +20,17 @@ type t = {
   backtrace : string option;
 }
 
+exception Injected_fault of string
+(** Raised by {!Supervise.inject} at a crash site, carrying the site
+    name; classified as [Injected]. *)
+
 val make : ?context:string list -> kind -> string -> t
 
 val of_exn : ?backtrace:Printexc.raw_backtrace -> exn -> t
-(** Classify an exception. Registered classifiers (see {!register})
-    are consulted first, then the built-in rules: [Sys_error] and
-    [Unix.Unix_error] map to [Io]; [Invalid_argument] and [Failure] to
-    [Invalid_input]; {!Cancel.Cancelled} to [Timeout]; anything else to
-    [Internal]. *)
-
-val register : (exn -> (kind * string) option) -> unit
-(** Add a classifier consulted by {!of_exn} before the built-in rules
-    (most recently registered first). Lets higher layers teach the
-    taxonomy about their own exceptions without a dependency cycle. *)
-
-val retryable : t -> bool
-(** [true] only for [Io]: transient system errors are worth a bounded
-    retry, everything else is deterministic. *)
+(** Classify an exception: {!Injected_fault} maps to [Injected];
+    [Sys_error] and [Unix.Unix_error] to [Io]; [Invalid_argument] and
+    [Failure] to [Invalid_input]; {!Cancel.Cancelled} to [Timeout];
+    anything else to [Internal]. *)
 
 val with_context : string -> t -> t
 (** Push an outermost context frame, e.g. ["analyze mc"]. *)

@@ -47,9 +47,5 @@ external equal_words : buf -> buf -> int -> bool = "ndetect_c_equal_words"
 
 let current_name () = "c"
 
-(* Every trace must report a kernel.backend gauge (bin/validate_trace
-   checks it); 1 is the value traces have always given the C kernel. *)
-let () = Telemetry.Gauge.set (Telemetry.Gauge.create "kernel.backend") 1
-
 external verify_region : buf -> off:int -> int -> int64 option
   = "ndetect_c_verify_region"

@@ -103,9 +103,7 @@ external equal_words : buf -> buf -> int -> bool = "ndetect_c_equal_words"
     hash match. *)
 
 val current_name : unit -> string
-(** ["c"], always. Benchmark records carry it as their kernel stamp; the
-    ["kernel.backend"] telemetry gauge is fixed at 1 for the same
-    reason. *)
+(** ["c"], always. Benchmark records carry it as their kernel stamp. *)
 
 (** {2 File verification}
 

@@ -16,20 +16,14 @@ val max_domains : int
     anyway (say, several calls at once), the call joins the domains it
     already spawned and re-raises the failure. *)
 
-val try_map_array :
-  ?domains:int -> ('a -> 'b) -> 'a array -> ('b, Error.t) result array
-(** Crash-isolated variant: an exception raised while mapping item [i]
-    is captured (with its backtrace) as [Error] in slot [i]; every other
-    item still completes and returns [Ok]. Cancellations surface the
-    same way, as {!Error.Timeout} entries. *)
-
 val map_array : ?domains:int -> ('a -> 'b) -> 'a array -> 'b array
 (** [map_array f arr] splits indices into contiguous chunks, one domain
     per chunk. [f] must be safe to run concurrently (pure, or writing
     only to data it owns). With [domains <= 1] or fewer than 2 elements
-    per domain it simply runs sequentially. A thin wrapper over
-    {!try_map_array}: if any item failed, the lowest-index exception is
-    re-raised in the caller (after all domains have been joined). *)
+    per domain it simply runs sequentially. If any item raises, every
+    domain is still joined, then the lowest-index item's exception is
+    re-raised in the caller with its backtrace; a chunk stops at its
+    own first failure, so items after it in the chunk are not run. *)
 
 val init : ?domains:int -> int -> (int -> 'b) -> 'b array
 (** Parallel [Array.init]. *)

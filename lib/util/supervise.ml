@@ -12,15 +12,6 @@ let describe = function
   | Crashed err -> "crashed: " ^ Error.to_string err
   | Skipped reason -> "skipped: " ^ reason
 
-exception Injected of string
-
-(* Teach the taxonomy about injected faults (before any built-in rule
-   can misfile them as Internal). *)
-let () =
-  Error.register (function
-    | Injected site -> Some (Error.Injected, "at " ^ site)
-    | _ -> None)
-
 (* Graceful termination: the flag is an Atomic (the handler may run on
    any safe point) and the in-flight tokens are tracked so the current
    supervised unit unwinds at its next poll instead of running to
@@ -63,10 +54,7 @@ let install_sigterm () =
          disposition rather than failing the caller. *)
       Atomic.set sigterm_installed false
 
-type injection =
-  | Inject_crash
-  | Inject_stall of float
-  | Inject_io of { error : Unix.error; mutable remaining : int }
+type injection = Inject_crash | Inject_stall of float
 
 let plan : (string * injection) list ref = ref []
 
@@ -75,7 +63,7 @@ let set_injection items = plan := items
 let inject ?cancel site =
   match List.assoc_opt site !plan with
   | None -> ()
-  | Some Inject_crash -> raise (Injected site)
+  | Some Inject_crash -> raise (Error.Injected_fault site)
   | Some (Inject_stall seconds) ->
     let until = Clock.now () +. seconds in
     while Clock.now () < until do
@@ -84,18 +72,6 @@ let inject ?cancel site =
       | None -> ());
       Unix.sleepf 0.005
     done
-  | Some (Inject_io io) ->
-    if io.remaining > 0 then begin
-      io.remaining <- io.remaining - 1;
-      raise (Unix.Unix_error (io.error, "inject", site))
-    end
-
-let unix_error_of_name = function
-  | "enospc" -> Some Unix.ENOSPC
-  | "eacces" -> Some Unix.EACCES
-  | "eio" -> Some Unix.EIO
-  | "eintr" -> Some Unix.EINTR
-  | _ -> None
 
 let parse_injection_spec spec =
   let parse_item item =
@@ -108,33 +84,6 @@ let parse_injection_spec spec =
       | "crash" ->
         if arg = "" then Error "crash= needs a site name"
         else Ok (arg, Inject_crash)
-      | "io" -> (
-        (* io=SITE:ERROR[:COUNT]; the site itself may contain ':'
-           (e.g. unit:avg-mc-0-16), so parse from the right. *)
-        let fields = String.split_on_char ':' arg in
-        let with_parts site err count =
-          match (unix_error_of_name (String.lowercase_ascii err), count) with
-          | Some error, Some remaining when remaining >= 1 && site <> "" ->
-            Ok (site, Inject_io { error; remaining })
-          | _ ->
-            Error
-              (Printf.sprintf
-                 "io item %S needs SITE:ERROR[:COUNT] (enospc, eacces, eio, \
-                  eintr; COUNT >= 1)"
-                 item)
-        in
-        match List.rev fields with
-        | count :: err :: (_ :: _ as site_rev)
-          when int_of_string_opt count <> None ->
-          with_parts
-            (String.concat ":" (List.rev site_rev))
-            err
-            (int_of_string_opt count)
-        | err :: (_ :: _ as site_rev) ->
-          with_parts (String.concat ":" (List.rev site_rev)) err (Some 1)
-        | _ ->
-          Error
-            (Printf.sprintf "io item %S needs SITE:ERROR[:COUNT]" item))
       | "stall" -> (
         match String.rindex_opt arg ':' with
         | None ->
@@ -162,53 +111,41 @@ let parse_injection_spec spec =
       (Ok []) items
     |> Result.map List.rev
 
-let run ?deadline ?(retries = 0) ?(backoff = 0.1)
-    ?(is_retryable = Error.retryable) f =
-  let rec attempt remaining delay =
-    if terminating () then Error (Skipped "terminating: SIGTERM received")
-    else begin
-      let token = Cancel.create ?deadline_in:deadline () in
-      track_token token;
-      (* A SIGTERM between the flag check and the tracking still
-         cancels: re-check after registration so the token cannot be
-         missed by [request_termination]. *)
-      if terminating () then Cancel.cancel token;
-      let detached =
-        Fun.protect
-          ~finally:(fun () -> untrack_token token)
-          (fun () ->
-            match f token with
-            | value -> Ok value
-            | exception e ->
-              let backtrace = Printexc.get_raw_backtrace () in
-              Error (e, backtrace))
+let run ?deadline f =
+  if terminating () then Error (Skipped "terminating: SIGTERM received")
+  else begin
+    let token = Cancel.create ?deadline_in:deadline () in
+    track_token token;
+    (* A SIGTERM between the flag check and the tracking still cancels:
+       re-check after registration so the token cannot be missed by
+       [request_termination]. *)
+    if terminating () then Cancel.cancel token;
+    let outcome =
+      Fun.protect
+        ~finally:(fun () -> untrack_token token)
+        (fun () ->
+          match f token with
+          | value -> Ok value
+          | exception e -> Error (e, Printexc.get_raw_backtrace ()))
+    in
+    match outcome with
+    | Ok value -> Ok value
+    | Error (Cancel.Cancelled, _) ->
+      Error
+        (Timed_out
+           {
+             budget = Option.value deadline ~default:0.0;
+             spans = Telemetry.error_spans Cancel.Cancelled;
+           })
+    | Error (e, backtrace) ->
+      let err = Error.of_exn ~backtrace e in
+      (* With telemetry live, name the span tree the crash unwound
+         through (e.g. "analyze mc > table.build") as a context frame. *)
+      let err =
+        match Telemetry.error_spans e with
+        | [] -> err
+        | spans ->
+          Error.with_context ("in " ^ String.concat " > " (List.rev spans)) err
       in
-      match detached with
-      | Ok value -> Ok value
-      | Error (Cancel.Cancelled, _) ->
-        Error
-          (Timed_out
-             {
-               budget = Option.value deadline ~default:0.0;
-               spans = Telemetry.error_spans Cancel.Cancelled;
-             })
-      | Error (e, backtrace) ->
-        let err = Error.of_exn ~backtrace e in
-        (* With telemetry live, name the span tree the crash unwound
-           through (e.g. "analyze mc > table.build") as a context frame. *)
-        let err =
-          match Telemetry.error_spans e with
-          | [] -> err
-          | spans ->
-            Error.with_context
-              ("in " ^ String.concat " > " (List.rev spans))
-              err
-        in
-        if remaining > 0 && is_retryable err && not (terminating ()) then begin
-          Unix.sleepf delay;
-          attempt (remaining - 1) (delay *. 2.0)
-        end
-        else Error (Crashed err)
-    end
-  in
-  attempt (max 0 retries) (max 0.0 backoff)
+      Error (Crashed err)
+  end

@@ -1,11 +1,11 @@
 (** Supervised execution of one unit of work: wall-clock budget via
-    cooperative cancellation, bounded retry with exponential backoff for
-    retryable error classes, crash capture as a structured {!Error.t},
+    cooperative cancellation, crash capture as a structured {!Error.t},
     and a deterministic fault-injection hook for self-tests.
 
-    The supervisor never lets an exception escape: the outcome is always
-    an explicit [Ok] or {!failure}, so callers (the reproduction driver,
-    a future service loop) can record partial results and keep going. *)
+    A unit runs once. The supervisor never lets an exception escape and
+    never re-runs the work: the outcome is always an explicit [Ok] or
+    {!failure}, so callers (the reproduction driver, the serve daemon)
+    can record partial results and keep going. *)
 
 type failure =
   | Timed_out of { budget : float; spans : string list }
@@ -25,28 +25,17 @@ val describe : failure -> string
 (** Short human-readable form: ["timed out after 30s"],
     ["crashed: parse error: ..."], ["skipped: ..."]. *)
 
-val run :
-  ?deadline:float ->
-  ?retries:int ->
-  ?backoff:float ->
-  ?is_retryable:(Error.t -> bool) ->
-  (Cancel.token -> 'a) -> ('a, failure) result
-(** [run f] calls [f token] and converts its fate into a result.
+val run : ?deadline:float -> (Cancel.token -> 'a) -> ('a, failure) result
+(** [run f] calls [f token] once and converts its fate into a result:
+    [Ok] with its value, [Timed_out] when it unwound by cancellation,
+    [Crashed] on any other exception.
 
-    - [deadline]: wall-clock budget in seconds. [f] must poll the token
-      it receives ({!Cancel.poll}) for the budget to be enforced; every
-      analysis loop in [lib/core] does. Omitted = no deadline.
-    - [retries] (default 0): how many times to re-run [f] after a
-      retryable crash. Each attempt gets a fresh token (and full
-      deadline).
-    - [backoff] (default 0.1): seconds slept before the first retry;
-      doubles each further retry.
-    - [is_retryable] (default {!Error.retryable}): which crashes are
-      worth retrying. Timeouts are never retried.
+    [deadline] is the wall-clock budget in seconds. [f] must poll the
+    token it receives ({!Cancel.poll}) for the budget to be enforced;
+    every analysis loop in [lib/core] does. Omitted = no deadline.
 
-    When {!terminating} is set (SIGTERM), no new attempt is started:
-    the pending work returns [Skipped] instead of running, and a
-    retryable failure is not retried. *)
+    When {!terminating} is set (SIGTERM), [f] is not started and the
+    result is [Skipped]. *)
 
 (** {2 Graceful termination (SIGTERM)}
 
@@ -79,26 +68,15 @@ val request_termination : unit -> unit
     A process-wide plan maps site names to actions. Instrumented code
     calls {!inject} with its site name; with no plan installed (the
     default) this is a no-op costing one list lookup on an empty list.
-    The reproduction driver names its sites ["analyze:<circuit>"],
+    {!Ndetect_harness.Api.run} names its sites ["analyze:<circuit>"],
     ["table5:<circuit>"] and ["table6:<circuit>"], and the checkpoint
-    store adds ["checkpoint:store"] on its persistence path, so I/O
-    failures (ENOSPC, EACCES, ...) can be injected end to end, not just
-    compute crashes. *)
+    store adds ["checkpoint:store"] before each write, so a failed
+    checkpoint write can be driven end to end, not just compute
+    crashes. *)
 
 type injection =
-  | Inject_crash  (** Raise {!Injected} at the site. *)
+  | Inject_crash  (** Raise {!Error.Injected_fault} at the site. *)
   | Inject_stall of float  (** Busy-wait (polling) for the given seconds. *)
-  | Inject_io of { error : Unix.error; mutable remaining : int }
-      (** Raise [Unix.Unix_error (error, "inject", site)] — classified
-          {!Error.Io}, hence retryable — for the next [remaining] hits
-          of the site, then disarm. This is how a transient filesystem
-          fault (full disk, permission flap, failed partial write) is
-          simulated: the first attempt fails, the supervised retry
-          succeeds. *)
-
-exception Injected of string
-(** Raised by {!inject} at a crash site; classified as
-    {!Error.Injected}. *)
 
 val set_injection : (string * injection) list -> unit
 (** Install the plan (replacing any previous one). [[]] disables
@@ -111,6 +89,6 @@ val inject : ?cancel:Cancel.token -> string -> unit
 val parse_injection_spec :
   string -> ((string * injection) list, string) result
 (** Parse a command-line plan: comma-separated items, each
-    ["crash=SITE"], ["stall=SITE:SECONDS"] or ["io=SITE:ERROR[:COUNT]"]
-    (ERROR one of [enospc], [eacces], [eio], [eintr]; COUNT defaults to
-    1), e.g. ["crash=analyze:mc,io=checkpoint:store:enospc:2"]. *)
+    ["crash=SITE"] or ["stall=SITE:SECONDS"], e.g.
+    ["crash=analyze:mc,stall=analyze:lion:2"]. Any other action is an
+    [Error]. *)

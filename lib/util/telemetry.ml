@@ -384,15 +384,22 @@ module Jsonl = struct
     t.handle <- Some (register_sink (on_event t));
     t
 
+  (* A span's begin or end runs inside the traced work, so a failed
+     write (a full disk) must not raise there: the first failure stops
+     the trace, and [seal] re-raises it once the file is closed. *)
   let attach ~path =
     let oc = open_out path in
+    let failed = ref None in
+    let guard f = if !failed = None then try f () with Sys_error _ as e -> failed := Some e in
     make
       ~write:(fun line ->
-        output_string oc line;
-        output_char oc '\n')
+        guard (fun () ->
+            output_string oc line;
+            output_char oc '\n'))
       ~seal:(fun () ->
-        flush oc;
-        close_out_noerr oc)
+        guard (fun () -> flush oc);
+        close_out_noerr oc;
+        Option.iter raise !failed)
 
   let attach_writer write = make ~write ~seal:(fun () -> ())
 

@@ -168,7 +168,10 @@ module Jsonl : sig
   type t
 
   val attach : path:string -> t
-  (** Open (truncate) [path], write the meta line and register. *)
+  (** Open (truncate) [path], write the meta line and register. Raises
+      [Sys_error] when [path] cannot be opened. Emitting a span never
+      raises: the first failed write ends the trace, and {!detach}
+      reports it. *)
 
   val attach_writer : (string -> unit) -> t
   (** Like {!attach} but every record line (without the newline) is
@@ -179,7 +182,9 @@ module Jsonl : sig
 
   val detach : t -> unit
   (** Write the counters footer, unregister, flush and close (the
-      writer form only emits the footer). Idempotent. *)
+      writer form only emits the footer). Idempotent. For the file form,
+      raises the [Sys_error] of the first failed write, after the file
+      is closed. *)
 
   val empty_trace : unit -> string list
   (** A complete, schema-valid [ndetect-trace/1] document with zero

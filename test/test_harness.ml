@@ -338,6 +338,20 @@ let test_table_cache_roundtrip () =
           (Worst_case.distribution (Worst_case.compute built))
           (Worst_case.distribution (Worst_case.compute restored)))
 
+(* The cache is best-effort: a directory that cannot exist (its path
+   runs through a regular file) makes [store] a no-op and [table] a
+   plain build, never an exception. *)
+let test_table_cache_unusable_dir () =
+  with_temp_dir (fun dir ->
+      let file = Filename.concat dir "not-a-dir" in
+      Out_channel.with_open_bin file (fun oc -> output_string oc "x");
+      let bad = Filename.concat file "sub" in
+      let net = Registry.circuit (Option.get (Registry.find "lion")) in
+      let built = Detection_table.build net in
+      Table_cache.store ~dir:bad ~key:(Table_cache.key net) built;
+      Alcotest.(check bool) "table is the build" true
+        (tables_identical built (Table_cache.table ~dir:bad net)))
+
 (* The cache stores one pool index per untargeted class and rebuilds
    the classes on load: a cold store (a build, then its record) and a
    warm load agree on every class, every nmin and the rendered
@@ -1025,6 +1039,38 @@ let test_resume_skips_checkpointed_work () =
         (List.length (Driver.failures resumed));
       Driver.create small_options |> ignore)
 
+(* A checkpoint write that fails costs its entry, not the run: every
+   table is the clean run's, each circuit gets one recorded
+   "checkpoint CIRCUIT" failure, and a resume recomputes them all. *)
+let test_checkpoint_write_failure_recorded () =
+  with_temp_dir (fun dir ->
+      let expected = Driver.table2_csv (Driver.create small_options) in
+      let opts = { small_options with Driver.checkpoint_dir = Some dir } in
+      let failing =
+        Driver.create { opts with Driver.inject = Some "crash=checkpoint:store" }
+      in
+      Alcotest.(check string) "tables unchanged" expected
+        (Driver.table2_csv failing);
+      let entries = Registry.of_tier small_options.Driver.tier in
+      Alcotest.(check (list string))
+        "one failure per circuit"
+        (List.map (fun e -> "checkpoint " ^ e.Registry.name) entries)
+        (List.map fst (Driver.failures failing));
+      List.iter
+        (fun (_, failure) ->
+          match failure with
+          | Ndetect_util.Supervise.Crashed e ->
+            Alcotest.(check string) "injected kind" "injected fault"
+              (Ndetect_util.Error.kind_to_string e.Ndetect_util.Error.kind)
+          | _ -> Alcotest.fail "expected Crashed")
+        (Driver.failures failing);
+      Alcotest.(check int) "nothing stored" 0 (Array.length (Sys.readdir dir));
+      let resumed = Driver.create { opts with Driver.resume = true } in
+      Alcotest.(check string) "resume recomputes" expected
+        (Driver.table2_csv resumed);
+      Alcotest.(check int) "resume clean" 0
+        (List.length (Driver.failures resumed)))
+
 (* A checkpoint directory in an older layout — version-1 stamps, the old
    per-summary/per-section keys, even a current key holding another
    payload type — is ignored on --resume: every circuit is recomputed
@@ -1161,6 +1207,8 @@ let () =
         [
           Alcotest.test_case "roundtrip bit-identical" `Quick
             test_table_cache_roundtrip;
+          Alcotest.test_case "unusable directory is a plain build" `Quick
+            test_table_cache_unusable_dir;
           Alcotest.test_case "classes survive store and warm load" `Quick
             test_table_cache_classes_roundtrip;
           Alcotest.test_case "untargeted faults survive store and warm load"
@@ -1204,6 +1252,8 @@ let () =
             test_resume_skips_checkpointed_work;
           Alcotest.test_case "resume ignores old checkpoint layout" `Quick
             test_resume_ignores_old_layout;
+          Alcotest.test_case "failed checkpoint write is recorded" `Quick
+            test_checkpoint_write_failure_recorded;
         ] );
       ( "driver",
         [

@@ -57,13 +57,7 @@ let test_error_classification () =
   Alcotest.check kind "Cancelled" Uerror.Timeout (k Cancel.Cancelled);
   Alcotest.check kind "Not_found" Uerror.Internal (k Not_found);
   Alcotest.check kind "Injected" Uerror.Injected
-    (k (Supervise.Injected "site"))
-
-let test_error_retryable () =
-  Alcotest.(check bool) "Io retryable" true
-    (Uerror.retryable (Uerror.of_exn (Sys_error "x")));
-  Alcotest.(check bool) "Failure not retryable" false
-    (Uerror.retryable (Uerror.of_exn (Failure "x")))
+    (k (Uerror.Injected_fault "site"))
 
 let test_error_context () =
   let e =
@@ -106,20 +100,12 @@ let test_run_timeout () =
         Alcotest.(check bool) "budget recorded" true (budget = 0.05)
       | _ -> Alcotest.fail "expected Timed_out")
 
-let test_run_retries_io () =
-  let attempts = ref 0 in
-  let result =
-    Supervise.run ~retries:2 ~backoff:0.001 (fun _ ->
-        incr attempts;
-        if !attempts < 3 then raise (Sys_error "flaky") else "ok")
-  in
-  Alcotest.(check bool) "eventually ok" true (result = Ok "ok");
-  Alcotest.(check int) "three attempts" 3 !attempts
-
+(* A unit runs once: neither a deterministic crash nor an I/O error is
+   re-run, and the I/O error keeps its Io kind. *)
 let test_run_no_retry_for_crash () =
   let attempts = ref 0 in
   let result =
-    Supervise.run ~retries:5 ~backoff:0.001 (fun _ ->
+    Supervise.run (fun _ ->
         incr attempts;
         failwith "deterministic")
   in
@@ -127,16 +113,18 @@ let test_run_no_retry_for_crash () =
     (match result with Error (Supervise.Crashed _) -> true | _ -> false);
   Alcotest.(check int) "single attempt" 1 !attempts
 
-let test_run_retries_exhausted () =
+let test_run_io_runs_once () =
   let attempts = ref 0 in
   let result =
-    Supervise.run ~retries:2 ~backoff:0.001 (fun _ ->
+    Supervise.run (fun _ ->
         incr attempts;
-        raise (Sys_error "always"))
+        raise (Sys_error "flaky"))
   in
-  Alcotest.(check bool) "still failed" true
-    (match result with Error (Supervise.Crashed _) -> true | _ -> false);
-  Alcotest.(check int) "three attempts" 3 !attempts
+  (match result with
+  | Error (Supervise.Crashed e) ->
+    Alcotest.check kind "Io failure" Uerror.Io e.Uerror.kind
+  | _ -> Alcotest.fail "expected Crashed");
+  Alcotest.(check int) "single attempt" 1 !attempts
 
 (* fault injection *)
 
@@ -182,82 +170,18 @@ let test_parse_injection_spec () =
         (Result.is_error (Supervise.parse_injection_spec bad)))
     [ "bogus"; "crash="; "stall=x"; "stall=x:notanumber"; "stall=x:-1" ]
 
+(* There is no io= action: a failed write is driven with crash= at its
+   site (crash=checkpoint:store), so every io= item is a parse error,
+   alone or next to valid items. *)
 let test_parse_io_spec () =
-  (match Supervise.parse_injection_spec "io=ledger:result:enospc:2" with
-  | Ok [ ("ledger:result", Supervise.Inject_io { error; remaining }) ] ->
-    Alcotest.(check bool) "error" true (error = Unix.ENOSPC);
-    Alcotest.(check int) "count" 2 remaining
-  | _ -> Alcotest.fail "io item with count");
-  (* COUNT defaults to 1; the site may itself contain ':'. *)
-  (match Supervise.parse_injection_spec "io=unit:avg-mc-0-16:eacces" with
-  | Ok [ ("unit:avg-mc-0-16", Supervise.Inject_io { error; remaining }) ] ->
-    Alcotest.(check bool) "error" true (error = Unix.EACCES);
-    Alcotest.(check int) "default count" 1 remaining
-  | _ -> Alcotest.fail "io item with colon in site");
-  (match Supervise.parse_injection_spec "io=checkpoint:store:eio,crash=a" with
-  | Ok
-      [
-        ("checkpoint:store", Supervise.Inject_io _); ("a", Supervise.Inject_crash);
-      ] ->
-    ()
-  | _ -> Alcotest.fail "io mixes with other actions");
   List.iter
     (fun bad ->
       Alcotest.(check bool) (bad ^ " rejected") true
         (Result.is_error (Supervise.parse_injection_spec bad)))
-    [ "io="; "io=site"; "io=site:ebadname"; "io=site:enospc:0"; "io=:enospc" ]
-
-(* Inject_io raises a Unix_error — classified Io, hence retryable — for
-   its next [remaining] hits, then disarms: exactly the shape of a
-   transient filesystem fault, so a supervised retry must recover. *)
-let test_inject_io_fires_then_disarms () =
-  Supervise.set_injection
-    [ ("ledger:result", Supervise.Inject_io { error = Unix.ENOSPC; remaining = 2 }) ];
-  Fun.protect
-    ~finally:(fun () -> Supervise.set_injection [])
-    (fun () ->
-      let hit () =
-        try
-          Supervise.inject "ledger:result";
-          None
-        with Unix.Unix_error (e, _, site) -> Some (e, site)
-      in
-      (match hit () with
-      | Some (Unix.ENOSPC, "ledger:result") -> ()
-      | _ -> Alcotest.fail "first hit should raise ENOSPC");
-      (match hit () with
-      | Some (Unix.ENOSPC, _) -> ()
-      | _ -> Alcotest.fail "second hit should raise ENOSPC");
-      Alcotest.(check bool) "disarmed after count" true (hit () = None);
-      (* The raised error sits in the retryable Io class. *)
-      let err =
-        Uerror.of_exn (Unix.Unix_error (Unix.ENOSPC, "inject", "ledger:result"))
-      in
-      Alcotest.check kind "classified Io" Uerror.Io err.Uerror.kind;
-      Alcotest.(check bool) "retryable" true (Uerror.retryable err))
-
-let test_inject_io_recovered_by_retry () =
-  Supervise.set_injection
-    [ ("checkpoint:store", Supervise.Inject_io { error = Unix.EIO; remaining = 1 }) ];
-  Fun.protect
-    ~finally:(fun () -> Supervise.set_injection [])
-    (fun () ->
-      let attempts = ref 0 in
-      let result =
-        Supervise.run ~retries:2 ~backoff:0.001 (fun cancel ->
-            incr attempts;
-            Supervise.inject ~cancel "checkpoint:store";
-            "stored")
-      in
-      Alcotest.(check bool) "recovered" true (result = Ok "stored");
-      Alcotest.(check int) "one retry" 2 !attempts;
-      (* Without retries the same fault is a Crashed Io failure. *)
-      Supervise.set_injection
-        [ ("checkpoint:store", Supervise.Inject_io { error = Unix.EIO; remaining = 1 }) ];
-      match Supervise.run (fun cancel -> Supervise.inject ~cancel "checkpoint:store") with
-      | Error (Supervise.Crashed e) ->
-        Alcotest.check kind "Io failure" Uerror.Io e.Uerror.kind
-      | _ -> Alcotest.fail "expected Crashed")
+    [
+      "io=checkpoint:store:enospc"; "io=unit:avg-mc-0-16:eacces";
+      "io=checkpoint:store:eio,crash=a"; "crash=a,io=site:enospc:2";
+    ]
 
 (* Runs last: the termination flag is process-wide and sticky by
    design (a SIGTERM'd process never un-terminates), so this test
@@ -286,7 +210,6 @@ let () =
         [
           Alcotest.test_case "classification" `Quick
             test_error_classification;
-          Alcotest.test_case "retryable" `Quick test_error_retryable;
           Alcotest.test_case "context" `Quick test_error_context;
         ] );
       ( "run",
@@ -294,11 +217,9 @@ let () =
           Alcotest.test_case "ok" `Quick test_run_ok;
           Alcotest.test_case "crash" `Quick test_run_crash;
           Alcotest.test_case "timeout" `Quick test_run_timeout;
-          Alcotest.test_case "retries io" `Quick test_run_retries_io;
           Alcotest.test_case "no retry for crash" `Quick
             test_run_no_retry_for_crash;
-          Alcotest.test_case "retries exhausted" `Quick
-            test_run_retries_exhausted;
+          Alcotest.test_case "io crash runs once" `Quick test_run_io_runs_once;
         ] );
       ( "inject",
         [
@@ -306,10 +227,6 @@ let () =
           Alcotest.test_case "disabled noop" `Quick test_inject_disabled_noop;
           Alcotest.test_case "spec parsing" `Quick test_parse_injection_spec;
           Alcotest.test_case "io spec parsing" `Quick test_parse_io_spec;
-          Alcotest.test_case "io fires then disarms" `Quick
-            test_inject_io_fires_then_disarms;
-          Alcotest.test_case "io recovered by retry" `Quick
-            test_inject_io_recovered_by_retry;
         ] );
       ( "termination",
         [

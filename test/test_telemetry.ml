@@ -323,6 +323,31 @@ let test_jsonl_escaping () =
            (fun l -> Helpers.contains_substring l "line\\nbreak")
            lines))
 
+(* A trace on a full device: spans of the traced work never raise (the
+   trace just ends), and detach reports the failed write once the file
+   is closed. Enough spans to overflow the channel buffer mid-run. *)
+let test_jsonl_full_device () =
+  if Sys.file_exists "/dev/full" then begin
+    let sink = Telemetry.Jsonl.attach ~path:"/dev/full" in
+    let raised_in_span =
+      match
+        for i = 1 to 5_000 do
+          Telemetry.with_span "work" ~args:[ ("i", string_of_int i) ] ignore
+        done
+      with
+      | () -> false
+      | exception Sys_error _ -> true
+    in
+    let raised_at_detach =
+      match Telemetry.Jsonl.detach sink with
+      | () -> false
+      | exception Sys_error _ -> true
+    in
+    Alcotest.(check bool) "spans never raise" false raised_in_span;
+    Alcotest.(check bool) "detach reports the write" true raised_at_detach;
+    Telemetry.Jsonl.detach sink
+  end
+
 (* clock *)
 
 let test_now_monotone () =
@@ -376,6 +401,7 @@ let () =
           Alcotest.test_case "stream" `Quick test_jsonl_stream;
           Alcotest.test_case "escaping" `Quick test_jsonl_escaping;
           Alcotest.test_case "end args" `Quick test_jsonl_end_args;
+          Alcotest.test_case "full device" `Quick test_jsonl_full_device;
         ] );
       ("clock",
         [

@@ -744,26 +744,32 @@ let test_parallel_propagates_exception () =
            (fun x -> if x = 57 then raise Boom else x)
            arr))
 
-module Uerror = Ndetect_util.Error
-
-let test_try_map_isolates_failures () =
-  let arr = Array.init 100 Fun.id in
-  let results =
-    Parallel.try_map_array ~domains:4
-      (fun x -> if x mod 17 = 3 then failwith (string_of_int x) else x + 1)
-      arr
+(* The caller's chunk fails at once while every other chunk is still
+   working: the raise must wait until each domain has finished its
+   chunk, so every item outside the failing chunk has run. *)
+let test_map_array_joins_before_raising () =
+  let n = 64 and domains = 4 in
+  let done_ = Array.init n (fun _ -> Atomic.make false) in
+  let raised =
+    try
+      ignore
+        (Parallel.map_array ~domains
+           (fun x ->
+             if x = 0 then raise Boom;
+             Unix.sleepf 0.002;
+             Atomic.set done_.(x) true;
+             x)
+           (Array.init n Fun.id));
+      false
+    with Boom -> true
   in
-  Array.iteri
-    (fun i r ->
-      match r with
-      | Ok v ->
-        Alcotest.(check bool) "ok index" true (i mod 17 <> 3);
-        Alcotest.(check int) "value" (i + 1) v
-      | Error e ->
-        Alcotest.(check bool) "error index" true (i mod 17 = 3);
-        Alcotest.(check string) "message carried" (string_of_int i)
-          e.Uerror.message)
-    results
+  Alcotest.(check bool) "raised" true raised;
+  let chunk = n / domains in
+  for x = chunk to n - 1 do
+    Alcotest.(check bool)
+      (Printf.sprintf "item %d finished" x)
+      true (Atomic.get done_.(x))
+  done
 
 let test_map_array_reraises_lowest_index () =
   (* With several failing items, the raising wrapper must surface the
@@ -778,10 +784,10 @@ let test_map_array_reraises_lowest_index () =
        false
      with Failure m -> m = "23")
 
-(* The core try_map_array contract: an arbitrary failing subset yields
-   Error at exactly those indices, Ok everywhere else, for any domain
-   count. *)
-let try_map_gen =
+(* The map_array failure contract: over an arbitrary failing subset and
+   any domain count, the raised exception is the lowest failing index's;
+   with no failure the result is the sequential map. *)
+let failing_subset_gen =
   QCheck.make
     ~print:(fun (n, domains, fails) ->
       Printf.sprintf "n=%d domains=%d fails={%s}" n domains
@@ -792,24 +798,21 @@ let try_map_gen =
       list_size (int_range 0 12) (int_range 0 (max 0 (n - 1)))
       >|= fun fails -> (n, domains, List.sort_uniq Int.compare fails))
 
-let prop_try_map_exact_indices =
-  QCheck.Test.make ~name:"try_map_array errors exactly at failing indices"
-    ~count:100 try_map_gen (fun (n, domains, fails) ->
+let prop_map_array_lowest_failure =
+  QCheck.Test.make ~name:"map_array raises the lowest failing index"
+    ~count:100 failing_subset_gen (fun (n, domains, fails) ->
       let fails = List.filter (fun i -> i < n) fails in
-      let results =
-        Parallel.try_map_array ~domains
-          (fun x -> if List.mem x fails then failwith "boom" else 2 * x)
+      match
+        Parallel.map_array ~domains
+          (fun x ->
+            if List.mem x fails then failwith (string_of_int x) else 2 * x)
           (Array.init n Fun.id)
-      in
-      Array.length results = n
-      && Array.for_all Fun.id
-           (Array.mapi
-              (fun i r ->
-                match r with
-                | Ok v -> (not (List.mem i fails)) && v = 2 * i
-                | Error e ->
-                  List.mem i fails && e.Uerror.kind = Uerror.Invalid_input)
-              results))
+      with
+      | results -> fails = [] && results = Array.init n (fun i -> 2 * i)
+      | exception Failure m -> (
+        match fails with
+        | lowest :: _ -> m = string_of_int lowest
+        | [] -> false))
 
 (* Record container: a fuzzed decoder never raises, and accepts bytes
    only when they are exactly what [encode] wrote. *)
@@ -1116,11 +1119,11 @@ let () =
           Alcotest.test_case "init" `Quick test_parallel_init;
           Alcotest.test_case "exception propagation" `Quick
             test_parallel_propagates_exception;
-          Alcotest.test_case "try_map isolates failures" `Quick
-            test_try_map_isolates_failures;
+          Alcotest.test_case "map_array joins before raising" `Quick
+            test_map_array_joins_before_raising;
           Alcotest.test_case "lowest failing index re-raised" `Quick
             test_map_array_reraises_lowest_index;
-          Helpers.qcheck prop_try_map_exact_indices;
+          Helpers.qcheck prop_map_array_lowest_failure;
         ] );
       ( "record",
         [
