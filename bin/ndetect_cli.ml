@@ -830,8 +830,12 @@ let serve_run socket cache_dir queue_capacity resident_mb trace quiet inject =
     }
   in
   let code = Serve.run config in
-  Option.iter Telemetry.Jsonl.detach sink;
-  exit code
+  match Option.iter Telemetry.Jsonl.detach sink with
+  | () -> exit code
+  | exception Sys_error message ->
+    prerr_endline
+      (Printf.sprintf "trace %s: %s" (Option.value trace ~default:"") message);
+    exit (if code = 0 then 3 else code)
 
 let serve_cmd =
   let cache_dir =
@@ -882,8 +886,18 @@ let serve_cmd =
      detection tables, per-request telemetry streaming. SIGTERM drains \
      and exits 0."
   in
+  let exits =
+    Cmd.Exit.info 1 ~doc:"when the daemon cannot listen on its socket."
+    :: Cmd.Exit.info 2 ~doc:"on a malformed $(b,--inject) plan."
+    :: Cmd.Exit.info 3
+         ~doc:
+           "when the daemon drained but its $(b,--trace) file could not be \
+            written (stderr names it as $(i,trace FILE)); the telemetry is \
+            lost, the answers served were not affected."
+    :: Cmd.Exit.defaults
+  in
   Cmd.v
-    (Cmd.info "serve" ~doc)
+    (Cmd.info "serve" ~doc ~exits)
     Term.(
       const serve_run $ socket_arg $ cache_dir $ queue $ resident_mb $ trace
       $ quiet $ inject)

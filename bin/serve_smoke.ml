@@ -19,7 +19,9 @@
       back as a structured timeout row (client exit 3) and the daemon
       keeps serving;
    5. drain: SIGTERM exits 0 and leaves a sealed daemon telemetry file
-      that validate_trace accepts, as do all streamed traces. *)
+      that validate_trace accepts, as do all streamed traces;
+   6. a daemon whose --trace file cannot be written (/dev/full) still
+      drains on SIGTERM, then exits 3 and names the file on stderr. *)
 
 let die fmt =
   Printf.ksprintf
@@ -68,6 +70,18 @@ let contains haystack needle =
   in
   go 0
 
+(* Wait up to 10 s for a daemon's socket to come up. *)
+let await_socket socket =
+  let rec go n =
+    if Sys.file_exists socket then ()
+    else if n = 0 then die "daemon socket %s never appeared" socket
+    else begin
+      Unix.sleepf 0.1;
+      go (n - 1)
+    end
+  in
+  go 100
+
 (* Value printed by `ndetect client --stats` for [name]. *)
 let stats_counter out name =
   String.split_on_char '\n' (read_file out)
@@ -109,16 +123,7 @@ let () =
   let daemon_running = ref true in
   at_exit (fun () ->
       if !daemon_running then (try Unix.kill daemon Sys.sigkill with _ -> ()));
-  (* Wait for the socket to come up. *)
-  let rec await n =
-    if Sys.file_exists socket then ()
-    else if n = 0 then die "daemon socket never appeared"
-    else begin
-      Unix.sleepf 0.1;
-      await (n - 1)
-    end
-  in
-  await 100;
+  await_socket socket;
 
   (* 1. Byte identity daemon vs CLI. *)
   let cli_out = path "cli.out" and client_out = path "client.out" in
@@ -240,4 +245,32 @@ let () =
       daemon_trace; sampled_trace; trace_prefix ^ ".1"; trace_prefix ^ ".2";
       warm_trace;
     ];
+
+  (* 6. A failed trace write is reported, not an uncaught exception. *)
+  if Sys.file_exists "/dev/full" then begin
+    let socket = path "full" and err = path "full.err" in
+    let fd_err =
+      Unix.openfile err [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644
+    in
+    let full =
+      Unix.create_process cli
+        [| cli; "serve"; "--socket"; socket; "--trace"; "/dev/full"; "--quiet" |]
+        Unix.stdin Unix.stdout fd_err
+    in
+    Unix.close fd_err;
+    let full_running = ref true in
+    at_exit (fun () ->
+        if !full_running then (try Unix.kill full Sys.sigkill with _ -> ()));
+    await_socket socket;
+    Unix.kill full Sys.sigterm;
+    let _, status = Unix.waitpid [] full in
+    full_running := false;
+    (match status with
+    | Unix.WEXITED 3 -> ()
+    | Unix.WEXITED n -> die "/dev/full trace daemon exited %d, want 3" n
+    | Unix.WSIGNALED n | Unix.WSTOPPED n ->
+      die "/dev/full trace daemon ended by signal %d" n);
+    if not (contains (read_file err) "trace /dev/full: ") then
+      die "stderr does not name the failed trace file:\n%s" (read_file err)
+  end;
   print_endline "serve-smoke: OK"

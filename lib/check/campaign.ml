@@ -41,12 +41,11 @@ let sink () =
 (* The replay config: small on purpose — every quantity is compared
    cell by cell, so a handful of sets over a few iterations already
    exercises every draw path (uniform picks, rejection sampling, the
-   shuffled scan, strict exhaustion, the Definition-1 fallback). *)
+   shuffled scan, chain exhaustion, the Definition-1 fallback). *)
 let proc_set_count = 4
 let proc_nmax = 3
 
-let modes =
-  [| Procedure1.Definition1; Procedure1.Definition2; Procedure1.Multi_output |]
+let modes = [| Procedure1.Definition1; Procedure1.Definition2 |]
 
 let ints_to_string vs =
   "[" ^ String.concat ";" (List.map string_of_int vs) ^ "]"
@@ -388,18 +387,13 @@ let check_net_counted ?(mutate = false) ?proc_mode ~seed net =
             (Printf.sprintf "def1_count(k=%d,f%d)" k fi)
             ~expected:(Ref_procedure1.detection_count_def1 refo ~k ~fi)
             ~actual:(Procedure1.detection_count_def1 set ~fi);
-          (match mode with
-          | Procedure1.Definition2 | Procedure1.Multi_output ->
+          match mode with
+          | Procedure1.Definition2 ->
             check_list
               (Printf.sprintf "chain(k=%d,f%d)" k fi)
               ~expected:(Ref_procedure1.chain_def2 refo ~k ~fi)
               ~actual:(Procedure1.chain_def2 set ~fi)
-          | Procedure1.Definition1 -> ());
-          if mode = Procedure1.Multi_output then
-            check_int
-              (Printf.sprintf "output_mask(k=%d,f%d)" k fi)
-              ~expected:(Ref_procedure1.output_mask refo ~k ~fi)
-              ~actual:(Procedure1.output_mask set ~fi)
+          | Procedure1.Definition1 -> ()
         done)
       sets
   end

@@ -7,7 +7,7 @@
     [nmin] distribution and its witnesses, sampled Definition 2
     verdicts (pairwise, per chain, and through the packed
     [first_extending] / [extend_many] passes), a complete Procedure 1 replay (detection counts, test
-    sets, per-fault Definition 1 counts, strict chains, output masks),
+    sets, per-fault Definition 1 counts, Definition 2 chains),
     and the sampled estimator's [dmin] over a small stratified sample
     ({!check_sampled}). Any divergence is shrunk to a minimal circuit
     spec.
@@ -59,8 +59,8 @@ val check_net :
   divergence list
 (** Cross-check one circuit. [seed] drives the Procedure 1 config and
     the mutation site; [proc_mode] overrides the replayed mode
-    (defaults to a seed-determined choice so campaigns exercise all
-    three). *)
+    (defaults to a seed-determined choice so campaigns exercise
+    both). *)
 
 val check_sampled :
   ?mutate:bool -> seed:int -> Netlist.t -> divergence list

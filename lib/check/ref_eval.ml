@@ -76,14 +76,11 @@ let stuck_values net (fault : Stuck.t) v =
         if g = gate && p = pin then Some fault.Stuck.value else None)
       v
 
-let detects_stuck_outputs net fault v =
+let detects_stuck net fault v =
   let good = good_values net v and faulty = stuck_values net fault v in
-  Array.map
+  Array.exists
     (fun o -> not (Bool.equal (good o) (faulty o)))
     (Netlist.outputs net)
-
-let detects_stuck net fault v =
-  Array.exists Fun.id (detects_stuck_outputs net fault v)
 
 let detects_bridge net (fault : Bridge.t) v =
   let good = good_values net v in

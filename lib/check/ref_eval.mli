@@ -25,11 +25,9 @@ val good_values : Netlist.t -> int -> int -> bool
 val good_outputs : Netlist.t -> int -> bool array
 (** Fault-free primary-output values, in observation order. *)
 
-val detects_stuck_outputs : Netlist.t -> Stuck.t -> int -> bool array
-(** Per primary output: does vector [v] observe the stuck-at fault
-    there (good and faulty values differ)? *)
-
 val detects_stuck : Netlist.t -> Stuck.t -> int -> bool
+(** Does vector [v] observe the stuck-at fault at some primary output
+    (good and faulty values differ there)? *)
 
 val detects_bridge : Netlist.t -> Bridge.t -> int -> bool
 (** Four-way bridging fault: activated iff the fault-free values of

@@ -24,9 +24,6 @@ let inter_count a b =
   done;
   !acc
 
-let inter_count_upto ~limit a b = min (inter_count a b) limit
-let inter_count_many a targets = Array.map (inter_count a) targets
-
 (* The scan of kernel_stubs.c, row by row: block [b] starts at row
    [b * block_size], inside it word [w] of row [r] sits at
    [base * words + w * k + r], [k] being the block's row count; the

@@ -16,12 +16,6 @@ val inter_count : Bitvec.t -> Bitvec.t -> int
 (** [|a ∩ b|], as {!Bitvec.inter_count}. Raises [Invalid_argument] on a
     length mismatch. *)
 
-val inter_count_upto : limit:int -> Bitvec.t -> Bitvec.t -> int
-(** [min |a ∩ b| limit], as {!Bitvec.inter_count_upto}. *)
-
-val inter_count_many : Bitvec.t -> Bitvec.t array -> int array
-(** One {!inter_count} per target, as {!Bitvec.inter_count_many}. *)
-
 val blocked_scan :
   Bitvec.Blocked.t ->
   row_n:int array -> probe_count:int -> Bitvec.t -> int array -> unit

@@ -7,8 +7,6 @@ type set_state = {
   def1_counts : int array;
   chains : int list array;  (* reverse order, like the optimized state *)
   chain_lens : int array;
-  output_masks : int array;
-  chain_masks : int array;
   strict_exhausted : bool array;
 }
 
@@ -71,20 +69,7 @@ let run rt (cfg : Procedure1.config) =
       Some
         (Ref_def2.create (Ref_table.net rt)
            (Array.init f_count (Ref_table.target_fault rt)))
-    | Procedure1.Definition1 | Procedure1.Multi_output -> None
-  in
-  let output_sets =
-    match cfg.mode with
-    | Procedure1.Multi_output ->
-      Array.init f_count (fun fi -> Ref_table.target_output_sets rt ~fi)
-    | Procedure1.Definition1 | Procedure1.Definition2 -> [||]
-  in
-  let observing_mask fi v =
-    let mask = ref 0 in
-    Array.iteri
-      (fun o set -> if set.(v) then mask := !mask lor (1 lsl o))
-      output_sets.(fi);
-    !mask
+    | Procedure1.Definition1 -> None
   in
   (* Same stream discipline as the optimized run: split once per set,
      in set order, from one root. *)
@@ -104,8 +89,6 @@ let run rt (cfg : Procedure1.config) =
             def1_counts = Array.make f_count 0;
             chains = Array.make f_count [];
             chain_lens = Array.make f_count 0;
-            output_masks = Array.make f_count 0;
-            chain_masks = Array.make f_count 0;
             strict_exhausted = Array.make f_count false;
           }
         in
@@ -125,19 +108,7 @@ let run rt (cfg : Procedure1.config) =
                   s.chains.(fi) <- v :: s.chains.(fi);
                   s.chain_lens.(fi) <- s.chain_lens.(fi) + 1
                 end
-              | None -> ());
-              if cfg.mode = Procedure1.Multi_output then begin
-                let m = observing_mask fi v in
-                s.output_masks.(fi) <- s.output_masks.(fi) lor m;
-                if
-                  s.chain_lens.(fi) < cfg.nmax
-                  && m land lnot s.chain_masks.(fi) <> 0
-                then begin
-                  s.chains.(fi) <- v :: s.chains.(fi);
-                  s.chain_lens.(fi) <- s.chain_lens.(fi) + 1;
-                  s.chain_masks.(fi) <- s.chain_masks.(fi) lor m
-                end
-              end
+              | None -> ())
             end
           done;
           for gj = 0 to g_count - 1 do
@@ -148,46 +119,27 @@ let run rt (cfg : Procedure1.config) =
         for n = 1 to cfg.nmax do
           for fi = 0 to f_count - 1 do
             let tf = Ref_table.target_set rt fi in
-            let fallback_def1 () =
+            let def1_step () =
               if s.def1_counts.(fi) < n then
                 match pick_uniform_diff rng tf s.members with
                 | Some v -> add_test ~iteration:n v
                 | None -> ()
             in
             match cfg.mode with
-            | Procedure1.Definition1 ->
-              if s.def1_counts.(fi) < n then (
-                match pick_uniform_diff rng tf s.members with
-                | Some v -> add_test ~iteration:n v
-                | None -> ())
+            | Procedure1.Definition1 -> def1_step ()
             | Procedure1.Definition2 ->
               if s.chain_lens.(fi) < n then
-                if s.strict_exhausted.(fi) then fallback_def1 ()
+                if s.strict_exhausted.(fi) then def1_step ()
                 else begin
                   let accepts v =
-                    match def2 with
-                    | Some def2 ->
-                      Ref_def2.chain_extend def2 ~fi ~chain:s.chains.(fi) v
-                    | None -> false
+                    Ref_def2.chain_extend (Option.get def2) ~fi
+                      ~chain:s.chains.(fi) v
                   in
                   match pick_candidate rng ~accepts s.members tf with
                   | Some v -> add_test ~iteration:n v
                   | None ->
                     s.strict_exhausted.(fi) <- true;
-                    fallback_def1 ()
-                end
-            | Procedure1.Multi_output ->
-              if s.chain_lens.(fi) < n then
-                if s.strict_exhausted.(fi) then fallback_def1 ()
-                else begin
-                  let accepts v =
-                    observing_mask fi v land lnot s.chain_masks.(fi) <> 0
-                  in
-                  match pick_candidate rng ~accepts s.members tf with
-                  | Some v -> add_test ~iteration:n v
-                  | None ->
-                    s.strict_exhausted.(fi) <- true;
-                    fallback_def1 ()
+                    def1_step ()
                 end
           done
         done;
@@ -211,4 +163,3 @@ let detected_count o ~n ~gj =
 let test_set o ~k = List.rev_map fst o.sets.(k).added
 let detection_count_def1 o ~k ~fi = o.sets.(k).def1_counts.(fi)
 let chain_def2 o ~k ~fi = List.rev o.sets.(k).chains.(fi)
-let output_mask o ~k ~fi = o.sets.(k).output_masks.(fi)

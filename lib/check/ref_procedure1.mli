@@ -4,8 +4,8 @@
     {!Ndetect_core.Procedure1.run} (one [Rng.split] per test set, in
     set order, from the config seed) and mirrors its draw discipline
     exactly — one uniform draw per missing detection, eight rejection
-    samples then a shuffled scan for the strict modes, the Definition-1
-    fallback once a strict chain is exhausted — but runs strictly
+    samples then a shuffled scan under Definition 2, the Definition-1
+    fallback once a chain is exhausted — but runs strictly
     sequentially, reads detection sets from {!Ref_table}, and asks
     {!Ref_def2} (not the two-rail cone oracle) for Definition 2
     verdicts. If the optimized run's chunked, domain-parallel execution
@@ -29,6 +29,4 @@ val test_set : outcome -> k:int -> int list
 val detection_count_def1 : outcome -> k:int -> fi:int -> int
 
 val chain_def2 : outcome -> k:int -> fi:int -> int list
-(** The strict chain, oldest first. *)
-
-val output_mask : outcome -> k:int -> fi:int -> int
+(** The Definition 2 chain, oldest first. *)

@@ -110,15 +110,3 @@ let members set =
     if set.(v) then acc := v :: !acc
   done;
   !acc
-
-let target_output_sets t ~fi =
-  let fault = t.targets.(fi) in
-  let outputs = Array.length (Netlist.outputs t.net) in
-  let sets = Array.init outputs (fun _ -> Array.make t.universe false) in
-  for v = 0 to t.universe - 1 do
-    let per_output = Ref_eval.detects_stuck_outputs t.net fault v in
-    for o = 0 to outputs - 1 do
-      if per_output.(o) then sets.(o).(v) <- true
-    done
-  done;
-  sets

@@ -46,7 +46,3 @@ val m : t -> gj:int -> fi:int -> int
 val members : bool array -> int list
 (** The set as an increasing vector list (for diffing against
     [Bitvec.to_list]). *)
-
-val target_output_sets : t -> fi:int -> bool array array
-(** Per primary output, the vectors observing target [fi] at that
-    output. Recomputed on every call. *)

@@ -97,14 +97,11 @@ type t = {
   untargeted_class : int array;
   untargeted_distinct : Bitvec.t array;
   undetectable_untargeted : int;
-  good : Good.t;
   (* Lazily-built memos. Tables are shared read-only across Parallel
      domains (Procedure 1 fans out over test sets), so the memos must be
-     domain-safe: the inverted indices are published through Atomic
-     references (racing builders compute identical content; the first
-     CAS wins and every domain converges on one copy), and the
-     per-target output-set cache is a Hashtbl guarded by [memo_lock]
-     with the simulation itself run outside the lock. *)
+     domain-safe: they are published through Atomic references (racing
+     builders compute identical content; the first CAS wins and every
+     domain converges on one copy). *)
   inverted : int array array option Atomic.t;
   untargeted_inverted : int array array option Atomic.t;
   layout : target_layout option Atomic.t;
@@ -115,8 +112,6 @@ type t = {
      inverted indices. Untargeted labels are formatted per call: reports
      name one or two of them. *)
   target_labels : string array option Atomic.t;
-  memo_lock : Mutex.t;
-  output_sets : (int, Bitvec.t array) Hashtbl.t;
 }
 
 and target_layout = {
@@ -354,13 +349,10 @@ let build ?(keep_undetectable_targets = false)
     untargeted_distinct = untargeted_classes.distinct;
     undetectable_untargeted =
       all_untargeted - Array.length untargeted_classes.kept;
-    good;
     inverted = Atomic.make None;
     untargeted_inverted = Atomic.make None;
     layout = Atomic.make None;
     target_labels = Atomic.make None;
-    memo_lock = Mutex.create ();
-    output_sets = Hashtbl.create 64;
   }
 
 let net t = t.net
@@ -492,23 +484,6 @@ let untargeted_detectors_of_vector t =
       invert_sets ~universe:t.universe
         (Array.map (Array.get t.untargeted_distinct) t.untargeted_class))
 
-let target_output_sets t ~fi =
-  let cached =
-    Mutex.protect t.memo_lock (fun () -> Hashtbl.find_opt t.output_sets fi)
-  in
-  match cached with
-  | Some sets -> sets
-  | None ->
-    let sets = Fault_sim.stuck_detection_by_output t.good t.targets.(fi) in
-    Mutex.protect t.memo_lock (fun () ->
-        match Hashtbl.find_opt t.output_sets fi with
-        | Some winner -> winner
-        | None ->
-          Hashtbl.replace t.output_sets fi sets;
-          sets)
-
-let output_count t = Array.length (Netlist.outputs t.net)
-
 (* Restore: adopt detection sets (and, optionally, an already-built
    blocked layout) produced by an external decoder — the table cache's
    mmap loader. Labels are derived lazily from the
@@ -522,8 +497,7 @@ let restore_parts net ~universe ~targets ~target_sets ~undetectable_targets
     ?layout () =
   Telemetry.Counter.incr c_restores;
   check_node_count "restore_parts" net;
-  let good = Good.compute net in
-  if Good.universe good <> universe then
+  if universe <> Netlist.universe_size net then
     invalid_arg "Detection_table.restore_parts: universe mismatch";
   let check_sets sets =
     Array.iter
@@ -565,13 +539,10 @@ let restore_parts net ~universe ~targets ~target_sets ~undetectable_targets
     untargeted_class;
     untargeted_distinct;
     undetectable_untargeted;
-    good;
     inverted = Atomic.make None;
     untargeted_inverted = Atomic.make None;
     layout = Atomic.make layout;
     target_labels = Atomic.make None;
-    memo_lock = Mutex.create ();
-    output_sets = Hashtbl.create 64;
   }
 
 let corrupt_target_set t ~fi ~vector =

@@ -157,15 +157,6 @@ val overlapping_targets : t -> gj:int -> int list
 
 (** {2 Derived helpers} *)
 
-val target_output_sets : t -> fi:int -> Bitvec.t array
-(** Per primary output, the vectors observing target [fi] at that output
-    (computed on first use and cached; the cache is mutex-guarded, so
-    concurrent domains may call this freely). Used by the multi-output
-    detection counting. *)
-
-val output_count : t -> int
-(** Primary outputs of the circuit. *)
-
 val detectors_of_vector : t -> int array array
 (** Inverted index over targets: entry [v] lists the target-fault indices
     detected by vector [v]. Computed lazily once, cached, and published
@@ -265,15 +256,14 @@ val restore_parts :
   unit ->
   t
 (** Rebuild a table from its parts, for external decoders (the table
-    cache's mmap loader), without any fault simulation: runs the
-    (cheap, fault-free) exhaustive good simulation for [net] and adopts
-    the given arrays directly: [untargeted.(j)] is [g_j]'s {!Packed}
-    int, whose node ids the caller has checked against [net], and
-    [untargeted_class.(j)] indexes
-    [untargeted_distinct], as {!untargeted_class} does. The detection
-    sets may be zero-copy
+    cache's mmap loader), without any simulation: checks [universe]
+    against [net]'s exhaustive universe ({!Netlist.universe_size}) and
+    adopts the given arrays directly: [untargeted.(j)] is [g_j]'s
+    {!Packed} int, whose node ids the caller has checked against [net],
+    and [untargeted_class.(j)] indexes [untargeted_distinct], as
+    {!untargeted_class} does. The detection sets may be zero-copy
     {!Bitvec.of_view}s into a mapped file. Labels and lazy memos
-    (inverted indexes, per-output sets) rebuild on demand; when
+    (inverted indexes) rebuild on demand; when
     [layout] is given it seeds the {!target_layout} memo, so the
     worst-case scan runs over the mapped rows without repacking. Raises
     [Invalid_argument] when the parts are inconsistent with [net] or

@@ -3,12 +3,11 @@ module Rng = Ndetect_util.Rng
 module Parallel = Ndetect_util.Parallel
 module Telemetry = Ndetect_util.Telemetry
 
-type mode = Definition1 | Definition2 | Multi_output
+type mode = Definition1 | Definition2
 
 let mode_name = function
   | Definition1 -> "definition1"
   | Definition2 -> "definition2"
-  | Multi_output -> "multi_output"
 
 type config = { seed : int; set_count : int; nmax : int; mode : mode }
 
@@ -18,7 +17,7 @@ let default_config =
 (* One test set under construction. A chunk of [run] builds all of its
    sets in one [set] (cleared by [reset] before each), and [replay]
    builds one in a fresh [set]. The per-fault arrays after [def1_counts]
-   serve the strict modes only and are [||] in a Definition 1 run, which
+   serve Definition 2 only and are [||] in a Definition 1 run, which
    never reads them. *)
 type set = {
   mode : mode;
@@ -27,15 +26,13 @@ type set = {
   mutable len : int;
   ends : int array;  (* ends.(n-1) = len at the end of iteration n *)
   def1_counts : int array;  (* per target fault: |T(f) ∩ Tk| *)
-  chains : int list array;  (* strict-mode counted detections, reversed *)
+  chains : int list array;  (* Definition 2 counted detections, reversed *)
   chain_lens : int array;  (* |chains.(fi)|, maintained incrementally so
                               the inner loop never pays List.length *)
-  output_masks : int array;  (* Multi_output: all outputs observing the fault *)
-  chain_masks : int array;  (* Multi_output: outputs covered by the chain *)
-  (* Once no unused test can raise a fault's strict count, none ever will
+  (* Once no unused test can extend a fault's chain, none ever will
      (chains and sets only grow), so the exhausted verdict is permanent. *)
   strict_exhausted : bool array;
-  samples : int array;  (* strict modes: [pick_candidate]'s scratch *)
+  samples : int array;  (* Definition 2: [pick_candidate]'s scratch *)
 }
 
 (* The K test sets are mutually independent: set [k] is constructed from
@@ -46,9 +43,8 @@ type set = {
    and [replay] rebuilds any one set from its stream. *)
 
 (* Everything a set-construction worker reads, all of it immutable or
-   domain-safe: the detection table memos are published atomically /
-   under a mutex (see Detection_table), and the Multi_output per-target
-   output sets are precomputed before fan-out. *)
+   domain-safe: the detection table memos are published atomically (see
+   Detection_table). *)
 type shared = {
   table : Detection_table.t;
   cfg : config;
@@ -58,7 +54,6 @@ type shared = {
   report_len : int;
   report_detectors : int array array;  (* vector -> report positions *)
   target_detectors : int array array;  (* vector -> target fault indices *)
-  output_sets : Bitvec.t array array;  (* Multi_output only; fi -> per-output *)
 }
 
 type outcome = {
@@ -67,15 +62,6 @@ type outcome = {
   report_pos : (int, int) Hashtbl.t;  (* gj -> position in report *)
   detected : int array array;  (* detected.(n-1).(pos) = d(n, g) *)
 }
-
-(* Outputs observing target [fi] under vector [v], as a bitmask. *)
-let observing_mask sh fi v =
-  let sets = sh.output_sets.(fi) in
-  let mask = ref 0 in
-  Array.iteri
-    (fun o set -> if Bitvec.get set v then mask := !mask lor (1 lsl o))
-    sets;
-  !mask
 
 let debug_stale_count = ref false
 let debug_skip_open = ref false
@@ -95,14 +81,15 @@ let unused_count sh s fi =
 
 let sample_count = 8
 
-(* Uniform draw from the candidates of T(fi) - Tk that [first] accepts:
-   [first cands] is the first acceptable element of [cands], in array
-   order. Up to [sample_count] rejection samples first, then a scan of
-   the unused tests in a uniformly random order, returning the first
-   acceptable one. Both phases draw uniformly over the candidate
-   set (the first acceptable element of a uniform permutation is uniform
-   over acceptables, by symmetry), and the permutation scan only pays
-   for the full set when no candidate exists at all.
+(* Uniform draw from the unused tests of T(fi) - Tk that extend the
+   fault's Definition 2 chain: [first cands] is the first element of
+   [cands], in array order, that [def2] accepts. Up to [sample_count]
+   rejection samples first, then a scan of the unused tests in a
+   uniformly random order, returning the first acceptable one. Both
+   phases draw uniformly over the candidate set (the first acceptable
+   element of a uniform permutation is uniform over acceptables, by
+   symmetry), and the permutation scan only pays for the full set when
+   no candidate exists at all.
 
    The samples are drawn on a copy of the stream and judged in one
    [first] call; the stream then advances by the draws one-at-a-time
@@ -114,7 +101,8 @@ let sample_count = 8
    The scan lists every unused test, N(f) - count of them, whatever
    range the samples took ([debug_stale_count] shrinks only that), so
    an exhausted verdict is exact. *)
-let pick_candidate sh rng ~first s fi =
+let pick_candidate sh rng def2 s fi =
+  let first = Definition2.first_extending def2 ~fi ~chain:s.chains.(fi) in
   let tf = Detection_table.target_set sh.table fi in
   let available = unused_count sh s fi in
   let sampled =
@@ -164,8 +152,6 @@ let make_set sh =
     def1_counts = Array.make sh.f_count 0;
     chains = strict [];
     chain_lens = strict 0;
-    output_masks = strict 0;
-    chain_masks = strict 0;
     strict_exhausted = strict false;
     samples =
       (if sh.cfg.mode = Definition1 then [||] else Array.make sample_count 0);
@@ -180,8 +166,6 @@ let reset s =
   Array.fill s.def1_counts 0 (Array.length s.def1_counts) 0;
   Array.fill s.chains 0 (Array.length s.chains) [];
   Array.fill s.chain_lens 0 (Array.length s.chain_lens) 0;
-  Array.fill s.output_masks 0 (Array.length s.output_masks) 0;
-  Array.fill s.chain_masks 0 (Array.length s.chain_masks) 0;
   Array.fill s.strict_exhausted 0 (Array.length s.strict_exhausted) false
 
 (* Construct one complete n-detection test set in [s] from its own RNG
@@ -240,26 +224,9 @@ let run_one cancel sh def2 rng s =
     for i = 0 to Array.length detected - 1 do
       let fi = detected.(i) in
       counts.(fi) <- counts.(fi) + 1
-    done;
-    if sh.cfg.mode = Multi_output then
-      Array.iter
-        (fun fi ->
-          (* A test joins the fault's counted chain iff it observes the
-             fault on an output the chain has not covered yet, so the
-             count stays a number of distinct tests. *)
-          let m = observing_mask sh fi v in
-          s.output_masks.(fi) <- s.output_masks.(fi) lor m;
-          if
-            s.chain_lens.(fi) < sh.cfg.nmax
-            && m land lnot s.chain_masks.(fi) <> 0
-          then begin
-            s.chains.(fi) <- v :: s.chains.(fi);
-            s.chain_lens.(fi) <- s.chain_lens.(fi) + 1;
-            s.chain_masks.(fi) <- s.chain_masks.(fi) lor m
-          end)
-        detected
+    done
   in
-  (* Also the strict modes' fallback when the stricter count cannot
+  (* Also Definition 2's fallback when the stricter count cannot
      reach n, so the fault is not left far below n. *)
   let def1_step ~n fi =
     if s.def1_counts.(fi) < n then (
@@ -279,26 +246,7 @@ let run_one cancel sh def2 rng s =
         if s.chain_lens.(fi) < n then
           if s.strict_exhausted.(fi) then def1_step ~n fi
           else begin
-            let def2 = Option.get def2 and chain = s.chains.(fi) in
-            match
-              pick_candidate sh rng
-                ~first:(Definition2.first_extending def2 ~fi ~chain)
-                s fi
-            with
-            | Some v -> add_test v
-            | None ->
-              s.strict_exhausted.(fi) <- true;
-              def1_step ~n fi
-          end
-      | Multi_output ->
-        if s.chain_lens.(fi) < n then
-          if s.strict_exhausted.(fi) then def1_step ~n fi
-          else begin
-            let accepts v =
-              observing_mask sh fi v land lnot s.chain_masks.(fi) <> 0
-            in
-            match pick_candidate sh rng ~first:(Array.find_opt accepts) s fi
-            with
+            match pick_candidate sh rng (Option.get def2) s fi with
             | Some v -> add_test v
             | None ->
               s.strict_exhausted.(fi) <- true;
@@ -352,8 +300,6 @@ let make_shared ?report_faults table (config : config) =
       Detection_table.invert_sets ~universe
         (Array.map (Detection_table.untargeted_set table) report)
   in
-  if config.mode = Multi_output && Detection_table.output_count table > 62
-  then invalid_arg "Procedure1.run: Multi_output limited to 62 outputs";
   let sh =
     {
       table;
@@ -364,13 +310,6 @@ let make_shared ?report_faults table (config : config) =
       report_len = Array.length report;
       report_detectors;
       target_detectors = Detection_table.detectors_of_vector table;
-      output_sets =
-        (match config.mode with
-        | Multi_output ->
-          (* Forced before fan-out: workers then only read. *)
-          Array.init f_count (fun fi ->
-              Detection_table.target_output_sets table ~fi)
-        | Definition1 | Definition2 -> [||]);
     }
   in
   (sh, report, report_pos)
@@ -381,7 +320,7 @@ let make_shared ?report_faults table (config : config) =
 let oracle sh =
   match sh.cfg.mode with
   | Definition2 -> Some (Definition2.create sh.table)
-  | Definition1 | Multi_output -> None
+  | Definition1 -> None
 
 (* d(n, g) = #sets whose first detection of g happened at iteration
    <= n: sum the chunks' first-detection histograms, then prefix-sum. *)
@@ -485,9 +424,4 @@ let detection_count_def1 s ~fi = s.def1_counts.(fi)
 let chain_def2 s ~fi =
   match s.mode with
   | Definition1 -> []
-  | Definition2 | Multi_output -> List.rev s.chains.(fi)
-
-let output_mask s ~fi =
-  match s.mode with
-  | Definition1 -> 0
-  | Definition2 | Multi_output -> s.output_masks.(fi)
+  | Definition2 -> List.rev s.chains.(fi)

@@ -11,7 +11,7 @@
     procedure falls back to Definition 1 so that faults are not left far
     below [n] detections.
 
-    The strict modes pick a candidate by up to eight uniform rejection
+    Definition 2 picks a candidate by up to eight uniform rejection
     samples, judged together in one pass (the set's stream advances as
     if each had been judged before the next was drawn), then by a
     uniformly shuffled scan of every unused test. A fault whose scan
@@ -24,12 +24,6 @@ module Detection_table := Detection_table
 type mode =
   | Definition1  (** Plain distinct-test counting. *)
   | Definition2  (** Pairwise-different tests (paper Section 4). *)
-  | Multi_output
-      (** A test counts as a new detection only when it observes the
-          fault on a primary output the counted tests have not covered
-          yet (multi-output propagation, the paper's reference [6]);
-          falls back to Definition 1 when no new output can be
-          covered. *)
 
 type config = {
   seed : int;
@@ -103,12 +97,8 @@ val detection_count_def1 : set -> fi:int -> int
     count], from it. *)
 
 val chain_def2 : set -> fi:int -> int list
-(** Counted detections of target [fi] in the set (Definition 2 and
-    Multi_output runs; [[]] in a Definition 1 run). *)
-
-val output_mask : set -> fi:int -> int
-(** Bitmask of primary outputs on which the set observes target [fi]
-    (Multi_output runs only; [0] otherwise). *)
+(** Counted detections of target [fi] in the set (Definition 2 runs;
+    [[]] in a Definition 1 run). *)
 
 val debug_stale_count : bool ref
 (** Test-only sabotage hook: when set, a draw for a fault with a

@@ -575,38 +575,6 @@ let wired_detection_sets ?(cancel = Ndetect_util.Cancel.none) good faults =
       wired_detection_set good f)
     faults
 
-(* Per-output detection: same cone propagation, but the per-output diff
-   masks are collected instead of ORed. *)
-let stuck_detection_by_output good fault =
-  note_sets 1;
-  Telemetry.Counter.add c_propagations (Good.batch_count good);
-  let net = Good.net good in
-  let outputs = Netlist.outputs net in
-  let seed, forced = stuck_seed good fault in
-  let cone = cone_for good seed in
-  let universe = Good.universe good in
-  let sets = Array.map (fun _ -> Bitvec.create universe) outputs in
-  let in_cone o = cone.in_cone.(o) in
-  for batch = 0 to Good.batch_count good - 1 do
-    let any = propagate good cone ~batch ~seed_value:(forced ~batch) in
-    if any <> Word.zeroes then
-      Array.iteri
-        (fun k o ->
-          if in_cone o then begin
-            let diff =
-              (cone.faulty.(o) lxor Good.value good ~node:o ~batch)
-              land Good.live_mask good ~batch
-            in
-            if diff <> Word.zeroes then
-              for lane = 0 to Word.width - 1 do
-                if Word.get diff lane then
-                  Bitvec.set sets.(k) ((batch * Word.width) + lane)
-              done
-          end)
-        outputs
-  done;
-  sets
-
 let detects_stuck good fault ~vector =
   if vector < 0 || vector >= Good.universe good then
     invalid_arg "Fault_sim.detects_stuck: vector outside universe";

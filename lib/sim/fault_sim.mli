@@ -65,19 +65,13 @@ val wired_detection_sets :
 val detects_stuck : Good.t -> Stuck.t -> vector:int -> bool
 (** Single-vector convenience used by tests (simulates only one batch). *)
 
-val stuck_detection_by_output : Good.t -> Stuck.t -> Bitvec.t array
-(** Per primary output [o], the vectors under which the fault is observed
-    {e at that output}. The union over outputs is {!stuck_detection_set}.
-    Feeds the multi-output-propagation detection counting (the paper's
-    reference [6]). *)
-
 (** {2 Work accounting}
 
     Simulation work is counted in the {!Ndetect_util.Telemetry}
     registry (always on; one atomic add per fault or group):
 
     - ["sim.detection_sets"] — detection sets formed: full simulations
-      (stuck, bridge, wired and per-output variants) plus, added by the
+      (stuck, bridge and wired) plus, added by the
       factored bridge build, one per bridge product.
     - ["sim.cone_propagations"] — per-batch cone propagation passes
       handed to the kernel (a pass may still short-circuit when the

@@ -46,9 +46,10 @@ let compute_fresh net =
   { id = fresh_id (); net; universe; batch_count; values; live }
 
 (* [compute] is pure per netlist and its result is immutable after
-   construction, so repeated calls on the {e same} netlist (every
-   restore of a cached detection table, every rebuild in a sweep) can
-   share one simulation. A single-entry memo keyed by physical equality
+   construction, so repeated calls on the {e same} netlist (a table
+   build followed by the campaign's or the transition analysis's own
+   simulation of that netlist, every rebuild in a sweep) can share one
+   simulation. A single-entry memo keyed by physical equality
    keeps at most one extra table alive; a lost race between domains just
    recomputes, which is always correct. *)
 let memo : (Netlist.t * t) option Atomic.t = Atomic.make None

@@ -138,20 +138,6 @@ let inter_count a b =
   same_len a b;
   Kernel.inter_count a.buf b.buf (A1.dim a.buf)
 
-let inter_count_upto ~limit a b =
-  same_len a b;
-  Kernel.inter_count_upto a.buf b.buf (A1.dim a.buf) limit
-
-let inter_count_many a targets =
-  let n = Array.length targets in
-  let counts = Array.make n 0 in
-  if n > 0 then begin
-    Array.iter (fun b -> same_len a b) targets;
-    let bufs = Array.map (fun b -> b.buf) targets in
-    Kernel.inter_count_many a.buf bufs (A1.dim a.buf) counts
-  end;
-  counts
-
 let map2 op a b =
   same_len a b;
   let n = A1.dim a.buf in

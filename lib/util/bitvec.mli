@@ -92,17 +92,7 @@ val lowest_bit : int -> int
 
 val inter_count : t -> t -> int
 (** [inter_count a b] is [count (inter a b)] without allocating. Lengths
-    must agree. *)
-
-val inter_count_upto : limit:int -> t -> t -> int
-(** [min (inter_count a b) limit], sweeping only until the count reaches
-    [limit]. [intersects a b = (inter_count_upto ~limit:1 a b > 0)]. *)
-
-val inter_count_many : t -> t array -> int array
-(** [inter_count_many a targets] is
-    [Array.map (inter_count a) targets] in one call: the probe's words
-    stay hot in cache across the whole block of target sets. For the
-    blocked worst-case scan see {!Blocked}. *)
+    must agree. For the blocked worst-case scan see {!Blocked}. *)
 
 val inter : t -> t -> t
 
@@ -121,7 +111,8 @@ val inter_hash_into : t -> t -> t -> int
     agree. *)
 
 val intersects : t -> t -> bool
-(** [intersects a b] iff [a] and [b] share a set bit. *)
+(** [intersects a b] iff [a] and [b] share a set bit: [inter_count a b
+    > 0], but the sweep stops at the first word they share. *)
 
 val subset : t -> t -> bool
 (** [subset a b] iff every bit of [a] is set in [b]. *)

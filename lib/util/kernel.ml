@@ -23,14 +23,6 @@ external popcount_words : buf -> int -> int = "ndetect_c_popcount_words"
 external inter_count : buf -> buf -> int -> int = "ndetect_c_inter_count"
 [@@noalloc]
 
-external inter_count_upto : buf -> buf -> int -> int -> int
-  = "ndetect_c_inter_count_upto"
-[@@noalloc]
-
-external inter_count_many : buf -> buf array -> int -> int array -> unit
-  = "ndetect_c_inter_count_many"
-[@@noalloc]
-
 external blocked_scan :
   buf -> buf -> int array -> int -> int -> int -> int array -> unit
   = "ndetect_c_blocked_scan_byte" "ndetect_c_blocked_scan"

@@ -41,19 +41,6 @@ external inter_count : buf -> buf -> int -> int = "ndetect_c_inter_count"
 (** [inter_count a b n] is the popcount of [a AND b] over words
     [0 .. n-1]. *)
 
-external inter_count_upto : buf -> buf -> int -> int -> int
-  = "ndetect_c_inter_count_upto"
-[@@noalloc]
-(** [inter_count_upto a b n limit] is [min (inter_count a b n) limit],
-    allowed to stop sweeping once the running count reaches [limit]. *)
-
-external inter_count_many : buf -> buf array -> int -> int array -> unit
-  = "ndetect_c_inter_count_many"
-[@@noalloc]
-(** [inter_count_many probe targets n dst] stores
-    [inter_count probe targets.(j) n] into [dst.(j)] for every [j].
-    [dst] has at least [Array.length targets] entries. *)
-
 external blocked_scan :
   buf -> buf -> int array -> int -> int -> int -> int array -> unit
   = "ndetect_c_blocked_scan_byte" "ndetect_c_blocked_scan"

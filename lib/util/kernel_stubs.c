@@ -117,34 +117,6 @@ CAMLprim value ndetect_c_inter_count(value va, value vb, value vn) {
                                  Long_val(vn)));
 }
 
-CAMLprim value ndetect_c_inter_count_upto(value va, value vb, value vn,
-                                          value vlimit) {
-  const uint64_t *a = (const uint64_t *)Caml_ba_data_val(va);
-  const uint64_t *b = (const uint64_t *)Caml_ba_data_val(vb);
-  intnat n = Long_val(vn);
-  intnat limit = Long_val(vlimit);
-  intnat acc = 0;
-  intnat i = 0;
-  while (acc < limit && i < n) {
-    acc += __builtin_popcountll(a[i] & b[i]);
-    i++;
-  }
-  return Val_long(acc < limit ? acc : limit);
-}
-
-CAMLprim value ndetect_c_inter_count_many(value vprobe, value vtargets,
-                                          value vn, value vdst) {
-  const uint64_t *p = (const uint64_t *)Caml_ba_data_val(vprobe);
-  intnat n = Long_val(vn);
-  mlsize_t count = Wosize_val(vtargets);
-  mlsize_t j;
-  for (j = 0; j < count; j++) {
-    const uint64_t *t = (const uint64_t *)Caml_ba_data_val(Field(vtargets, j));
-    Field(vdst, j) = Val_long(ndetect_pc_and(p, t, n));
-  }
-  return Val_unit;
-}
-
 /* The worst-case scan (Bitvec.Blocked.scan): one call walks every
  * block of an N-ascending blocked layout for one probe. Inside block b
  * (base row b * bs, k rows) word w of row r sits at

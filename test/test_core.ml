@@ -492,12 +492,6 @@ let prop_procedure1_count_invariant =
     Helpers.circuit_arbitrary
     (Helpers.apply_circuit (fun net ->
          let table = Detection_table.build net in
-         let modes =
-           Procedure1.[ Definition1; Definition2 ]
-           @
-           if Detection_table.output_count table > 62 then []
-           else [ Procedure1.Multi_output ]
-         in
          List.for_all
            (fun mode ->
              let config =
@@ -518,38 +512,7 @@ let prop_procedure1_count_invariant =
                          (Detection_table.target_set table fi))
                    (List.init (Detection_table.target_count table) Fun.id))
                (List.init config.Procedure1.set_count Fun.id))
-           modes))
-
-let prop_procedure1_multi_output_valid =
-  QCheck.Test.make
-    ~name:"Multi_output sets remain Definition-1 n-detection sets" ~count:10
-    Helpers.circuit_arbitrary
-    (Helpers.apply_circuit (fun net ->
-         let table = Detection_table.build net in
-         if Detection_table.output_count table > 62 then true
-         else begin
-           let config =
-             { Procedure1.seed = 29; set_count = 6; nmax = 3;
-               mode = Procedure1.Multi_output }
-           in
-           let outcome = Procedure1.run table config in
-           let ok = ref true in
-           for k = 0 to config.Procedure1.set_count - 1 do
-             let tests = Procedure1.test_set (Procedure1.replay outcome ~k) in
-             let member =
-               Bitvec.of_list (Detection_table.universe table) tests
-             in
-             for fi = 0 to Detection_table.target_count table - 1 do
-               let detections =
-                 Bitvec.inter_count member
-                   (Detection_table.target_set table fi)
-               in
-               if detections < min 3 (Detection_table.target_n table fi)
-               then ok := false
-             done
-           done;
-           !ok
-         end))
+           Procedure1.[ Definition1; Definition2 ]))
 
 let prop_procedure1_monotone =
   QCheck.Test.make ~name:"d(n, g) is monotone in n" ~count:10
@@ -695,68 +658,6 @@ let test_procedure1_def2_runs () =
     done
   done
 
-let test_output_sets_partition_detection () =
-  (* Per-output detection sets union to the full detection set. *)
-  let table = example_table () in
-  for fi = 0 to Detection_table.target_count table - 1 do
-    let sets = Detection_table.target_output_sets table ~fi in
-    Alcotest.(check int) "one set per output" 3 (Array.length sets);
-    let union =
-      Array.fold_left Bitvec.union (Bitvec.create 16) sets
-    in
-    Alcotest.(check bool)
-      (Detection_table.target_label table fi ^ " union")
-      true
-      (Bitvec.equal union (Detection_table.target_set table fi))
-  done;
-  (* Fault 2/0 (stem with fanout into gates 9 and 10) is observed at
-     output 9 on {12..15} and output 10 on {6,7,14,15}. *)
-  let sets = Detection_table.target_output_sets table ~fi:1 in
-  Alcotest.(check (list int)) "at output 9" [ 12; 13; 14; 15 ]
-    (Bitvec.to_list sets.(0));
-  Alcotest.(check (list int)) "at output 10" [ 6; 7; 14; 15 ]
-    (Bitvec.to_list sets.(1));
-  Alcotest.(check (list int)) "at output 11" [] (Bitvec.to_list sets.(2))
-
-let test_procedure1_multi_output () =
-  let table = example_table () in
-  let config =
-    { Procedure1.seed = 13; set_count = 20; nmax = 3;
-      mode = Procedure1.Multi_output }
-  in
-  let outcome = Procedure1.run table config in
-  for k = 0 to config.Procedure1.set_count - 1 do
-    let set = Procedure1.replay outcome ~k in
-    let tests = Procedure1.test_set set in
-    let member = Bitvec.of_list 16 tests in
-    for fi = 0 to Detection_table.target_count table - 1 do
-      (* Fallback keeps Definition-1 validity. *)
-      let detections =
-        Bitvec.inter_count member (Detection_table.target_set table fi)
-      in
-      Alcotest.(check bool) "def1 validity" true
-        (detections >= min 3 (Detection_table.target_n table fi));
-      (* The recorded output mask is consistent with the set's tests. *)
-      let sets = Detection_table.target_output_sets table ~fi in
-      let expected_mask = ref 0 in
-      List.iter
-        (fun v ->
-          Array.iteri
-            (fun o set ->
-              if Bitvec.get set v then expected_mask := !expected_mask lor (1 lsl o))
-            sets)
-        tests;
-      Alcotest.(check int) "output mask" !expected_mask
-        (Procedure1.output_mask set ~fi)
-    done
-  done;
-  (* Fault 2/0 can reach 2 distinct outputs: with n >= 2 every set must
-     cover both. *)
-  for k = 0 to config.Procedure1.set_count - 1 do
-    Alcotest.(check int) "2/0 covers both outputs" 0b011
-      (Procedure1.output_mask (Procedure1.replay outcome ~k) ~fi:1)
-  done
-
 let test_average_case_thresholds () =
   let row =
     Average_case.summarize_probabilities [| 1.0; 0.95; 0.52; 0.1; 0.0 |]
@@ -839,12 +740,7 @@ let () =
             test_procedure1_table4_shape;
           Alcotest.test_case "definition 2 mode" `Quick
             test_procedure1_def2_runs;
-          Alcotest.test_case "multi-output mode" `Quick
-            test_procedure1_multi_output;
-          Alcotest.test_case "per-output detection sets" `Quick
-            test_output_sets_partition_detection;
           Helpers.qcheck prop_procedure1_sets_valid;
-          Helpers.qcheck prop_procedure1_multi_output_valid;
           Helpers.qcheck prop_procedure1_count_invariant;
           Helpers.qcheck prop_procedure1_monotone;
         ] );

@@ -338,6 +338,57 @@ let test_table_cache_roundtrip () =
           (Worst_case.distribution (Worst_case.compute built))
           (Worst_case.distribution (Worst_case.compute restored)))
 
+(* [restore_parts] checks the parts a decoder read from disk against
+   the netlist before adopting them: a universe other than the
+   netlist's exhaustive one, or a set of another length, is an
+   [Invalid_argument] naming the check, which the cache turns into a
+   miss. The same parts, unchanged, restore the built table. *)
+let test_table_cache_restore_checks () =
+  let net = Registry.circuit (Option.get (Registry.find "lion")) in
+  let t = Detection_table.build net in
+  let universe = Detection_table.universe t in
+  let target_sets =
+    Array.init (Detection_table.target_count t) (Detection_table.target_set t)
+  in
+  let restore ~universe ~target_sets =
+    Detection_table.restore_parts net ~universe
+      ~targets:
+        (Array.init (Detection_table.target_count t)
+           (Detection_table.target_fault t))
+      ~target_sets
+      ~undetectable_targets:(Detection_table.undetectable_target_count t)
+      ~untargeted:
+        (Array.init (Detection_table.untargeted_count t)
+           (Detection_table.untargeted_packed t))
+      ~untargeted_class:
+        (Array.init (Detection_table.untargeted_count t)
+           (Detection_table.untargeted_class t))
+      ~untargeted_distinct:
+        (Array.init
+           (Detection_table.untargeted_class_count t)
+           (Detection_table.untargeted_class_set t))
+      ~undetectable_untargeted:
+        (Detection_table.undetectable_untargeted_count t)
+      ()
+  in
+  Alcotest.(check bool) "consistent parts restore the table" true
+    (tables_identical t (restore ~universe ~target_sets));
+  let rejects label expected f =
+    match f () with
+    | _ -> Alcotest.failf "%s: restored" label
+    | exception Invalid_argument msg ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %S names the check" label msg)
+        true
+        (Helpers.contains_substring msg expected)
+  in
+  rejects "doubled universe" "universe mismatch" (fun () ->
+      restore ~universe:(2 * universe) ~target_sets);
+  let short = Array.copy target_sets in
+  short.(0) <- Bitvec.create (universe - 1);
+  rejects "short target set" "set length mismatch" (fun () ->
+      restore ~universe ~target_sets:short)
+
 (* The cache is best-effort: a directory that cannot exist (its path
    runs through a regular file) makes [store] a no-op and [table] a
    plain build, never an exception. *)
@@ -1209,6 +1260,8 @@ let () =
             test_table_cache_roundtrip;
           Alcotest.test_case "unusable directory is a plain build" `Quick
             test_table_cache_unusable_dir;
+          Alcotest.test_case "restore checks universe and set lengths"
+            `Quick test_table_cache_restore_checks;
           Alcotest.test_case "classes survive store and warm load" `Quick
             test_table_cache_classes_roundtrip;
           Alcotest.test_case "untargeted faults survive store and warm load"

@@ -103,8 +103,7 @@ let test_procedure1_modes_deterministic () =
           (Procedure1.test_set (Procedure1.replay a ~k))
           (Procedure1.test_set (Procedure1.replay b ~k))
       done)
-    [ Procedure1.Definition1; Procedure1.Definition2;
-      Procedure1.Multi_output ]
+    [ Procedure1.Definition1; Procedure1.Definition2 ]
 
 let test_partition_supports () =
   let net = Example.circuit () in

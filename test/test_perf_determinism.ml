@@ -8,7 +8,7 @@
      path computes; the sets are rebuilt by [Procedure1.replay].
    - An outcome's size does not grow with K.
    - The incrementally maintained chain-length counters must agree with
-     the chains themselves: re-deriving every Definition-2 / Multi_output
+     the chains themselves: re-deriving every Definition-2
      chain from the insertion-order test set must reproduce [chain_def2].
    - The per-domain cone cache in [Fault_sim] must be invisible: cached
      detection sets equal freshly-built-cone results (and the naive
@@ -42,8 +42,7 @@ let fingerprint table outcome =
         let per_fault =
           List.init f_count (fun fi ->
               ( Procedure1.detection_count_def1 set ~fi,
-                Procedure1.chain_def2 set ~fi,
-                Procedure1.output_mask set ~fi ))
+                Procedure1.chain_def2 set ~fi ))
         in
         (Procedure1.test_set set, per_fault))
   in
@@ -62,7 +61,6 @@ let fingerprint table outcome =
 let mode_name = function
   | Procedure1.Definition1 -> "Definition1"
   | Procedure1.Definition2 -> "Definition2"
-  | Procedure1.Multi_output -> "Multi_output"
 
 let test_domains_invariant mode () =
   let table = example_table () in
@@ -126,50 +124,6 @@ let test_def2_chain_regression () =
     done
   done
 
-let observing_mask output_sets v =
-  let mask = ref 0 in
-  Array.iteri
-    (fun o set -> if Bitvec.get set v then mask := !mask lor (1 lsl o))
-    output_sets;
-  !mask
-
-let test_multi_output_chain_regression () =
-  let table = example_table () in
-  let config = config_of Procedure1.Multi_output 31 in
-  let outcome = Procedure1.run table config in
-  let f_count = Detection_table.target_count table in
-  for k = 0 to config.Procedure1.set_count - 1 do
-    let set = Procedure1.replay outcome ~k in
-    let tests = Procedure1.test_set set in
-    for fi = 0 to f_count - 1 do
-      let tf = Detection_table.target_set table fi in
-      let output_sets = Detection_table.target_output_sets table ~fi in
-      let chain = ref [] and chain_mask = ref 0 and out_mask = ref 0 in
-      List.iter
-        (fun v ->
-          if Bitvec.get tf v then begin
-            let m = observing_mask output_sets v in
-            out_mask := !out_mask lor m;
-            if
-              List.length !chain < config.Procedure1.nmax
-              && m land lnot !chain_mask <> 0
-            then begin
-              chain := v :: !chain;
-              chain_mask := !chain_mask lor m
-            end
-          end)
-        tests;
-      Alcotest.(check (list int))
-        (Printf.sprintf "multi-output chain k=%d fi=%d" k fi)
-        (List.rev !chain)
-        (Procedure1.chain_def2 set ~fi);
-      Alcotest.(check int)
-        (Printf.sprintf "output mask k=%d fi=%d" k fi)
-        !out_mask
-        (Procedure1.output_mask set ~fi)
-    done
-  done
-
 (* No per-set state survives [run]: an outcome holds the tallies and the
    tables replay reads, so its reachable size is the same for K = 10 and
    K = 500. Both outcomes are measured after both runs, so the lazily
@@ -209,9 +163,7 @@ let prop_cone_cache_transparent =
            faults))
 
 let () =
-  let modes =
-    [ Procedure1.Definition1; Procedure1.Definition2; Procedure1.Multi_output ]
-  in
+  let modes = [ Procedure1.Definition1; Procedure1.Definition2 ] in
   Alcotest.run "perf determinism"
     [
       ( "procedure1 domains",
@@ -242,8 +194,6 @@ let () =
         [
           Alcotest.test_case "definition2 chains from replay" `Quick
             test_def2_chain_regression;
-          Alcotest.test_case "multi-output chains from replay" `Quick
-            test_multi_output_chain_regression;
         ] );
       ( "cone cache",
         [ Helpers.qcheck prop_cone_cache_transparent ] );

@@ -287,19 +287,6 @@ let prop_iter_set_order =
       Bitvec.to_list (Bitvec.of_list len xs)
       = List.sort_uniq Int.compare xs)
 
-let prop_inter_count_upto =
-  QCheck.make
-    ~print:(fun ((len, a, b), limit) ->
-      Printf.sprintf "len=%d |a|=%d |b|=%d limit=%d" len (List.length a)
-        (List.length b) limit)
-    QCheck.Gen.(pair pair_gen (int_range 0 50))
-  |> fun arb ->
-  QCheck.Test.make ~name:"inter_count_upto = min(count, limit)" ~count:300 arb
-    (fun ((len, a, b), limit) ->
-      let va = Bitvec.of_list len a and vb = Bitvec.of_list len b in
-      Bitvec.inter_count_upto ~limit va vb
-      = min (Bitvec.inter_count va vb) limit)
-
 let family_gen =
   QCheck.make
     ~print:(fun (len, probe, rows) ->
@@ -310,14 +297,6 @@ let family_gen =
       let idx = list_size (int_range 0 40) (int_range 0 (len - 1)) in
       idx >>= fun probe ->
       list_size (int_range 0 30) idx >|= fun rows -> (len, probe, rows))
-
-let prop_inter_count_many =
-  QCheck.Test.make ~name:"inter_count_many = map inter_count" ~count:200
-    family_gen (fun (len, probe, rows) ->
-      let p = Bitvec.of_list len probe in
-      let targets = Array.of_list (List.map (Bitvec.of_list len) rows) in
-      Bitvec.inter_count_many p targets
-      = Array.map (Bitvec.inter_count p) targets)
 
 (* Per-row counts through the worst-case scan: scanning with row [r]'s
    own count 0 and every other row's 2L + 2 (L the length) makes row
@@ -398,8 +377,6 @@ module Ref_kernel = Ndetect_check.Ref_kernel
 type kernel = {
   count : Bitvec.t -> int;
   inter_count : Bitvec.t -> Bitvec.t -> int;
-  inter_count_upto : limit:int -> Bitvec.t -> Bitvec.t -> int;
-  inter_count_many : Bitvec.t -> Bitvec.t array -> int array;
   scan :
     Bitvec.Blocked.t ->
     row_n:int array -> probe_count:int -> Bitvec.t -> int array -> unit;
@@ -409,8 +386,6 @@ let c_kernel =
   {
     count = Bitvec.count;
     inter_count = Bitvec.inter_count;
-    inter_count_upto = Bitvec.inter_count_upto;
-    inter_count_many = Bitvec.inter_count_many;
     scan = Bitvec.Blocked.scan;
   }
 
@@ -418,8 +393,6 @@ let ref_kernel =
   {
     count = Ref_kernel.count;
     inter_count = Ref_kernel.inter_count;
-    inter_count_upto = Ref_kernel.inter_count_upto;
-    inter_count_many = Ref_kernel.inter_count_many;
     scan = Ref_kernel.blocked_scan;
   }
 
@@ -435,38 +408,6 @@ let prop_dense_inter_count =
   QCheck.Test.make ~name:"inter_count = naive get loop (dense)" ~count:300
     dense_pair_gen
     (dense_inter_count_body c_kernel)
-
-let dense_upto_gen =
-  QCheck.make
-    ~print:(fun ((len, sa, sb), limit) ->
-      Printf.sprintf "len=%d seed_a=%d seed_b=%d limit=%d" len sa sb limit)
-    QCheck.Gen.(pair (QCheck.gen dense_pair_gen) (int_range 0 305))
-
-let dense_inter_count_upto_body k ((len, sa, sb), limit) =
-  let a = dense_of_seed len sa and b = dense_of_seed len sb in
-  k.inter_count_upto ~limit a b = min (naive_inter_count len a b) limit
-
-let prop_dense_inter_count_upto =
-  QCheck.Test.make ~name:"inter_count_upto = naive get loop (dense)"
-    ~count:300 dense_upto_gen
-    (dense_inter_count_upto_body c_kernel)
-
-let dense_many_gen =
-  QCheck.make
-    ~print:(fun (len, sp, rows) ->
-      Printf.sprintf "len=%d seed_p=%d rows=%d" len sp rows)
-    QCheck.Gen.(
-      triple (oneofa ragged_lengths) (int_bound 10_000) (int_range 0 12))
-
-let dense_inter_count_many_body k (len, sp, rows) =
-  let p = dense_of_seed len sp in
-  let targets = Array.init rows (fun r -> dense_of_seed len (r + 17)) in
-  k.inter_count_many p targets = Array.map (naive_inter_count len p) targets
-
-let prop_dense_inter_count_many =
-  QCheck.Test.make ~name:"inter_count_many = naive get loops (dense)"
-    ~count:200 dense_many_gen
-    (dense_inter_count_many_body c_kernel)
 
 let dense_blocked_gen =
   QCheck.make
@@ -488,8 +429,8 @@ let prop_dense_blocked =
     ~count:200 dense_blocked_gen
     (dense_blocked_body c_kernel)
 
-(* Empty operands hit the all-zero-word paths and the limit=0 early
-   exit; spelled out per ragged length rather than left to chance. *)
+(* Empty operands hit the all-zero-word paths; spelled out per ragged
+   length rather than left to chance. *)
 let test_intersection_kernels_empty_sets k () =
   Array.iter
     (fun len ->
@@ -499,20 +440,8 @@ let test_intersection_kernels_empty_sets k () =
         (fun (label, a, b) ->
           Alcotest.(check int)
             (Printf.sprintf "inter_count %s len=%d" label len)
-            0 (k.inter_count a b);
-          Alcotest.(check int)
-            (Printf.sprintf "inter_count_upto %s len=%d" label len)
-            0
-            (k.inter_count_upto ~limit:3 a b))
+            0 (k.inter_count a b))
         [ ("0∩0", empty, empty); ("0∩d", empty, dense); ("d∩0", dense, empty) ];
-      Alcotest.(check int)
-        (Printf.sprintf "limit=0 len=%d" len)
-        0
-        (k.inter_count_upto ~limit:0 dense dense);
-      Alcotest.(check (array int))
-        (Printf.sprintf "many vs empties len=%d" len)
-        [| 0; 0 |]
-        (k.inter_count_many empty [| dense; empty |]);
       let packed = Bitvec.Blocked.pack ~block_size:2 [| empty; dense |] in
       Alcotest.(check (list int))
         (Printf.sprintf "blocked vs empty probe len=%d" len)
@@ -524,11 +453,7 @@ let test_intersection_kernels_empty_sets k () =
       Alcotest.(check (array int))
         (Printf.sprintf "scan of an empty probe len=%d" len)
         [| max_int; -1; 1; 0 |] out)
-    ragged_lengths;
-  (* No rows at all: nothing to count, nothing to pack. *)
-  Alcotest.(check (array int))
-    "many with zero targets" [||]
-    (k.inter_count_many (dense_of_seed 63 1) [||])
+    ragged_lengths
 
 (* The C kernel against its reference: the dense differential
    properties run once per kernel, and structured edge inputs compare
@@ -540,14 +465,6 @@ let kernel_props (name, k) =
     QCheck.Test.make
       ~name:(name "inter_count = naive (dense)")
       ~count:200 dense_pair_gen (dense_inter_count_body k);
-    QCheck.Test.make
-      ~name:(name "inter_count_upto = naive (dense)")
-      ~count:200 dense_upto_gen
-      (dense_inter_count_upto_body k);
-    QCheck.Test.make
-      ~name:(name "inter_count_many = naive (dense)")
-      ~count:150 dense_many_gen
-      (dense_inter_count_many_body k);
     QCheck.Test.make
       ~name:(name "Blocked = naive (dense, ragged)")
       ~count:150 dense_blocked_gen (dense_blocked_body k);
@@ -574,8 +491,6 @@ let test_kernels_agree () =
               ~probe_count:(k.count p) p out;
             ( k.count p,
               k.inter_count p q,
-              k.inter_count_upto ~limit:7 p q,
-              k.inter_count_many p targets,
               row_counts k.scan packed p,
               out )
           in
@@ -1073,12 +988,8 @@ let () =
         [
           Helpers.qcheck prop_count_naive;
           Helpers.qcheck prop_iter_set_order;
-          Helpers.qcheck prop_inter_count_upto;
-          Helpers.qcheck prop_inter_count_many;
           Helpers.qcheck prop_blocked_row_counts;
           Helpers.qcheck prop_dense_inter_count;
-          Helpers.qcheck prop_dense_inter_count_upto;
-          Helpers.qcheck prop_dense_inter_count_many;
           Helpers.qcheck prop_dense_blocked;
           Helpers.qcheck prop_scan_twin;
           Alcotest.test_case "Blocked.scan all-ones flush" `Quick
