@@ -740,9 +740,9 @@ let () =
             test_procedure1_table4_shape;
           Alcotest.test_case "definition 2 mode" `Quick
             test_procedure1_def2_runs;
-          Helpers.qcheck prop_procedure1_sets_valid;
           Helpers.qcheck prop_procedure1_count_invariant;
           Helpers.qcheck prop_procedure1_monotone;
+          Helpers.qcheck prop_procedure1_sets_valid;
         ] );
       ( "definition2",
         [
